@@ -83,10 +83,10 @@ double MeasureRate(const std::shared_ptr<const DetectionPlan>& plan,
 bool SameDecisions(const DetectionResult& a, const DetectionResult& b) {
   if (a.decisions.size() != b.decisions.size()) return false;
   for (size_t i = 0; i < a.decisions.size(); ++i) {
-    if (a.decisions[i].id1 != b.decisions[i].id1 ||
-        a.decisions[i].id2 != b.decisions[i].id2 ||
-        a.decisions[i].similarity != b.decisions[i].similarity ||
-        a.decisions[i].match_class != b.decisions[i].match_class) {
+    const PairDecisionRecord& x = a.decisions[i];
+    const PairDecisionRecord& y = b.decisions[i];
+    if (a.id(x.index1) != b.id(y.index1) || a.id(x.index2) != b.id(y.index2) ||
+        x.similarity != y.similarity || x.match_class != y.match_class) {
       return false;
     }
   }

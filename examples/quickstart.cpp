@@ -50,7 +50,7 @@ int main() {
   for (const PairDecisionRecord& rec : result->decisions) {
     char sim[32];
     std::snprintf(sim, sizeof(sim), "%.4f", rec.similarity);
-    table.AddRow({rec.id1 + " ~ " + rec.id2, sim,
+    table.AddRow({result->id(rec.index1) + " ~ " + result->id(rec.index2), sim,
                   MatchClassName(rec.match_class)});
   }
   table.Print(std::cout);

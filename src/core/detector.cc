@@ -15,7 +15,7 @@ EffectivenessMetrics Evaluate(const DetectionResult& result,
     bool predicted = rec.match_class == MatchClass::kMatch ||
                      (count_possible_as_match &&
                       rec.match_class == MatchClass::kPossible);
-    bool actual = gold.IsMatch(rec.id1, rec.id2);
+    bool actual = gold.IsMatch(result.id(rec.index1), result.id(rec.index2));
     if (predicted) {
       if (actual) {
         ++counts.true_positives;
@@ -39,13 +39,12 @@ EffectivenessMetrics Evaluate(const DetectionResult& result,
 
 ReductionMetrics EvaluateReduction(const DetectionResult& result,
                                    const GoldStandard& gold) {
-  std::vector<IdPair> candidates;
-  candidates.reserve(result.decisions.size());
+  size_t covered = 0;
   for (const PairDecisionRecord& rec : result.decisions) {
-    candidates.push_back(MakeIdPair(rec.id1, rec.id2));
+    if (gold.IsMatch(result.id(rec.index1), result.id(rec.index2))) ++covered;
   }
-  return ComputeReduction(result.candidate_count, result.total_pairs,
-                          gold.CountCovered(candidates), gold.size());
+  return ComputeReduction(result.candidate_count, result.total_pairs, covered,
+                          gold.size());
 }
 
 Result<DuplicateDetector> DuplicateDetector::Make(DetectorConfig config,

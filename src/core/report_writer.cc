@@ -30,11 +30,13 @@ std::string DecisionsToCsv(const DetectionResult& result,
   if (gold != nullptr) out += ",gold";
   out += "\n";
   for (const PairDecisionRecord& rec : result.decisions) {
-    out += CsvEscape(rec.id1) + "," + CsvEscape(rec.id2) + "," +
+    const std::string& id1 = result.id(rec.index1);
+    const std::string& id2 = result.id(rec.index2);
+    out += CsvEscape(id1) + "," + CsvEscape(id2) + "," +
            FormatDouble(rec.similarity, 6) + "," +
            MatchClassName(rec.match_class);
     if (gold != nullptr) {
-      out += gold->IsMatch(rec.id1, rec.id2) ? ",match" : ",non-match";
+      out += gold->IsMatch(id1, id2) ? ",match" : ",non-match";
     }
     out += "\n";
   }
@@ -61,12 +63,10 @@ std::string DetectionReport(const DetectionResult& result,
   }
   out += "- pairs examined: " + std::to_string(result.candidate_count) +
          " of " + std::to_string(result.total_pairs) + "\n";
-  size_t matches = result.Matches().size();
-  size_t possible = result.PossibleMatches().size();
-  size_t unmatches = result.Unmatches().size();
-  out += "- matches (M): " + std::to_string(matches) + "\n";
-  out += "- possible matches (P): " + std::to_string(possible) + "\n";
-  out += "- non-matches (U): " + std::to_string(unmatches) + "\n";
+  const DetectionResult::ClassCounts counts = result.CountClasses();
+  out += "- matches (M): " + std::to_string(counts.matches) + "\n";
+  out += "- possible matches (P): " + std::to_string(counts.possibles) + "\n";
+  out += "- non-matches (U): " + std::to_string(counts.unmatches) + "\n";
   if (gold != nullptr) {
     EffectivenessMetrics strict = Evaluate(result, *gold);
     EffectivenessMetrics lenient = Evaluate(result, *gold,
@@ -79,6 +79,7 @@ std::string DetectionReport(const DetectionResult& result,
   }
   // Clerical review queue: highest-similarity possible matches first.
   std::vector<const PairDecisionRecord*> review;
+  review.reserve(counts.possibles);
   for (const PairDecisionRecord& rec : result.decisions) {
     if (rec.match_class == MatchClass::kPossible) review.push_back(&rec);
   }
@@ -91,7 +92,8 @@ std::string DetectionReport(const DetectionResult& result,
     out += "| pair | similarity |\n|---|---|\n";
     size_t rows = std::min(max_review_rows, review.size());
     for (size_t i = 0; i < rows; ++i) {
-      out += "| " + review[i]->id1 + " ~ " + review[i]->id2 + " | " +
+      out += "| " + result.id(review[i]->index1) + " ~ " +
+             result.id(review[i]->index2) + " | " +
              FormatDouble(review[i]->similarity, 4) + " |\n";
     }
     if (review.size() > rows) {

@@ -18,7 +18,7 @@ TuneResult TuneThresholds(const DetectionResult& result,
   pairs.reserve(result.decisions.size());
   size_t gold_examined = 0;
   for (const PairDecisionRecord& rec : result.decisions) {
-    bool is_gold = gold.IsMatch(rec.id1, rec.id2);
+    bool is_gold = gold.IsMatch(result.id(rec.index1), result.id(rec.index2));
     if (is_gold) ++gold_examined;
     double sim = std::isfinite(rec.similarity)
                      ? rec.similarity

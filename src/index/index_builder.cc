@@ -24,6 +24,10 @@ struct Edge {
   uint32_t decision = 0;
 };
 
+bool EdgeLess(const Edge& a, const Edge& b) {
+  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
+}
+
 void AppendRaw(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
 }
@@ -54,6 +58,14 @@ Result<std::string> BuildDecisionIndexImage(
         "space");
   }
   // --- validate and canonicalize the edges ---------------------------
+  // The result's id table is the universe its indices address, so one
+  // table comparison vouches for the ids of every decision.
+  if (result.ids == nullptr ? !result.decisions.empty()
+                            : *result.ids != record_ids) {
+    return Status::InvalidArgument(
+        "decision index: the result's id table disagrees with the " +
+        std::to_string(n) + "-record universe");
+  }
   std::vector<Edge> edges;
   edges.reserve(result.decisions.size());
   for (size_t d = 0; d < result.decisions.size(); ++d) {
@@ -70,23 +82,20 @@ Result<std::string> BuildDecisionIndexImage(
                                      std::to_string(d) +
                                      " pairs a record with itself");
     }
-    if (record_ids[rec.index1] != rec.id1 ||
-        record_ids[rec.index2] != rec.id2) {
-      return Status::InvalidArgument(
-          "decision index: decision " + std::to_string(d) +
-          " ids disagree with the record universe ('" + rec.id1 + "','" +
-          rec.id2 + "' vs '" + record_ids[rec.index1] + "','" +
-          record_ids[rec.index2] + "')");
-    }
     Edge edge;
-    edge.lo = static_cast<uint32_t>(std::min(rec.index1, rec.index2));
-    edge.hi = static_cast<uint32_t>(std::max(rec.index1, rec.index2));
+    edge.lo = std::min(rec.index1, rec.index2);
+    edge.hi = std::max(rec.index1, rec.index2);
     edge.decision = static_cast<uint32_t>(d);
     edges.push_back(edge);
   }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-  });
+  // Executor results arrive strictly ascending in (lo, hi); only other
+  // orders pay for the sort.
+  if (std::adjacent_find(edges.begin(), edges.end(),
+                         [](const Edge& a, const Edge& b) {
+                           return !EdgeLess(a, b);
+                         }) != edges.end()) {
+    std::sort(edges.begin(), edges.end(), EdgeLess);
+  }
   for (size_t e = 1; e < edges.size(); ++e) {
     if (edges[e].lo == edges[e - 1].lo && edges[e].hi == edges[e - 1].hi) {
       return Status::InvalidArgument(

@@ -50,8 +50,8 @@ struct IndexBuildStats {
 /// Compiles `result` into a pdd.index.v1 image. `record_ids` is the
 /// full record universe in tuple-index order (records without any
 /// decision still get cluster/membership entries as singletons); the
-/// decisions' indices must address it and their ids must agree with
-/// it. Fails on inconsistent or duplicate decisions rather than
+/// result's id table must equal it and the decisions' indices must
+/// address it. Fails on inconsistent or duplicate decisions rather than
 /// guessing. `stats` (optional) receives the compile accounting.
 Result<std::string> BuildDecisionIndexImage(
     const std::vector<std::string>& record_ids, const DetectionResult& result,

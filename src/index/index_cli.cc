@@ -279,18 +279,20 @@ int CmdVerify(const std::vector<std::string>& args) {
   Status fresh_source = index->VerifySourceDigest(result->ContentDigest());
   if (!fresh_source.ok()) return Fail(fresh_source.ToString());
   // Digest equality already implies identical decisions; the explicit
-  // sweep turns "should be" into "checked, answer by answer".
+  // sweep turns "should be" into "checked, answer by answer": the
+  // index's row, rendered with its own ids, equals the fresh run's.
   for (const PairDecisionRecord& rec : result->decisions) {
+    const std::string& id1 = result->id(rec.index1);
+    const std::string& id2 = result->id(rec.index2);
     std::optional<IndexedDecision> decision =
-        index->Lookup(static_cast<uint32_t>(rec.index1),
-                      static_cast<uint32_t>(rec.index2));
+        index->Lookup(rec.index1, rec.index2);
     if (!decision.has_value() ||
         decision->match_class != rec.match_class ||
-        DecisionCsvRow(rec.id1, rec.id2, *decision) !=
-            DecisionCsvRow(rec.id1, rec.id2,
-                           {rec.match_class, rec.similarity})) {
-      return Fail("indexed answer diverges for pair (" + rec.id1 + ", " +
-                  rec.id2 + ")");
+        DecisionCsvRow(index->RecordId(rec.index1),
+                       index->RecordId(rec.index2), *decision) !=
+            DecisionCsvRow(id1, id2, {rec.match_class, rec.similarity})) {
+      return Fail("indexed answer diverges for pair (" + id1 + ", " + id2 +
+                  ")");
     }
   }
   std::vector<std::vector<size_t>> clusters =

@@ -60,9 +60,10 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
   m.SetCounter(kMetricCandidatePairs, result.candidate_count);
   m.SetCounter(kMetricTotalPairs, result.total_pairs);
   m.SetCounter(kMetricDecisions, result.decisions.size());
-  m.SetCounter(kMetricMatches, result.CountClass(MatchClass::kMatch));
-  m.SetCounter(kMetricPossibles, result.CountClass(MatchClass::kPossible));
-  m.SetCounter(kMetricUnmatches, result.CountClass(MatchClass::kUnmatch));
+  const DetectionResult::ClassCounts counts = result.CountClasses();
+  m.SetCounter(kMetricMatches, counts.matches);
+  m.SetCounter(kMetricPossibles, counts.possibles);
+  m.SetCounter(kMetricUnmatches, counts.unmatches);
   LogHistogram* similarity = m.MutableHistogram(kMetricSimilarityMicros);
   for (const PairDecisionRecord& rec : result.decisions) {
     similarity->Record(SimilarityMicros(rec.similarity));

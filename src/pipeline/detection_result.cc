@@ -29,14 +29,30 @@ void HashString(uint64_t* hash, const std::string& s) {
   HashBytes(hash, s.data(), s.size());
 }
 
-// The one shared filtering walk: counts first so callers can reserve,
-// then emits through `emit(record)`.
+// The per-record step: one FNV-1a round per 64-bit word instead of per
+// byte. The multiply carries a difference only toward higher bits, so
+// the high half is folded back down after it; otherwise flips of the
+// same high bit in two words would cancel.
+void HashWord(uint64_t* hash, uint64_t word) {
+  *hash = (*hash ^ word) * kFnvPrime;
+  *hash ^= *hash >> 32;
+}
+
+// The one shared filtering walk.
 template <typename Emit>
 void ForEachOfClass(const std::vector<PairDecisionRecord>& decisions,
                     MatchClass match_class, Emit emit) {
   for (const PairDecisionRecord& rec : decisions) {
     if (rec.match_class == match_class) emit(rec);
   }
+}
+
+size_t CountOfClass(const std::vector<PairDecisionRecord>& decisions,
+                    MatchClass match_class) {
+  size_t count = 0;
+  ForEachOfClass(decisions, match_class,
+                 [&](const PairDecisionRecord&) { ++count; });
+  return count;
 }
 
 }  // namespace
@@ -46,33 +62,44 @@ uint64_t DetectionResult::ContentDigest() const {
   HashU64(&hash, plan_fingerprint);
   HashU64(&hash, candidate_count);
   HashU64(&hash, total_pairs);
+  const size_t id_count = ids != nullptr ? ids->size() : 0;
+  HashU64(&hash, id_count);
+  for (size_t i = 0; i < id_count; ++i) HashString(&hash, (*ids)[i]);
   HashU64(&hash, decisions.size());
+  static_assert(sizeof(uint64_t) == sizeof(double),
+                "similarity must be a 64-bit double");
   for (const PairDecisionRecord& rec : decisions) {
-    HashString(&hash, rec.id1);
-    HashString(&hash, rec.id2);
-    HashU64(&hash, rec.index1);
-    HashU64(&hash, rec.index2);
     uint64_t sim_bits = 0;
-    static_assert(sizeof(sim_bits) == sizeof(rec.similarity),
-                  "similarity must be a 64-bit double");
     std::memcpy(&sim_bits, &rec.similarity, sizeof(sim_bits));
-    HashU64(&hash, sim_bits);
-    HashU64(&hash, static_cast<uint64_t>(rec.match_class));
+    HashWord(&hash, uint64_t{rec.index1} | uint64_t{rec.index2} << 32);
+    HashWord(&hash, sim_bits);
+    HashWord(&hash, static_cast<uint64_t>(rec.match_class));
   }
   return hash;
 }
 
-size_t DetectionResult::CountClass(MatchClass match_class) const {
-  size_t count = 0;
-  ForEachOfClass(decisions, match_class,
-                 [&](const PairDecisionRecord&) { ++count; });
-  return count;
+DetectionResult::ClassCounts DetectionResult::CountClasses() const {
+  ClassCounts counts;
+  for (const PairDecisionRecord& rec : decisions) {
+    switch (rec.match_class) {
+      case MatchClass::kMatch:
+        ++counts.matches;
+        break;
+      case MatchClass::kPossible:
+        ++counts.possibles;
+        break;
+      case MatchClass::kUnmatch:
+        ++counts.unmatches;
+        break;
+    }
+  }
+  return counts;
 }
 
 std::vector<const PairDecisionRecord*> DetectionResult::RecordsOfClass(
     MatchClass match_class) const {
   std::vector<const PairDecisionRecord*> out;
-  out.reserve(CountClass(match_class));
+  out.reserve(CountOfClass(decisions, match_class));
   ForEachOfClass(decisions, match_class,
                  [&](const PairDecisionRecord& rec) { out.push_back(&rec); });
   return out;
@@ -81,9 +108,9 @@ std::vector<const PairDecisionRecord*> DetectionResult::RecordsOfClass(
 std::vector<IdPair> DetectionResult::IdPairsOfClass(
     MatchClass match_class) const {
   std::vector<IdPair> out;
-  out.reserve(CountClass(match_class));
+  out.reserve(CountOfClass(decisions, match_class));
   ForEachOfClass(decisions, match_class, [&](const PairDecisionRecord& rec) {
-    out.push_back(MakeIdPair(rec.id1, rec.id2));
+    out.push_back(MakeIdPair(id(rec.index1), id(rec.index2)));
   });
   return out;
 }

@@ -91,22 +91,33 @@ struct StreamRunStats {
   std::vector<StreamRunStats> per_shard;
 };
 
-/// Decision record for one examined candidate pair.
+/// Decision record for one examined candidate pair: the tuple indices
+/// of the pair in the run's relation (ids resolve through
+/// DetectionResult::id), the similarity and the class. Index-only and
+/// trivially copyable, so drains move 24-byte PODs and renderers look
+/// ids up only where they print or compare them.
 struct PairDecisionRecord {
-  std::string id1;
-  std::string id2;
-  size_t index1 = 0;
-  size_t index2 = 0;
+  uint32_t index1 = 0;
+  uint32_t index2 = 0;
   /// The derived similarity sim(t1, t2).
   double similarity = 0.0;
   /// Final classification η(t1, t2).
   MatchClass match_class = MatchClass::kUnmatch;
 };
+static_assert(sizeof(PairDecisionRecord) <= 24,
+              "decision records stay index-only");
 
 /// Result of one detection run.
 struct DetectionResult {
   /// One record per candidate pair, in candidate order.
   std::vector<PairDecisionRecord> decisions;
+  /// Tuple ids of the run's relation in tuple-index order: record index
+  /// i names (*ids)[i]. The result owns the table (copies share it)
+  /// because the relation may be gone before the result is rendered —
+  /// StandingSession::Finish decides over a relation it destroys on
+  /// return. Every executor result carries one; a hand-assembled
+  /// result may leave it null only when it has no decisions.
+  std::shared_ptr<const std::vector<std::string>> ids;
   /// Candidate pairs examined (after reduction).
   size_t candidate_count = 0;
   /// All pairs of the scenario (n(n-1)/2 for a full run; only the
@@ -147,26 +158,38 @@ struct DetectionResult {
   /// themselves views over this registry when it is present).
   std::shared_ptr<RunTelemetry> telemetry;
 
-  /// FNV-1a 64-bit digest of this result's decision content: the plan
-  /// fingerprint, the pair counts and every decision record (ids,
-  /// indices, similarity bit pattern, class) in candidate order. Two
-  /// runs with byte-identical reports share it; any divergence —
-  /// different plan, different input, different decisions — changes
-  /// it. The decision-index builder stamps it into the index header so
-  /// staleness against a later run is detected structurally (see
-  /// index/format.h); excludes telemetry and the stage/cache/stream
-  /// stats, which legitimately vary across execution shapes.
+  /// Decisions per class.
+  struct ClassCounts {
+    size_t matches = 0;
+    size_t possibles = 0;
+    size_t unmatches = 0;
+  };
+
+  /// Id of tuple `index` of the run's relation (requires `ids`).
+  const std::string& id(uint32_t index) const { return (*ids)[index]; }
+
+  /// 64-bit digest of this result's decision content: the plan
+  /// fingerprint, the pair counts, the id table once and then every
+  /// record's fixed-width fields (indices, similarity bit pattern,
+  /// class) in candidate order. Two runs with byte-identical reports
+  /// share it; any divergence — different plan, different input,
+  /// different decisions — changes it. The decision-index builder
+  /// stamps it into the index header so staleness against a later run
+  /// is detected structurally (see index/format.h); excludes telemetry
+  /// and the stage/cache/stream stats, which legitimately vary across
+  /// execution shapes.
   uint64_t ContentDigest() const;
 
-  /// Number of decisions classified `match_class`.
-  size_t CountClass(MatchClass match_class) const;
+  /// Counts every class in one pass over `decisions`.
+  ClassCounts CountClasses() const;
 
   /// Pointers into `decisions` for the records classified `match_class`,
   /// in candidate order. Invalidated when `decisions` mutates.
   std::vector<const PairDecisionRecord*> RecordsOfClass(
       MatchClass match_class) const;
 
-  /// Id pairs of the records classified `match_class`, in candidate order.
+  /// Id pairs of the records classified `match_class`, in candidate
+  /// order (ids resolved through the id table).
   std::vector<IdPair> IdPairsOfClass(MatchClass match_class) const;
 
   /// Id pairs classified m / p / u.

@@ -4,7 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -73,13 +74,72 @@ struct WorkerStats {
   LogHistogram decide_micros;
 };
 
-/// Builds the run's unified telemetry — registry from the result's stat
-/// fields, generate/drain/worker spans from the per-thread slots — then
-/// reassigns the legacy stat structs from the registry views, so every
-/// struct a caller reads is provably a projection of the one registry.
-void FinalizeTelemetry(const StageExecutorOptions& options,
-                       std::vector<WorkerStats> workers,
-                       DetectionResult* result) {
+/// The decision records of a multi-worker drain, kept in pull order
+/// while workers finish batches in any order. A batch decided ahead of
+/// an earlier one parks until the gap closes, so only out-of-order
+/// batches are ever buffered (their buffers are recycled) and the
+/// records end exactly as the serial drain would have appended them.
+class OrderedRecords {
+ public:
+  /// Single-threaded, before any Commit.
+  void Reserve(size_t count) { records_.reserve(count); }
+
+  /// Commits the records of batch `index` (0-based pull order). Takes
+  /// the contents of `*batch` and leaves it an empty buffer for the
+  /// caller's next batch. Thread-safe.
+  void Commit(size_t index, std::vector<PairDecisionRecord>* batch) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (index != next_) {
+      pending_.emplace(index, std::move(*batch));
+      batch->clear();
+      if (!spare_.empty()) {
+        *batch = std::move(spare_.back());
+        spare_.pop_back();
+      }
+      return;
+    }
+    records_.insert(records_.end(), batch->begin(), batch->end());
+    batch->clear();
+    ++next_;
+    auto it = pending_.begin();
+    for (; it != pending_.end() && it->first == next_; ++it, ++next_) {
+      records_.insert(records_.end(), it->second.begin(), it->second.end());
+      it->second.clear();
+      spare_.push_back(std::move(it->second));
+    }
+    pending_.erase(pending_.begin(), it);
+  }
+
+  /// The committed records; call once every worker has joined.
+  std::vector<PairDecisionRecord> Take() { return std::move(records_); }
+
+ private:
+  std::mutex mu_;
+  size_t next_ = 0;
+  std::vector<PairDecisionRecord> records_;
+  std::map<size_t, std::vector<PairDecisionRecord>> pending_;
+  std::vector<std::vector<PairDecisionRecord>> spare_;
+};
+
+/// The tail every drain shape shares. Re-reads the pair universe (a
+/// standing stream's grows as tuples are admitted; finite streams
+/// report the same value) and copies the relation's ids into the
+/// result's own table. Then builds the run's unified telemetry —
+/// registry from the result's stat fields, generate/drain/worker spans
+/// from the per-thread slots — and reassigns the legacy stat structs
+/// from the registry views, so every struct a caller reads is provably
+/// a projection of the one registry.
+void FinishResult(const StageExecutorOptions& options,
+                  const CandidateStream& stream,
+                  std::vector<WorkerStats> workers, DetectionResult* result) {
+  result->total_pairs = stream.total_pairs();
+  auto ids = std::make_shared<std::vector<std::string>>();
+  ids->reserve(stream.relation().size());
+  for (const XTuple& tuple : stream.relation().xtuples()) {
+    ids->push_back(tuple.id());
+  }
+  result->ids = std::move(ids);
+
   auto telemetry =
       std::make_shared<RunTelemetry>(TelemetryFromResult(*result));
   MetricsRegistry& m = telemetry->metrics;
@@ -173,7 +233,8 @@ void StageExecutor::DecideBatch(const XRelation& rel,
       ++counters->cache.lookups;
       if (cached.has_value()) {
         ++counters->cache.hits;
-        out->push_back({t1.id(), t2.id(), pair.first, pair.second,
+        out->push_back({static_cast<uint32_t>(pair.first),
+                        static_cast<uint32_t>(pair.second),
                         cached->similarity, cached->match_class});
         continue;
       }
@@ -186,7 +247,7 @@ void StageExecutor::DecideBatch(const XRelation& rel,
     // — cached or not, scalar or columnar, batch order or standing
     // arrival order — decides (smaller digest, larger digest).
     // Equal digests mean content-identical tuples, where orientation
-    // cannot matter. The record keeps the presentation ids/indices.
+    // cannot matter. The record keeps the presentation indices.
     const bool flip = d2 < d1;
     const size_t i1 = flip ? pair.second : pair.first;
     const size_t i2 = flip ? pair.first : pair.second;
@@ -227,8 +288,9 @@ void StageExecutor::DecideBatch(const XRelation& rel,
       cache->Insert(key, {decision.similarity, decision.match_class});
       ++counters->cache.inserts;
     }
-    out->push_back({t1.id(), t2.id(), pair.first, pair.second,
-                    decision.similarity, decision.match_class});
+    out->push_back({static_cast<uint32_t>(pair.first),
+                    static_cast<uint32_t>(pair.second), decision.similarity,
+                    decision.match_class});
   }
 }
 
@@ -238,6 +300,13 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   }
   if (options_.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be positive");
+  }
+  // Records address tuples by 32-bit index, like the RelationArena and
+  // the pdd.index.v1 id space.
+  if (stream.tuple_capacity() > std::numeric_limits<uint32_t>::max()) {
+    return Status::OutOfRange(
+        "stream tuple capacity " + std::to_string(stream.tuple_capacity()) +
+        " exceeds the 32-bit record index space");
   }
   const XRelation& rel = stream.relation();
   // Factory-built streams were checked against their own plan; a custom
@@ -250,10 +319,6 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   result.total_pairs = stream.total_pairs();
   result.plan_fingerprint = plan_->fingerprint();
   result.stage_timings_collected = options_.stage_timings;
-  // A cache-ineligible plan (custom comparators: decision fingerprint
-  // 0) runs uncached rather than risking cross-instance collisions.
-  const bool use_cache =
-      options_.cache != nullptr && plan_->decision_fingerprint() != 0;
   if (options_.cache != nullptr) result.cache_stats = CacheRunStats{};
   // Per-tuple digest memo for the run: filled lazily as candidates
   // touch tuples (a sparse incremental stream over a large base never
@@ -336,42 +401,39 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
     }
     result.stage_timings = counters.timings;
     if (result.cache_stats.has_value()) *result.cache_stats = counters.cache;
-    // Re-read after the drain: a standing stream's pair universe grows
-    // as tuples are admitted (finite streams report the same value).
-    result.total_pairs = stream.total_pairs();
-    FinalizeTelemetry(options_, std::move(workers), &result);
+    FinishResult(options_, stream, std::move(workers), &result);
     return result;
   }
 
   // Parallel path: workers pull batches straight off the stream under a
   // mutex (pulls are serialized, so batch k's content is independent of
-  // which worker claims it or when), decide into per-batch output slots
-  // and concatenate in pull order — identical to the serial path for
-  // any worker count, while never holding more than the in-flight
-  // batches of candidates (the old path materialized every batch
-  // up-front, resurrecting the O(candidates) buffer streaming deletes).
+  // which worker claims it or when), decide into a worker-local buffer
+  // and commit it in pull order — identical to the serial path for any
+  // worker count, while never holding more than the in-flight batches
+  // of candidates.
   struct Drain {
     std::mutex mu;
     bool exhausted = false;
-    // Deques: slot references handed to workers stay valid as later
-    // pulls append (a vector would invalidate them on growth).
-    std::deque<std::vector<PairDecisionRecord>> slots;
-    std::deque<BatchCounters> counters;
     size_t in_flight_candidates = 0;
   } drain;
+  OrderedRecords committed;
+  if (std::optional<size_t> hint = stream.candidate_count_hint()) {
+    committed.Reserve(*hint);
+  }
   // Sink calls are serialized but interleave across workers in commit
   // order — an execution-shape-dependent order by design (see
   // StageExecutorOptions::decision_sink).
   std::mutex sink_mu;
   std::vector<WorkerStats> workers(options_.workers);
-  auto worker = [&](WorkerStats* ws) {
+  std::vector<BatchCounters> counters(options_.workers);
+  auto worker = [&](WorkerStats* ws, BatchCounters* worker_counters) {
     // Per-worker matcher: its scratch buffers are thread-private state.
     std::optional<ColumnarMatcher> matcher;
     if (columnar) matcher.emplace(*plan_, *arena);
     std::vector<CandidatePair> batch;
+    std::vector<PairDecisionRecord> decided;
     while (true) {
-      std::vector<PairDecisionRecord>* slot;
-      BatchCounters* slot_counters;
+      size_t index = 0;
       {
         std::lock_guard<std::mutex> lock(drain.mu);
         if (drain.exhausted) return;
@@ -390,24 +452,20 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
           }
           continue;
         }
+        index = result.stream_stats.batches++;
         result.candidate_count += batch.size();
-        ++result.stream_stats.batches;
         drain.in_flight_candidates += batch.size();
         result.stream_stats.live_candidate_high_water =
             std::max(result.stream_stats.live_candidate_high_water,
                      drain.in_flight_candidates + stream.buffered_candidates());
-        drain.slots.emplace_back();
-        drain.counters.emplace_back();
-        slot = &drain.slots.back();
-        slot_counters = &drain.counters.back();
       }
       ++ws->batches;
       ws->candidates += batch.size();
       Clock::time_point decide_start;
       if (timed) decide_start = Clock::now();
       DecideBatch(rel, batch, digests,
-                  matcher.has_value() ? &*matcher : nullptr, slot,
-                  slot_counters);
+                  matcher.has_value() ? &*matcher : nullptr, &decided,
+                  worker_counters);
       if (timed) {
         double decide = Elapsed(decide_start);
         ws->decide_seconds += decide;
@@ -415,10 +473,11 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
       }
       if (options_.decision_sink) {
         std::lock_guard<std::mutex> lock(sink_mu);
-        for (const PairDecisionRecord& rec : *slot) {
+        for (const PairDecisionRecord& rec : decided) {
           options_.decision_sink(rec);
         }
       }
+      committed.Commit(index, &decided);
       {
         std::lock_guard<std::mutex> lock(drain.mu);
         drain.in_flight_candidates -= batch.size();
@@ -428,22 +487,18 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   std::vector<std::thread> pool;
   pool.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
-    pool.emplace_back(worker, &workers[i]);
+    pool.emplace_back(worker, &workers[i], &counters[i]);
   }
   for (std::thread& t : pool) t.join();
 
-  result.decisions.reserve(result.candidate_count);
-  for (std::vector<PairDecisionRecord>& slot : drain.slots) {
-    for (PairDecisionRecord& rec : slot) {
-      result.decisions.push_back(std::move(rec));
+  result.decisions = committed.Take();
+  for (const BatchCounters& worker_counters : counters) {
+    result.stage_timings += worker_counters.timings;
+    if (result.cache_stats.has_value()) {
+      *result.cache_stats += worker_counters.cache;
     }
   }
-  for (const BatchCounters& counters : drain.counters) {
-    result.stage_timings += counters.timings;
-    if (result.cache_stats.has_value()) *result.cache_stats += counters.cache;
-  }
-  result.total_pairs = stream.total_pairs();
-  FinalizeTelemetry(options_, std::move(workers), &result);
+  FinishResult(options_, stream, std::move(workers), &result);
   return result;
 }
 
@@ -460,8 +515,7 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
   struct ShardDrain {
     std::mutex mu;
     bool exhausted = false;
-    std::deque<std::vector<PairDecisionRecord>> slots;
-    std::deque<BatchCounters> counters;
+    OrderedRecords committed;
     size_t candidate_count = 0;
     size_t batches = 0;
     size_t in_flight_candidates = 0;
@@ -477,16 +531,18 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
   const bool timed = options_.stage_timings;
   std::vector<WorkerStats> workers(
       options_.workers <= 1 ? size_t{1} : options_.workers);
-  auto drain_shard = [&](size_t shard, WorkerStats* ws) {
+  std::vector<BatchCounters> counters(workers.size());
+  auto drain_shard = [&](size_t shard, WorkerStats* ws,
+                         BatchCounters* worker_counters) {
     ShardDrain& drain = drains[shard];
     // One matcher per drain call: shard workers of the same shard run
     // on different threads, and matcher scratch must stay thread-local.
     std::optional<ColumnarMatcher> matcher;
     if (arena != nullptr) matcher.emplace(*plan_, *arena);
     std::vector<CandidatePair> batch;
+    std::vector<PairDecisionRecord> decided;
     while (true) {
-      std::vector<PairDecisionRecord>* slot;
-      BatchCounters* slot_counters;
+      size_t index = 0;
       {
         std::lock_guard<std::mutex> lock(drain.mu);
         if (drain.exhausted) return;
@@ -499,25 +555,21 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
           drain.exhausted = true;
           return;
         }
+        index = drain.batches++;
         drain.candidate_count += batch.size();
-        ++drain.batches;
         drain.in_flight_candidates += batch.size();
         drain.high_water =
             std::max(drain.high_water,
                      drain.in_flight_candidates +
                          stream.ShardBufferedCandidates(shard));
-        drain.slots.emplace_back();
-        drain.counters.emplace_back();
-        slot = &drain.slots.back();
-        slot_counters = &drain.counters.back();
       }
       ++ws->batches;
       ws->candidates += batch.size();
       Clock::time_point decide_start;
       if (timed) decide_start = Clock::now();
       DecideBatch(rel, batch, digests,
-                  matcher.has_value() ? &*matcher : nullptr, slot,
-                  slot_counters);
+                  matcher.has_value() ? &*matcher : nullptr, &decided,
+                  worker_counters);
       if (timed) {
         double decide = Elapsed(decide_start);
         ws->decide_seconds += decide;
@@ -525,10 +577,11 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
       }
       if (options_.decision_sink) {
         std::lock_guard<std::mutex> lock(sink_mu);
-        for (const PairDecisionRecord& rec : *slot) {
+        for (const PairDecisionRecord& rec : decided) {
           options_.decision_sink(rec);
         }
       }
+      drain.committed.Commit(index, &decided);
       {
         std::lock_guard<std::mutex> lock(drain.mu);
         drain.in_flight_candidates -= batch.size();
@@ -539,7 +592,7 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
     // Serial: shards drain one after another in shard order (on the
     // calling thread), which already produces per-shard record runs.
     for (size_t shard = 0; shard < shard_count; ++shard) {
-      drain_shard(shard, &workers[0]);
+      drain_shard(shard, &workers[0], &counters[0]);
     }
   } else {
     // Exactly options_.workers threads — the configured bound is a
@@ -555,10 +608,10 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
     for (size_t t = 0; t < threads; ++t) {
       pool.emplace_back([&, t]() {
         if (threads >= shard_count) {
-          drain_shard(t % shard_count, &workers[t]);
+          drain_shard(t % shard_count, &workers[t], &counters[t]);
         } else {
           for (size_t shard = t; shard < shard_count; shard += threads) {
-            drain_shard(shard, &workers[t]);
+            drain_shard(shard, &workers[t], &counters[t]);
           }
         }
       });
@@ -566,8 +619,8 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
     for (std::thread& t : pool) t.join();
   }
 
-  // Flatten each shard's slots into its own (canonically ordered) run,
-  // then k-way merge the runs by ascending (first, second) — stable
+  // Each shard's committed records form its own (canonically ordered)
+  // run; k-way merge the runs by ascending (first, second) — stable
   // tie-break by shard index — reconstructing the order the unsharded
   // drain would have produced.
   result.stream_stats.per_shard.resize(shard_count);
@@ -580,16 +633,12 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
     result.stream_stats.per_shard[shard].batches = drain.batches;
     result.stream_stats.per_shard[shard].live_candidate_high_water =
         drain.high_water;
-    std::vector<PairDecisionRecord>& run = runs[shard];
-    run.reserve(drain.candidate_count);
-    for (std::vector<PairDecisionRecord>& slot : drain.slots) {
-      for (PairDecisionRecord& rec : slot) run.push_back(std::move(rec));
-    }
-    for (const BatchCounters& counters : drain.counters) {
-      result.stage_timings += counters.timings;
-      if (result.cache_stats.has_value()) {
-        *result.cache_stats += counters.cache;
-      }
+    runs[shard] = drain.committed.Take();
+  }
+  for (const BatchCounters& worker_counters : counters) {
+    result.stage_timings += worker_counters.timings;
+    if (result.cache_stats.has_value()) {
+      *result.cache_stats += worker_counters.cache;
     }
   }
   result.decisions.reserve(result.candidate_count);
@@ -610,9 +659,9 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
       }
     }
     if (best == shard_count) break;
-    result.decisions.push_back(std::move(runs[best][cursor[best]++]));
+    result.decisions.push_back(runs[best][cursor[best]++]);
   }
-  FinalizeTelemetry(options_, std::move(workers), &result);
+  FinishResult(options_, stream, std::move(workers), &result);
   return result;
 }
 

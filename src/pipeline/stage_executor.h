@@ -3,10 +3,9 @@
 // → derive → classify), either serially or on an std::thread pool.
 // Batches are indexed as they are pulled (workers pull under a mutex,
 // so batch contents are pull-order-determined regardless of worker
-// timing) and merged back in index order, with every worker writing
-// into its own slot, so the result is byte-identical to serial
-// execution for any worker count — parallelism is purely a throughput
-// knob. The drain is streaming on both paths: live candidates are
+// timing) and their records are committed in index order, so the
+// result is byte-identical to serial execution for any worker count —
+// parallelism is purely a throughput knob. The drain is streaming on both paths: live candidates are
 // bounded by the in-flight batches plus whatever the stream itself
 // buffers (nothing for native-streaming reductions), and the drain
 // accounting lands in DetectionResult::stream_stats.
@@ -93,7 +92,7 @@ class StageExecutor {
   const StageExecutorOptions& options() const { return options_; }
 
  private:
-  /// Per-batch accumulators merged into the result after the drain.
+  /// Per-worker accumulators merged into the result after the drain.
   struct BatchCounters {
     StageTimings timings;
     CacheRunStats cache;

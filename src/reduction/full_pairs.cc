@@ -29,6 +29,13 @@ class FullPairSource : public PairBatchSource {
     return out->size();
   }
 
+  /// n(n-1)/2 unrestricted; a shard's share would take a pass over its
+  /// owned rows, so a restricted source gives no hint.
+  std::optional<size_t> exact_count_hint() const override {
+    if (assignment_ != nullptr) return std::nullopt;
+    return TriangularPairCount(n_);
+  }
+
   bool RestrictToShard(std::shared_ptr<const ShardAssignment> assignment,
                        uint32_t shard) override {
     assignment_ = std::move(assignment);

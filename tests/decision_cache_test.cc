@@ -52,8 +52,10 @@ void ExpectIdenticalDecisions(const DetectionResult& a,
                               const DetectionResult& b) {
   ASSERT_EQ(a.decisions.size(), b.decisions.size());
   for (size_t i = 0; i < a.decisions.size(); ++i) {
-    EXPECT_EQ(a.decisions[i].id1, b.decisions[i].id1) << "record " << i;
-    EXPECT_EQ(a.decisions[i].id2, b.decisions[i].id2) << "record " << i;
+    EXPECT_EQ(a.id(a.decisions[i].index1), b.id(b.decisions[i].index1))
+        << "record " << i;
+    EXPECT_EQ(a.id(a.decisions[i].index2), b.id(b.decisions[i].index2))
+        << "record " << i;
     // Bit-identical: the cache must serve exactly the bits the stage
     // graph produced, never a re-derived approximation.
     EXPECT_EQ(a.decisions[i].similarity, b.decisions[i].similarity)

@@ -29,15 +29,18 @@
 // --- allocation counting hooks --------------------------------------
 //
 // Every allocation in the binary routes through these. The
-// ZeroAllocation tests snapshot the counter around query sweeps; the
-// rest of the suite simply ignores it.
+// ZeroAllocation tests snapshot the call counter around query sweeps,
+// the record-footprint test the byte counter around a run; the rest of
+// the suite simply ignores them.
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -131,7 +134,9 @@ TEST(DecisionIndexTest, AnswersMatchTheFreshPipelineExactly) {
   DecisionIndex index = MustOpenImage(MustBuild(data.relation, *result));
 
   for (const PairDecisionRecord& rec : result->decisions) {
-    SCOPED_TRACE(rec.id1 + "/" + rec.id2);
+    const std::string& id1 = result->id(rec.index1);
+    const std::string& id2 = result->id(rec.index2);
+    SCOPED_TRACE(id1 + "/" + id2);
     std::optional<IndexedDecision> by_index =
         index.Lookup(static_cast<uint32_t>(rec.index1),
                      static_cast<uint32_t>(rec.index2));
@@ -146,7 +151,7 @@ TEST(DecisionIndexTest, AnswersMatchTheFreshPipelineExactly) {
                      static_cast<uint32_t>(rec.index1));
     ASSERT_TRUE(reversed.has_value());
     EXPECT_EQ(reversed->similarity, by_index->similarity);
-    std::optional<IndexedDecision> by_id = index.Lookup(rec.id1, rec.id2);
+    std::optional<IndexedDecision> by_id = index.Lookup(id1, id2);
     ASSERT_TRUE(by_id.has_value());
     EXPECT_EQ(by_id->similarity, by_index->similarity);
     EXPECT_EQ(by_id->match_class, by_index->match_class);
@@ -357,9 +362,8 @@ TEST(DecisionIndexTest, EmptyUniverseAndSingletonClusters) {
 TEST(DecisionIndexTest, BuilderRejectsInconsistentDecisions) {
   const std::vector<std::string> ids = {"a", "b"};
   DetectionResult result;
+  result.ids = std::make_shared<std::vector<std::string>>(ids);
   PairDecisionRecord rec;
-  rec.id1 = "a";
-  rec.id2 = "b";
   rec.index1 = 0;
   rec.index2 = 1;
   rec.similarity = 0.5;
@@ -372,7 +376,11 @@ TEST(DecisionIndexTest, BuilderRejectsInconsistentDecisions) {
   result.decisions[0].index2 = 0;  // self pair
   EXPECT_FALSE(BuildDecisionIndexImage(ids, result).ok());
   result.decisions[0].index2 = 1;
-  result.decisions[0].id2 = "mismatch";  // id disagrees with universe
+  EXPECT_TRUE(BuildDecisionIndexImage(ids, result).ok());
+  result.ids = std::make_shared<std::vector<std::string>>(
+      std::vector<std::string>{"a", "mismatch"});  // table disagrees
+  EXPECT_FALSE(BuildDecisionIndexImage(ids, result).ok());
+  result.ids = nullptr;  // decisions without an id table
   EXPECT_FALSE(BuildDecisionIndexImage(ids, result).ok());
 }
 
@@ -394,6 +402,31 @@ TEST(DecisionIndexTest, BuildMetricsLandInTheExecNamespace) {
   EXPECT_EQ(metrics.counters().at("exec.index.bytes"), stats.bytes);
   EXPECT_EQ(metrics.gauges().at("exec.index.bytes_per_pair"),
             stats.BytesPerPair());
+}
+
+// --- decision record footprint --------------------------------------
+
+TEST(DecisionIndexTest, PooledRunAllocatesAtMost64BytesPerDecision) {
+  // About 650 tuples: the full reduction decides over 200K pairs.
+  GeneratedData data = SeededPersons(360, 7);
+  DetectorConfig config = PersonConfig(data.relation.schema());
+  config.workers = 2;
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(config, data.relation.schema());
+  ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+
+  const uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  Result<DetectionResult> result = detector->Run(data.relation);
+  const uint64_t after = g_alloc_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const size_t decisions = result->decisions.size();
+  ASSERT_GE(decisions, 200000u);
+  // Workers commit their records straight into the result, 24 bytes
+  // each; everything else a run allocates is per tuple or per batch.
+  const double per_decision =
+      static_cast<double>(after - before) / static_cast<double>(decisions);
+  EXPECT_LE(per_decision, 64.0) << (after - before) << " bytes for "
+                                << decisions << " decisions";
 }
 
 // --- zero allocation ------------------------------------------------

@@ -94,7 +94,7 @@ TEST(DetectorTest, RunOnR34FullExaminesAllPairs) {
   // (t31, t41) is the obvious duplicate: both mostly (John, pilot).
   bool found = false;
   for (const PairDecisionRecord& rec : result->decisions) {
-    if (rec.id1 == "t31" && rec.id2 == "t41") {
+    if (result->id(rec.index1) == "t31" && result->id(rec.index2) == "t41") {
       found = true;
       EXPECT_GT(rec.similarity, 0.7);
       EXPECT_EQ(rec.match_class, MatchClass::kMatch);
@@ -183,7 +183,8 @@ TEST(DetectorTest, CustomComparatorsOverrideNames) {
   Result<DetectionResult> result = detector->Run(BuildR34());
   ASSERT_TRUE(result.ok());
   for (const PairDecisionRecord& rec : result->decisions) {
-    EXPECT_DOUBLE_EQ(rec.similarity, 0.0) << rec.id1 << "," << rec.id2;
+    EXPECT_DOUBLE_EQ(rec.similarity, 0.0)
+        << result->id(rec.index1) << "," << result->id(rec.index2);
   }
 }
 
@@ -212,7 +213,7 @@ TEST(DetectorTest, FellegiSunterCombination) {
   for (const PairDecisionRecord& rec : result->decisions) {
     if (rec.similarity > best_sim) {
       best_sim = rec.similarity;
-      best_pair = rec.id1 + "-" + rec.id2;
+      best_pair = result->id(rec.index1) + "-" + result->id(rec.index2);
     }
   }
   EXPECT_EQ(best_pair, "t31-t41");

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/detector.h"
 #include "core/explain.h"
 #include "core/paper_examples.h"
 #include "core/report_writer.h"
+#include "datagen/person_generator.h"
+#include "index/format.h"
+#include "index/index_builder.h"
+#include "index/index_cli.h"
 
 namespace pdd {
 namespace {
@@ -42,8 +48,9 @@ TEST(RuleCombinationTest, EndToEndWithPaperRule) {
   ASSERT_TRUE(result.ok());
   bool found = false;
   for (const PairDecisionRecord& rec : result->decisions) {
-    if ((rec.id1 == "t11" && rec.id2 == "t22") ||
-        (rec.id1 == "t22" && rec.id2 == "t11")) {
+    const std::string& id1 = result->id(rec.index1);
+    const std::string& id2 = result->id(rec.index2);
+    if ((id1 == "t11" && id2 == "t22") || (id1 == "t22" && id2 == "t11")) {
       found = true;
       EXPECT_NEAR(rec.similarity, 0.8, 1e-12);
       EXPECT_EQ(rec.match_class, MatchClass::kMatch);
@@ -155,8 +162,9 @@ TEST(ReportTest, CsvEscapesStructuralCharacters) {
   DetectionResult result;
   result.total_pairs = 1;
   result.candidate_count = 1;
-  result.decisions.push_back(
-      {"id,with,commas", "id\"quoted\"", 0, 1, 0.5, MatchClass::kMatch});
+  result.ids = std::make_shared<std::vector<std::string>>(
+      std::vector<std::string>{"id,with,commas", "id\"quoted\""});
+  result.decisions.push_back({0, 1, 0.5, MatchClass::kMatch});
   std::string csv = DecisionsToCsv(result);
   EXPECT_NE(csv.find("\"id,with,commas\""), std::string::npos);
   EXPECT_NE(csv.find("\"id\"\"quoted\"\"\""), std::string::npos);
@@ -177,11 +185,15 @@ TEST(ReportTest, ReviewQueueTruncates) {
   DetectionResult result;
   result.total_pairs = 100;
   result.candidate_count = 20;
-  for (int i = 0; i < 20; ++i) {
-    result.decisions.push_back({"a" + std::to_string(i),
-                                "b" + std::to_string(i),
-                                static_cast<size_t>(i), 50, 0.5 + i * 0.001,
-                                MatchClass::kPossible});
+  // Tuple i is "a<i>", tuple 20 + i is "b<i>"; decision i pairs them.
+  auto ids = std::make_shared<std::vector<std::string>>();
+  for (const char* prefix : {"a", "b"}) {
+    for (int i = 0; i < 20; ++i) ids->push_back(prefix + std::to_string(i));
+  }
+  result.ids = ids;
+  for (uint32_t i = 0; i < 20; ++i) {
+    result.decisions.push_back(
+        {i, 20 + i, 0.5 + i * 0.001, MatchClass::kPossible});
   }
   std::string report = DetectionReport(result, nullptr, 5);
   EXPECT_NE(report.find("(15 more)"), std::string::npos);
@@ -197,6 +209,128 @@ TEST(ReportTest, ReportWithoutGoldSkipsVerification) {
   DetectionResult result = RunPaperDetection();
   std::string report = DetectionReport(result);
   EXPECT_EQ(report.find("## Verification"), std::string::npos);
+}
+
+// ----------------------------------------------------------- golden bytes
+//
+// One seeded person run rendered every way a user sees it: the Markdown
+// report with its clerical review queue, the per-pair CSV, the index
+// payload and `pddquery pair` rows. Decision records carry tuple
+// indices only and every renderer looks the ids up, so these pins are
+// what proves the lookup reproduces each byte.
+
+struct GoldenRun {
+  GeneratedData data;
+  Result<DetectionResult> result = Status::Internal("not run");
+};
+
+GoldenRun SeededPersonRun() {
+  PersonGenOptions options;
+  options.num_entities = 60;
+  options.duplicate_rate = 0.8;
+  options.uncertainty.value_uncertainty_prob = 0.3;
+  options.uncertainty.xtuple_alternative_prob = 0.3;
+  options.seed = 7;
+  GoldenRun run{GeneratePersons(options)};
+  const Schema& schema = run.data.relation.schema();
+  DetectorConfig config;
+  config.key = {{schema.attribute(0).name, 3}, {schema.attribute(1).name, 2}};
+  config.weights.assign(schema.arity(),
+                        1.0 / static_cast<double>(schema.arity()));
+  Result<DuplicateDetector> detector = DuplicateDetector::Make(config, schema);
+  run.result = detector.ok() ? detector->Run(run.data.relation)
+                             : Result<DetectionResult>(detector.status());
+  return run;
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  return IndexHashBytes(kIndexFnvOffset, bytes.data(), bytes.size());
+}
+
+TEST(GoldenRenderingTest, ReportWithGoldIsPinned) {
+  GoldenRun run = SeededPersonRun();
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  ASSERT_EQ(run.result->decisions.size(), 4186u);
+  EXPECT_EQ(DetectionReport(*run.result, &run.data.gold),
+            "# Duplicate detection report\n"
+            "\n"
+            "- plan fingerprint: 4547001959f64439\n"
+            "- pairs examined: 4186 of 4186\n"
+            "- matches (M): 33\n"
+            "- possible matches (P): 15\n"
+            "- non-matches (U): 4138\n"
+            "\n"
+            "## Verification\n"
+            "\n"
+            "- matches only: P=1 R=0.8049 F1=0.8919 FPR=0 FNR=0.1951\n"
+            "- incl. possible: P=0.8542 R=1 F1=0.9213 FPR=0.0017 FNR=0\n"
+            "- reduction: RR=0 PC=1 PQ=0.0098\n"
+            "\n"
+            "## Clerical review queue\n"
+            "\n"
+            "| pair | similarity |\n"
+            "|---|---|\n"
+            "| r23 ~ r24 | 0.6975 |\n"
+            "| r46 ~ r47 | 0.6922 |\n"
+            "| r73 ~ r74 | 0.6889 |\n"
+            "| r85 ~ r86 | 0.6863 |\n"
+            "| r86 ~ r87 | 0.6461 |\n"
+            "| r72 ~ r74 | 0.6457 |\n"
+            "| r10 ~ r11 | 0.626 |\n"
+            "| r27 ~ r70 | 0.4732 |\n"
+            "| r25 ~ r26 | 0.4607 |\n"
+            "| r38 ~ r41 | 0.4444 |\n"
+            "\n"
+            "(5 more)\n");
+}
+
+TEST(GoldenRenderingTest, CsvWithGoldIsPinned) {
+  GoldenRun run = SeededPersonRun();
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  std::string csv = DecisionsToCsv(*run.result, &run.data.gold);
+  EXPECT_EQ(csv.rfind("id1,id2,similarity,decision,gold\n"
+                      "r0,r1,0.797758,match,match\n"
+                      "r0,r2,0.047619,unmatch,non-match\n",
+                      0),
+            0u);
+  // The 4,186 rows are pinned by length and FNV-1a digest.
+  EXPECT_EQ(csv.size(), 139454u);
+  EXPECT_EQ(Fnv1a(csv), 16588330242561578793ull);
+}
+
+TEST(GoldenRenderingTest, IndexPayloadAndPairRowsArePinned) {
+  GoldenRun run = SeededPersonRun();
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  Result<std::string> image =
+      BuildDecisionIndexImage(run.data.relation, *run.result);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  // The payload only: the header also stamps the result's content
+  // digest, a hash of in-memory records rather than a rendered byte.
+  EXPECT_EQ(Fnv1a(image->substr(kIndexHeaderBytes)), 4686894013620785927ull);
+
+  const std::string path = "explain_report_test_golden.pddindex";
+  ASSERT_TRUE(WriteDecisionIndexFile(path, *image).ok());
+  const XRelation& rel = run.data.relation;
+  const auto& decisions = run.result->decisions;
+  size_t first_possible = 0;
+  while (decisions[first_possible].match_class != MatchClass::kPossible) {
+    ++first_possible;
+  }
+  std::string rows;
+  for (size_t d : {size_t{0}, first_possible, decisions.size() / 3,
+                   decisions.size() - 1}) {
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(RunIndexQuery("pair", {path, rel.xtuple(decisions[d].index1).id(),
+                                     rel.xtuple(decisions[d].index2).id()}),
+              0);
+    rows += ::testing::internal::GetCapturedStdout();
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(rows,
+            "r0,r1,0.797758,match\n"
+            "r10,r11,0.626039,possible\n"
+            "r16,r76,0.102124,unmatch\n"
+            "r90,r91,0.055556,unmatch\n");
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache/decision_cache.h"
 #include "core/detector.h"
 #include "core/report_writer.h"
@@ -93,8 +95,8 @@ void ExpectIdenticalResults(const DetectionResult& a,
   for (size_t i = 0; i < a.decisions.size(); ++i) {
     const PairDecisionRecord& ra = a.decisions[i];
     const PairDecisionRecord& rb = b.decisions[i];
-    EXPECT_EQ(ra.id1, rb.id1) << "record " << i;
-    EXPECT_EQ(ra.id2, rb.id2) << "record " << i;
+    EXPECT_EQ(a.id(ra.index1), b.id(rb.index1)) << "record " << i;
+    EXPECT_EQ(a.id(ra.index2), b.id(rb.index2)) << "record " << i;
     EXPECT_EQ(ra.similarity, rb.similarity) << "record " << i;
     EXPECT_EQ(ra.match_class, rb.match_class) << "record " << i;
   }
@@ -401,9 +403,12 @@ TEST(StandingSessionTest, RunIncrementalRejectsDuplicateIds) {
 
 // --- crash-restart warm start ---------------------------------------
 
+/// A snapshot path private to this process: ctest runs the executor-
+/// shape passes of this binary concurrently in one directory.
 class SnapshotFile {
  public:
-  explicit SnapshotFile(const char* name) : path_(name) {
+  explicit SnapshotFile(const char* name)
+      : path_(std::string(name) + "." + std::to_string(getpid())) {
     std::remove(path_.c_str());
   }
   ~SnapshotFile() { std::remove(path_.c_str()); }

@@ -163,15 +163,17 @@ TEST(IncrementalTest, AgreesWithFullRunOnSharedPairs) {
   ASSERT_TRUE(incremental.ok());
   // Every incremental decision must match the full run's decision.
   for (const PairDecisionRecord& inc : incremental->decisions) {
+    const std::string& id1 = incremental->id(inc.index1);
+    const std::string& id2 = incremental->id(inc.index2);
     bool found = false;
     for (const PairDecisionRecord& rec : full->decisions) {
-      if (rec.id1 == inc.id1 && rec.id2 == inc.id2) {
+      if (full->id(rec.index1) == id1 && full->id(rec.index2) == id2) {
         found = true;
         EXPECT_NEAR(rec.similarity, inc.similarity, 1e-12);
         EXPECT_EQ(rec.match_class, inc.match_class);
       }
     }
-    EXPECT_TRUE(found) << inc.id1 << "," << inc.id2;
+    EXPECT_TRUE(found) << id1 << "," << id2;
   }
 }
 

@@ -409,8 +409,8 @@ TEST(RunTelemetryTest, HandAssembledResultsBridgeThroughTelemetryFromResult) {
   DetectionResult result;
   result.candidate_count = 2;
   result.total_pairs = 10;
-  result.decisions.push_back({"a", "b", 0, 1, 0.9, MatchClass::kMatch});
-  result.decisions.push_back({"c", "d", 2, 3, 0.2, MatchClass::kUnmatch});
+  result.decisions.push_back({0, 1, 0.9, MatchClass::kMatch});
+  result.decisions.push_back({2, 3, 0.2, MatchClass::kUnmatch});
   RunTelemetry t = TelemetryFromResult(result);
   EXPECT_EQ(t.metrics.counter(kMetricCandidatePairs), 2u);
   EXPECT_EQ(t.metrics.counter(kMetricMatches), 1u);

@@ -60,8 +60,8 @@ void ExpectIdenticalResults(const DetectionResult& a,
   for (size_t i = 0; i < a.decisions.size(); ++i) {
     const PairDecisionRecord& ra = a.decisions[i];
     const PairDecisionRecord& rb = b.decisions[i];
-    EXPECT_EQ(ra.id1, rb.id1) << "record " << i;
-    EXPECT_EQ(ra.id2, rb.id2) << "record " << i;
+    EXPECT_EQ(a.id(ra.index1), b.id(rb.index1)) << "record " << i;
+    EXPECT_EQ(a.id(ra.index2), b.id(rb.index2)) << "record " << i;
     EXPECT_EQ(ra.index1, rb.index1) << "record " << i;
     EXPECT_EQ(ra.index2, rb.index2) << "record " << i;
     // Bit-identical, not approximately equal: the parallel executor must
@@ -152,6 +152,42 @@ TEST(StageExecutorTest, RejectsZeroBatchSize) {
   zero_batch.batch_size = 0;
   StageExecutor executor(detector->shared_plan(), zero_batch);
   EXPECT_FALSE(executor.Execute(**stream).ok());
+}
+
+/// A stream that may grow past the 32-bit tuple index space (a standing
+/// source with an oversized admission bound). Counts its pulls.
+class OversizedStream : public CandidateStream {
+ public:
+  explicit OversizedStream(const XRelation* rel) : rel_(rel) {}
+
+  const XRelation& relation() const override { return *rel_; }
+  size_t NextBatch(size_t, std::vector<CandidatePair>* out) override {
+    ++pulls_;
+    out->clear();
+    return 0;
+  }
+  void Reset() override {}
+  size_t tuple_capacity() const override { return size_t{1} << 32; }
+  size_t total_pairs() const override { return 0; }
+  std::string name() const override { return "oversized"; }
+
+  size_t pulls() const { return pulls_; }
+
+ private:
+  const XRelation* rel_;
+  size_t pulls_ = 0;
+};
+
+TEST(StageExecutorTest, RejectsStreamsBeyondThe32BitIndexSpace) {
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(PersonConfig(), PersonSchema());
+  ASSERT_TRUE(detector.ok());
+  GeneratedData data = SeededPersons(5);
+  OversizedStream stream(&data.relation);
+  Result<DetectionResult> result =
+      StageExecutor(detector->shared_plan()).Execute(stream);
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(stream.pulls(), 0u);
 }
 
 TEST(CandidateStreamTest, BatchOrderIsIndependentOfBatchSize) {
@@ -273,13 +309,18 @@ TEST(CandidateStreamTest, IncrementalExaminesExactlyCrossingPairs) {
 
 TEST(DetectionResultTest, ClassFiltersShareOneHelper) {
   DetectionResult result;
+  result.ids = std::make_shared<std::vector<std::string>>(
+      std::vector<std::string>{"a", "b", "c", "d"});
   result.decisions = {
-      {"a", "b", 0, 1, 0.9, MatchClass::kMatch},
-      {"a", "c", 0, 2, 0.5, MatchClass::kPossible},
-      {"b", "c", 1, 2, 0.1, MatchClass::kUnmatch},
-      {"a", "d", 0, 3, 0.8, MatchClass::kMatch},
+      {0, 1, 0.9, MatchClass::kMatch},
+      {0, 2, 0.5, MatchClass::kPossible},
+      {1, 2, 0.1, MatchClass::kUnmatch},
+      {0, 3, 0.8, MatchClass::kMatch},
   };
-  EXPECT_EQ(result.CountClass(MatchClass::kMatch), 2u);
+  const DetectionResult::ClassCounts counts = result.CountClasses();
+  EXPECT_EQ(counts.matches, 2u);
+  EXPECT_EQ(counts.possibles, 1u);
+  EXPECT_EQ(counts.unmatches, 1u);
   EXPECT_EQ(result.Matches(),
             (std::vector<IdPair>{MakeIdPair("a", "b"), MakeIdPair("a", "d")}));
   EXPECT_EQ(result.PossibleMatches(),

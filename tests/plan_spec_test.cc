@@ -395,7 +395,7 @@ TEST(CompileTest, SpecAndConfigPathsDecideIdentically) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->decisions.size(), b->decisions.size());
   for (size_t i = 0; i < a->decisions.size(); ++i) {
-    EXPECT_EQ(a->decisions[i].id1, b->decisions[i].id1);
+    EXPECT_EQ(a->id(a->decisions[i].index1), b->id(b->decisions[i].index1));
     EXPECT_DOUBLE_EQ(a->decisions[i].similarity, b->decisions[i].similarity);
     EXPECT_EQ(a->decisions[i].match_class, b->decisions[i].match_class);
   }

@@ -59,8 +59,8 @@ void ExpectIdentical(const DetectionResult& a, const DetectionResult& b) {
   EXPECT_EQ(a.total_pairs, b.total_pairs);
   ASSERT_EQ(a.decisions.size(), b.decisions.size());
   for (size_t i = 0; i < a.decisions.size(); ++i) {
-    EXPECT_EQ(a.decisions[i].id1, b.decisions[i].id1) << i;
-    EXPECT_EQ(a.decisions[i].id2, b.decisions[i].id2) << i;
+    EXPECT_EQ(a.id(a.decisions[i].index1), b.id(b.decisions[i].index1)) << i;
+    EXPECT_EQ(a.id(a.decisions[i].index2), b.id(b.decisions[i].index2)) << i;
     EXPECT_EQ(a.decisions[i].index1, b.decisions[i].index1) << i;
     EXPECT_EQ(a.decisions[i].index2, b.decisions[i].index2) << i;
     // Bit-identical, not approximately equal.

@@ -130,7 +130,11 @@ struct SinkState {
 
 void OnDecision(SinkState* state, const PairDecisionRecord& rec) {
   if (state->stream_decisions) {
-    std::cerr << "decision " << rec.id1 << " " << rec.id2 << " "
+    // Both tuples are published (the pair was emitted), so their ids
+    // are safe to read while the drain keeps admitting.
+    const XRelation& standing = state->stream->relation();
+    std::cerr << "decision " << standing.xtuple(rec.index1).id() << " "
+              << standing.xtuple(rec.index2).id() << " "
               << MatchClassCode(rec.match_class) << " "
               << FormatDouble(rec.similarity, 6) << "\n";
   }
