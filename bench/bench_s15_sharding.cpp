@@ -116,9 +116,8 @@ int main() {
     const ShardStrategy strategy =
         ResolveShardStrategy(ShardStrategy::kAuto, c.method);
     for (size_t shards : shard_counts) {
-      auto stream =
-          MakeShardedFullStream(detector->plan(), rel,
-                                {shards, ShardStrategy::kAuto});
+      auto stream = MakeFullStream(detector->plan(), rel,
+                                   {shards, ShardStrategy::kAuto});
       if (!stream.ok()) {
         std::cout << c.label << ": " << stream.status().ToString() << "\n";
         ok = false;

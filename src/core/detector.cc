@@ -72,21 +72,15 @@ StageExecutor DuplicateDetector::MakeExecutor() const {
 }
 
 Result<DetectionResult> DuplicateDetector::Run(const XRelation& input) const {
-  ShardOptions shards = shard_options();
   PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> stream,
-                       shards.count > 1
-                           ? MakeShardedFullStream(*plan_, input, shards)
-                           : MakeFullStream(*plan_, input));
+                       MakeFullStream(*plan_, input, shard_options()));
   return MakeExecutor().Execute(*stream);
 }
 
 Result<DetectionResult> DuplicateDetector::RunOnSources(
     const XRelation& a, const XRelation& b) const {
-  ShardOptions shards = shard_options();
   PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> stream,
-                       shards.count > 1
-                           ? MakeShardedUnionStream(*plan_, a, b, shards)
-                           : MakeUnionStream(*plan_, a, b));
+                       MakeUnionStream(*plan_, a, b, shard_options()));
   return MakeExecutor().Execute(*stream);
 }
 

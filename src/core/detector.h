@@ -19,7 +19,6 @@
 #include "pipeline/candidate_stream.h"
 #include "pipeline/detection_plan.h"
 #include "pipeline/detection_result.h"
-#include "pipeline/sharded_stream.h"
 #include "pipeline/stage_executor.h"
 #include "verify/gold_standard.h"
 #include "verify/metrics.h"

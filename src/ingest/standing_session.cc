@@ -54,10 +54,8 @@ Result<DetectionResult> StandingSession::Finish(ShardOptions shards) {
   // backlog, or no drain at all) still belong to the standing set.
   stream_->Pump();
   XRelation canonical = CanonicalRelation();
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<CandidateStream> batch,
-      shards.count > 1 ? MakeShardedFullStream(*plan_, canonical, shards)
-                       : MakeFullStream(*plan_, canonical));
+  PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> batch,
+                       MakeFullStream(*plan_, canonical, shards));
   return StageExecutor(plan_, ExecutorOptions(/*live=*/false))
       .Execute(*batch);
 }
@@ -88,9 +86,7 @@ Result<DetectionResult> StandingSession::FinishIncremental(
   }
   PDD_ASSIGN_OR_RETURN(
       std::unique_ptr<CandidateStream> batch,
-      shards.count > 1
-          ? MakeShardedIncrementalStream(*plan_, existing, additions, shards)
-          : MakeIncrementalStream(*plan_, existing, additions));
+      MakeIncrementalStream(*plan_, existing, additions, shards));
   return StageExecutor(plan_, ExecutorOptions(/*live=*/false))
       .Execute(*batch);
 }

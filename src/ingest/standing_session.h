@@ -4,8 +4,9 @@
 // needs:
 //
 //   * Drain() — the live loop: decides every crossing pair of every
-//     admitted tuple through the plan's decide path (cache → columnar
-//     match → combine → derive → classify), streaming records through
+//     admitted tuple through the plan's decide path (cache → match →
+//     combine → derive → classify; the scalar path, since the standing
+//     stream carries no arena), streaming records through
 //     the configured decision sink until the queue closes. Live record
 //     order depends on arrival order by construction.
 //   * Finish() — THE deterministic report: the canonical (id-sorted)
@@ -33,8 +34,8 @@
 #include "cache/decision_cache.h"
 #include "ingest/ingest_stream.h"
 #include "obs/metrics_registry.h"
+#include "pipeline/candidate_stream.h"
 #include "pipeline/detection_result.h"
-#include "pipeline/sharded_stream.h"
 #include "pipeline/stage_executor.h"
 
 namespace pdd {
@@ -44,7 +45,7 @@ class StandingSession {
   struct Options {
     IngestStream::Options stream;
     /// Executor shape of the live drain (Finish re-runs share
-    /// batch_size/workers unless sharded).
+    /// batch_size/workers).
     size_t batch_size = 256;
     size_t workers = 0;
     bool stage_timings = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "pipeline/sharded_stream.h"
 #include "util/checked_math.h"
 
 namespace pdd {
@@ -13,9 +14,18 @@ void AttachArenaIfColumnar(const DetectionPlan& plan,
   stream->set_arena(RelationArena::Build(stream->relation()));
 }
 
-Result<std::optional<XRelation>> PrepareStreamRelation(
-    const DetectionPlan& plan, std::optional<XRelation> owned,
-    const XRelation* borrowed) {
+namespace {
+
+/// The body every scenario factory shares. Checks the scenario's
+/// relation (`owned` when the factory built one, else `borrowed`)
+/// against the plan's schema, applies the configured preparation step
+/// (Section III-A) into an owned copy, opens the sharded stream when
+/// `shards.count > 1` and the plain one otherwise, and attaches the
+/// arena (one arena serves every shard: shards index one relation).
+Result<std::unique_ptr<CandidateStream>> MakeScenarioStream(
+    const DetectionPlan& plan, std::string name,
+    std::optional<XRelation> owned, const XRelation* borrowed,
+    size_t total_pairs, size_t min_second, const ShardOptions& shards) {
   const XRelation& input = owned.has_value() ? *owned : *borrowed;
   if (!input.schema().CompatibleWith(plan.schema())) {
     return Status::InvalidArgument(
@@ -24,8 +34,23 @@ Result<std::optional<XRelation>> PrepareStreamRelation(
   if (plan.config().preparation.has_value()) {
     owned = plan.config().preparation->Prepare(input);
   }
-  return owned;
+  std::unique_ptr<CandidateStream> stream;
+  if (shards.count > 1) {
+    PDD_ASSIGN_OR_RETURN(
+        stream, ShardedCandidateStream::Make(std::move(name), std::move(owned),
+                                             borrowed, plan, total_pairs,
+                                             min_second, shards));
+  } else {
+    PDD_ASSIGN_OR_RETURN(
+        stream, GeneratorCandidateStream::Make(
+                    std::move(name), std::move(owned), borrowed,
+                    plan.MakePairGenerator(), total_pairs, min_second));
+  }
+  AttachArenaIfColumnar(plan, stream.get());
+  return stream;
 }
+
+}  // namespace
 
 size_t MaterializedCandidateStream::NextBatch(
     size_t max_batch, std::vector<CandidatePair>* out) {
@@ -102,36 +127,26 @@ size_t GeneratorCandidateStream::buffered_candidates() const {
 }
 
 Result<std::unique_ptr<CandidateStream>> MakeFullStream(
-    const DetectionPlan& plan, const XRelation& rel) {
-  PDD_ASSIGN_OR_RETURN(std::optional<XRelation> owned,
-                       PrepareStreamRelation(plan, std::nullopt, &rel));
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<CandidateStream> stream,
-      GeneratorCandidateStream::Make("full", std::move(owned), &rel,
-                                     plan.MakePairGenerator(),
-                                     TriangularPairCount(rel.size())));
-  AttachArenaIfColumnar(plan, stream.get());
-  return stream;
+    const DetectionPlan& plan, const XRelation& rel,
+    const ShardOptions& shards) {
+  return MakeScenarioStream(plan, "full", std::nullopt, &rel,
+                            TriangularPairCount(rel.size()),
+                            /*min_second=*/0, shards);
 }
 
 Result<std::unique_ptr<CandidateStream>> MakeUnionStream(
-    const DetectionPlan& plan, const XRelation& a, const XRelation& b) {
+    const DetectionPlan& plan, const XRelation& a, const XRelation& b,
+    const ShardOptions& shards) {
   PDD_ASSIGN_OR_RETURN(XRelation merged,
                        XRelation::Union(a, b, a.name() + "+" + b.name()));
   size_t total = TriangularPairCount(merged.size());
-  PDD_ASSIGN_OR_RETURN(std::optional<XRelation> owned,
-                       PrepareStreamRelation(plan, std::move(merged), nullptr));
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<CandidateStream> stream,
-      GeneratorCandidateStream::Make("union", std::move(owned), nullptr,
-                                     plan.MakePairGenerator(), total));
-  AttachArenaIfColumnar(plan, stream.get());
-  return stream;
+  return MakeScenarioStream(plan, "union", std::move(merged), nullptr, total,
+                            /*min_second=*/0, shards);
 }
 
 Result<std::unique_ptr<CandidateStream>> MakeIncrementalStream(
     const DetectionPlan& plan, const XRelation& existing,
-    const XRelation& additions) {
+    const XRelation& additions, const ShardOptions& shards) {
   PDD_ASSIGN_OR_RETURN(
       XRelation merged,
       XRelation::Union(existing, additions,
@@ -142,15 +157,8 @@ Result<std::unique_ptr<CandidateStream>> MakeIncrementalStream(
   // pairs were already decided in a previous run.
   size_t total = SaturatingAdd(SaturatingMul(base_count, new_count),
                                TriangularPairCount(new_count));
-  PDD_ASSIGN_OR_RETURN(std::optional<XRelation> owned,
-                       PrepareStreamRelation(plan, std::move(merged), nullptr));
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<CandidateStream> stream,
-      GeneratorCandidateStream::Make("incremental", std::move(owned), nullptr,
-                                     plan.MakePairGenerator(), total,
-                                     /*min_second=*/base_count));
-  AttachArenaIfColumnar(plan, stream.get());
-  return stream;
+  return MakeScenarioStream(plan, "incremental", std::move(merged), nullptr,
+                            total, /*min_second=*/base_count, shards);
 }
 
 }  // namespace pdd

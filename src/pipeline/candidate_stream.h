@@ -30,6 +30,7 @@
 #include "pdb/xrelation.h"
 #include "pipeline/detection_plan.h"
 #include "reduction/pair_generator.h"
+#include "reduction/shard_partitioner.h"
 #include "util/status.h"
 
 namespace pdd {
@@ -187,7 +188,7 @@ class GeneratorCandidateStream : public CandidateStream {
   /// Re-opens the underlying source, replaying the identical sequence.
   void Reset() override;
   /// Forwards the source's exact count when it knows one (adapter-backed
-  /// reductions), preserving the serial path's decisions reserve.
+  /// reductions), preserving the executor's decisions reserve.
   std::optional<size_t> candidate_count_hint() const override;
   size_t buffered_candidates() const override;
   size_t total_pairs() const override { return total_pairs_; }
@@ -217,26 +218,33 @@ class GeneratorCandidateStream : public CandidateStream {
   std::unique_ptr<PairBatchSource> source_;
 };
 
-/// Shared head of the stream factories: checks the relation's schema
-/// against the plan and applies the configured preparation step
-/// (Section III-A). On return `owned` holds the union and/or prepared
-/// copy when one was built; otherwise the caller's `borrowed` relation
-/// is the one to use. Exposed for the sharded factories
-/// (pipeline/sharded_stream.h), which share this head.
-Result<std::optional<XRelation>> PrepareStreamRelation(
-    const DetectionPlan& plan, std::optional<XRelation> owned,
-    const XRelation* borrowed);
+/// Run-level sharding knobs (a runtime placement decision, like the
+/// executor's worker count). Plans can also carry them declaratively
+/// via the `shard.count` / `shard.strategy` spec keys.
+struct ShardOptions {
+  /// Number of shards; 1 = unsharded.
+  size_t count = 1;
+  /// How tuples map to shards; kAuto resolves per reduction family.
+  ShardStrategy strategy = ShardStrategy::kAuto;
+};
+
+// The scenario factories. Each takes the run's ShardOptions: with
+// `shards.count > 1` it builds a ShardedCandidateStream
+// (pipeline/sharded_stream.h) whose merged output is bit-identical to
+// the plain stream it builds otherwise.
 
 /// Full run on one relation: applies the plan's preparation step, then
 /// streams the plan's reduction method. `rel` must outlive the stream
 /// unless preparation produced an owned copy.
 Result<std::unique_ptr<CandidateStream>> MakeFullStream(
-    const DetectionPlan& plan, const XRelation& rel);
+    const DetectionPlan& plan, const XRelation& rel,
+    const ShardOptions& shards = {});
 
 /// Cross-source union: R = a ∪ b (ids must be unique across sources),
 /// then behaves like the full stream over the owned union.
 Result<std::unique_ptr<CandidateStream>> MakeUnionStream(
-    const DetectionPlan& plan, const XRelation& a, const XRelation& b);
+    const DetectionPlan& plan, const XRelation& a, const XRelation& b,
+    const ShardOptions& shards = {});
 
 /// Incremental run: candidates of existing ∪ additions restricted to
 /// pairs with at least one endpoint in `additions` (intra-existing
@@ -244,7 +252,7 @@ Result<std::unique_ptr<CandidateStream>> MakeUnionStream(
 /// incremental pair universe.
 Result<std::unique_ptr<CandidateStream>> MakeIncrementalStream(
     const DetectionPlan& plan, const XRelation& existing,
-    const XRelation& additions);
+    const XRelation& additions, const ShardOptions& shards = {});
 
 }  // namespace pdd
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "keys/key_builder.h"
-#include "util/checked_math.h"
 
 namespace pdd {
 
@@ -126,8 +125,8 @@ size_t ShardedCandidateStream::ShardNextBatch(size_t shard, size_t max_batch,
   Shard& s = shards_[shard];
   // The merge lookahead holds pairs already pulled off the source but
   // not yet emitted; they are the front of this shard's remaining
-  // sequence, so a shard-aware drain taking over from a partial merged
-  // drain must serve them first — never skip them.
+  // sequence, so the executor's per-shard drain taking over from a
+  // partial merged drain must serve them first — never skip them.
   if (s.cursor < s.pending.size()) {
     out->clear();
     size_t count = std::min(max_batch, s.pending.size() - s.cursor);
@@ -245,59 +244,6 @@ std::vector<StreamRunStats> ShardedCandidateStream::shard_stats() const {
   stats.reserve(shards_.size());
   for (const Shard& s : shards_) stats.push_back(s.stats);
   return stats;
-}
-
-Result<std::unique_ptr<CandidateStream>> MakeShardedFullStream(
-    const DetectionPlan& plan, const XRelation& rel,
-    const ShardOptions& options) {
-  PDD_ASSIGN_OR_RETURN(std::optional<XRelation> owned,
-                       PrepareStreamRelation(plan, std::nullopt, &rel));
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<ShardedCandidateStream> stream,
-      ShardedCandidateStream::Make("full", std::move(owned), &rel, plan,
-                                   TriangularPairCount(rel.size()),
-                                   /*min_second=*/0, options));
-  // One arena serves every shard: shards index the same relation.
-  AttachArenaIfColumnar(plan, stream.get());
-  return std::unique_ptr<CandidateStream>(std::move(stream));
-}
-
-Result<std::unique_ptr<CandidateStream>> MakeShardedUnionStream(
-    const DetectionPlan& plan, const XRelation& a, const XRelation& b,
-    const ShardOptions& options) {
-  PDD_ASSIGN_OR_RETURN(XRelation merged,
-                       XRelation::Union(a, b, a.name() + "+" + b.name()));
-  size_t total = TriangularPairCount(merged.size());
-  PDD_ASSIGN_OR_RETURN(std::optional<XRelation> owned,
-                       PrepareStreamRelation(plan, std::move(merged), nullptr));
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<ShardedCandidateStream> stream,
-      ShardedCandidateStream::Make("union", std::move(owned), nullptr, plan,
-                                   total, /*min_second=*/0, options));
-  AttachArenaIfColumnar(plan, stream.get());
-  return std::unique_ptr<CandidateStream>(std::move(stream));
-}
-
-Result<std::unique_ptr<CandidateStream>> MakeShardedIncrementalStream(
-    const DetectionPlan& plan, const XRelation& existing,
-    const XRelation& additions, const ShardOptions& options) {
-  PDD_ASSIGN_OR_RETURN(
-      XRelation merged,
-      XRelation::Union(existing, additions,
-                       existing.name() + "+" + additions.name()));
-  const size_t base_count = existing.size();
-  const size_t new_count = additions.size();
-  size_t total = SaturatingAdd(SaturatingMul(base_count, new_count),
-                               TriangularPairCount(new_count));
-  PDD_ASSIGN_OR_RETURN(std::optional<XRelation> owned,
-                       PrepareStreamRelation(plan, std::move(merged), nullptr));
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<ShardedCandidateStream> stream,
-      ShardedCandidateStream::Make("incremental", std::move(owned), nullptr,
-                                   plan, total, /*min_second=*/base_count,
-                                   options));
-  AttachArenaIfColumnar(plan, stream.get());
-  return std::unique_ptr<CandidateStream>(std::move(stream));
 }
 
 }  // namespace pdd

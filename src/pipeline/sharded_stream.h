@@ -20,18 +20,19 @@
 // optimization, but multi-node placement needs the self-contained form
 // anyway.
 //
-// Two drain modes share one stream object:
+// The scenario factories (MakeFullStream and its siblings in
+// candidate_stream.h) build this stream when their ShardOptions ask
+// for more than one shard. It is read two ways:
 //
-//   * CandidateStream mode (NextBatch): the built-in merge, for any
-//     consumer that wants the canonical sequence — RunStream seams,
-//     replay, tests. Per-shard pull accounting accumulates internally
-//     (shard_stats()) and is zeroed by Reset().
-//   * shard-aware mode (ShardNextBatch): the StageExecutor drains each
-//     shard separately — one worker set per shard pulling under a
-//     per-shard mutex, one shared DecisionCache handle across all
-//     shard workers — and merges the per-shard decision records by the
-//     same rule. Calls for one shard must be externally serialized;
-//     different shards may pull concurrently.
+//   * NextBatch: the built-in merge, for any consumer that wants the
+//     canonical sequence — RunStream pre-drains, replay, tests.
+//   * ShardNextBatch: what the StageExecutor's drain pulls. Each shard
+//     is drained under its own mutex and the per-shard decision
+//     records are merged by the same rule. Calls for one shard must be
+//     externally serialized; different shards may pull concurrently.
+//
+// Both pull through ShardNextBatch, so per-shard pull accounting
+// accumulates internally either way (shard_stats()); Reset() zeroes it.
 
 #ifndef PDD_PIPELINE_SHARDED_STREAM_H_
 #define PDD_PIPELINE_SHARDED_STREAM_H_
@@ -46,16 +47,6 @@
 #include "reduction/shard_partitioner.h"
 
 namespace pdd {
-
-/// Run-level sharding knobs (a runtime placement decision, like the
-/// executor's worker count). Plans can also carry them declaratively
-/// via the `shard.count` / `shard.strategy` spec keys.
-struct ShardOptions {
-  /// Number of shards; 1 = unsharded.
-  size_t count = 1;
-  /// How tuples map to shards; kAuto resolves per reduction family.
-  ShardStrategy strategy = ShardStrategy::kAuto;
-};
 
 /// Resolves kAuto against a reduction method: index_range for
 /// full/adapter-backed reductions, key_range for the SNM family,
@@ -98,7 +89,7 @@ class ShardedCandidateStream : public CandidateStream {
   size_t total_pairs() const override { return total_pairs_; }
   std::string name() const override { return name_; }
 
-  // --- shard-aware drain (StageExecutor) -----------------------------
+  // --- per-shard drain (StageExecutor) ------------------------------
 
   size_t shard_count() const { return shards_.size(); }
   ShardStrategy strategy() const { return assignment_->strategy; }
@@ -111,7 +102,7 @@ class ShardedCandidateStream : public CandidateStream {
                         std::vector<CandidatePair>* out);
 
   /// Pairs currently live inside `shard` (its source's buffers plus its
-  /// merge lookahead, which is empty under a shard-aware drain).
+  /// merge lookahead, which is empty under a per-shard drain).
   size_t ShardBufferedCandidates(size_t shard) const;
 
   /// Per-shard drain accounting accumulated by ShardNextBatch (and
@@ -150,22 +141,6 @@ class ShardedCandidateStream : public CandidateStream {
   // Last member: shard sources borrow rel_ and generator_.
   std::vector<Shard> shards_;
 };
-
-/// Sharded counterparts of the candidate_stream.h factories. With
-/// options.count <= 1 they still build a (single-shard) sharded stream;
-/// callers wanting the plain stream should branch on the count
-/// themselves, as DuplicateDetector does.
-Result<std::unique_ptr<CandidateStream>> MakeShardedFullStream(
-    const DetectionPlan& plan, const XRelation& rel,
-    const ShardOptions& options);
-
-Result<std::unique_ptr<CandidateStream>> MakeShardedUnionStream(
-    const DetectionPlan& plan, const XRelation& a, const XRelation& b,
-    const ShardOptions& options);
-
-Result<std::unique_ptr<CandidateStream>> MakeShardedIncrementalStream(
-    const DetectionPlan& plan, const XRelation& existing,
-    const XRelation& additions, const ShardOptions& options);
 
 }  // namespace pdd
 

@@ -61,7 +61,7 @@ inline uint64_t MicrosFromSeconds(double seconds) {
 /// Per-drain-thread span accounting. Each thread owns one slot, so the
 /// hot loop mutates it lock-free; the slots fold into the telemetry's
 /// generate span, worker.N spans and decide-latency histogram after
-/// the pool joins. Batch/candidate counts per worker vary with thread
+/// the drain. Batch/candidate counts per worker vary with thread
 /// timing — they live on spans, which the identity gates never diff.
 struct WorkerStats {
   size_t batches = 0;
@@ -74,11 +74,11 @@ struct WorkerStats {
   LogHistogram decide_micros;
 };
 
-/// The decision records of a multi-worker drain, kept in pull order
-/// while workers finish batches in any order. A batch decided ahead of
-/// an earlier one parks until the gap closes, so only out-of-order
-/// batches are ever buffered (their buffers are recycled) and the
-/// records end exactly as the serial drain would have appended them.
+/// The decision records of one shard's drain, kept in pull order while
+/// workers finish batches in any order. A batch decided ahead of an
+/// earlier one parks until the gap closes, so only out-of-order batches
+/// are ever buffered (their buffers are recycled) and the records end
+/// exactly as a one-worker drain would have appended them.
 class OrderedRecords {
  public:
   /// Single-threaded, before any Commit.
@@ -121,7 +121,7 @@ class OrderedRecords {
   std::vector<std::vector<PairDecisionRecord>> spare_;
 };
 
-/// The tail every drain shape shares. Re-reads the pair universe (a
+/// The drain's tail, whatever its shape. Re-reads the pair universe (a
 /// standing stream's grows as tuples are admitted; finite streams
 /// report the same value) and copies the relation's ids into the
 /// result's own table. Then builds the run's unified telemetry —
@@ -197,10 +197,7 @@ void StageExecutor::DecideBatch(const XRelation& rel,
                                 ColumnarMatcher* matcher,
                                 std::vector<PairDecisionRecord>* out,
                                 BatchCounters* counters) const {
-  // Reserve only for a fresh buffer: calling reserve() per batch on the
-  // serial path's accumulating vector would pin capacity to the exact
-  // size and degrade appends to quadratic copying.
-  if (out->empty()) out->reserve(batch.size());
+  out->reserve(batch.size());
   const bool timed = options_.stage_timings;
   // A cache-ineligible plan (custom comparators: decision fingerprint
   // 0) runs uncached rather than risking cross-instance collisions.
@@ -320,10 +317,6 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   result.plan_fingerprint = plan_->fingerprint();
   result.stage_timings_collected = options_.stage_timings;
   if (options_.cache != nullptr) result.cache_stats = CacheRunStats{};
-  // Per-tuple digest memo for the run: filled lazily as candidates
-  // touch tuples (a sparse incremental stream over a large base never
-  // digests the untouched base), then reused by every later pair, so
-  // the hit path never re-hashes tuple content.
   // Columnar kernel path: the plan resolved it at compile time and the
   // stream factory attached an arena over its relation. A custom
   // stream without an arena (or an arena for a different relation, or
@@ -332,186 +325,30 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   const bool columnar = plan_->use_columnar_kernels() && arena != nullptr &&
                         arena->tuple_count() == rel.size();
   result.match_kernel = columnar ? "columnar" : "scalar";
-  // The memo is unconditional: uncached scalar runs need the tuple
-  // digests too, for the canonical decide orientation (see
+  // Per-tuple digest memo for the run: filled lazily as candidates
+  // touch tuples (a sparse incremental stream over a large base never
+  // digests the untouched base), then reused by every later pair, so
+  // the hit path never re-hashes tuple content. Uncached scalar runs
+  // need the digests too, for the canonical decide orientation (see
   // DecideBatch) — that is what keeps uncached, cold-cached and
-  // warm-cached runs bit-identical. Columnar batches never read it
-  // (they take the arena's precomputed digests), so its slots stay
-  // untouched zeros there. Sized from the stream's tuple CAPACITY, not
-  // its current size: a standing ingest stream's relation grows during
-  // the drain, and the memo must already have a slot for every tuple
-  // that can still arrive.
+  // warm-cached runs bit-identical. Columnar batches read the arena's
+  // precomputed digests instead, so the memo is empty there. Sized
+  // from the stream's tuple CAPACITY, not its current size: a standing
+  // ingest stream's relation grows during the drain, and the memo must
+  // already have a slot for every tuple that can still arrive.
   TupleDigestMemo digest_memo(columnar ? 0 : stream.tuple_capacity());
-  TupleDigestMemo* digests = &digest_memo;
 
-  // Sharded streams drain shard-by-shard: per-shard worker sets and
-  // accounting, deterministic merge of the per-shard decisions.
-  if (auto* sharded = dynamic_cast<ShardedCandidateStream*>(&stream);
-      sharded != nullptr && sharded->shard_count() > 1) {
-    return ExecuteSharded(*sharded, digests, columnar ? arena : nullptr,
-                          std::move(result));
-  }
-
-  const bool timed = options_.stage_timings;
-  if (options_.workers <= 1) {
-    if (std::optional<size_t> hint = stream.candidate_count_hint()) {
-      result.decisions.reserve(*hint);
-    }
-    std::optional<ColumnarMatcher> matcher;
-    if (columnar) matcher.emplace(*plan_, *arena);
-    BatchCounters counters;
-    std::vector<WorkerStats> workers(1);
-    WorkerStats& ws = workers[0];
-    std::vector<CandidatePair> batch;
-    while (true) {
-      Clock::time_point pull_start;
-      if (timed) pull_start = Clock::now();
-      size_t pulled = stream.NextBatch(options_.batch_size, &batch);
-      if (timed) ws.pull_seconds += Elapsed(pull_start);
-      if (pulled == 0) {
-        // Exhausted vs idle-but-open: a standing stream blocks in
-        // AwaitMore until tuples arrive (resume pulling) or its feed
-        // closes (drain ends); finite streams return false immediately.
-        if (!stream.AwaitMore()) break;
-        continue;
-      }
-      result.candidate_count += batch.size();
-      ++result.stream_stats.batches;
-      result.stream_stats.live_candidate_high_water =
-          std::max(result.stream_stats.live_candidate_high_water,
-                   batch.size() + stream.buffered_candidates());
-      ++ws.batches;
-      ws.candidates += batch.size();
-      Clock::time_point decide_start;
-      if (timed) decide_start = Clock::now();
-      const size_t decided_before = result.decisions.size();
-      DecideBatch(rel, batch, digests,
-                  matcher.has_value() ? &*matcher : nullptr,
-                  &result.decisions, &counters);
-      if (timed) {
-        double decide = Elapsed(decide_start);
-        ws.decide_seconds += decide;
-        ws.decide_micros.Record(MicrosFromSeconds(decide));
-      }
-      if (options_.decision_sink) {
-        for (size_t i = decided_before; i < result.decisions.size(); ++i) {
-          options_.decision_sink(result.decisions[i]);
-        }
-      }
-    }
-    result.stage_timings = counters.timings;
-    if (result.cache_stats.has_value()) *result.cache_stats = counters.cache;
-    FinishResult(options_, stream, std::move(workers), &result);
-    return result;
-  }
-
-  // Parallel path: workers pull batches straight off the stream under a
-  // mutex (pulls are serialized, so batch k's content is independent of
-  // which worker claims it or when), decide into a worker-local buffer
-  // and commit it in pull order — identical to the serial path for any
-  // worker count, while never holding more than the in-flight batches
-  // of candidates.
-  struct Drain {
-    std::mutex mu;
-    bool exhausted = false;
-    size_t in_flight_candidates = 0;
-  } drain;
-  OrderedRecords committed;
-  if (std::optional<size_t> hint = stream.candidate_count_hint()) {
-    committed.Reserve(*hint);
-  }
-  // Sink calls are serialized but interleave across workers in commit
-  // order — an execution-shape-dependent order by design (see
-  // StageExecutorOptions::decision_sink).
-  std::mutex sink_mu;
-  std::vector<WorkerStats> workers(options_.workers);
-  std::vector<BatchCounters> counters(options_.workers);
-  auto worker = [&](WorkerStats* ws, BatchCounters* worker_counters) {
-    // Per-worker matcher: its scratch buffers are thread-private state.
-    std::optional<ColumnarMatcher> matcher;
-    if (columnar) matcher.emplace(*plan_, *arena);
-    std::vector<CandidatePair> batch;
-    std::vector<PairDecisionRecord> decided;
-    while (true) {
-      size_t index = 0;
-      {
-        std::lock_guard<std::mutex> lock(drain.mu);
-        if (drain.exhausted) return;
-        Clock::time_point pull_start;
-        if (timed) pull_start = Clock::now();
-        size_t pulled = stream.NextBatch(options_.batch_size, &batch);
-        if (timed) ws->pull_seconds += Elapsed(pull_start);
-        if (pulled == 0) {
-          // Waiting with drain.mu held parks the other workers on the
-          // pull mutex — correct (there is nothing to pull) and free of
-          // lock cycles: AwaitMore blocks on the stream's own
-          // condition, signalled by producers that never take drain.mu.
-          if (!stream.AwaitMore()) {
-            drain.exhausted = true;
-            return;
-          }
-          continue;
-        }
-        index = result.stream_stats.batches++;
-        result.candidate_count += batch.size();
-        drain.in_flight_candidates += batch.size();
-        result.stream_stats.live_candidate_high_water =
-            std::max(result.stream_stats.live_candidate_high_water,
-                     drain.in_flight_candidates + stream.buffered_candidates());
-      }
-      ++ws->batches;
-      ws->candidates += batch.size();
-      Clock::time_point decide_start;
-      if (timed) decide_start = Clock::now();
-      DecideBatch(rel, batch, digests,
-                  matcher.has_value() ? &*matcher : nullptr, &decided,
-                  worker_counters);
-      if (timed) {
-        double decide = Elapsed(decide_start);
-        ws->decide_seconds += decide;
-        ws->decide_micros.Record(MicrosFromSeconds(decide));
-      }
-      if (options_.decision_sink) {
-        std::lock_guard<std::mutex> lock(sink_mu);
-        for (const PairDecisionRecord& rec : decided) {
-          options_.decision_sink(rec);
-        }
-      }
-      committed.Commit(index, &decided);
-      {
-        std::lock_guard<std::mutex> lock(drain.mu);
-        drain.in_flight_candidates -= batch.size();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
-    pool.emplace_back(worker, &workers[i], &counters[i]);
-  }
-  for (std::thread& t : pool) t.join();
-
-  result.decisions = committed.Take();
-  for (const BatchCounters& worker_counters : counters) {
-    result.stage_timings += worker_counters.timings;
-    if (result.cache_stats.has_value()) {
-      *result.cache_stats += worker_counters.cache;
-    }
-  }
-  FinishResult(options_, stream, std::move(workers), &result);
-  return result;
-}
-
-Result<DetectionResult> StageExecutor::ExecuteSharded(
-    ShardedCandidateStream& stream, TupleDigestMemo* digests,
-    const RelationArena* arena, DetectionResult result) const {
-  const XRelation& rel = stream.relation();
-  const size_t shard_count = stream.shard_count();
-  // Per-shard drain state: each shard is an independent pull loop with
-  // its own mutex, so shard workers never contend with each other. The
-  // decision cache handle (options_.cache, consulted inside
-  // DecideBatch) is the one shared structure — exactly the cross-shard
-  // sharing a ShardedDecisionCache's lock striping is built for.
+  // A multi-shard stream drains shard by shard through ShardNextBatch;
+  // any other stream is a single shard pulled through NextBatch.
+  auto* sharded = dynamic_cast<ShardedCandidateStream*>(&stream);
+  if (sharded != nullptr && sharded->shard_count() <= 1) sharded = nullptr;
+  const size_t shard_count = sharded != nullptr ? sharded->shard_count() : 1;
+  // Each shard is pulled under its own mutex, so workers of different
+  // shards never contend; within a shard, pulls are serialized and
+  // batches indexed in pull order, so batch k's content is independent
+  // of which worker claims it or when. The decision cache handle
+  // (consulted inside DecideBatch) is the one structure every worker
+  // shares.
   struct ShardDrain {
     std::mutex mu;
     bool exhausted = false;
@@ -522,23 +359,25 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
     size_t high_water = 0;
   };
   std::vector<ShardDrain> drains(shard_count);
-  // Serializes sink calls across every shard's workers (commit order —
-  // execution-shape-dependent, like the pooled path). Per-shard sources
-  // are finite by construction (RestrictToShard over a finite
-  // universe), so the 0-pull below stays terminal: standing streams
-  // take the unsharded drain and shard only their Finish() re-run.
+  if (sharded == nullptr) {
+    if (std::optional<size_t> hint = stream.candidate_count_hint()) {
+      drains[0].committed.Reserve(*hint);
+    }
+  }
+  // Sink calls are serialized but interleave across workers and shards
+  // in commit order — an execution-shape-dependent order by design (see
+  // StageExecutorOptions::decision_sink).
   std::mutex sink_mu;
   const bool timed = options_.stage_timings;
-  std::vector<WorkerStats> workers(
-      options_.workers <= 1 ? size_t{1} : options_.workers);
-  std::vector<BatchCounters> counters(workers.size());
-  auto drain_shard = [&](size_t shard, WorkerStats* ws,
-                         BatchCounters* worker_counters) {
+  const size_t threads = std::max<size_t>(options_.workers, 1);
+  std::vector<WorkerStats> workers(threads);
+  std::vector<BatchCounters> counters(threads);
+  auto drain_shard = [&](size_t shard, size_t thread) {
     ShardDrain& drain = drains[shard];
-    // One matcher per drain call: shard workers of the same shard run
-    // on different threads, and matcher scratch must stay thread-local.
+    WorkerStats& ws = workers[thread];
+    // One matcher per call: its scratch buffers are thread-private.
     std::optional<ColumnarMatcher> matcher;
-    if (arena != nullptr) matcher.emplace(*plan_, *arena);
+    if (columnar) matcher.emplace(*plan_, *arena);
     std::vector<CandidatePair> batch;
     std::vector<PairDecisionRecord> decided;
     while (true) {
@@ -549,31 +388,45 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
         Clock::time_point pull_start;
         if (timed) pull_start = Clock::now();
         size_t pulled =
-            stream.ShardNextBatch(shard, options_.batch_size, &batch);
-        if (timed) ws->pull_seconds += Elapsed(pull_start);
+            sharded != nullptr
+                ? sharded->ShardNextBatch(shard, options_.batch_size, &batch)
+                : stream.NextBatch(options_.batch_size, &batch);
+        if (timed) ws.pull_seconds += Elapsed(pull_start);
         if (pulled == 0) {
-          drain.exhausted = true;
-          return;
+          // Exhausted vs idle-but-open: a standing stream blocks in
+          // AwaitMore until tuples arrive (resume pulling) or its feed
+          // closes (drain ends). Waiting with drain.mu held parks the
+          // shard's other workers — correct (there is nothing to pull)
+          // and free of lock cycles: AwaitMore blocks on the stream's
+          // own condition, signalled by producers that never take
+          // drain.mu. Shard sources are finite (RestrictToShard over a
+          // finite universe), so their 0-pull is final.
+          if (sharded != nullptr || !stream.AwaitMore()) {
+            drain.exhausted = true;
+            return;
+          }
+          continue;
         }
         index = drain.batches++;
         drain.candidate_count += batch.size();
         drain.in_flight_candidates += batch.size();
-        drain.high_water =
-            std::max(drain.high_water,
-                     drain.in_flight_candidates +
-                         stream.ShardBufferedCandidates(shard));
+        drain.high_water = std::max(
+            drain.high_water,
+            drain.in_flight_candidates +
+                (sharded != nullptr ? sharded->ShardBufferedCandidates(shard)
+                                    : stream.buffered_candidates()));
       }
-      ++ws->batches;
-      ws->candidates += batch.size();
+      ++ws.batches;
+      ws.candidates += batch.size();
       Clock::time_point decide_start;
       if (timed) decide_start = Clock::now();
-      DecideBatch(rel, batch, digests,
+      DecideBatch(rel, batch, &digest_memo,
                   matcher.has_value() ? &*matcher : nullptr, &decided,
-                  worker_counters);
+                  &counters[thread]);
       if (timed) {
         double decide = Elapsed(decide_start);
-        ws->decide_seconds += decide;
-        ws->decide_micros.Record(MicrosFromSeconds(decide));
+        ws.decide_seconds += decide;
+        ws.decide_micros.Record(MicrosFromSeconds(decide));
       }
       if (options_.decision_sink) {
         std::lock_guard<std::mutex> lock(sink_mu);
@@ -588,51 +441,40 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
       }
     }
   };
-  if (options_.workers <= 1) {
-    // Serial: shards drain one after another in shard order (on the
-    // calling thread), which already produces per-shard record runs.
-    for (size_t shard = 0; shard < shard_count; ++shard) {
-      drain_shard(shard, &workers[0], &counters[0]);
+  // Exactly max(1, workers) threads — the configured bound is a
+  // resource cap and must hold regardless of the shard count. With
+  // threads >= shards, thread t joins shard t % shards' worker set
+  // (sets differ in size by at most one); with fewer threads than
+  // shards, thread t drains shards t, t+threads, ... to completion, one
+  // after another. workers <= 1 runs that loop on the calling thread,
+  // shard after shard. The output is identical either way.
+  auto run_thread = [&](size_t t) {
+    for (size_t shard = t % shard_count; shard < shard_count;
+         shard += threads) {
+      drain_shard(shard, t);
     }
+  };
+  if (threads == 1) {
+    run_thread(0);
   } else {
-    // Exactly options_.workers threads — the configured bound is a
-    // resource cap and must hold regardless of the shard count. With
-    // workers >= shards, thread t joins shard t % shards' worker set
-    // (sets differ in size by at most one); with fewer workers than
-    // shards, thread t drains shards t, t+workers, ... to completion,
-    // one after another. Workers of one shard serialize on that
-    // shard's mutex only; the output is identical either way.
-    const size_t threads = options_.workers;
     std::vector<std::thread> pool;
     pool.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t]() {
-        if (threads >= shard_count) {
-          drain_shard(t % shard_count, &workers[t], &counters[t]);
-        } else {
-          for (size_t shard = t; shard < shard_count; shard += threads) {
-            drain_shard(shard, &workers[t], &counters[t]);
-          }
-        }
-      });
-    }
+    for (size_t t = 0; t < threads; ++t) pool.emplace_back(run_thread, t);
     for (std::thread& t : pool) t.join();
   }
 
-  // Each shard's committed records form its own (canonically ordered)
-  // run; k-way merge the runs by ascending (first, second) — stable
-  // tie-break by shard index — reconstructing the order the unsharded
-  // drain would have produced.
-  result.stream_stats.per_shard.resize(shard_count);
   std::vector<std::vector<PairDecisionRecord>> runs(shard_count);
   for (size_t shard = 0; shard < shard_count; ++shard) {
     ShardDrain& drain = drains[shard];
     result.candidate_count += drain.candidate_count;
     result.stream_stats.batches += drain.batches;
     result.stream_stats.live_candidate_high_water += drain.high_water;
-    result.stream_stats.per_shard[shard].batches = drain.batches;
-    result.stream_stats.per_shard[shard].live_candidate_high_water =
-        drain.high_water;
+    if (sharded != nullptr) {
+      StreamRunStats stats;
+      stats.batches = drain.batches;
+      stats.live_candidate_high_water = drain.high_water;
+      result.stream_stats.per_shard.push_back(stats);
+    }
     runs[shard] = drain.committed.Take();
   }
   for (const BatchCounters& worker_counters : counters) {
@@ -641,25 +483,33 @@ Result<DetectionResult> StageExecutor::ExecuteSharded(
       *result.cache_stats += worker_counters.cache;
     }
   }
-  result.decisions.reserve(result.candidate_count);
-  std::vector<size_t> cursor(shard_count, 0);
-  while (true) {
-    size_t best = shard_count;
-    for (size_t shard = 0; shard < shard_count; ++shard) {
-      if (cursor[shard] >= runs[shard].size()) continue;
-      if (best == shard_count) {
-        best = shard;
-        continue;
+  if (shard_count == 1) {
+    result.decisions = std::move(runs[0]);
+  } else {
+    // Each shard's committed records form its own (canonically ordered)
+    // run; k-way merge the runs by ascending (first, second) — stable
+    // tie-break by shard index — reconstructing the order the unsharded
+    // drain would have produced.
+    result.decisions.reserve(result.candidate_count);
+    std::vector<size_t> cursor(shard_count, 0);
+    while (true) {
+      size_t best = shard_count;
+      for (size_t shard = 0; shard < shard_count; ++shard) {
+        if (cursor[shard] >= runs[shard].size()) continue;
+        if (best == shard_count) {
+          best = shard;
+          continue;
+        }
+        const PairDecisionRecord& a = runs[shard][cursor[shard]];
+        const PairDecisionRecord& b = runs[best][cursor[best]];
+        if (a.index1 != b.index1 ? a.index1 < b.index1
+                                 : a.index2 < b.index2) {
+          best = shard;
+        }
       }
-      const PairDecisionRecord& a = runs[shard][cursor[shard]];
-      const PairDecisionRecord& b = runs[best][cursor[best]];
-      if (a.index1 != b.index1 ? a.index1 < b.index1
-                               : a.index2 < b.index2) {
-        best = shard;
-      }
+      if (best == shard_count) break;
+      result.decisions.push_back(runs[best][cursor[best]++]);
     }
-    if (best == shard_count) break;
-    result.decisions.push_back(runs[best][cursor[best]++]);
   }
   FinishResult(options_, stream, std::move(workers), &result);
   return result;

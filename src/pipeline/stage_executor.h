@@ -1,12 +1,14 @@
 // StageExecutor: drains a CandidateStream in fixed-size batches and
 // runs every candidate through the plan's stage graph (match → combine
-// → derive → classify), either serially or on an std::thread pool.
-// Batches are indexed as they are pulled (workers pull under a mutex,
-// so batch contents are pull-order-determined regardless of worker
-// timing) and their records are committed in index order, so the
-// result is byte-identical to serial execution for any worker count —
-// parallelism is purely a throughput knob. The drain is streaming on both paths: live candidates are
-// bounded by the in-flight batches plus whatever the stream itself
+// → derive → classify). There is one drain loop. Each shard of the
+// stream (a plain stream is a single shard) is pulled under its own
+// mutex; its batches are indexed in pull order, decided into a
+// worker-local buffer and committed in index order. The worker count
+// only decides how many threads run that loop: workers <= 1 runs it on
+// the calling thread, shard after shard. So the result is
+// byte-identical for any worker or shard count, and parallelism is
+// purely a throughput knob. The drain streams: live candidates are
+// bounded per shard by the in-flight batches plus whatever the stream
 // buffers (nothing for native-streaming reductions), and the drain
 // accounting lands in DetectionResult::stream_stats.
 //
@@ -53,15 +55,15 @@ struct StageExecutorOptions {
   std::shared_ptr<DecisionCache> cache;
   /// Called once per committed decision record, as batches complete.
   /// The executor serializes calls (one sink invocation at a time), but
-  /// the EMISSION ORDER is execution-shape-dependent on pooled/sharded
-  /// drains: only the merged DetectionResult carries the deterministic
-  /// order. A standing consumer (pddserve) streams decisions out of the
-  /// drain through this; batch callers leave it null for zero overhead.
+  /// the EMISSION ORDER is execution-shape-dependent once more than one
+  /// worker or shard drains: only the merged DetectionResult carries
+  /// the deterministic order. A standing consumer (pddserve) streams
+  /// decisions out of the drain through this; batch callers leave it
+  /// null for zero overhead.
   std::function<void(const PairDecisionRecord&)> decision_sink;
 };
 
 class ColumnarMatcher;
-class ShardedCandidateStream;
 
 class StageExecutor {
  public:
@@ -77,14 +79,14 @@ class StageExecutor {
   /// *idle but open* (a standing ingest source blocks there until more
   /// tuples arrive or the feed closes), so the same decide path serves
   /// batch runs and the standing loop.
-  /// A ShardedCandidateStream with more than one shard takes the
-  /// shard-aware drain: exactly `workers` threads split into per-shard
-  /// worker sets (a thread covers several shards sequentially when
-  /// workers < shards) pulling under per-shard mutexes, the one
-  /// attached DecisionCache handle shared by every shard worker,
-  /// per-shard accounting in
-  /// DetectionResult::stream_stats.per_shard, and the per-shard
-  /// decision records merged deterministically (ascending
+  /// A ShardedCandidateStream with more than one shard drains each
+  /// shard through ShardNextBatch; any other stream is one shard pulled
+  /// through NextBatch. Exactly max(1, workers) threads run the drain,
+  /// split into per-shard worker sets (a thread covers several shards
+  /// one after another when workers < shards), all sharing the one
+  /// attached DecisionCache handle. A multi-shard run reports per-shard
+  /// accounting in DetectionResult::stream_stats.per_shard and merges
+  /// the per-shard decision records deterministically (ascending
   /// (first, second), stable shard tie-break) — byte-identical to the
   /// unsharded drain of the same plan and scenario.
   Result<DetectionResult> Execute(CandidateStream& stream) const;
@@ -98,33 +100,26 @@ class StageExecutor {
     CacheRunStats cache;
   };
 
-  /// Lazily memoized per-tuple content digests for one run, sized to
-  /// the stream's relation. 0 = not yet computed; entries fill in as
-  /// candidate pairs touch their tuples, so sparse runs (incremental
+  /// Lazily memoized per-tuple content digests for one run, one slot
+  /// per tuple the stream can hold (tuple_capacity()) on scalar runs
+  /// and none on columnar runs. 0 = not yet computed; entries fill in
+  /// as candidate pairs touch their tuples, so sparse runs (incremental
   /// streams over large bases) only digest what they examine. Benign
   /// write races: the digest is a pure function of content, every
   /// writer stores the same value.
   using TupleDigestMemo = std::vector<std::atomic<uint64_t>>;
 
   /// Runs the stage graph over one batch, appending to `*out` (the
-  /// per-worker scratch buffer). `digest_memo` is non-null exactly
-  /// when the cache is consulted on the scalar path. `matcher`, when
-  /// non-null, is this worker's columnar matcher: pairs decide through
-  /// the batched kernels and cache keys use the arena's precomputed
-  /// tuple digests instead of the lazy memo (digest_memo is then null).
+  /// worker-local buffer). Execute always passes `digest_memo`; the
+  /// scalar path reads tuple digests (for the cache key and the decide
+  /// orientation) through it. `matcher`, when non-null, is this
+  /// worker's columnar matcher: pairs decide through the batched
+  /// kernels and digests come from the arena instead of the memo.
   void DecideBatch(const XRelation& rel,
                    const std::vector<CandidatePair>& batch,
                    TupleDigestMemo* digest_memo, ColumnarMatcher* matcher,
                    std::vector<PairDecisionRecord>* out,
                    BatchCounters* counters) const;
-
-  /// The shard-aware drain (see Execute). `digest_memo` as above;
-  /// `arena` non-null selects the columnar path (one matcher per
-  /// drain_shard call, all over the shared arena).
-  Result<DetectionResult> ExecuteSharded(ShardedCandidateStream& stream,
-                                         TupleDigestMemo* digest_memo,
-                                         const RelationArena* arena,
-                                         DetectionResult result) const;
 
   std::shared_ptr<const DetectionPlan> plan_;
   StageExecutorOptions options_;

@@ -8,11 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,29 +27,14 @@
 
 // --- allocation counting hooks --------------------------------------
 //
-// Every allocation in the binary routes through these. The
-// ZeroAllocation tests snapshot the call counter around query sweeps,
-// the record-footprint test the byte counter around a run; the rest of
-// the suite simply ignores them.
+// Every allocation in the binary routes through the replaced operator
+// new in alloc_hooks.cc, which bumps these. The ZeroAllocation tests
+// snapshot the call counter around query sweeps, the record-footprint
+// test the byte counter around a run; the rest of the suite simply
+// ignores them.
 
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+extern std::atomic<uint64_t> g_alloc_count;
+extern std::atomic<uint64_t> g_alloc_bytes;
 
 namespace pdd {
 namespace {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -349,6 +350,27 @@ TEST(RunTelemetryTest, IdentityMetricsBitIdenticalAcrossRunShapes) {
     auto result = detector->Run(data.relation);
     ASSERT_TRUE(result.ok()) << shape.label;
     ASSERT_NE(result->telemetry, nullptr) << shape.label;
+    // Drain accounting of this shape: one worker.N span per drain
+    // thread, their counts summing to the stream totals; per-shard
+    // entries only for a sharded run.
+    const TelemetrySpan* drain = result->telemetry->root.Find("drain");
+    ASSERT_NE(drain, nullptr) << shape.label;
+    size_t worker_spans = 0;
+    uint64_t batches = 0;
+    uint64_t candidates = 0;
+    for (const TelemetrySpan& child : drain->children) {
+      if (child.name.rfind("worker.", 0) != 0) continue;
+      ++worker_spans;
+      batches += child.counts.at("batches");
+      candidates += child.counts.at("candidates");
+    }
+    EXPECT_EQ(worker_spans, std::max<size_t>(shape.workers, 1))
+        << shape.label;
+    EXPECT_EQ(batches, result->stream_stats.batches) << shape.label;
+    EXPECT_EQ(candidates, result->candidate_count) << shape.label;
+    EXPECT_EQ(result->stream_stats.per_shard.size(),
+              shape.shards > 1 ? shape.shards : 0)
+        << shape.label;
     std::string identity = IdentityMetricsJson(*result->telemetry);
     if (baseline.empty()) {
       baseline = identity;

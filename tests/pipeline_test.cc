@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <mutex>
+#include <vector>
 
 #include "core/detector.h"
 #include "core/paper_examples.h"
@@ -71,6 +74,24 @@ void ExpectIdenticalResults(const DetectionResult& a,
   }
 }
 
+/// Field-wise record equality (bit-identical similarity).
+bool SameRecord(const PairDecisionRecord& a, const PairDecisionRecord& b) {
+  return a.index1 == b.index1 && a.index2 == b.index2 &&
+         a.similarity == b.similarity && a.match_class == b.match_class;
+}
+
+/// Records in (index1, index2) order. A run decides each pair once, so
+/// two sorted copies are equal exactly when the multisets are.
+std::vector<PairDecisionRecord> SortedByPair(
+    std::vector<PairDecisionRecord> records) {
+  std::sort(records.begin(), records.end(),
+            [](const PairDecisionRecord& a, const PairDecisionRecord& b) {
+              return a.index1 != b.index1 ? a.index1 < b.index1
+                                          : a.index2 < b.index2;
+            });
+  return records;
+}
+
 TEST(DetectionPlanTest, CompileResolvesStagesAndComponents) {
   Result<std::shared_ptr<const DetectionPlan>> plan =
       DetectionPlan::Compile(PersonConfig(), PersonSchema());
@@ -112,11 +133,27 @@ TEST(StageExecutorTest, ParallelIsIdenticalToSerial) {
       StageExecutorOptions options;
       options.workers = workers;
       options.batch_size = batch_size;
+      std::mutex sink_mu;
+      std::vector<PairDecisionRecord> sunk;
+      options.decision_sink = [&](const PairDecisionRecord& rec) {
+        std::lock_guard<std::mutex> lock(sink_mu);
+        sunk.push_back(rec);
+      };
       StageExecutor executor(detector->shared_plan(), options);
       Result<DetectionResult> parallel = executor.Execute(**stream);
       ASSERT_TRUE(parallel.ok())
           << "workers=" << workers << " batch=" << batch_size;
       ExpectIdenticalResults(*serial, *parallel);
+      // The sink sees exactly the committed records: in result order on
+      // a one-thread drain, in commit order across workers.
+      std::vector<PairDecisionRecord> expected = parallel->decisions;
+      if (workers > 1) {
+        sunk = SortedByPair(std::move(sunk));
+        expected = SortedByPair(std::move(expected));
+      }
+      EXPECT_TRUE(std::equal(sunk.begin(), sunk.end(), expected.begin(),
+                             expected.end(), SameRecord))
+          << "workers=" << workers << " batch=" << batch_size;
     }
   }
 }

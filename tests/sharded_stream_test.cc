@@ -1,14 +1,16 @@
 // Sharded candidate stream suite: for every registered reduction and
 // shard counts {1, 2, 7, 16} × batch sizes {1, 4096}, the merged
 // sharded stream must be bit-identical to the unsharded stream, the
-// executor's shard-aware drain must produce byte-identical reports,
+// executor's per-shard drain must produce byte-identical reports,
 // the shared decision cache must serve a second sharded run entirely
 // from hits, and the Reset / hint seams must behave (no stats
 // carry-over, no reliance on a count hint).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,24 @@ void ExpectIdentical(const DetectionResult& a, const DetectionResult& b) {
   }
 }
 
+/// Field-wise record equality (bit-identical similarity).
+bool SameRecord(const PairDecisionRecord& a, const PairDecisionRecord& b) {
+  return a.index1 == b.index1 && a.index2 == b.index2 &&
+         a.similarity == b.similarity && a.match_class == b.match_class;
+}
+
+/// Records in (index1, index2) order. A run decides each pair once, so
+/// two sorted copies are equal exactly when the multisets are.
+std::vector<PairDecisionRecord> SortedByPair(
+    std::vector<PairDecisionRecord> records) {
+  std::sort(records.begin(), records.end(),
+            [](const PairDecisionRecord& a, const PairDecisionRecord& b) {
+              return a.index1 != b.index1 ? a.index1 < b.index1
+                                          : a.index2 < b.index2;
+            });
+  return records;
+}
+
 // The core determinism contract: every registered reduction, sharded
 // {1, 2, 7, 16} ways under every strategy's auto-resolution, merges
 // back to the exact unsharded candidate sequence at every batch size.
@@ -89,9 +109,8 @@ TEST(ShardedStreamTest, MergedShardsEqualUnshardedForEveryReduction) {
     ASSERT_GT(expected.size(), 0u) << name;
     for (size_t shards : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
       for (size_t batch_size : {size_t{1}, size_t{4096}}) {
-        Result<std::unique_ptr<CandidateStream>> sharded =
-            MakeShardedFullStream(**plan, data.relation,
-                                  {shards, ShardStrategy::kAuto});
+        Result<std::unique_ptr<CandidateStream>> sharded = MakeFullStream(
+            **plan, data.relation, {shards, ShardStrategy::kAuto});
         ASSERT_TRUE(sharded.ok())
             << name << ": " << sharded.status().ToString();
         EXPECT_EQ(DrainStream(**sharded, batch_size), expected)
@@ -120,7 +139,7 @@ TEST(ShardedStreamTest, EveryStrategyMergesExactly) {
          {ShardStrategy::kIndexRange, ShardStrategy::kKeyRange,
           ShardStrategy::kBlockSubset}) {
       Result<std::unique_ptr<CandidateStream>> sharded =
-          MakeShardedFullStream(**plan, data.relation, {7, strategy});
+          MakeFullStream(**plan, data.relation, {7, strategy});
       ASSERT_TRUE(sharded.ok()) << ShardStrategyName(strategy);
       EXPECT_EQ(DrainStream(**sharded, 97), expected)
           << ReductionMethodName(method) << " under "
@@ -129,7 +148,7 @@ TEST(ShardedStreamTest, EveryStrategyMergesExactly) {
   }
 }
 
-// The executor's shard-aware drain (serial and pooled) must be
+// The executor's per-shard drain (serial and pooled) must be
 // byte-identical to the unsharded run, with per-shard accounting.
 TEST(ShardedStreamTest, ExecutorShardDrainIsBitIdentical) {
   GeneratedData data = ShardTestPersons(50);
@@ -149,16 +168,32 @@ TEST(ShardedStreamTest, ExecutorShardDrainIsBitIdentical) {
     // multiple workers per shard.
     for (size_t shards : {size_t{2}, size_t{7}}) {
       for (size_t workers : {size_t{0}, size_t{2}, size_t{4}}) {
-        Result<std::unique_ptr<CandidateStream>> stream = MakeShardedFullStream(
+        Result<std::unique_ptr<CandidateStream>> stream = MakeFullStream(
             detector->plan(), data.relation, {shards, ShardStrategy::kAuto});
         ASSERT_TRUE(stream.ok()) << stream.status().ToString();
         StageExecutorOptions options;
         options.workers = workers;
         options.batch_size = 32;
+        std::mutex sink_mu;
+        std::vector<PairDecisionRecord> sunk;
+        options.decision_sink = [&](const PairDecisionRecord& rec) {
+          std::lock_guard<std::mutex> lock(sink_mu);
+          sunk.push_back(rec);
+        };
         StageExecutor executor(detector->shared_plan(), options);
         Result<DetectionResult> result = executor.Execute(**stream);
         ASSERT_TRUE(result.ok()) << shards << " shards";
         ExpectIdentical(*serial, *result);
+        // The sink sees exactly the merged records, in per-shard commit
+        // order rather than merged order.
+        std::vector<PairDecisionRecord> sorted_sunk =
+            SortedByPair(std::move(sunk));
+        std::vector<PairDecisionRecord> sorted_decisions =
+            SortedByPair(result->decisions);
+        EXPECT_TRUE(std::equal(sorted_sunk.begin(), sorted_sunk.end(),
+                               sorted_decisions.begin(),
+                               sorted_decisions.end(), SameRecord))
+            << shards << " shards, " << workers << " workers";
         EXPECT_EQ(DetectionReport(*result), serial_report)
             << ReductionMethodName(method) << " at " << shards << " shards";
         ASSERT_EQ(result->stream_stats.per_shard.size(), shards);
@@ -270,7 +305,7 @@ TEST(ShardedStreamTest, ResetMidDrainZeroesShardAccounting) {
       ReductionConfig(ReductionMethod::kSnmCertainKeys), PersonSchema());
   ASSERT_TRUE(plan.ok());
   Result<std::unique_ptr<CandidateStream>> made =
-      MakeShardedFullStream(**plan, data.relation, {4, ShardStrategy::kAuto});
+      MakeFullStream(**plan, data.relation, {4, ShardStrategy::kAuto});
   ASSERT_TRUE(made.ok());
   auto* stream = dynamic_cast<ShardedCandidateStream*>(made->get());
   ASSERT_NE(stream, nullptr);
@@ -323,9 +358,9 @@ TEST(ShardedStreamTest, ExecutorDrainsMergeLookaheadAfterPartialDrain) {
     ASSERT_EQ((*plain)->NextBatch(predrain, &skipped), predrain);
     Result<DetectionResult> expected = detector->RunStream(**plain);
     ASSERT_TRUE(expected.ok());
-    // Same pre-drain through the sharded merge, then the shard-aware
+    // Same pre-drain through the sharded merge, then the per-shard
     // executor drain: identical remaining decisions, nothing dropped.
-    Result<std::unique_ptr<CandidateStream>> sharded = MakeShardedFullStream(
+    Result<std::unique_ptr<CandidateStream>> sharded = MakeFullStream(
         detector->plan(), data.relation, {3, ShardStrategy::kAuto});
     ASSERT_TRUE(sharded.ok());
     std::vector<CandidatePair> sharded_skipped;
@@ -344,7 +379,7 @@ TEST(ShardedStreamTest, ExecutorRerunAfterResetDoesNotDoubleCount) {
   Result<DuplicateDetector> detector = DuplicateDetector::Make(
       ReductionConfig(ReductionMethod::kBlockingCertainKeys), PersonSchema());
   ASSERT_TRUE(detector.ok());
-  Result<std::unique_ptr<CandidateStream>> stream = MakeShardedFullStream(
+  Result<std::unique_ptr<CandidateStream>> stream = MakeFullStream(
       detector->plan(), data.relation, {3, ShardStrategy::kAuto});
   ASSERT_TRUE(stream.ok());
   Result<DetectionResult> first = detector->RunStream(**stream);
@@ -422,7 +457,7 @@ TEST(ShardedStreamTest, HintlessSourceExecutesIdentically) {
     ExpectIdentical(*reference, *result);
   }
   // Native shard sources are exactly such hintless sources.
-  Result<std::unique_ptr<CandidateStream>> sharded = MakeShardedFullStream(
+  Result<std::unique_ptr<CandidateStream>> sharded = MakeFullStream(
       detector->plan(), data.relation, {2, ShardStrategy::kKeyRange});
   ASSERT_TRUE(sharded.ok());
   EXPECT_FALSE((*sharded)->candidate_count_hint().has_value());
