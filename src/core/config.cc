@@ -84,6 +84,9 @@ Status DetectorConfig::Validate() const {
   if (needs_window && window < 2) {
     return Status::InvalidArgument("SNM window must be at least 2");
   }
+  if (reduction == ReductionMethod::kCanopy && canopy.tight > canopy.loose) {
+    return Status::InvalidArgument("canopy tight threshold exceeds loose");
+  }
   PDD_RETURN_IF_ERROR(intermediate.Validate());
   PDD_RETURN_IF_ERROR(final_thresholds.Validate());
   for (double w : weights) {

@@ -185,10 +185,10 @@ struct DetectorConfig {
   /// (index ranges / sort-key ranges / block subsets).
   ShardStrategy shard_strategy = ShardStrategy::kAuto;
 
-  /// Basic sanity validation (window, thresholds, weight count,
-  /// pruning soundness: `prune_threshold` must lie in [0, 1] and
-  /// `prune` requires every named comparator to be max-length-
-  /// normalized).
+  /// Basic sanity validation (window, thresholds, weight count, a
+  /// canopy plan's tight threshold at most its loose one, pruning
+  /// soundness: `prune_threshold` must lie in [0, 1] and `prune`
+  /// requires every named comparator to be max-length-normalized).
   Status Validate() const;
 
   // --- declarative form (src/plan/) ---------------------------------

@@ -9,13 +9,14 @@ namespace pdd {
 EffectivenessMetrics Evaluate(const DetectionResult& result,
                               const GoldStandard& gold,
                               bool count_possible_as_match) {
+  const ResolvedGold resolved(gold, result.ids.get());
   ConfusionCounts counts;
   size_t gold_declared = 0;
   for (const PairDecisionRecord& rec : result.decisions) {
     bool predicted = rec.match_class == MatchClass::kMatch ||
                      (count_possible_as_match &&
                       rec.match_class == MatchClass::kPossible);
-    bool actual = gold.IsMatch(result.id(rec.index1), result.id(rec.index2));
+    bool actual = resolved.IsMatch(rec.index1, rec.index2);
     if (predicted) {
       if (actual) {
         ++counts.true_positives;
@@ -39,9 +40,10 @@ EffectivenessMetrics Evaluate(const DetectionResult& result,
 
 ReductionMetrics EvaluateReduction(const DetectionResult& result,
                                    const GoldStandard& gold) {
+  const ResolvedGold resolved(gold, result.ids.get());
   size_t covered = 0;
   for (const PairDecisionRecord& rec : result.decisions) {
-    if (gold.IsMatch(result.id(rec.index1), result.id(rec.index2))) ++covered;
+    if (resolved.IsMatch(rec.index1, rec.index2)) ++covered;
   }
   return ComputeReduction(result.candidate_count, result.total_pairs, covered,
                           gold.size());

@@ -14,11 +14,12 @@ TuneResult TuneThresholds(const DetectionResult& result,
     double similarity;
     bool is_gold;
   };
+  const ResolvedGold resolved(gold, result.ids.get());
   std::vector<Labeled> pairs;
   pairs.reserve(result.decisions.size());
   size_t gold_examined = 0;
   for (const PairDecisionRecord& rec : result.decisions) {
-    bool is_gold = gold.IsMatch(result.id(rec.index1), result.id(rec.index2));
+    bool is_gold = resolved.IsMatch(rec.index1, rec.index2);
     if (is_gold) ++gold_examined;
     double sim = std::isfinite(rec.similarity)
                      ? rec.similarity

@@ -6,17 +6,10 @@ namespace pdd {
 
 std::vector<std::vector<size_t>> BlockingClustered::Clusters(
     const XRelation& rel) const {
-  KeyBuilder builder(spec_, &rel.schema());
-  std::vector<KeyDistribution> dists;
-  dists.reserve(rel.size());
-  for (const XTuple& t : rel.xtuples()) {
-    dists.push_back(builder.DistributionFor(t, options_.conditioned));
-  }
+  const KeyDistributionTable table =
+      KeyDistributionTable::ForRelation(rel, spec_, options_.conditioned);
   DistanceFn distance = [&](size_t a, size_t b) {
-    if (options_.comparator != nullptr) {
-      return ExpectedKeyDistance(dists[a], dists[b], *options_.comparator);
-    }
-    return OverlapDistance(dists[a], dists[b]);
+    return table.Distance(a, b, options_.comparator);
   };
   switch (options_.algorithm) {
     case ClusteredBlockingOptions::Algorithm::kLeader:

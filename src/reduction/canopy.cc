@@ -1,40 +1,41 @@
 #include "reduction/canopy.h"
 
-#include <deque>
+#include <algorithm>
+#include <numeric>
 
 namespace pdd {
 
 std::vector<std::vector<size_t>> CanopyReduction::Canopies(
     const XRelation& rel) const {
-  KeyBuilder builder(spec_, &rel.schema());
-  std::vector<KeyDistribution> dists;
-  dists.reserve(rel.size());
-  for (const XTuple& t : rel.xtuples()) {
-    dists.push_back(builder.DistributionFor(t, options_.conditioned));
+  const KeyDistributionTable table =
+      KeyDistributionTable::ForRelation(rel, spec_, options_.conditioned);
+  const Comparator* cmp = options_.comparator;
+  // Under the overlap distance a tuple sharing no key with the center
+  // is at distance exactly 1, so with loose < 1 it can neither join nor
+  // be consumed: scoring the center's posting lists (ascending, like the
+  // full scan) forms the same canopies. Comparator distances and
+  // loose >= 1 scan every tuple.
+  const bool use_postings = cmp == nullptr && options_.loose < 1.0;
+  std::vector<size_t> everyone;
+  if (!use_postings) {
+    everyone.resize(rel.size());
+    std::iota(everyone.begin(), everyone.end(), size_t{0});
   }
-  auto distance = [&](size_t a, size_t b) {
-    if (options_.comparator != nullptr) {
-      return ExpectedKeyDistance(dists[a], dists[b], *options_.comparator);
-    }
-    return OverlapDistance(dists[a], dists[b]);
-  };
+  std::vector<size_t> shared;
   double tight = std::min(options_.tight, options_.loose);
-  std::deque<size_t> pool;
-  for (size_t i = 0; i < rel.size(); ++i) pool.push_back(i);
   std::vector<bool> removed(rel.size(), false);
   std::vector<std::vector<size_t>> canopies;
-  while (!pool.empty()) {
-    size_t center = pool.front();
-    pool.pop_front();
+  for (size_t center = 0; center < rel.size(); ++center) {
     if (removed[center]) continue;
     removed[center] = true;
     std::vector<size_t> canopy = {center};
-    for (size_t i = 0; i < rel.size(); ++i) {
+    if (use_postings) table.TuplesSharingKey(center, &shared);
+    for (size_t i : use_postings ? shared : everyone) {
       // Tuples tightly bound to an earlier center are consumed; tuples
       // in the loose band stay in the pool and may join several
       // canopies (the overlap that plain blocking lacks).
-      if (i == center || removed[i]) continue;
-      double d = distance(center, i);
+      if (removed[i]) continue;
+      double d = table.Distance(center, i, cmp);
       if (d <= options_.loose) {
         canopy.push_back(i);
         if (d <= tight) removed[i] = true;

@@ -42,7 +42,10 @@ class CanopyReduction : public PairGenerator {
   std::string name() const override { return "canopy"; }
 
   /// The overlapping canopies (tuple indices; first member is the
-  /// center). A tuple may appear in several canopies.
+  /// center). A tuple may appear in several canopies. The relation's key
+  /// distributions are normalized once (KeyDistributionTable); under the
+  /// overlap distance with loose < 1 a center scores only the tuples
+  /// sharing one of its keys, else every tuple.
   std::vector<std::vector<size_t>> Canopies(const XRelation& rel) const;
 
  private:

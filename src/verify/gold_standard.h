@@ -3,6 +3,7 @@
 #ifndef PDD_VERIFY_GOLD_STANDARD_H_
 #define PDD_VERIFY_GOLD_STANDARD_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -36,7 +37,31 @@ class GoldStandard {
   size_t CountCovered(const std::vector<IdPair>& candidates) const;
 
  private:
+  friend class ResolvedGold;
+
   std::set<IdPair> pairs_;
+};
+
+/// A gold standard resolved into one id table (ids[i] names tuple index
+/// i, as DetectionResult::ids does): IsMatch(i, j) equals
+/// gold.IsMatch(ids[i], ids[j]) for every index pair, but probes integer
+/// pairs instead of copying and comparing id strings. Resolve once per
+/// evaluation, then probe every decision record.
+class ResolvedGold {
+ public:
+  /// Gold pairs naming an id absent from `ids` resolve to nothing; an id
+  /// held by several tuples resolves to each of them. Null `ids` is an
+  /// empty table. Neither argument is retained.
+  ResolvedGold(const GoldStandard& gold, const std::vector<std::string>* ids);
+
+  /// True iff tuples i and j (either order) form a gold pair.
+  bool IsMatch(uint32_t i, uint32_t j) const;
+
+ private:
+  // Gold partners j > i of tuple i: partners_[offsets_[i], offsets_[i+1]),
+  // ascending. Empty tables leave both empty.
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> partners_;
 };
 
 }  // namespace pdd

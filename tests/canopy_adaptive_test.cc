@@ -1,17 +1,24 @@
-// Unit tests for the canopy and adaptive-SNM reduction methods and the
+// Unit tests for the canopy and adaptive-SNM reduction methods, the
+// key-distribution table behind canopy and clustered blocking, and the
 // detector-integrated data preparation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <set>
 
 #include "core/detector.h"
 #include "core/paper_examples.h"
 #include "datagen/person_generator.h"
+#include "plan/plan_spec.h"
+#include "reduction/blocking_clustered.h"
 #include "reduction/canopy.h"
 #include "reduction/full_pairs.h"
 #include "reduction/snm_adaptive.h"
 #include "sim/edit_distance.h"
+#include "sim/registry.h"
 
 namespace pdd {
 namespace {
@@ -94,6 +101,194 @@ TEST(CanopyTest, SubsetOfFullPairs) {
   }
 }
 
+// ---------------------------------------- canopy / clustered differential
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// A person relation with ⊥ mass in key components and maybe x-tuples.
+XRelation UncertainPersons(size_t entities) {
+  PersonGenOptions gen;
+  gen.num_entities = entities;
+  gen.duplicate_rate = 0.7;
+  gen.uncertainty.null_mass_prob = 0.5;
+  gen.uncertainty.maybe_prob = 0.3;
+  gen.seed = 17;
+  return GeneratePersons(gen).relation;
+}
+
+KeySpec PersonKey() {
+  return *KeySpec::FromNames({{"name", 3}, {"job", 2}}, PersonSchema());
+}
+
+std::vector<KeyDistribution> Distributions(const XRelation& rel,
+                                           bool conditioned) {
+  KeyBuilder builder(PersonKey(), &rel.schema());
+  std::vector<KeyDistribution> dists;
+  for (const XTuple& t : rel.xtuples()) {
+    dists.push_back(builder.DistributionFor(t, conditioned));
+  }
+  return dists;
+}
+
+double FreeDistance(const KeyDistribution& a, const KeyDistribution& b,
+                    const Comparator* cmp) {
+  return cmp != nullptr ? ExpectedKeyDistance(a, b, *cmp)
+                        : OverlapDistance(a, b);
+}
+
+// The canopy definition, O(n²) over the free distance functions: every
+// unconsumed tuple is scored against every center.
+std::vector<std::vector<size_t>> BruteForceCanopies(
+    const std::vector<KeyDistribution>& dists, const CanopyOptions& o) {
+  double tight = std::min(o.tight, o.loose);
+  std::vector<bool> removed(dists.size(), false);
+  std::vector<std::vector<size_t>> canopies;
+  for (size_t center = 0; center < dists.size(); ++center) {
+    if (removed[center]) continue;
+    removed[center] = true;
+    std::vector<size_t> canopy = {center};
+    for (size_t i = 0; i < dists.size(); ++i) {
+      if (i == center || removed[i]) continue;
+      double d = FreeDistance(dists[center], dists[i], o.comparator);
+      if (d <= o.loose) {
+        canopy.push_back(i);
+        if (d <= tight) removed[i] = true;
+      }
+    }
+    canopies.push_back(std::move(canopy));
+  }
+  return canopies;
+}
+
+TEST(CanopyDifferentialTest, RelationHasNullKeyMassAndMaybeTuples) {
+  XRelation rel = UncertainPersons(40);
+  bool null_key_mass = false, maybe = false;
+  for (const XTuple& t : rel.xtuples()) {
+    maybe |= t.existence_probability() < 1.0;
+    for (const AltTuple& alt : t.alternatives()) {
+      null_key_mass |= alt.values[0].null_probability() > 0.0 ||
+                       alt.values[1].null_probability() > 0.0;
+    }
+  }
+  EXPECT_TRUE(null_key_mass);
+  EXPECT_TRUE(maybe);
+}
+
+TEST(CanopyDifferentialTest, CanopiesEqualBruteForceAcrossTheGrid) {
+  XRelation rel = UncertainPersons(40);
+  const Comparator* levenshtein = *GetComparator("levenshtein");
+  size_t overlapping = 0;  // grid points with a multi-member canopy
+  for (bool conditioned : {false, true}) {
+    std::vector<KeyDistribution> dists = Distributions(rel, conditioned);
+    for (const Comparator* cmp : {static_cast<const Comparator*>(nullptr),
+                                  levenshtein}) {
+      for (double loose : {0.3, 0.7, std::nextafter(1.0, 0.0), 1.0, 1.5}) {
+        for (double tight : {0.0, 0.4, loose}) {
+          CanopyOptions options;
+          options.loose = loose;
+          options.tight = tight;
+          options.comparator = cmp;
+          options.conditioned = conditioned;
+          std::vector<std::vector<size_t>> canopies =
+              CanopyReduction(PersonKey(), options).Canopies(rel);
+          EXPECT_EQ(canopies, BruteForceCanopies(dists, options))
+              << "conditioned=" << conditioned
+              << " distance=" << (cmp == nullptr ? "overlap" : cmp->name())
+              << " loose=" << loose << " tight=" << tight;
+          for (const std::vector<size_t>& canopy : canopies) {
+            if (canopy.size() > 1 && canopy.size() < rel.size()) {
+              ++overlapping;
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(overlapping, 0u);
+}
+
+TEST(CanopyDifferentialTest, ClustersEqualClusteringOverFreeDistances) {
+  XRelation rel = UncertainPersons(40);
+  const Comparator* levenshtein = *GetComparator("levenshtein");
+  for (bool conditioned : {false, true}) {
+    std::vector<KeyDistribution> dists = Distributions(rel, conditioned);
+    for (const Comparator* cmp : {static_cast<const Comparator*>(nullptr),
+                                  levenshtein}) {
+      DistanceFn reference = [&](size_t a, size_t b) {
+        return FreeDistance(dists[a], dists[b], cmp);
+      };
+      ClusteredBlockingOptions options;
+      options.comparator = cmp;
+      options.conditioned = conditioned;
+      for (double threshold : {0.3, 0.7, 1.0}) {
+        options.algorithm = ClusteredBlockingOptions::Algorithm::kLeader;
+        options.leader_threshold = threshold;
+        EXPECT_EQ(BlockingClustered(PersonKey(), options).Clusters(rel),
+                  LeaderClustering(rel.size(), reference, threshold))
+            << "leader conditioned=" << conditioned << " threshold="
+            << threshold;
+      }
+      options.algorithm = ClusteredBlockingOptions::Algorithm::kKMedoids;
+      options.kmedoids.k = 4;
+      options.kmedoids.max_iterations = 3;
+      EXPECT_EQ(BlockingClustered(PersonKey(), options).Clusters(rel),
+                KMedoids(rel.size(), reference, options.kmedoids))
+          << "k-medoids conditioned=" << conditioned;
+    }
+  }
+}
+
+TEST(KeyDistributionTableTest, DistancesAreBitEqualToTheFreeFunctions) {
+  XRelation rel = UncertainPersons(12);
+  const Comparator* levenshtein = *GetComparator("levenshtein");
+  for (bool conditioned : {false, true}) {
+    std::vector<KeyDistribution> dists = Distributions(rel, conditioned);
+    // Hand-made shapes the builder never emits: repeated keys (summed
+    // in entry order), zero and empty mass, the ⊥-only key "".
+    dists.push_back({{{"ab", 0.1}, {"cd", 0.3}, {"ab", 0.2}}});
+    dists.push_back({{{"ab", 0.3}, {"ab", 0.3}, {"ab", 0.4}}});
+    dists.push_back({{{"ab", 0.0}}});
+    dists.push_back({});
+    dists.push_back({{{"cd", 0.25}, {"", 0.25}}});
+    KeyDistributionTable table(dists);
+    std::vector<size_t> sharing;
+    for (size_t a = 0; a < dists.size(); ++a) {
+      std::set<std::string> keys_a;
+      if (!(dists[a].TotalMass() <= 0.0)) {
+        for (const auto& entry : dists[a].entries) keys_a.insert(entry.first);
+      }
+      std::vector<size_t> expected_sharing;
+      for (size_t b = 0; b < dists.size(); ++b) {
+        double overlap = OverlapDistance(dists[a], dists[b]);
+        EXPECT_EQ(Bits(table.OverlapDistance(a, b)), Bits(overlap))
+            << a << "," << b;
+        EXPECT_EQ(Bits(table.ExpectedKeyDistance(a, b, *levenshtein)),
+                  Bits(ExpectedKeyDistance(dists[a], dists[b], *levenshtein)))
+            << a << "," << b;
+        bool shares = false;
+        if (!(dists[b].TotalMass() <= 0.0)) {
+          for (const auto& entry : dists[b].entries) {
+            shares |= keys_a.count(entry.first) > 0;
+          }
+        }
+        if (shares) {
+          expected_sharing.push_back(b);
+        } else {
+          // What lets canopies score only the posting lists.
+          EXPECT_EQ(Bits(overlap), Bits(1.0)) << a << "," << b;
+        }
+      }
+      table.TuplesSharingKey(a, &sharing);
+      EXPECT_EQ(sharing, expected_sharing) << a;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- adaptive
 
 TEST(SnmAdaptiveTest, SimilarKeyRunsPairUp) {
@@ -172,6 +367,36 @@ TEST(DetectorIntegrationTest, CanopyAndAdaptiveRunThroughConfig) {
     Result<DetectionResult> result = detector->Run(BuildR34());
     ASSERT_TRUE(result.ok()) << ReductionMethodName(method);
   }
+}
+
+TEST(DetectorIntegrationTest, InvalidCanopyThresholdsFailAtMake) {
+  DetectorConfig config;
+  config.key = {{"name", 3}, {"job", 2}};
+  config.weights = {0.8, 0.2};
+  config.reduction = ReductionMethod::kCanopy;
+  config.canopy.tight = 0.9;
+  config.canopy.loose = 0.5;
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(config, PaperSchema());
+  ASSERT_FALSE(detector.ok());
+  EXPECT_NE(detector.status().message().find("tight"), std::string::npos);
+  // Other reductions ignore the canopy options.
+  config.reduction = ReductionMethod::kFull;
+  EXPECT_TRUE(DuplicateDetector::Make(config, PaperSchema()).ok());
+
+  const std::string base =
+      "key = name:3,job:2\n"
+      "reduction = canopy\n"
+      "reduction.loose = 0.5\n";
+  Result<PlanSpec> bad = PlanSpec::Parse(base + "reduction.tight = 0.9\n");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  Result<DuplicateDetector> from_spec =
+      DuplicateDetector::Make(*bad, PaperSchema());
+  ASSERT_FALSE(from_spec.ok());
+  EXPECT_NE(from_spec.status().message().find("tight"), std::string::npos);
+  Result<PlanSpec> good = PlanSpec::Parse(base + "reduction.tight = 0.5\n");
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(DuplicateDetector::Make(*good, PaperSchema()).ok());
 }
 
 TEST(DetectorIntegrationTest, PreparationNormalizesCase) {

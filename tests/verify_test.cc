@@ -1,7 +1,15 @@
-// Unit tests for verification metrics (Section III-E) and gold standards.
+// Unit tests for verification metrics (Section III-E), gold standards
+// and gold evaluation of detection results.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "core/detector.h"
+#include "core/threshold_tuner.h"
+#include "datagen/person_generator.h"
 #include "verify/gold_io.h"
 #include "verify/gold_standard.h"
 #include "verify/metrics.h"
@@ -123,6 +131,176 @@ TEST(GoldStandardTest, CountCovered) {
                                     MakeIdPair("a", "c"),
                                     MakeIdPair("d", "c")};
   EXPECT_EQ(gold.CountCovered(candidates), 2u);
+}
+
+TEST(ResolvedGoldTest, EqualsIsMatchForEveryIndexPair) {
+  GoldStandard gold;
+  gold.AddMatch("a", "b");
+  gold.AddMatch("c", "b");      // recorded against id order
+  gold.AddMatch("a", "ghost");  // one id absent from the table
+  gold.AddMatch("x", "y");      // both absent
+  // "a" names two tuples; "d" has no gold partner.
+  std::vector<std::string> ids = {"b", "a", "d", "c", "a"};
+  ResolvedGold resolved(gold, &ids);
+  for (uint32_t i = 0; i < ids.size(); ++i) {
+    for (uint32_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ(resolved.IsMatch(i, j), gold.IsMatch(ids[i], ids[j]))
+          << i << "," << j;
+    }
+  }
+  EXPECT_FALSE(resolved.IsMatch(1, 9));  // past the table
+  EXPECT_FALSE(ResolvedGold(gold, nullptr).IsMatch(0, 1));
+  EXPECT_FALSE(ResolvedGold(GoldStandard(), &ids).IsMatch(0, 1));
+}
+
+// --------------------------------------------- gold evaluation of results
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameMetrics(const EffectivenessMetrics& a,
+                       const EffectivenessMetrics& b) {
+  EXPECT_EQ(Bits(a.precision), Bits(b.precision));
+  EXPECT_EQ(Bits(a.recall), Bits(b.recall));
+  EXPECT_EQ(Bits(a.f1), Bits(b.f1));
+  EXPECT_EQ(Bits(a.false_positive_rate), Bits(b.false_positive_rate));
+  EXPECT_EQ(Bits(a.false_negative_rate), Bits(b.false_negative_rate));
+  EXPECT_EQ(Bits(a.accuracy), Bits(b.accuracy));
+}
+
+// Effectiveness by definition from per-pair (predicted, actual) outcomes;
+// gold pairs never examined are false negatives.
+EffectivenessMetrics ReferenceEffectiveness(
+    const std::vector<std::pair<bool, bool>>& outcomes, size_t total_pairs,
+    size_t gold_size) {
+  ConfusionCounts counts;
+  size_t gold_examined = 0;
+  for (const auto& [predicted, actual] : outcomes) {
+    gold_examined += actual ? 1 : 0;
+    if (predicted) {
+      ++(actual ? counts.true_positives : counts.false_positives);
+    } else if (actual) {
+      ++counts.false_negatives;
+    }
+  }
+  counts.false_negatives += gold_size - gold_examined;
+  counts.true_negatives = total_pairs - counts.true_positives -
+                          counts.false_positives - counts.false_negatives;
+  return ComputeEffectiveness(counts);
+}
+
+// Evaluate, EvaluateReduction and TuneThresholds against references that
+// call GoldStandard::IsMatch once per record.
+void ExpectEvaluationMatchesReference(const DetectionResult& result,
+                                      const GoldStandard& gold) {
+  std::vector<bool> actual;
+  for (const PairDecisionRecord& rec : result.decisions) {
+    actual.push_back(
+        gold.IsMatch(result.id(rec.index1), result.id(rec.index2)));
+  }
+
+  for (bool possible_counts : {false, true}) {
+    std::vector<std::pair<bool, bool>> outcomes;
+    for (size_t i = 0; i < result.decisions.size(); ++i) {
+      MatchClass c = result.decisions[i].match_class;
+      outcomes.emplace_back(
+          c == MatchClass::kMatch ||
+              (possible_counts && c == MatchClass::kPossible),
+          actual[i]);
+    }
+    ExpectSameMetrics(Evaluate(result, gold, possible_counts),
+                      ReferenceEffectiveness(outcomes, result.total_pairs,
+                                             gold.size()));
+  }
+
+  size_t covered = std::count(actual.begin(), actual.end(), true);
+  ReductionMetrics reduction = EvaluateReduction(result, gold);
+  ReductionMetrics expected = ComputeReduction(
+      result.candidate_count, result.total_pairs, covered, gold.size());
+  EXPECT_EQ(Bits(reduction.reduction_ratio), Bits(expected.reduction_ratio));
+  EXPECT_EQ(Bits(reduction.pairs_completeness),
+            Bits(expected.pairs_completeness));
+  EXPECT_EQ(Bits(reduction.pairs_quality), Bits(expected.pairs_quality));
+
+  // With every candidate kept, sweep point k declares the k-th shortest
+  // prefix (by descending similarity) that ends at a distinct value,
+  // starting from the empty one; the best point is the first with the
+  // highest F1.
+  std::vector<std::pair<double, bool>> ranked;
+  for (size_t i = 0; i < result.decisions.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(result.decisions[i].similarity));
+    ranked.emplace_back(result.decisions[i].similarity, actual[i]);
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  TuneOptions every_candidate;
+  every_candidate.max_candidates = 0;
+  TuneResult tuned = TuneThresholds(result, gold, every_candidate);
+  std::vector<EffectivenessMetrics> sweep;
+  for (size_t prefix = 0; prefix <= ranked.size(); ++prefix) {
+    if (prefix > 0 && prefix < ranked.size() &&
+        ranked[prefix].first == ranked[prefix - 1].first) {
+      continue;
+    }
+    std::vector<std::pair<bool, bool>> outcomes;
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      outcomes.emplace_back(i < prefix, ranked[i].second);
+    }
+    sweep.push_back(
+        ReferenceEffectiveness(outcomes, result.total_pairs, gold.size()));
+  }
+  ASSERT_EQ(tuned.sweep.size(), sweep.size());
+  size_t best = 0;
+  for (size_t k = 0; k < sweep.size(); ++k) {
+    ExpectSameMetrics(tuned.sweep[k].metrics, sweep[k]);
+    if (sweep[k].f1 > sweep[best].f1) best = k;
+  }
+  ExpectSameMetrics(tuned.best_metrics, sweep[best]);
+  EXPECT_EQ(Bits(tuned.best.t_mu), Bits(tuned.sweep[best].t_mu));
+}
+
+TEST(GoldEvaluationTest, IndexSpaceEvaluationEqualsPerRecordIsMatch) {
+  PersonGenOptions gen;
+  gen.num_entities = 60;
+  gen.duplicate_rate = 0.8;
+  GeneratedData data = GeneratePersons(gen);
+  GoldStandard gold = data.gold;
+  const XRelation& rel = data.relation;
+  gold.AddMatch("ghost-1", "ghost-2");           // both ids absent
+  gold.AddMatch(rel.xtuple(0).id(), "ghost-3");  // one id absent
+  for (size_t k = 0; k + 9 < rel.size(); k += 9) {
+    gold.AddMatch(rel.xtuple(k + 9).id(), rel.xtuple(k).id());
+  }
+
+  DetectorConfig config;
+  config.key = {{"name", 3}, {"job", 2}};
+  config.weights = {0.5, 0.25, 0.25};
+  config.final_thresholds = {0.5, 0.9};
+  config.reduction = ReductionMethod::kSnmCertainKeys;  // prunes gold
+  config.window = 4;
+  for (size_t shards : {1, 3}) {
+    config.shard_count = shards;
+    Result<DuplicateDetector> detector =
+        DuplicateDetector::Make(config, PersonSchema());
+    ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+    Result<DetectionResult> result = detector->Run(rel);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ASSERT_FALSE(result->decisions.empty());
+    EXPECT_EQ(result->stream_stats.per_shard.size(), shards > 1 ? shards : 0);
+    ExpectEvaluationMatchesReference(*result, gold);
+
+    // Records may name their pair in either index orientation.
+    DetectionResult swapped = *result;
+    for (size_t i = 0; i < swapped.decisions.size(); i += 2) {
+      std::swap(swapped.decisions[i].index1, swapped.decisions[i].index2);
+    }
+    SCOPED_TRACE("swapped orientation");
+    ExpectEvaluationMatchesReference(swapped, gold);
+  }
 }
 
 TEST(MakeIdPairTest, OrdersEndpoints) {
