@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "bench_util.h"
+#include "cache/pair_digest.h"
 #include "core/detector.h"
 #include "core/paper_examples.h"
 #include "core/report_writer.h"
@@ -37,12 +40,65 @@ double MeasurePairsPerSec(const pdd::DuplicateDetector& detector,
   pdd::StageExecutor executor(detector.shared_plan(), options);
   auto stream = pdd::MakeFullStream(detector.plan(), rel);
   if (!stream.ok()) return 0.0;
+  // The rate times the drain, so the per-stream arena Execute would
+  // otherwise build first is attached before the clock starts.
+  (*stream)->set_arena(pdd::RelationArena::Build((*stream)->relation()));
   Clock::time_point start = Clock::now();
   auto result = executor.Execute(**stream);
   Clock::time_point stop = Clock::now();
   if (!result.ok()) return 0.0;
   double seconds = std::chrono::duration<double>(stop - start).count();
   *out = std::move(*result);
+  return seconds > 0 ? static_cast<double>(out->candidate_count) / seconds
+                     : 0.0;
+}
+
+/// Pairs/sec of the reference decide path: plan.DecidePair over every
+/// candidate of the full stream, in the executor's canonical (smaller
+/// digest first) orientation, with no executor around it. The timed
+/// region covers the per-tuple digests and the decide loop; the
+/// candidates are pulled beforehand. Fills `*out` like an executor
+/// result, so its report can be compared byte for byte. Returns 0 on
+/// error.
+double MeasureReferencePairsPerSec(const pdd::DuplicateDetector& detector,
+                                   const pdd::XRelation& rel,
+                                   pdd::DetectionResult* out) {
+  using Clock = std::chrono::steady_clock;
+  auto stream = pdd::MakeFullStream(detector.plan(), rel);
+  if (!stream.ok()) return 0.0;
+  std::vector<pdd::CandidatePair> candidates;
+  std::vector<pdd::CandidatePair> batch;
+  while ((*stream)->NextBatch(4096, &batch) > 0) {
+    candidates.insert(candidates.end(), batch.begin(), batch.end());
+  }
+  const pdd::XRelation& prepared = (*stream)->relation();
+  const pdd::DetectionPlan& plan = detector.plan();
+  pdd::DetectionResult result;
+  result.decisions.reserve(candidates.size());
+  Clock::time_point start = Clock::now();
+  std::vector<uint64_t> digests;
+  digests.reserve(prepared.size());
+  for (const pdd::XTuple& tuple : prepared.xtuples()) {
+    digests.push_back(pdd::TupleContentDigest(tuple));
+  }
+  for (const pdd::CandidatePair& pair : candidates) {
+    const bool flip = digests[pair.second] < digests[pair.first];
+    const pdd::XPairDecision decision =
+        plan.DecidePair(prepared.xtuple(flip ? pair.second : pair.first),
+                        prepared.xtuple(flip ? pair.first : pair.second));
+    result.decisions.push_back({static_cast<uint32_t>(pair.first),
+                                static_cast<uint32_t>(pair.second),
+                                decision.similarity, decision.match_class});
+  }
+  Clock::time_point stop = Clock::now();
+  result.candidate_count = candidates.size();
+  result.total_pairs = (*stream)->total_pairs();
+  result.plan_fingerprint = plan.fingerprint();
+  auto ids = std::make_shared<std::vector<std::string>>();
+  for (const pdd::XTuple& tuple : prepared.xtuples()) ids->push_back(tuple.id());
+  result.ids = std::move(ids);
+  double seconds = std::chrono::duration<double>(stop - start).count();
+  *out = std::move(result);
   return seconds > 0 ? static_cast<double>(out->candidate_count) / seconds
                      : 0.0;
 }
@@ -157,18 +213,18 @@ bool TimedStageSeconds(const pdd::DuplicateDetector& detector,
   return true;
 }
 
-/// Scalar vs. columnar match kernels on the same scenario. The
-/// columnar path (RelationArena + batched kernels) is a pure
-/// throughput lever: decisions and the whole DetectionReport must stay
-/// byte-identical to the per-pair TupleMatcher path, and the columnar
-/// path may never be slower. Emits BENCH_fig03.json for CI archiving.
+/// The executor's columnar decide path against the scalar reference
+/// (DetectionPlan::DecidePair over the x-tuple object graph) on the
+/// same scenario. Decisions and the whole DetectionReport must stay
+/// byte-identical, and the columnar path may never be slower. Emits
+/// BENCH_fig03.json for CI archiving.
 bool BenchKernelComparison() {
   using namespace pdd;
   using pdd_bench::Banner;
   using pdd_bench::Fmt;
 
-  Banner("Columnar match kernels — scalar vs. columnar hot path",
-         "(throughput lever only; byte-identical reports required)");
+  Banner("Columnar match kernels — scalar reference vs. columnar hot path",
+         "(byte-identical reports required)");
   PersonGenOptions gen;
   gen.num_entities = 400;
   gen.duplicate_rate = 0.6;
@@ -178,27 +234,23 @@ bool BenchKernelComparison() {
   DetectorConfig config;
   config.key = {{"name", 3}, {"job", 2}};
   config.weights = {0.5, 0.3, 0.2};
-  config.match_kernel = MatchKernel::kScalar;
-  Result<DuplicateDetector> scalar_det =
+  Result<DuplicateDetector> detector =
       DuplicateDetector::Make(config, PersonSchema());
-  config.match_kernel = MatchKernel::kColumnar;
-  Result<DuplicateDetector> columnar_det =
-      DuplicateDetector::Make(config, PersonSchema());
-  if (!scalar_det.ok() || !columnar_det.ok()) return false;
+  if (!detector.ok()) return false;
 
-  // Warm both paths up, then keep each kernel's best of three runs:
-  // the ratio below gates CI, so damp scheduler noise.
+  // Warm both paths up, then keep each path's best of three runs: the
+  // ratio below gates CI, so damp scheduler noise.
   DetectionResult scalar_result, columnar_result, scratch;
-  MeasurePairsPerSec(*scalar_det, data.relation, /*workers=*/0, &scratch);
-  MeasurePairsPerSec(*columnar_det, data.relation, /*workers=*/0, &scratch);
+  MeasureReferencePairsPerSec(*detector, data.relation, &scratch);
+  MeasurePairsPerSec(*detector, data.relation, /*workers=*/0, &scratch);
   double scalar_rate = 0.0;
   double columnar_rate = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     scalar_rate = std::max(
-        scalar_rate, MeasurePairsPerSec(*scalar_det, data.relation,
-                                        /*workers=*/0, &scalar_result));
+        scalar_rate,
+        MeasureReferencePairsPerSec(*detector, data.relation, &scalar_result));
     columnar_rate = std::max(
-        columnar_rate, MeasurePairsPerSec(*columnar_det, data.relation,
+        columnar_rate, MeasurePairsPerSec(*detector, data.relation,
                                           /*workers=*/0, &columnar_result));
   }
   if (scalar_rate == 0.0 || columnar_rate == 0.0) return false;
@@ -210,24 +262,20 @@ bool BenchKernelComparison() {
                          scalar_report == columnar_report;
   const double speedup = columnar_rate / scalar_rate;
 
-  TablePrinter table({"kernel", "pairs/sec", "speedup", "report"});
-  table.AddRow({"scalar (TupleMatcher)", Fmt(scalar_rate, 0), Fmt(1.0, 2),
+  TablePrinter table({"decide path", "pairs/sec", "speedup", "report"});
+  table.AddRow({"scalar (DecidePair)", Fmt(scalar_rate, 0), Fmt(1.0, 2),
                 "baseline"});
   table.AddRow({"columnar (arena)", Fmt(columnar_rate, 0), Fmt(speedup, 2),
                 identical ? "byte-identical" : "DIVERGES"});
   table.Print(std::cout);
-  std::cout << scalar_result.candidate_count
-            << " candidate pairs; executor ran '"
-            << scalar_result.match_kernel << "' vs '"
-            << columnar_result.match_kernel << "'\n";
+  std::cout << scalar_result.candidate_count << " candidate pairs\n";
   if (speedup < 1.5) {
     std::cout << "note: columnar speedup " << Fmt(speedup, 2)
               << "x is below the 1.5x target\n";
   }
 
-  StageTimings scalar_timed, columnar_timed;
-  if (!TimedStageSeconds(*scalar_det, data.relation, &scalar_timed) ||
-      !TimedStageSeconds(*columnar_det, data.relation, &columnar_timed)) {
+  StageTimings columnar_timed;
+  if (!TimedStageSeconds(*detector, data.relation, &columnar_timed)) {
     return false;
   }
 
@@ -240,8 +288,6 @@ bool BenchKernelComparison() {
   json.Set("columnar_pairs_per_sec", columnar_rate);
   json.Set("columnar_speedup", speedup);
   json.Set("reports_identical", identical);
-  json.Set("scalar_match_seconds", scalar_timed.match_seconds);
-  json.Set("scalar_combine_seconds", scalar_timed.combine_seconds);
   // Fused on the columnar path: φ is computed inside the match stage,
   // so its cost lands in match_seconds and combine stays 0.
   json.Set("columnar_match_seconds", columnar_timed.match_seconds);

@@ -62,6 +62,10 @@ double MeasureRate(const std::shared_ptr<const DetectionPlan>& plan,
     std::cerr << "stream failed: " << stream.status().ToString() << "\n";
     std::exit(1);
   }
+  // The rates time the drain's decide and lookup paths, so the
+  // per-stream arena Execute would otherwise build first is attached
+  // before the clock starts.
+  (*stream)->set_arena(RelationArena::Build((*stream)->relation()));
   StageExecutorOptions options;
   options.stage_timings = false;
   options.cache = cache;

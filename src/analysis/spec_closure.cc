@@ -102,13 +102,10 @@ Result<std::string> ReadFileText(const std::filesystem::path& path) {
 
 const std::set<std::string>& FingerprintIrrelevantSpecKeys() {
   // executor.* resize batches and worker pools (output gated
-  // byte-identical for any value in pipeline_test); match.kernel picks
-  // the scalar or columnar matcher implementation (gated bit-identical
-  // in columnar_test and bench_fig03).
+  // byte-identical for any value in pipeline_test).
   static const std::set<std::string> kKeys = {
       "executor.batch",
       "executor.workers",
-      "match.kernel",
   };
   return kKeys;
 }

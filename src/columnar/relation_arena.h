@@ -1,8 +1,9 @@
 // RelationArena: a prepared x-relation flattened into contiguous
-// structure-of-arrays columns, built once per run and shared read-only
-// by the executor, the sharded stream and the decision cache's digest
-// path. The arena is the data layout the columnar match kernels
-// (sim/columnar_kernels.h) batch over: no per-pair allocation, no
+// structure-of-arrays columns, built once per candidate stream and
+// shared read-only by every executor worker and shard, and by the
+// decision cache's digest path. Every pair decides over it: it is the
+// data layout ColumnarMatcher and the columnar match kernels
+// (sim/columnar_kernels.h) batch over — no per-pair allocation, no
 // pointer chasing through XTuple/Value object graphs in the hot loop.
 //
 // Layout (all indices are dense, uint32):
@@ -31,12 +32,18 @@
 //
 // Pattern values ('mu*') are expanded against the attribute vocabulary
 // at build time — the same expansion TupleMatcher::MatchAttribute does
-// per pair — so kernels only ever see literal alternatives and the
+// per pair — so the matcher only ever sees literal alternatives and the
 // per-pair expansion cost disappears from the hot path.
 //
 // Build() returns nullptr when any column index would overflow uint32
-// (relations beyond ~4G alternative bytes); callers fall back to the
-// scalar per-pair path in that case.
+// (relations beyond ~4G alternative bytes); the executor refuses such a
+// run with OutOfRange, like the 32-bit record-index check.
+//
+// Growth: a standing stream appends arrivals through Append(), which
+// writes in place while every column has room and otherwise returns a
+// new generation (a copy with doubled capacity). Storage a generation
+// has published therefore never moves, and a reader holding an older
+// generation keeps reading the tuples it already held.
 
 #ifndef PDD_COLUMNAR_RELATION_ARENA_H_
 #define PDD_COLUMNAR_RELATION_ARENA_H_
@@ -53,9 +60,21 @@ namespace pdd {
 
 class RelationArena {
  public:
-  /// Flattens `rel` (schema taken from the relation). Returns nullptr
-  /// on uint32 column overflow — never fails otherwise.
-  static std::shared_ptr<const RelationArena> Build(const XRelation& rel);
+  /// Flattens `rel` (schema taken from the relation), appending tuple
+  /// by tuple. Returns nullptr on uint32 column overflow — never fails
+  /// otherwise.
+  static std::shared_ptr<RelationArena> Build(const XRelation& rel);
+
+  /// Appends `tuple` (its patterns expanded against `schema`) as the
+  /// next x-tuple and returns the generation to publish: `arena` itself
+  /// when every column has room, else a new generation — a copy of
+  /// `arena` with doubled capacity that holds the tuple. Returns
+  /// nullptr, leaving `arena` untouched, when the tuple would overflow a
+  /// uint32 column. The caller serializes appends; readers may decide
+  /// over already-appended tuples of any generation meanwhile.
+  static std::shared_ptr<RelationArena> Append(
+      std::shared_ptr<RelationArena> arena, const XTuple& tuple,
+      const Schema& schema);
 
   // --- shape --------------------------------------------------------
   size_t tuple_count() const { return tuple_row_begin_.size(); }
@@ -97,7 +116,21 @@ class RelationArena {
   uint64_t alt_digest(size_t k) const { return alt_digest_[k]; }
 
  private:
+  /// Column demand of one x-tuple.
+  struct Shape {
+    size_t rows = 0;
+    size_t alternatives = 0;
+    size_t bytes = 0;
+  };
+
   RelationArena() = default;
+
+  /// Calls f(&RelationArena::column, n) for every column, where `n` is
+  /// the number of entries a tuple of shape `add` puts into it.
+  template <typename F>
+  static void ForEachColumn(size_t arity, const Shape& add, F&& f);
+  /// Appends one tuple; Append checked the uint32 limits and the room.
+  void AppendTuple(const XTuple& tuple, const Schema& schema);
 
   size_t arity_ = 0;
   std::string bytes_;

@@ -52,27 +52,6 @@ const char* DerivationKindName(DerivationKind kind) {
   return "unknown";
 }
 
-const char* MatchKernelName(MatchKernel kernel) {
-  switch (kernel) {
-    case MatchKernel::kAuto:
-      return "auto";
-    case MatchKernel::kScalar:
-      return "scalar";
-    case MatchKernel::kColumnar:
-      return "columnar";
-  }
-  return "unknown";
-}
-
-Result<MatchKernel> MatchKernelFromName(std::string_view name) {
-  if (name == "auto") return MatchKernel::kAuto;
-  if (name == "scalar") return MatchKernel::kScalar;
-  if (name == "columnar") return MatchKernel::kColumnar;
-  return Status::InvalidArgument("unknown match kernel '" +
-                                 std::string(name) +
-                                 "' (expected auto, scalar or columnar)");
-}
-
 Status DetectorConfig::Validate() const {
   if (key.empty()) {
     return Status::InvalidArgument("config needs at least one key component");

@@ -73,27 +73,6 @@ enum class DerivationKind {
 /// Stable name of a derivation kind.
 const char* DerivationKindName(DerivationKind kind);
 
-/// Which match-stage implementation the executor runs. Purely a
-/// throughput knob: the columnar kernel path is bit-identical to the
-/// scalar per-pair path (see sim/columnar_kernels.h), so the choice
-/// never appears in plan fingerprints or reports.
-enum class MatchKernel {
-  /// Columnar when every resolved comparator has a kernel, else scalar.
-  kAuto = 0,
-  /// Force the per-pair TupleMatcher virtual-dispatch path.
-  kScalar = 1,
-  /// Force the columnar path; plan compilation fails when a selected
-  /// comparator has no kernel.
-  kColumnar = 2,
-};
-
-/// Stable name of a match kernel selection ("auto", "scalar",
-/// "columnar").
-const char* MatchKernelName(MatchKernel kernel);
-
-/// Parses a match kernel name; InvalidArgument on unknown names.
-Result<MatchKernel> MatchKernelFromName(std::string_view name);
-
 /// Full pipeline configuration. Defaults reproduce the paper's running
 /// setup: key = name[3] + job[2], weighted sum φ with (0.8, 0.2),
 /// expected-similarity derivation, thresholds Tλ=0.4, Tμ=0.7.
@@ -166,12 +145,6 @@ struct DetectorConfig {
   /// the calling thread). Results are identical for any worker count.
   size_t batch_size = 256;
   size_t workers = 0;
-
-  /// Match-stage implementation (spec key `match.kernel`, accepted by
-  /// FromSpec like the executor keys but never printed by ToSpec —
-  /// both paths produce bit-identical results, so the choice is not
-  /// plan identity).
-  MatchKernel match_kernel = MatchKernel::kAuto;
 
   /// Candidate-stream sharding (pipeline/sharded_stream.h): partition
   /// the candidate universe into this many per-shard sources, drained

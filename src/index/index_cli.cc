@@ -43,7 +43,7 @@ Result<XRelation> LoadRelation(const std::string& path) {
 /// Plan/executor flags shared by `build` and `verify`: the subset of
 /// `pddcli detect` that affects which plan runs (--plan/--set) plus
 /// the placement knobs that never change the report (--workers,
-/// --batch, --shards, --kernel) and the telemetry sidecar flags.
+/// --batch, --shards) and the telemetry sidecar flags.
 struct PlanArgs {
   DetectorConfig config;
   size_t shard_override = 0;
@@ -104,31 +104,24 @@ Result<PlanArgs> ParsePlanArgs(const std::vector<std::string>& args) {
       PDD_RETURN_IF_ERROR(overrides.SetAssignment(*v));
     } else if (arg == "--workers") {
       const std::string* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(*v, &n) || n < 0) {
-        return Status::InvalidArgument("--workers needs a non-negative number");
+      if (v == nullptr || !ParseSize(*v, &out.config.workers)) {
+        return Status::InvalidArgument(
+            "--workers needs a non-negative integer");
       }
-      out.config.workers = static_cast<size_t>(n);
     } else if (arg == "--batch") {
       const std::string* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(*v, &n) || n < 1) {
-        return Status::InvalidArgument("--batch needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
+        return Status::InvalidArgument("--batch needs a positive integer");
       }
-      out.config.batch_size = static_cast<size_t>(n);
+      out.config.batch_size = n;
     } else if (arg == "--shards") {
       const std::string* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(*v, &n) || n < 1) {
-        return Status::InvalidArgument("--shards needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
+        return Status::InvalidArgument("--shards needs a positive integer");
       }
-      out.shard_override = static_cast<size_t>(n);
-    } else if (arg == "--kernel") {
-      const std::string* v = next();
-      if (v == nullptr) {
-        return Status::InvalidArgument("--kernel needs auto, scalar or columnar");
-      }
-      PDD_ASSIGN_OR_RETURN(out.config.match_kernel, MatchKernelFromName(*v));
+      out.shard_override = n;
     } else if (arg == "--metrics") {
       const std::string* v = next();
       if (v == nullptr) return Status::InvalidArgument("--metrics needs a file");
@@ -214,9 +207,8 @@ int CmdCluster(const DecisionIndex& index, const std::string& id) {
 }
 
 int CmdMembers(const DecisionIndex& index, const std::string& cluster_arg) {
-  double parsed = 0.0;
-  if (!ParseDouble(cluster_arg, &parsed) || parsed < 0 ||
-      static_cast<uint64_t>(parsed) >= index.cluster_count()) {
+  size_t parsed = 0;
+  if (!ParseSize(cluster_arg, &parsed) || parsed >= index.cluster_count()) {
     return Fail("cluster id '" + cluster_arg + "' out of range (index has " +
                 std::to_string(index.cluster_count()) + " clusters)");
   }
@@ -333,19 +325,19 @@ int CmdBench(const std::vector<std::string>& args) {
     auto next = [&]() -> const std::string* {
       return i + 1 < args.size() ? &args[++i] : nullptr;
     };
-    double n = 0.0;
+    size_t n = 0;
     if (args[i] == "--point") {
       const std::string* v = next();
-      if (v == nullptr || !ParseDouble(*v, &n) || n < 1) {
-        return Fail("--point needs a positive number");
+      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
+        return Fail("--point needs a positive integer");
       }
-      point_target = static_cast<size_t>(n);
+      point_target = n;
     } else if (args[i] == "--membership") {
       const std::string* v = next();
-      if (v == nullptr || !ParseDouble(*v, &n) || n < 1) {
-        return Fail("--membership needs a positive number");
+      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
+        return Fail("--membership needs a positive integer");
       }
-      membership_target = static_cast<size_t>(n);
+      membership_target = n;
     } else if (args[i] == "--metrics") {
       const std::string* v = next();
       if (v == nullptr) return Fail("--metrics needs a file");

@@ -9,12 +9,15 @@ namespace pdd {
 
 IngestStream::IngestStream(std::shared_ptr<const DetectionPlan> plan,
                            XRelation raw, XRelation standing,
+                           std::shared_ptr<RelationArena> arena,
                            Options options)
     : plan_(std::move(plan)),
       max_admitted_(std::max<size_t>(options.max_admitted, 1)),
       queue_(options.queue_capacity),
       raw_(std::move(raw)),
-      standing_(std::move(standing)) {
+      standing_(std::move(standing)),
+      generation_(std::move(arena)) {
+  set_arena(generation_);
   base_ = standing_.size();
   next_second_ = base_;
   // The reservation is the concurrency contract: appends within it
@@ -46,9 +49,14 @@ Result<std::unique_ptr<IngestStream>> IngestStream::Make(
   XRelation standing = plan->config().preparation.has_value()
                            ? plan->config().preparation->Prepare(raw)
                            : raw;
+  std::shared_ptr<RelationArena> arena = RelationArena::Build(standing);
+  if (arena == nullptr) {
+    return Status::OutOfRange("seed relation overflows the arena's 32-bit "
+                              "columns");
+  }
   return std::unique_ptr<IngestStream>(
       new IngestStream(std::move(plan), std::move(raw), std::move(standing),
-                       options));
+                       std::move(arena), options));
 }
 
 size_t IngestStream::Admit(std::vector<IngestItem>* items) {
@@ -64,19 +72,30 @@ size_t IngestStream::Admit(std::vector<IngestItem>* items) {
       ++stats_.duplicate_ids;
       continue;
     }
-    std::string id = item.tuple.id();
+    // Arrivals are untrusted: a tuple that fails schema validation is a
+    // counted drop, never a crash.
+    if (!raw_.Check(item.tuple).ok()) {
+      ++stats_.invalid;
+      continue;
+    }
     XTuple prepared = plan_->config().preparation.has_value()
                           ? plan_->config().preparation->PrepareXTuple(
                                 item.tuple)
                           : item.tuple;
-    // Append (not AppendUnchecked): arrivals are untrusted; a tuple
-    // that fails schema validation is a counted drop, never a crash.
-    Status appended = raw_.Append(std::move(item.tuple));
-    if (!appended.ok()) {
-      ++stats_.invalid;
+    // The arena takes the tuple before any pair can name it; a new
+    // generation is published for the next pull (see the header).
+    std::shared_ptr<RelationArena> arena =
+        RelationArena::Append(generation_, prepared, standing_.schema());
+    if (arena == nullptr) {
+      ++stats_.rejected_capacity;
       continue;
     }
-    seen_ids_.insert(std::move(id));
+    if (arena != generation_) {
+      generation_ = arena;
+      set_arena(std::move(arena));
+    }
+    seen_ids_.insert(item.tuple.id());
+    raw_.AppendUnchecked(std::move(item.tuple));
     standing_.AppendUnchecked(std::move(prepared));
     stamps_.push_back(item.stamp);
     ++stats_.admitted;

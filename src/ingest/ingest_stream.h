@@ -16,8 +16,16 @@
 // storage is Reserve()d up front so concurrent READERS of
 // already-published tuples (executor workers deciding earlier batches)
 // never see a reallocation, and every pair referencing tuple j is
-// published only after j's append under the same locks. SnapshotRaw()
-// may be called from any thread (pddserve's maintenance thread).
+// published only after j's append under the same locks. The stream's
+// RelationArena keeps the same contract through generations: an
+// admitted tuple is appended in place while every column has room,
+// else RelationArena::Append returns a new generation (a copy with
+// doubled capacity) that the stream publishes through set_arena().
+// Workers copy arena() under the drain mutex right after each pull and
+// hold that generation while they decide the batch, so an older
+// generation lives as long as some worker still holds it and no
+// storage ever moves under a reader. SnapshotRaw() may be called from
+// any thread (pddserve's maintenance thread).
 //
 // The live pair order depends on arrival order, so the drain's record
 // order does too: the deterministic byte-identical report is produced
@@ -57,6 +65,7 @@ class IngestStream : public CandidateStream {
     uint64_t admitted = 0;
     uint64_t duplicate_ids = 0;
     uint64_t invalid = 0;
+    /// Beyond max_admitted, or beyond the arena's 32-bit columns.
     uint64_t rejected_capacity = 0;
   };
 
@@ -64,7 +73,8 @@ class IngestStream : public CandidateStream {
   /// prefix: crossing pairs are only emitted for arrivals, exactly like
   /// the incremental scenario. The seed is prepared per the plan, and
   /// arriving tuples are prepared the same way at admission, so live
-  /// decisions match what the batch path would decide.
+  /// decisions match what the batch path would decide. The arena is
+  /// built over the prepared seed here (OutOfRange on overflow).
   static Result<std::unique_ptr<IngestStream>> Make(
       std::shared_ptr<const DetectionPlan> plan, const XRelation* seed,
       Options options);
@@ -116,10 +126,12 @@ class IngestStream : public CandidateStream {
 
  private:
   IngestStream(std::shared_ptr<const DetectionPlan> plan, XRelation raw,
-               XRelation standing, Options options);
+               XRelation standing, std::shared_ptr<RelationArena> arena,
+               Options options);
 
-  /// Validates, dedups, prepares and appends items; returns the number
-  /// admitted. Serialized with the cursor by mu_.
+  /// Validates, dedups, prepares and appends items (to the relations
+  /// and the arena); returns the number admitted. Serialized with the
+  /// cursor by mu_.
   size_t Admit(std::vector<IngestItem>* items);
 
   std::shared_ptr<const DetectionPlan> plan_;
@@ -134,6 +146,9 @@ class IngestStream : public CandidateStream {
   /// Reserved; append-only under mu_; elements readable lock-free once
   /// published through a pair.
   XRelation standing_;
+  /// The current arena generation over standing_ — the one arena()
+  /// publishes, held writable for appends under mu_.
+  std::shared_ptr<RelationArena> generation_;
   size_t base_ = 0;
   /// Ids standing so far (membership only — never iterated).
   std::set<std::string> seen_ids_;

@@ -4,11 +4,11 @@
 // needs:
 //
 //   * Drain() — the live loop: decides every crossing pair of every
-//     admitted tuple through the plan's decide path (cache → match →
-//     combine → derive → classify; the scalar path, since the standing
-//     stream carries no arena), streaming records through
-//     the configured decision sink until the queue closes. Live record
-//     order depends on arrival order by construction.
+//     admitted tuple through the executor's one decide path (cache →
+//     match → combine → derive → classify, over the stream's growing
+//     RelationArena), streaming records through the configured
+//     decision sink until the queue closes. Live record order depends
+//     on arrival order by construction.
 //   * Finish() — THE deterministic report: the canonical (id-sorted)
 //     raw relation re-run through the ordinary batch path with the
 //     session's shared decision cache. Because the live drain decided

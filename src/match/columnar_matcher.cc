@@ -28,23 +28,36 @@ ColumnarMatcher::ColumnarMatcher(const DetectionPlan& plan,
   c_.resize(plan.schema().arity());
 }
 
-double ColumnarMatcher::MatchValue(ColumnarKernelFn kernel, size_t v1,
-                                   size_t v2) {
+double ColumnarMatcher::MatchValue(size_t attr, size_t v1, size_t v2) {
   const RelationArena& a = arena_;
   const uint32_t a_begin = a.value_alt_begin(v1);
   const uint32_t a_end = a.value_alt_end(v1);
   const uint32_t b_begin = a.value_alt_begin(v2);
   const uint32_t b_end = a.value_alt_end(v2);
   // ExpectedSimilarity's accumulation, term for term: cross product of
-  // explicit alternatives in storage order, then the (⊥,⊥) cell.
+  // explicit alternatives in storage order, then the (⊥,⊥) cell. The
+  // kernel-or-comparator choice is made once per value pair.
   double total = 0.0;
-  for (uint32_t ka = a_begin; ka < a_end; ++ka) {
-    const std::string_view text_a = a.alt_text(ka);
-    const double prob_a = a.alt_prob(ka);
-    const uint64_t sig_a = a.alt_sig(ka);
-    for (uint32_t kb = b_begin; kb < b_end; ++kb) {
-      total += prob_a * a.alt_prob(kb) *
-               kernel(text_a, a.alt_text(kb), sig_a, a.alt_sig(kb), scratch_);
+  if (const ColumnarKernelFn kernel = plan_.columnar_kernels()[attr];
+      kernel != nullptr) {
+    for (uint32_t ka = a_begin; ka < a_end; ++ka) {
+      const std::string_view text_a = a.alt_text(ka);
+      const double prob_a = a.alt_prob(ka);
+      const uint64_t sig_a = a.alt_sig(ka);
+      for (uint32_t kb = b_begin; kb < b_end; ++kb) {
+        total += prob_a * a.alt_prob(kb) *
+                 kernel(text_a, a.alt_text(kb), sig_a, a.alt_sig(kb),
+                        scratch_);
+      }
+    }
+  } else {
+    const Comparator& cmp = *plan_.comparators()[attr];
+    for (uint32_t ka = a_begin; ka < a_end; ++ka) {
+      const std::string_view text_a = a.alt_text(ka);
+      const double prob_a = a.alt_prob(ka);
+      for (uint32_t kb = b_begin; kb < b_end; ++kb) {
+        total += prob_a * a.alt_prob(kb) * cmp.Compare(text_a, a.alt_text(kb));
+      }
     }
   }
   total += a.value_null_prob(v1) * a.value_null_prob(v2);
@@ -53,7 +66,6 @@ double ColumnarMatcher::MatchValue(ColumnarKernelFn kernel, size_t v1,
 
 void ColumnarMatcher::FillScores(size_t t1, size_t t2) {
   const RelationArena& a = arena_;
-  const std::vector<ColumnarKernelFn>& kernels = plan_.columnar_kernels();
   const size_t arity = a.arity();
   const uint32_t r1_begin = a.tuple_row_begin(t1);
   const uint32_t r1_end = a.tuple_row_end(t1);
@@ -78,13 +90,13 @@ void ColumnarMatcher::FillScores(size_t t1, size_t t2) {
         double combined = 0.0;
         for (size_t attr = 0; attr < n; ++attr) {
           combined += (*weights_)[attr] *
-                      MatchValue(kernels[attr], size_t{r1} * arity + attr,
+                      MatchValue(attr, size_t{r1} * arity + attr,
                                  size_t{r2} * arity + attr);
         }
         sim = combined;
       } else {
         for (size_t attr = 0; attr < arity; ++attr) {
-          c_[attr] = MatchValue(kernels[attr], size_t{r1} * arity + attr,
+          c_[attr] = MatchValue(attr, size_t{r1} * arity + attr,
                                 size_t{r2} * arity + attr);
         }
         sim = plan_.combination().Combine(ComparisonVector(c_));

@@ -1,6 +1,8 @@
-// ColumnarMatcher: decides candidate pairs over a RelationArena using
-// the plan's columnar kernels — the batched replacement for the
-// per-pair TupleMatcher virtual-call path in the match hot loop.
+// ColumnarMatcher: decides candidate pairs over a RelationArena — the
+// executor's one decide path for every plan. Each attribute runs its
+// comparator's columnar kernel, or, where the comparator has none
+// (monge_elkan, soundex, custom Comparator instances), the comparator
+// itself over the arena's already pattern-expanded texts.
 //
 // One matcher instance is per-worker mutable scratch (its SimScratch,
 // score grid and comparison-vector buffers are reused across pairs and
@@ -17,17 +19,17 @@
 //   * the per-value loop replicates ExpectedSimilarity's accumulation
 //     order (outer a-alternatives, inner b-alternatives, then the
 //     ⊥·⊥ term),
-//   * each kernel is bit-identical to its registry comparator, and
+//   * each kernel is bit-identical to its registry comparator (and a
+//     kernel-less attribute calls the comparator itself), and
 //   * the weighted-sum fast path replicates
 //     WeightedSumCombination::Combine's flat loop (same order, same
 //     arithmetic); other φ implementations go through the same
-//     Combine virtual call the scalar path uses.
+//     Combine virtual call DecidePair uses.
 //
-// DecideTimed walks the plan's stage graph like the executor's timed
-// scalar path, but the columnar match stage computes φ inline while
-// the comparison values are hot (fusing match + combine), so the fused
-// cost is billed to match_seconds and combine_seconds stays 0 on the
-// columnar path.
+// DecideTimed walks the plan's stage graph with a clock read around
+// each stage, but the match stage computes φ inline while the
+// comparison values are hot (fusing match + combine), so the fused
+// cost is billed to match_seconds and combine_seconds stays 0.
 
 #ifndef PDD_MATCH_COLUMNAR_MATCHER_H_
 #define PDD_MATCH_COLUMNAR_MATCHER_H_
@@ -45,8 +47,8 @@ namespace pdd {
 
 class ColumnarMatcher {
  public:
-  /// `plan` must have use_columnar_kernels(); both referents must
-  /// outlive the matcher.
+  /// `arena` must describe the relation whose tuples are decided; both
+  /// referents must outlive the matcher.
   ColumnarMatcher(const DetectionPlan& plan, const RelationArena& arena);
 
   /// Decides the pair of arena tuples (t1, t2); bit-identical to
@@ -65,9 +67,9 @@ class ColumnarMatcher {
   /// Fused match+combine: fills scores_ for the pair.
   void FillScores(size_t t1, size_t t2);
 
-  /// ExpectedSimilarity of two arena values under `kernel` (Eq. 5),
-  /// replicated term for term.
-  double MatchValue(ColumnarKernelFn kernel, size_t v1, size_t v2);
+  /// ExpectedSimilarity of two arena values of attribute `attr` under
+  /// its kernel or comparator (Eq. 5), replicated term for term.
+  double MatchValue(size_t attr, size_t v1, size_t v2);
 
   const DetectionPlan& plan_;
   const RelationArena& arena_;

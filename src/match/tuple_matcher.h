@@ -34,6 +34,11 @@ class TupleMatcher {
   /// The schema attribute values are matched under.
   const Schema& schema() const { return schema_; }
 
+  /// One comparator per schema attribute, in attribute order.
+  const std::vector<const Comparator*>& comparators() const {
+    return comparators_;
+  }
+
   /// Eq. 5 similarity of attribute `attr` of two values, with pattern
   /// expansion against the attribute's vocabulary.
   double MatchAttribute(size_t attr, const Value& a, const Value& b) const;

@@ -291,11 +291,6 @@ Result<RunTelemetry> ParseRunTelemetryJson(std::string_view json) {
 std::string RenderExecutionStats(const RunTelemetry& telemetry) {
   const MetricsRegistry& m = telemetry.metrics;
   std::string out = "# Execution statistics\n\n";
-  // Which match implementation ran — execution detail only; the
-  // detection report never mentions it (columnar ≡ scalar bit for bit).
-  if (std::string kernel = m.info(kInfoMatchKernel); !kernel.empty()) {
-    out += "- match kernel: " + kernel + "\n\n";
-  }
   const StageTimings timings = StageTimingsView(telemetry);
   double total = timings.TotalSeconds();
   out += "## Stage timings\n\n";

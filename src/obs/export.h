@@ -51,8 +51,7 @@ std::string TelemetryToPrometheus(const RunTelemetry& telemetry);
 /// unknown schema versions.
 Result<RunTelemetry> ParseRunTelemetryJson(std::string_view json);
 
-/// The Markdown execution-statistics report: match kernel, stage
-/// timing table ("(disabled)" when the run collected no timings),
+/// The Markdown execution-statistics report: stage timing table ("(disabled)" when the run collected no timings),
 /// decision-cache run and lifetime counters, candidate-stream drain
 /// accounting with per-shard lines.
 std::string RenderExecutionStats(const RunTelemetry& telemetry);

@@ -4,7 +4,7 @@
 //
 //   counters    monotonically accumulated uint64 event counts
 //   gauges      last-written double readings
-//   infos       string-valued annotations (kernel name, fingerprints)
+//   infos       string-valued annotations (reduction name, fingerprints)
 //   histograms  log2-bucketed value distributions (obs/log_histogram.h)
 //
 // Namespace discipline (metric names are dotted paths):

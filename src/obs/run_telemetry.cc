@@ -84,9 +84,6 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
     m.SetCounter(kMetricCacheMisses, result.cache_stats->misses);
     m.SetCounter(kMetricCacheInserts, result.cache_stats->inserts);
   }
-  if (!result.match_kernel.empty()) {
-    m.SetInfo(kInfoMatchKernel, result.match_kernel);
-  }
   m.SetInfo(kInfoTimings,
             result.stage_timings_collected ? "collected" : "disabled");
 

@@ -63,7 +63,6 @@ inline constexpr char kMetricCacheLookups[] = "exec.cache.lookups";
 inline constexpr char kMetricCacheHits[] = "exec.cache.hits";
 inline constexpr char kMetricCacheMisses[] = "exec.cache.misses";
 inline constexpr char kMetricCacheInserts[] = "exec.cache.inserts";
-inline constexpr char kInfoMatchKernel[] = "exec.match_kernel";
 /// "collected" or "disabled" — whether the run accumulated wall times.
 inline constexpr char kInfoTimings[] = "exec.timings";
 // Standing-ingest family (recorded by StandingSession / pddserve; see

@@ -6,13 +6,18 @@
 namespace pdd {
 
 Status XRelation::Append(XTuple xtuple) {
+  PDD_RETURN_IF_ERROR(Check(xtuple));
+  xtuples_.push_back(std::move(xtuple));
+  return Status::OK();
+}
+
+Status XRelation::Check(const XTuple& xtuple) const {
   PDD_RETURN_IF_ERROR(xtuple.Validate());
   if (xtuple.arity() != schema_.arity()) {
     return Status::InvalidArgument(
         "x-tuple arity " + std::to_string(xtuple.arity()) +
         " does not match schema arity " + std::to_string(schema_.arity()));
   }
-  xtuples_.push_back(std::move(xtuple));
   return Status::OK();
 }
 

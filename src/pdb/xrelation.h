@@ -26,6 +26,9 @@ class XRelation {
   /// Appends an x-tuple after validating it against the schema.
   Status Append(XTuple xtuple);
 
+  /// The validation Append performs, without appending.
+  Status Check(const XTuple& xtuple) const;
+
   /// Unchecked append for trusted construction (asserts in debug builds).
   void AppendUnchecked(XTuple xtuple);
 

@@ -8,20 +8,15 @@
 
 namespace pdd {
 
-void AttachArenaIfColumnar(const DetectionPlan& plan,
-                           CandidateStream* stream) {
-  if (!plan.use_columnar_kernels()) return;
-  stream->set_arena(RelationArena::Build(stream->relation()));
-}
-
 namespace {
 
 /// The body every scenario factory shares. Checks the scenario's
 /// relation (`owned` when the factory built one, else `borrowed`)
 /// against the plan's schema, applies the configured preparation step
-/// (Section III-A) into an owned copy, opens the sharded stream when
-/// `shards.count > 1` and the plain one otherwise, and attaches the
-/// arena (one arena serves every shard: shards index one relation).
+/// (Section III-A) into an owned copy and opens the sharded stream when
+/// `shards.count > 1` and the plain one otherwise. The executor builds
+/// the stream's arena (one arena serves every shard: shards index one
+/// relation).
 Result<std::unique_ptr<CandidateStream>> MakeScenarioStream(
     const DetectionPlan& plan, std::string name,
     std::optional<XRelation> owned, const XRelation* borrowed,
@@ -46,7 +41,6 @@ Result<std::unique_ptr<CandidateStream>> MakeScenarioStream(
                     std::move(name), std::move(owned), borrowed,
                     plan.MakePairGenerator(), total_pairs, min_second));
   }
-  AttachArenaIfColumnar(plan, stream.get());
   return stream;
 }
 

@@ -39,15 +39,16 @@ class CandidateStream {
  public:
   virtual ~CandidateStream() = default;
 
-  /// The columnar arena over relation(), when one is attached — the
-  /// factories attach one (via AttachArenaIfColumnar) exactly when the
-  /// plan decides through the columnar kernels, built once per stream
-  /// and shared by every executor worker and shard. Null otherwise
-  /// (scalar plans, custom streams, arena overflow), in which case the
-  /// executor takes the per-pair scalar path.
+  /// The RelationArena every pair of this stream decides over, shared
+  /// by every executor worker and shard. The executor builds it over
+  /// relation() on the first Execute when the stream has none and
+  /// leaves it attached, so a Reset() re-run reuses it. A standing
+  /// stream publishes a new generation as it grows; the executor reads
+  /// this under the shard mutex right after each pull.
   const std::shared_ptr<const RelationArena>& arena() const { return arena_; }
 
-  /// Attaches (or clears) the arena; it must describe relation().
+  /// Attaches the arena; it must describe relation() (the executor
+  /// fails a run whose arena holds a different tuple count).
   void set_arena(std::shared_ptr<const RelationArena> arena) {
     arena_ = std::move(arena);
   }
@@ -77,8 +78,8 @@ class CandidateStream {
 
   /// Upper bound on relation() growth over the drain. Finite streams
   /// never grow (the default); a standing stream reports its reserved
-  /// maximum so per-tuple executor state (the digest memo) can be sized
-  /// once for tuples that have not arrived yet.
+  /// maximum, which the executor checks against the 32-bit record
+  /// index space before the drain starts.
   virtual size_t tuple_capacity() const { return relation().size(); }
 
   /// Exact candidate count when known without draining (materialized
@@ -106,13 +107,6 @@ class CandidateStream {
  private:
   std::shared_ptr<const RelationArena> arena_;
 };
-
-/// Builds and attaches the RelationArena for the stream's (final,
-/// post-preparation/union) relation when the plan takes the columnar
-/// kernel path; no-op for scalar plans. Arena overflow (uint32 column
-/// limits) leaves the stream arena-less — a silent scalar fallback,
-/// never an error.
-void AttachArenaIfColumnar(const DetectionPlan& plan, CandidateStream* stream);
 
 /// A materialized candidate vector over a borrowed or owned relation.
 /// No longer on the default path (the factories below stream); kept for

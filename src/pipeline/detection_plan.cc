@@ -81,20 +81,13 @@ Result<std::shared_ptr<const DetectionPlan>> DetectionPlan::Compile(
     return Status::InvalidArgument(
         "custom comparator list must match schema arity or be empty");
   }
-  // Kernel resolution rides along with comparator resolution: the
-  // columnar path needs a kernel for EVERY attribute (one scalar-only
-  // comparator forces the whole plan scalar — a mixed per-attribute
-  // path would split the batch loop and lose the flat-loop shape).
+  // Kernel resolution rides along with comparator resolution; custom
+  // instances and kernel-less registry comparators keep a null entry.
   std::vector<ColumnarKernelFn> kernels(schema.arity(), nullptr);
-  std::string kernel_gap;  // why the columnar path is unavailable
   for (size_t i = 0; i < schema.arity(); ++i) {
     if (!config.custom_comparators.empty() &&
         config.custom_comparators[i] != nullptr) {
       comparators[i] = config.custom_comparators[i];
-      if (kernel_gap.empty()) {
-        kernel_gap = "attribute '" + schema.attribute(i).name +
-                     "' uses a custom comparator instance";
-      }
       continue;
     }
     std::string name;
@@ -115,21 +108,10 @@ Result<std::shared_ptr<const DetectionPlan>> DetectionPlan::Compile(
     }
     PDD_ASSIGN_OR_RETURN(comparators[i], GetComparator(name));
     kernels[i] = FindColumnarKernel(name);
-    if (kernels[i] == nullptr && kernel_gap.empty()) {
-      kernel_gap = "attribute '" + schema.attribute(i).name +
-                   "' resolves to '" + name + "', which has no columnar "
-                   "kernel";
-    }
   }
-  if (config.match_kernel == MatchKernel::kColumnar && !kernel_gap.empty()) {
-    return Status::InvalidArgument("match.kernel = columnar, but " +
-                                   kernel_gap);
-  }
-  plan->use_columnar_kernels_ =
-      config.match_kernel != MatchKernel::kScalar && kernel_gap.empty();
-  if (plan->use_columnar_kernels_) plan->columnar_kernels_ = std::move(kernels);
+  plan->columnar_kernels_ = std::move(kernels);
   PDD_ASSIGN_OR_RETURN(TupleMatcher matcher,
-                       TupleMatcher::Make(schema, comparators));
+                       TupleMatcher::Make(schema, std::move(comparators)));
   plan->matcher_ = std::make_unique<TupleMatcher>(std::move(matcher));
   // Combination function φ, resolved by registry name.
   PDD_ASSIGN_OR_RETURN(

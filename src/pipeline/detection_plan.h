@@ -93,24 +93,18 @@ class DetectionPlan {
   /// The stage graph in execution order.
   const std::vector<PipelineStage>& stages() const { return stages_; }
 
-  /// True when this plan decides pairs through the columnar kernel
-  /// path (match.kernel resolved at compile time: kAuto selects it iff
-  /// every resolved comparator has a kernel and no custom comparator
-  /// instance is installed; kColumnar on an ineligible plan fails
-  /// compilation). Both paths are bit-identical — this is purely the
-  /// throughput choice the executor honours when an arena is attached.
-  bool use_columnar_kernels() const { return use_columnar_kernels_; }
-
-  /// One kernel per schema attribute; empty unless
-  /// use_columnar_kernels().
-  const std::vector<ColumnarKernelFn>& columnar_kernels() const {
-    return columnar_kernels_;
+  /// The resolved comparator of every schema attribute (registry
+  /// comparators or custom instances), in attribute order.
+  const std::vector<const Comparator*>& comparators() const {
+    return matcher_->comparators();
   }
 
-  /// The resolved match-kernel choice ("columnar" or "scalar") for
-  /// execution-statistics reporting.
-  const char* match_kernel_name() const {
-    return use_columnar_kernels_ ? "columnar" : "scalar";
+  /// One entry per schema attribute: the columnar kernel of the
+  /// attribute's comparator, or nullptr where it has none (monge_elkan,
+  /// soundex, custom instances). ColumnarMatcher runs the comparator
+  /// itself for those attributes.
+  const std::vector<ColumnarKernelFn>& columnar_kernels() const {
+    return columnar_kernels_;
   }
 
   /// Builds the configured pair generator (stateless w.r.t. relations),
@@ -133,7 +127,9 @@ class DetectionPlan {
   /// Stage kClassify: η(t1, t2) from the derived similarity.
   MatchClass RunClassifyStage(double similarity) const;
 
-  /// All four stages on one candidate pair.
+  /// All four stages on one candidate pair, over the x-tuple object
+  /// graph. The executor decides through ColumnarMatcher instead; this
+  /// is the reference that tests and bench_fig03 compare it against.
   XPairDecision DecidePair(const XTuple& t1, const XTuple& t2) const;
 
  private:
@@ -149,7 +145,6 @@ class DetectionPlan {
   Schema schema_;
   KeySpec key_spec_;
   std::vector<PipelineStage> stages_;
-  bool use_columnar_kernels_ = false;
   std::vector<ColumnarKernelFn> columnar_kernels_;
   std::unique_ptr<TupleMatcher> matcher_;
   std::unique_ptr<CombinationFunction> combination_;

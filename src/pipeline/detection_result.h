@@ -25,10 +25,11 @@ struct RunTelemetry;
 /// stage is hottest), not against the run's elapsed wall clock.
 struct StageTimings {
   double match_seconds = 0.0;
+  /// Always 0: ColumnarMatcher fuses φ into the match stage.
   double combine_seconds = 0.0;
   double derive_seconds = 0.0;
   double classify_seconds = 0.0;
-  /// Digest computation + cache lookup on the memoized path.
+  /// Digest read + cache lookup on cached runs.
   double cache_lookup_seconds = 0.0;
 
   double TotalSeconds() const {
@@ -145,12 +146,6 @@ struct DetectionResult {
   /// Candidate-stream drain accounting (always collected; the counters
   /// are two integers per batch).
   StreamRunStats stream_stats;
-  /// Which match-stage implementation the executor ran: "columnar"
-  /// (batched kernels over the stream's RelationArena) or "scalar"
-  /// (per-pair TupleMatcher). Rendered by ExecutionStatsReport only —
-  /// both paths are bit-identical, so the detection report never
-  /// mentions it. Empty for hand-assembled results.
-  std::string match_kernel;
   /// Unified telemetry of the run: the metrics registry plus the span
   /// tree (see obs/run_telemetry.h). Attached by the executor; null for
   /// hand-assembled results (consumers fall back to

@@ -1,7 +1,6 @@
 #include "pipeline/stage_executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -23,34 +22,6 @@ using Clock = std::chrono::steady_clock;
 
 inline double Elapsed(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The accumulator a stage's wall time belongs to.
-inline double* TimingSlot(StageTimings* timings, PipelineStage stage) {
-  switch (stage) {
-    case PipelineStage::kMatch:
-      return &timings->match_seconds;
-    case PipelineStage::kCombine:
-      return &timings->combine_seconds;
-    case PipelineStage::kDerive:
-      return &timings->derive_seconds;
-    case PipelineStage::kClassify:
-      return &timings->classify_seconds;
-  }
-  return &timings->classify_seconds;
-}
-
-/// Lazily memoized TupleContentDigest. 0 doubles as the "unset"
-/// sentinel: a genuine zero digest just recomputes (correct, merely
-/// unmemoized).
-inline uint64_t MemoizedDigest(const XRelation& rel, size_t index,
-                               std::atomic<uint64_t>* slot) {
-  uint64_t digest = slot->load(std::memory_order_relaxed);
-  if (digest == 0) {
-    digest = TupleContentDigest(rel.xtuple(index));
-    slot->store(digest, std::memory_order_relaxed);
-  }
-  return digest;
 }
 
 inline uint64_t MicrosFromSeconds(double seconds) {
@@ -191,9 +162,7 @@ StageExecutor::StageExecutor(std::shared_ptr<const DetectionPlan> plan,
                              StageExecutorOptions options)
     : plan_(std::move(plan)), options_(std::move(options)) {}
 
-void StageExecutor::DecideBatch(const XRelation& rel,
-                                const std::vector<CandidatePair>& batch,
-                                TupleDigestMemo* digest_memo,
+void StageExecutor::DecideBatch(const std::vector<CandidatePair>& batch,
                                 ColumnarMatcher* matcher,
                                 std::vector<PairDecisionRecord>* out,
                                 BatchCounters* counters) const {
@@ -204,25 +173,16 @@ void StageExecutor::DecideBatch(const XRelation& rel,
   const bool use_cache =
       options_.cache != nullptr && plan_->decision_fingerprint() != 0;
   DecisionCache* cache = options_.cache.get();
+  const RelationArena& arena = matcher->arena();
   PairDecisionKey key;
   key.plan_fingerprint = plan_->decision_fingerprint();
   for (const CandidatePair& pair : batch) {
-    const XTuple& t1 = rel.xtuple(pair.first);
-    const XTuple& t2 = rel.xtuple(pair.second);
     // The clock reads themselves are gated on `timed`: an untimed
     // warm run's per-pair cost stays digest + lookup, nothing else.
     Clock::time_point start;
     if (timed && use_cache) start = Clock::now();
-    // Columnar runs read the arena's precomputed tuple digests (the
-    // PR-3 lazy memo moved to build time); scalar runs keep the memo.
-    const uint64_t d1 =
-        matcher != nullptr
-            ? matcher->arena().tuple_digest(pair.first)
-            : MemoizedDigest(rel, pair.first, &(*digest_memo)[pair.first]);
-    const uint64_t d2 =
-        matcher != nullptr
-            ? matcher->arena().tuple_digest(pair.second)
-            : MemoizedDigest(rel, pair.second, &(*digest_memo)[pair.second]);
+    const uint64_t d1 = arena.tuple_digest(pair.first);
+    const uint64_t d2 = arena.tuple_digest(pair.second);
     if (use_cache) {
       key.pair_digest = CombineTupleDigests(d1, d2);
       std::optional<CachedPairDecision> cached = cache->Lookup(key);
@@ -241,46 +201,16 @@ void StageExecutor::DecideBatch(const XRelation& rel,
     // digest, but floating-point similarity is not bit-symmetric in
     // its operands (summation order differs), so the value stored
     // under that key must not depend on presentation order: every path
-    // — cached or not, scalar or columnar, batch order or standing
-    // arrival order — decides (smaller digest, larger digest).
-    // Equal digests mean content-identical tuples, where orientation
-    // cannot matter. The record keeps the presentation indices.
+    // — cached or not, batch order or standing arrival order — decides
+    // (smaller digest, larger digest). Equal digests mean
+    // content-identical tuples, where orientation cannot matter. The
+    // record keeps the presentation indices.
     const bool flip = d2 < d1;
     const size_t i1 = flip ? pair.second : pair.first;
     const size_t i2 = flip ? pair.first : pair.second;
-    const XTuple& ta = flip ? t2 : t1;
-    const XTuple& tb = flip ? t1 : t2;
-    XPairDecision decision;
-    if (matcher != nullptr) {
-      decision = timed ? matcher->DecideTimed(i1, i2, &counters->timings)
-                       : matcher->Decide(i1, i2);
-    } else if (timed) {
-      // DecidePair's walk over the compiled stage graph, with a clock
-      // read around each stage (same order, same arithmetic, same
-      // results — plan_->stages() stays the single source of truth).
-      ComparisonMatrix matrix;
-      AlternativePairScores scores;
-      for (PipelineStage stage : plan_->stages()) {
-        Clock::time_point stage_start = Clock::now();
-        switch (stage) {
-          case PipelineStage::kMatch:
-            matrix = plan_->RunMatchStage(ta, tb);
-            break;
-          case PipelineStage::kCombine:
-            scores = plan_->RunCombineStage(ta, tb, matrix);
-            break;
-          case PipelineStage::kDerive:
-            decision.similarity = plan_->RunDeriveStage(scores);
-            break;
-          case PipelineStage::kClassify:
-            decision.match_class = plan_->RunClassifyStage(decision.similarity);
-            break;
-        }
-        *TimingSlot(&counters->timings, stage) += Elapsed(stage_start);
-      }
-    } else {
-      decision = plan_->DecidePair(ta, tb);
-    }
+    const XPairDecision decision =
+        timed ? matcher->DecideTimed(i1, i2, &counters->timings)
+              : matcher->Decide(i1, i2);
     if (use_cache) {
       cache->Insert(key, {decision.similarity, decision.match_class});
       ++counters->cache.inserts;
@@ -312,31 +242,28 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
     return Status::InvalidArgument(
         "stream relation schema incompatible with plan schema");
   }
+  // Every pair decides over the stream's arena. A stream without one
+  // (custom RunStream streams, a materialized stream, a factory stream
+  // on its first run) gets it here, before any worker starts; it stays
+  // attached for Reset() re-runs.
+  if (stream.arena() == nullptr) {
+    std::shared_ptr<const RelationArena> built = RelationArena::Build(rel);
+    if (built == nullptr) {
+      return Status::OutOfRange("relation '" + rel.name() +
+                                "' overflows the arena's 32-bit columns");
+    }
+    stream.set_arena(std::move(built));
+  }
+  if (stream.arena()->tuple_count() != rel.size()) {
+    return Status::InvalidArgument(
+        "stream arena holds " + std::to_string(stream.arena()->tuple_count()) +
+        " tuples but its relation " + std::to_string(rel.size()));
+  }
   DetectionResult result;
   result.total_pairs = stream.total_pairs();
   result.plan_fingerprint = plan_->fingerprint();
   result.stage_timings_collected = options_.stage_timings;
   if (options_.cache != nullptr) result.cache_stats = CacheRunStats{};
-  // Columnar kernel path: the plan resolved it at compile time and the
-  // stream factory attached an arena over its relation. A custom
-  // stream without an arena (or an arena for a different relation, or
-  // an overflowed build) falls back to the scalar path — same results.
-  const RelationArena* arena = stream.arena().get();
-  const bool columnar = plan_->use_columnar_kernels() && arena != nullptr &&
-                        arena->tuple_count() == rel.size();
-  result.match_kernel = columnar ? "columnar" : "scalar";
-  // Per-tuple digest memo for the run: filled lazily as candidates
-  // touch tuples (a sparse incremental stream over a large base never
-  // digests the untouched base), then reused by every later pair, so
-  // the hit path never re-hashes tuple content. Uncached scalar runs
-  // need the digests too, for the canonical decide orientation (see
-  // DecideBatch) — that is what keeps uncached, cold-cached and
-  // warm-cached runs bit-identical. Columnar batches read the arena's
-  // precomputed digests instead, so the memo is empty there. Sized
-  // from the stream's tuple CAPACITY, not its current size: a standing
-  // ingest stream's relation grows during the drain, and the memo must
-  // already have a slot for every tuple that can still arrive.
-  TupleDigestMemo digest_memo(columnar ? 0 : stream.tuple_capacity());
 
   // A multi-shard stream drains shard by shard through ShardNextBatch;
   // any other stream is a single shard pulled through NextBatch.
@@ -375,9 +302,13 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   auto drain_shard = [&](size_t shard, size_t thread) {
     ShardDrain& drain = drains[shard];
     WorkerStats& ws = workers[thread];
-    // One matcher per call: its scratch buffers are thread-private.
+    // The arena generation this worker decides over, and its matcher
+    // (one per call: the scratch buffers are thread-private). A
+    // standing stream publishes a new generation when it outgrows the
+    // old one; the copy keeps the generation a batch was pulled against
+    // alive until the batch is decided. Finite streams never change it.
+    std::shared_ptr<const RelationArena> arena;
     std::optional<ColumnarMatcher> matcher;
-    if (columnar) matcher.emplace(*plan_, *arena);
     std::vector<CandidatePair> batch;
     std::vector<PairDecisionRecord> decided;
     while (true) {
@@ -407,6 +338,10 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
           }
           continue;
         }
+        if (stream.arena() != arena) {
+          matcher.reset();
+          arena = stream.arena();
+        }
         index = drain.batches++;
         drain.candidate_count += batch.size();
         drain.in_flight_candidates += batch.size();
@@ -418,11 +353,10 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
       }
       ++ws.batches;
       ws.candidates += batch.size();
+      if (!matcher.has_value()) matcher.emplace(*plan_, *arena);
       Clock::time_point decide_start;
       if (timed) decide_start = Clock::now();
-      DecideBatch(rel, batch, &digest_memo,
-                  matcher.has_value() ? &*matcher : nullptr, &decided,
-                  &counters[thread]);
+      DecideBatch(batch, &*matcher, &decided, &counters[thread]);
       if (timed) {
         double decide = Elapsed(decide_start);
         ws.decide_seconds += decide;

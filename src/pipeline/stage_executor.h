@@ -1,16 +1,20 @@
 // StageExecutor: drains a CandidateStream in fixed-size batches and
 // runs every candidate through the plan's stage graph (match → combine
-// → derive → classify). There is one drain loop. Each shard of the
-// stream (a plain stream is a single shard) is pulled under its own
-// mutex; its batches are indexed in pull order, decided into a
-// worker-local buffer and committed in index order. The worker count
-// only decides how many threads run that loop: workers <= 1 runs it on
-// the calling thread, shard after shard. So the result is
-// byte-identical for any worker or shard count, and parallelism is
-// purely a throughput knob. The drain streams: live candidates are
-// bounded per shard by the in-flight batches plus whatever the stream
-// buffers (nothing for native-streaming reductions), and the drain
-// accounting lands in DetectionResult::stream_stats.
+// → derive → classify). There is one decide path: every pair decides
+// through a ColumnarMatcher over the stream's RelationArena, which
+// Execute builds when the stream carries none (DetectionPlan::DecidePair
+// is the reference the tests hold it to, bit for bit). There is one
+// drain loop. Each shard of the stream (a plain stream is a single
+// shard) is pulled under its own mutex; its batches are indexed in pull
+// order, decided into a worker-local buffer and committed in index
+// order. The worker count only decides how many threads run that loop:
+// workers <= 1 runs it on the calling thread, shard after shard. So the
+// result is byte-identical for any worker or shard count, and
+// parallelism is purely a throughput knob. The drain streams: live
+// candidates are bounded per shard by the in-flight batches plus
+// whatever the stream buffers (nothing for native-streaming
+// reductions), and the drain accounting lands in
+// DetectionResult::stream_stats.
 //
 // With a DecisionCache attached, each pair is first looked up by
 // (plan decision fingerprint, pair content digest); hits skip the
@@ -20,12 +24,12 @@
 // patterns the stages produced, so cached ≡ uncached ≡ serial ≡
 // parallel output. Per-stage wall times (plus the cache-lookup path)
 // are accumulated into DetectionResult::stage_timings unless
-// stage_timings is disabled.
+// stage_timings is disabled; the matcher fuses φ into the match stage,
+// so combine_seconds always reads 0.
 
 #ifndef PDD_PIPELINE_STAGE_EXECUTOR_H_
 #define PDD_PIPELINE_STAGE_EXECUTOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -73,7 +77,11 @@ class StageExecutor {
                 StageExecutorOptions options = {});
 
   /// Drains `stream` and returns the detection result. The stream is
-  /// left exhausted (callers reuse one via CandidateStream::Reset).
+  /// left exhausted (callers reuse one via CandidateStream::Reset) with
+  /// its arena attached. Fails with OutOfRange when the relation
+  /// overflows the arena's (or the records') 32-bit indices, and with
+  /// InvalidArgument when an attached arena's tuple count differs from
+  /// the stream relation's.
   /// A 0-candidate pull does not end the drain by itself: the stream's
   /// AwaitMore() decides between *exhausted* (finite batch sources) and
   /// *idle but open* (a standing ingest source blocks there until more
@@ -100,24 +108,11 @@ class StageExecutor {
     CacheRunStats cache;
   };
 
-  /// Lazily memoized per-tuple content digests for one run, one slot
-  /// per tuple the stream can hold (tuple_capacity()) on scalar runs
-  /// and none on columnar runs. 0 = not yet computed; entries fill in
-  /// as candidate pairs touch their tuples, so sparse runs (incremental
-  /// streams over large bases) only digest what they examine. Benign
-  /// write races: the digest is a pure function of content, every
-  /// writer stores the same value.
-  using TupleDigestMemo = std::vector<std::atomic<uint64_t>>;
-
-  /// Runs the stage graph over one batch, appending to `*out` (the
-  /// worker-local buffer). Execute always passes `digest_memo`; the
-  /// scalar path reads tuple digests (for the cache key and the decide
-  /// orientation) through it. `matcher`, when non-null, is this
-  /// worker's columnar matcher: pairs decide through the batched
-  /// kernels and digests come from the arena instead of the memo.
-  void DecideBatch(const XRelation& rel,
-                   const std::vector<CandidatePair>& batch,
-                   TupleDigestMemo* digest_memo, ColumnarMatcher* matcher,
+  /// Decides one batch through this worker's matcher, appending to
+  /// `*out` (the worker-local buffer). Tuple digests (the cache key and
+  /// the decide orientation) come from the matcher's arena.
+  void DecideBatch(const std::vector<CandidatePair>& batch,
+                   ColumnarMatcher* matcher,
                    std::vector<PairDecisionRecord>* out,
                    BatchCounters* counters) const;
 

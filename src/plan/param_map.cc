@@ -75,14 +75,13 @@ Result<size_t> ParamMap::GetSize(std::string_view key,
                                  size_t default_value) const {
   const std::string* value = Find(key);
   if (value == nullptr) return default_value;
-  double parsed = 0.0;
-  if (!ParseDouble(*value, &parsed) || parsed < 0 ||
-      parsed != static_cast<double>(static_cast<size_t>(parsed))) {
+  size_t parsed = 0;
+  if (!ParseSize(*value, &parsed)) {
     return Status::InvalidArgument("parameter '" + std::string(key) +
                                    "' is not a non-negative integer: '" +
                                    *value + "'");
   }
-  return static_cast<size_t>(parsed);
+  return parsed;
 }
 
 Result<bool> ParamMap::GetBool(std::string_view key,

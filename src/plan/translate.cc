@@ -10,11 +10,10 @@
 // instances (ToSpec marks them "custom"; FromSpec refuses to resolve
 // the marker) and token-map standardizers ("prepare = custom",
 // likewise refused). Executor tuning (`executor.batch`,
-// `executor.workers`) and the match-kernel selection (`match.kernel`)
-// are accepted by FromSpec as a convenience but never printed by
-// ToSpec: they do not change decisions, so they are kept out of the
-// fingerprint (and reports stay byte-identical across kernels and
-// worker counts).
+// `executor.workers`) is accepted by FromSpec as a convenience but
+// never printed by ToSpec: it does not change decisions, so it is kept
+// out of the fingerprint (and reports stay byte-identical across batch
+// sizes and worker counts).
 
 #include "plan/translate.h"
 
@@ -256,10 +255,6 @@ Result<DetectorConfig> DetectorConfig::FromSpec(const PlanSpec& spec,
                        params.GetSize("executor.batch", config.batch_size));
   PDD_ASSIGN_OR_RETURN(config.workers,
                        params.GetSize("executor.workers", config.workers));
-
-  std::string kernel_name = params.GetString(
-      "match.kernel", MatchKernelName(config.match_kernel));
-  PDD_ASSIGN_OR_RETURN(config.match_kernel, MatchKernelFromName(kernel_name));
 
   PDD_ASSIGN_OR_RETURN(config.shard_count,
                        params.GetSize("shard.count", config.shard_count));

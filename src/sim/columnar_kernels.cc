@@ -299,9 +299,8 @@ struct KernelEntry {
   ColumnarKernelFn fn;
 };
 
-/// Sorted by name. monge_elkan and soundex are deliberately absent:
-/// they exercise the scalar-fallback path (and a forced
-/// `match.kernel = columnar` plan over them fails to compile).
+/// Sorted by name. monge_elkan and soundex have no kernel: the
+/// matcher calls their Comparator over the arena texts instead.
 constexpr KernelEntry kKernels[] = {
     {"cosine", &CosineKernel},
     {"damerau", &DamerauKernel},

@@ -1,13 +1,15 @@
 // Columnar comparator kernels: allocation-free, signature-accelerated
-// span implementations of the registry comparators, used by the
-// columnar match path (match/columnar_matcher.h) over a RelationArena.
+// span implementations of the registry comparators, used by
+// ColumnarMatcher (match/columnar_matcher.h) over a RelationArena.
+// A comparator without a kernel (monge_elkan, soundex, custom
+// instances) runs its own Compare inside the same matcher loop.
 //
 // Contract: for every registered comparator name with a kernel,
 //   kernel(a, b, sig_a, sig_b, scratch) == GetComparator(name)->Compare(a, b)
 // BIT-IDENTICALLY, for any inputs and any (correct) signatures. That is
-// what lets DetectionPlan select the kernel path at compile time while
-// keeping reports byte-identical to the scalar path. Kernels therefore
-// only take shortcuts that are exact under IEEE 754:
+// what keeps the executor's records byte-identical to the
+// DetectionPlan::DecidePair reference. Kernels therefore only take
+// shortcuts that are exact under IEEE 754:
 //
 //   * equality exits for comparators whose self-similarity is exactly
 //     1.0 (integer-distance families, Jaro: x/x == 1.0 for x > 0);
@@ -54,7 +56,7 @@ using ColumnarKernelFn = double (*)(std::string_view a, std::string_view b,
 uint64_t QGram2Signature(std::string_view s);
 
 /// The kernel registered for a comparator name, or nullptr when the
-/// comparator is scalar-only (monge_elkan, soundex, custom instances).
+/// comparator has none (monge_elkan, soundex, unknown names).
 ColumnarKernelFn FindColumnarKernel(std::string_view comparator_name);
 
 /// Names of all comparators that have a columnar kernel, sorted.

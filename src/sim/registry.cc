@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "sim/columnar_kernels.h"
 #include "sim/edit_distance.h"
 #include "sim/jaro.h"
 #include "sim/numeric_similarity.h"
@@ -75,11 +74,6 @@ std::vector<std::string> ComparatorNames() {
   for (const auto& [name, cmp] : BuiltinMap()) names.push_back(name);
   std::sort(names.begin(), names.end());
   return names;
-}
-
-bool ComparatorHasColumnarKernel(std::string_view name) {
-  return BuiltinMap().count(name) > 0 &&
-         FindColumnarKernel(name) != nullptr;
 }
 
 }  // namespace pdd

@@ -22,13 +22,6 @@ Result<const Comparator*> GetComparator(std::string_view name);
 /// Names of all built-in comparators, sorted.
 std::vector<std::string> ComparatorNames();
 
-/// True when the named comparator has a columnar kernel (the registry's
-/// `columnar` capability flag, mirroring the reductions'
-/// `native_streaming`): a plan selecting only such comparators can take
-/// the batched kernel path with bit-identical results. Scalar-only
-/// comparators (monge_elkan, soundex) and unknown names return false.
-bool ComparatorHasColumnarKernel(std::string_view name);
-
 }  // namespace pdd
 
 #endif  // PDD_SIM_REGISTRY_H_

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace pdd {
 
@@ -129,6 +131,21 @@ bool ParseDouble(std::string_view s, double* out) {
   double v = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return false;
   *out = v;
+  return true;
+}
+
+bool ParseSize(std::string_view s, size_t* out) {
+  double v = 0.0;
+  // Every check precedes the cast: converting NaN, an infinity or a
+  // value outside [0, 2^digits) to an integer is undefined behaviour.
+  // !(v >= 0) also rejects NaN.
+  static const double kLimit =
+      std::ldexp(1.0, std::numeric_limits<size_t>::digits);
+  if (!ParseDouble(s, &v) || !(v >= 0.0) || v >= kLimit ||
+      v != std::floor(v)) {
+    return false;
+  }
+  *out = static_cast<size_t>(v);
   return true;
 }
 

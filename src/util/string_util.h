@@ -47,6 +47,12 @@ std::string FormatDouble(double v, int digits = 6);
 /// Parses a double; returns false on malformed input.
 bool ParseDouble(std::string_view s, double* out);
 
+/// Parses a non-negative integer count written in any ParseDouble form
+/// ("42", "1e3"). Returns false on malformed input and on NaN, ±inf,
+/// negatives, fractions and values >= 2^64, so no out-of-range
+/// float-to-integer conversion ever happens.
+bool ParseSize(std::string_view s, size_t* out);
+
 /// Fixed-width (16 digit) lower-case hex form of a 64-bit value —
 /// the rendering plan fingerprints and cache snapshots share.
 std::string HexU64(uint64_t v);

@@ -71,6 +71,26 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("expected true", result.stderr)
 
+    def test_gated_key_missing_from_the_run_is_a_regression(self):
+        # Dropping or renaming a gated key must fail, not lose its gate.
+        renamed = sidecar(1000.0)
+        renamed["gauges"] = {"pairs_per_second": 1000.0}
+        self.write(self.run_dir, "BENCH_x.json", renamed)
+        self.write(self.baselines, "BENCH_x.json", sidecar(1000.0))
+        result = run(self.run_dir, self.baselines)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("BENCH_x.json:pairs_per_sec", result.stderr)
+        self.assertIn("missing", result.stderr)
+
+    def test_missing_invariant_key_is_a_regression(self):
+        dropped = sidecar(1000.0)
+        dropped["info"] = {}
+        self.write(self.run_dir, "BENCH_x.json", dropped)
+        self.write(self.baselines, "BENCH_x.json", sidecar(1000.0))
+        result = run(self.run_dir, self.baselines)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("BENCH_x.json:report_identical", result.stderr)
+
     def test_missing_baseline_is_a_hard_failure(self):
         # An unbaselined sidecar must fail with the distinct exit code
         # (3) and point at --update — never silently skip.

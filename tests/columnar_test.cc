@@ -1,8 +1,10 @@
-// Tests for the columnar match path: RelationArena round-trips the
-// prepared relation field for field, every columnar kernel is
-// bit-identical to its registry comparator, and end-to-end detection
-// with `match.kernel` forced either way produces byte-identical
-// reports across batch sizes, worker counts, caching and sharding.
+// Tests for the columnar decide path: RelationArena round-trips the
+// prepared relation field for field (built at once or grown tuple by
+// tuple through generations), every columnar kernel is bit-identical to
+// its registry comparator, and the executor's records equal the
+// DetectionPlan::DecidePair oracle bit for bit for every comparator —
+// kernel-backed, kernel-less and custom — across batch sizes, worker
+// and shard counts and the decision cache.
 
 #include <gtest/gtest.h>
 
@@ -156,201 +158,291 @@ TEST(ColumnarKernelTest, KernelsBitIdenticalToRegistryComparators) {
   }
 }
 
-TEST(ColumnarKernelTest, CapabilityFlagMatchesKernelTable) {
-  for (const std::string& name : ComparatorNames()) {
-    EXPECT_EQ(ComparatorHasColumnarKernel(name),
-              FindColumnarKernel(name) != nullptr)
-        << name;
+// --- arena growth ---------------------------------------------------------
+
+/// Field-for-field equality of two arenas over the same tuples.
+void ExpectSameArena(const RelationArena& a, const RelationArena& b) {
+  ASSERT_EQ(a.tuple_count(), b.tuple_count());
+  ASSERT_EQ(a.row_count(), b.row_count());
+  ASSERT_EQ(a.alternative_count(), b.alternative_count());
+  ASSERT_EQ(a.arity(), b.arity());
+  for (size_t t = 0; t < a.tuple_count(); ++t) {
+    EXPECT_EQ(a.tuple_row_begin(t), b.tuple_row_begin(t));
+    EXPECT_EQ(a.tuple_row_end(t), b.tuple_row_end(t));
+    EXPECT_EQ(a.tuple_digest(t), b.tuple_digest(t));
   }
-  // Trained/phonetic comparators stay scalar-only by design.
-  EXPECT_FALSE(ComparatorHasColumnarKernel("monge_elkan"));
-  EXPECT_FALSE(ComparatorHasColumnarKernel("soundex"));
-  EXPECT_TRUE(ComparatorHasColumnarKernel("hamming"));
-  EXPECT_TRUE(ComparatorHasColumnarKernel("levenshtein"));
-  EXPECT_TRUE(ComparatorHasColumnarKernel("jaro_winkler"));
+  for (size_t r = 0; r < a.row_count(); ++r) {
+    EXPECT_EQ(a.row_cond_prob(r), b.row_cond_prob(r));
+    for (size_t attr = 0; attr < a.arity(); ++attr) {
+      const size_t v = a.value_index(r, attr);
+      EXPECT_EQ(a.value_alt_begin(v), b.value_alt_begin(v));
+      EXPECT_EQ(a.value_alt_end(v), b.value_alt_end(v));
+      EXPECT_EQ(a.value_null_prob(v), b.value_null_prob(v));
+    }
+  }
+  for (size_t k = 0; k < a.alternative_count(); ++k) {
+    EXPECT_EQ(a.alt_text(k), b.alt_text(k));
+    EXPECT_EQ(a.alt_prob(k), b.alt_prob(k));
+    EXPECT_EQ(a.alt_sig(k), b.alt_sig(k));
+    EXPECT_EQ(a.alt_digest(k), b.alt_digest(k));
+  }
 }
 
-// --- plan compilation ---------------------------------------------------
-
-TEST(ColumnarPlanTest, SpecKeySelectsKernel) {
-  PlanSpec base = PlanBuilder()
-                      .AddKey("name", 3)
-                      .AddKey("job", 2)
-                      .Weights({0.5, 0.3, 0.2})
-                      .Build();
-  auto auto_plan = DetectionPlan::Compile(base, PersonSchema());
-  ASSERT_TRUE(auto_plan.ok());
-  // Default comparators all have kernels, so auto resolves columnar.
-  EXPECT_TRUE((*auto_plan)->use_columnar_kernels());
-  EXPECT_STREQ((*auto_plan)->match_kernel_name(), "columnar");
-
-  PlanSpec scalar_spec = base;
-  ASSERT_TRUE(scalar_spec.SetAssignment("match.kernel=scalar").ok());
-  auto scalar_plan = DetectionPlan::Compile(scalar_spec, PersonSchema());
-  ASSERT_TRUE(scalar_plan.ok());
-  EXPECT_FALSE((*scalar_plan)->use_columnar_kernels());
-  EXPECT_STREQ((*scalar_plan)->match_kernel_name(), "scalar");
-
-  // The kernel is a throughput knob, not plan identity: same
-  // fingerprints, so cache entries and reports are shared.
-  EXPECT_EQ((*auto_plan)->fingerprint(), (*scalar_plan)->fingerprint());
-  EXPECT_EQ((*auto_plan)->decision_fingerprint(),
-            (*scalar_plan)->decision_fingerprint());
+TEST(RelationArenaTest, AppendGrowsByGenerationsAndMatchesBuild) {
+  for (const XRelation& rel : {UncertainPersons(40).relation, BuildR34()}) {
+    XRelation empty(rel.name(), rel.schema());
+    std::shared_ptr<RelationArena> arena = RelationArena::Build(empty);
+    ASSERT_NE(arena, nullptr);
+    size_t generations = 1;
+    for (const XTuple& tuple : rel.xtuples()) {
+      const RelationArena* before = arena.get();
+      const size_t held = arena->tuple_count();
+      const std::string first_text =
+          held > 0 && arena->alternative_count() > 0
+              ? std::string(arena->alt_text(0))
+              : std::string();
+      std::shared_ptr<RelationArena> next =
+          RelationArena::Append(arena, tuple, rel.schema());
+      ASSERT_NE(next, nullptr);
+      if (next.get() != before) {
+        ++generations;
+        // The superseded generation is untouched: a reader holding it
+        // still sees exactly the tuples it held.
+        EXPECT_EQ(arena->tuple_count(), held);
+        if (!first_text.empty()) {
+          EXPECT_EQ(arena->alt_text(0), first_text);
+        }
+      }
+      arena = std::move(next);
+      EXPECT_EQ(arena->tuple_count(), held + 1);
+    }
+    EXPECT_GE(generations, 3u) << rel.name();
+    std::shared_ptr<RelationArena> built = RelationArena::Build(rel);
+    ASSERT_NE(built, nullptr);
+    ExpectSameArena(*arena, *built);
+  }
 }
 
-TEST(ColumnarPlanTest, ForcedColumnarWithoutKernelFails) {
+// --- plan: one entry per attribute -----------------------------------------
+
+/// A comparator the registry does not know: exercises the custom
+/// instance path (no kernel, cache-ineligible plan).
+class FirstLetterComparator : public Comparator {
+ public:
+  double Compare(std::string_view a, std::string_view b) const override {
+    if (a.empty() || b.empty()) return a.empty() && b.empty() ? 1.0 : 0.0;
+    return a[0] == b[0] ? (a.size() == b.size() ? 1.0 : 0.75) : 0.125;
+  }
+  std::string name() const override { return "first_letter"; }
+};
+
+TEST(ColumnarPlanTest, KernelTableHasAnEntryPerAttribute) {
+  FirstLetterComparator custom;
+  DetectorConfig config = PersonConfig();
+  config.comparators = {"monge_elkan", "soundex", "levenshtein"};
+  config.custom_comparators = {nullptr, nullptr, &custom};
+  auto plan = DetectionPlan::Compile(config, PersonSchema());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::vector<ColumnarKernelFn>& kernels = (*plan)->columnar_kernels();
+  ASSERT_EQ(kernels.size(), 3u);
+  EXPECT_EQ(kernels[0], nullptr);  // monge_elkan has no kernel
+  EXPECT_EQ(kernels[1], nullptr);  // soundex has no kernel
+  EXPECT_EQ(kernels[2], nullptr);  // custom instance
+  ASSERT_EQ((*plan)->comparators().size(), 3u);
+  EXPECT_EQ((*plan)->comparators()[0]->name(), "monge_elkan");
+  EXPECT_EQ((*plan)->comparators()[1]->name(), "soundex");
+  EXPECT_EQ((*plan)->comparators()[2], &custom);
+
+  auto defaults = DetectionPlan::Compile(PersonConfig(), PersonSchema());
+  ASSERT_TRUE(defaults.ok());
+  for (ColumnarKernelFn kernel : (*defaults)->columnar_kernels()) {
+    EXPECT_NE(kernel, nullptr);
+  }
+}
+
+TEST(ColumnarPlanTest, MatchKernelSpecKeyIsRejected) {
   PlanSpec spec = PlanBuilder()
                       .AddKey("name", 3)
-                      .AddKey("job", 2)
                       .Weights({0.5, 0.3, 0.2})
-                      .Comparators({"monge_elkan", "hamming", "hamming"})
                       .Set("match.kernel", "columnar")
                       .Build();
   auto plan = DetectionPlan::Compile(spec, PersonSchema());
-  EXPECT_FALSE(plan.ok());
-
-  // auto quietly falls back to scalar for the same mix.
-  PlanSpec auto_spec = PlanBuilder()
-                           .AddKey("name", 3)
-                           .AddKey("job", 2)
-                           .Weights({0.5, 0.3, 0.2})
-                           .Comparators({"monge_elkan", "hamming", "hamming"})
-                           .Build();
-  auto auto_plan = DetectionPlan::Compile(auto_spec, PersonSchema());
-  ASSERT_TRUE(auto_plan.ok());
-  EXPECT_FALSE((*auto_plan)->use_columnar_kernels());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_NE(plan.status().message().find("match.kernel"), std::string::npos)
+      << plan.status().ToString();
 }
 
-TEST(ColumnarPlanTest, UnknownKernelNameFails) {
-  PlanSpec spec = PlanBuilder()
-                      .AddKey("name", 3)
-                      .Weights({})
-                      .Set("match.kernel", "vectorized")
-                      .Build();
-  EXPECT_FALSE(DetectionPlan::Compile(spec, PersonSchema()).ok());
+// --- executor ≡ DecidePair oracle -------------------------------------------
+
+/// One oracle record per executor record: DecidePair on the prepared
+/// tuples in the executor's canonical orientation (smaller content
+/// digest first), the record keeping the presentation indices.
+std::vector<PairDecisionRecord> OracleRecords(
+    const DetectionPlan& plan, const XRelation& prepared,
+    const std::vector<PairDecisionRecord>& pairs) {
+  std::vector<uint64_t> digests;
+  for (const XTuple& tuple : prepared.xtuples()) {
+    digests.push_back(TupleContentDigest(tuple));
+  }
+  std::vector<PairDecisionRecord> oracle;
+  for (const PairDecisionRecord& pair : pairs) {
+    const bool flip = digests[pair.index2] < digests[pair.index1];
+    const XPairDecision decision =
+        plan.DecidePair(prepared.xtuple(flip ? pair.index2 : pair.index1),
+                        prepared.xtuple(flip ? pair.index1 : pair.index2));
+    oracle.push_back(
+        {pair.index1, pair.index2, decision.similarity, decision.match_class});
+  }
+  return oracle;
 }
 
-// --- end-to-end identity ------------------------------------------------
+void ExpectRecordsEqual(const std::vector<PairDecisionRecord>& actual,
+                        const std::vector<PairDecisionRecord>& oracle,
+                        const std::string& context) {
+  ASSERT_EQ(actual.size(), oracle.size()) << context;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].index1, oracle[i].index1) << context << " #" << i;
+    EXPECT_EQ(actual[i].index2, oracle[i].index2) << context << " #" << i;
+    // EXPECT_EQ, not NEAR: the contract is bit-identity.
+    EXPECT_EQ(actual[i].similarity, oracle[i].similarity)
+        << context << " #" << i;
+    EXPECT_EQ(actual[i].match_class, oracle[i].match_class)
+        << context << " #" << i;
+  }
+}
 
-TEST(ColumnarEndToEndTest, ByteIdenticalAcrossBatchSizesAndWorkers) {
-  GeneratedData data = UncertainPersons(80);
-
-  DetectorConfig config = PersonConfig();
-  config.match_kernel = MatchKernel::kScalar;
-  auto scalar_det = DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(scalar_det.ok());
-  auto scalar_run = scalar_det->Run(data.relation);
-  ASSERT_TRUE(scalar_run.ok());
-  EXPECT_EQ(scalar_run->match_kernel, "scalar");
-  const std::string baseline = DetectionReport(*scalar_run, &data.gold);
-  ASSERT_GT(scalar_run->candidate_count, 0u);
-
+/// Runs `config` over `rel` in every executor shape — batch {1, 7,
+/// 4096} × workers {0, 2} × shards {1, 3} × uncached / cold-cached /
+/// warm-cached — and checks each run's records against the oracle.
+void ExpectOracleIdentity(DetectorConfig config, const XRelation& rel,
+                          const std::string& label) {
+  auto plan = DetectionPlan::Compile(config, rel.schema());
+  ASSERT_TRUE(plan.ok()) << label << ": " << plan.status().ToString();
+  std::vector<PairDecisionRecord> oracle;
   for (size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
     for (size_t workers : {size_t{0}, size_t{2}}) {
-      DetectorConfig columnar = PersonConfig();
-      columnar.match_kernel = MatchKernel::kColumnar;
-      columnar.batch_size = batch;
-      columnar.workers = workers;
-      auto det = DuplicateDetector::Make(columnar, PersonSchema());
-      ASSERT_TRUE(det.ok());
-      auto run = det->Run(data.relation);
-      ASSERT_TRUE(run.ok()) << "batch " << batch << " workers " << workers;
-      EXPECT_EQ(run->match_kernel, "columnar");
-      EXPECT_EQ(DetectionReport(*run, &data.gold), baseline)
-          << "batch " << batch << " workers " << workers;
+      for (size_t shards : {size_t{1}, size_t{3}}) {
+        auto cache = std::make_shared<ShardedDecisionCache>();
+        for (const char* mode : {"uncached", "cold", "warm"}) {
+          const std::string context =
+              label + " batch " + std::to_string(batch) + " workers " +
+              std::to_string(workers) + " shards " + std::to_string(shards) +
+              " " + mode;
+          StageExecutorOptions options;
+          options.batch_size = batch;
+          options.workers = workers;
+          if (std::string(mode) != "uncached") options.cache = cache;
+          auto stream = MakeFullStream(**plan, rel, {shards});
+          ASSERT_TRUE(stream.ok()) << context;
+          auto result = StageExecutor(*plan, options).Execute(**stream);
+          ASSERT_TRUE(result.ok()) << context << ": "
+                                   << result.status().ToString();
+          ASSERT_GT(result->decisions.size(), 0u) << context;
+          if (oracle.empty()) {
+            oracle = OracleRecords(**plan, (*stream)->relation(),
+                                   result->decisions);
+          }
+          ExpectRecordsEqual(result->decisions, oracle, context);
+          if (std::string(mode) == "warm" &&
+              (*plan)->decision_fingerprint() != 0) {
+            ASSERT_TRUE(result->cache_stats.has_value());
+            EXPECT_EQ(result->cache_stats->hits,
+                      result->cache_stats->lookups)
+                << context;
+          }
+        }
+      }
     }
   }
 }
 
-TEST(ColumnarEndToEndTest, ByteIdenticalOnShardedDrain) {
-  GeneratedData data = UncertainPersons(80);
-  DetectorConfig config = PersonConfig();
-  config.shard_count = 3;
-  config.match_kernel = MatchKernel::kScalar;
-  auto scalar_det = DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(scalar_det.ok());
-  auto scalar_run = scalar_det->Run(data.relation);
-  ASSERT_TRUE(scalar_run.ok());
-
-  config.match_kernel = MatchKernel::kColumnar;
-  auto columnar_det = DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(columnar_det.ok());
-  auto columnar_run = columnar_det->Run(data.relation);
-  ASSERT_TRUE(columnar_run.ok());
-  EXPECT_EQ(columnar_run->match_kernel, "columnar");
-  EXPECT_EQ(DetectionReport(*columnar_run, &data.gold),
-            DetectionReport(*scalar_run, &data.gold));
+TEST(ColumnarOracleTest, EveryRegistryComparatorMatchesDecidePair) {
+  GeneratedData data = UncertainPersons(12);
+  std::vector<std::string> names = ComparatorNames();
+  ASSERT_EQ(names.size(), ColumnarKernelNames().size() + 2);
+  for (const std::string& name : names) {
+    DetectorConfig config = PersonConfig();
+    config.comparators = {name, name, name};
+    ExpectOracleIdentity(config, data.relation, name);
+  }
 }
 
-TEST(ColumnarEndToEndTest, ByteIdenticalThroughDecisionCache) {
-  GeneratedData data = UncertainPersons(50);
-  PlanSpec base = PlanBuilder()
-                      .AddKey("name", 3)
-                      .AddKey("job", 2)
-                      .Weights({0.5, 0.3, 0.2})
-                      .Comparators(
-                          {"levenshtein", "levenshtein", "levenshtein"})
-                      .Build();
-  PlanSpec scalar_spec = base;
-  ASSERT_TRUE(scalar_spec.SetAssignment("match.kernel=scalar").ok());
-  auto scalar_plan = DetectionPlan::Compile(scalar_spec, PersonSchema());
-  auto columnar_plan = DetectionPlan::Compile(base, PersonSchema());
-  ASSERT_TRUE(scalar_plan.ok());
-  ASSERT_TRUE(columnar_plan.ok());
-  ASSERT_TRUE((*columnar_plan)->use_columnar_kernels());
+TEST(ColumnarOracleTest, MixedAndCustomComparatorsMatchDecidePair) {
+  GeneratedData data = UncertainPersons(12);
+  DetectorConfig mixed = PersonConfig();
+  mixed.comparators = {"monge_elkan", "soundex", "hamming"};
+  ExpectOracleIdentity(mixed, data.relation, "monge_elkan,soundex,hamming");
 
-  auto run = [&](const std::shared_ptr<const DetectionPlan>& plan,
-                 const std::shared_ptr<DecisionCache>& cache) {
-    StageExecutorOptions options;
-    options.cache = cache;
-    auto stream = MakeFullStream(*plan, data.relation);
-    EXPECT_TRUE(stream.ok());
-    auto result = StageExecutor(plan, options).Execute(**stream);
-    EXPECT_TRUE(result.ok());
-    return std::move(*result);
-  };
-
-  DetectionResult uncached = run(*scalar_plan, nullptr);
-  const std::string baseline = DetectionReport(uncached, &data.gold);
-
-  // Columnar cold fill, then a warm pass that must hit on every pair;
-  // then a scalar run through the SAME cache (same decision
-  // fingerprint, same digests — the kernel choice shares entries).
-  auto cache = std::make_shared<ShardedDecisionCache>();
-  DetectionResult cold = run(*columnar_plan, cache);
-  EXPECT_EQ(DetectionReport(cold, &data.gold), baseline);
-  ASSERT_TRUE(cold.cache_stats.has_value());
-  EXPECT_EQ(cold.cache_stats->hits, 0u);
-  DetectionResult warm = run(*columnar_plan, cache);
-  EXPECT_EQ(DetectionReport(warm, &data.gold), baseline);
-  ASSERT_TRUE(warm.cache_stats.has_value());
-  EXPECT_EQ(warm.cache_stats->hits, warm.cache_stats->lookups);
-  DetectionResult scalar_warm = run(*scalar_plan, cache);
-  EXPECT_EQ(DetectionReport(scalar_warm, &data.gold), baseline);
-  ASSERT_TRUE(scalar_warm.cache_stats.has_value());
-  EXPECT_EQ(scalar_warm.cache_stats->hits, scalar_warm.cache_stats->lookups);
+  FirstLetterComparator custom;
+  DetectorConfig with_custom = PersonConfig();
+  with_custom.comparators = {"jaro_winkler", "default", "default"};
+  with_custom.custom_comparators = {nullptr, &custom, nullptr};
+  ExpectOracleIdentity(with_custom, data.relation, "custom");
 }
 
-TEST(ColumnarEndToEndTest, StatsReportNamesTheKernel) {
-  GeneratedData data = UncertainPersons(30);
-  DetectorConfig config = PersonConfig();
-  config.match_kernel = MatchKernel::kColumnar;
-  auto columnar_det = DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(columnar_det.ok());
-  auto columnar_run = columnar_det->Run(data.relation);
-  ASSERT_TRUE(columnar_run.ok());
-  EXPECT_NE(ExecutionStatsReport(*columnar_run)
-                .find("match kernel: columnar"),
-            std::string::npos);
+TEST(ColumnarOracleTest, PatternRelationMatchesDecidePair) {
+  // R3/R4 carry Fig. 5's 'mu*' pattern: the matcher reads the arena's
+  // expanded alternatives, DecidePair expands per pair.
+  XRelation r34 = BuildR34();
+  for (const std::vector<std::string>& comparators :
+       std::vector<std::vector<std::string>>{{"hamming", "hamming"},
+                                             {"soundex", "monge_elkan"},
+                                             {"levenshtein", "qgram2"}}) {
+    DetectorConfig config;
+    config.key = {{"name", 1}};
+    config.weights = {0.8, 0.2};
+    config.comparators = comparators;
+    ExpectOracleIdentity(config, r34,
+                         "R34 " + comparators[0] + "," + comparators[1]);
+  }
+}
 
-  config.match_kernel = MatchKernel::kScalar;
-  auto scalar_det = DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(scalar_det.ok());
-  auto scalar_run = scalar_det->Run(data.relation);
-  ASSERT_TRUE(scalar_run.ok());
-  EXPECT_NE(
-      ExecutionStatsReport(*scalar_run).find("match kernel: scalar"),
-      std::string::npos);
+// --- arena attachment -------------------------------------------------------
+
+TEST(ColumnarExecutorTest, MaterializedStreamDecidesOverAnArenaExecuteBuilds) {
+  GeneratedData data = UncertainPersons(20);
+  DetectorConfig config = PersonConfig();
+  config.comparators = {"soundex", "jaro", "monge_elkan"};
+  auto plan = DetectionPlan::Compile(config, PersonSchema());
+  ASSERT_TRUE(plan.ok());
+  std::vector<CandidatePair> candidates;
+  for (size_t j = 1; j < data.relation.size(); j += 2) {
+    candidates.push_back({j - 1, j});
+    candidates.push_back({0, j});
+  }
+  MaterializedCandidateStream stream("materialized", std::nullopt,
+                                     &data.relation, candidates,
+                                     candidates.size());
+  ASSERT_EQ(stream.arena(), nullptr);
+  auto first = StageExecutor(*plan).Execute(stream);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_NE(stream.arena(), nullptr);
+  EXPECT_EQ(stream.arena()->tuple_count(), data.relation.size());
+  ExpectRecordsEqual(first->decisions,
+                     OracleRecords(**plan, data.relation, first->decisions),
+                     "materialized");
+  // A Reset() re-run reuses the attached arena.
+  const RelationArena* attached = stream.arena().get();
+  stream.Reset();
+  auto second = StageExecutor(*plan).Execute(stream);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(stream.arena().get(), attached);
+  ExpectRecordsEqual(second->decisions, first->decisions, "re-run");
+}
+
+TEST(ColumnarExecutorTest, ArenaOfAnotherRelationIsInvalidArgument) {
+  GeneratedData data = UncertainPersons(20);
+  GeneratedData other = UncertainPersons(5);
+  ASSERT_NE(other.relation.size(), data.relation.size());
+  auto plan = DetectionPlan::Compile(PersonConfig(), PersonSchema());
+  ASSERT_TRUE(plan.ok());
+  MaterializedCandidateStream stream("custom", std::nullopt, &data.relation,
+                                     {{0, 1}}, 1);
+  stream.set_arena(RelationArena::Build(other.relation));
+  auto result = StageExecutor(*plan).Execute(stream);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
 }
 
 // --- scratch reuse regression -------------------------------------------

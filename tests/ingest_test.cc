@@ -19,6 +19,8 @@
 #include <unistd.h>
 
 #include "cache/decision_cache.h"
+#include "cache/pair_digest.h"
+#include "columnar/relation_arena.h"
 #include "core/detector.h"
 #include "core/report_writer.h"
 #include "datagen/person_generator.h"
@@ -344,6 +346,53 @@ TEST(StandingSessionTest, DecisionSinkSeesEveryLiveDecisionOnce) {
   ASSERT_TRUE(live.ok());
   EXPECT_EQ(sink_calls.load(), live->decisions.size());
   EXPECT_EQ(live->decisions.size(), TriangularPairCount(n));
+}
+
+TEST(StandingSessionTest, PooledLiveDrainDecidesOverGrowingArena) {
+  GeneratedData data = SeededPersons(40);
+  const size_t n = data.relation.size();
+  std::shared_ptr<const DetectionPlan> plan = PersonPlan();
+  // Arena growth is a pure function of the admitted sequence (the plan
+  // prepares nothing here): replaying it proves these arrivals cross at
+  // least three generations while the live drain below reads them.
+  std::shared_ptr<RelationArena> replay =
+      RelationArena::Build(XRelation("standing", PersonSchema()));
+  size_t generations = 1;
+  for (const XTuple& tuple : data.relation.xtuples()) {
+    std::shared_ptr<RelationArena> next =
+        RelationArena::Append(replay, tuple, PersonSchema());
+    ASSERT_NE(next, nullptr);
+    if (next != replay) ++generations;
+    replay = std::move(next);
+  }
+  ASSERT_GE(generations, 3u);
+
+  StandingSession::Options options = SessionOptions();
+  options.workers = 4;
+  options.batch_size = 2;
+  Result<std::unique_ptr<StandingSession>> session =
+      StandingSession::Make(plan, nullptr, options);
+  ASSERT_TRUE(session.ok());
+  Result<DetectionResult> live =
+      DrainWithProducer(session->get(), data.relation, Iota(n));
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_EQ(live->decisions.size(), TriangularPairCount(n));
+  const IngestStream& stream = (*session)->stream();
+  const XRelation& standing = stream.relation();
+  ASSERT_EQ(stream.arena()->tuple_count(), standing.size());
+  // Every crossing pair decides bit-identically to the DecidePair
+  // oracle in the canonical (smaller digest first) orientation.
+  for (const PairDecisionRecord& rec : live->decisions) {
+    const XTuple& a = standing.xtuple(rec.index1);
+    const XTuple& b = standing.xtuple(rec.index2);
+    const bool flip = TupleContentDigest(b) < TupleContentDigest(a);
+    const XPairDecision oracle =
+        flip ? plan->DecidePair(b, a) : plan->DecidePair(a, b);
+    EXPECT_EQ(rec.similarity, oracle.similarity)
+        << a.id() << " ~ " << b.id();
+    EXPECT_EQ(rec.match_class, oracle.match_class)
+        << a.id() << " ~ " << b.id();
+  }
 }
 
 TEST(StandingSessionTest, FinishReRunIsAllCacheHits) {

@@ -124,19 +124,19 @@ TEST(MetricsRegistryTest, MergeAddsCountsOverwritesAnnotations) {
   MetricsRegistry a;
   a.AddCounter("pairs.candidates", 10);
   a.SetGauge("time.x", 1.0);
-  a.SetInfo("exec.match_kernel", "scalar");
+  a.SetInfo("exec.reduction", "full");
   a.Observe("lat", 4);
   MetricsRegistry b;
   b.AddCounter("pairs.candidates", 5);
   b.AddCounter("decisions.total", 2);
   b.SetGauge("time.x", 2.0);
-  b.SetInfo("exec.match_kernel", "columnar");
+  b.SetInfo("exec.reduction", "canopy");
   b.Observe("lat", 9);
   a.Merge(b);
   EXPECT_EQ(a.counter("pairs.candidates"), 15u);
   EXPECT_EQ(a.counter("decisions.total"), 2u);
   EXPECT_EQ(a.gauge("time.x"), 2.0);
-  EXPECT_EQ(a.info("exec.match_kernel"), "columnar");
+  EXPECT_EQ(a.info("exec.reduction"), "canopy");
   ASSERT_NE(a.histogram("lat"), nullptr);
   EXPECT_EQ(a.histogram("lat")->count(), 2u);
   EXPECT_EQ(a.histogram("lat")->sum(), 13u);

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/detector.h"
 #include "core/paper_examples.h"
@@ -45,6 +47,23 @@ TEST(ParamMapTest, MalformedValuesAreInvalidArgument) {
   EXPECT_FALSE(params.GetDouble("loose", 0.0).ok());
   EXPECT_FALSE(params.GetSize("window", 3).ok());
   EXPECT_FALSE(params.GetBool("flag", false).ok());
+}
+
+TEST(ParamMapTest, GetSizeRejectsNonCountsBeforeCasting) {
+  for (const char* bad : {"nan", "inf", "-inf", "1e30", "-1", "2.5"}) {
+    ParamMap params;
+    params.Set("executor.workers", bad);
+    EXPECT_FALSE(params.GetSize("executor.workers", 0).ok()) << bad;
+  }
+  for (const auto& [text, expected] :
+       std::vector<std::pair<const char*, size_t>>{
+           {"0", 0}, {"42", 42}, {"1e3", 1000}}) {
+    ParamMap params;
+    params.Set("executor.workers", text);
+    Result<size_t> parsed = params.GetSize("executor.workers", 9);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(*parsed, expected) << text;
+  }
 }
 
 TEST(ParamMapTest, UnknownKeyRejection) {

@@ -179,6 +179,30 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("", &v));
 }
 
+TEST(StringUtilTest, ParseSizeAcceptsIntegerCounts) {
+  size_t v = 7;
+  EXPECT_TRUE(ParseSize("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseSize("42", &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(ParseSize("1e3", &v));
+  EXPECT_EQ(v, 1000u);
+  EXPECT_TRUE(ParseSize(" 17 ", &v));
+  EXPECT_EQ(v, 17u);
+}
+
+TEST(StringUtilTest, ParseSizeRejectsWhatNoCountCanHold) {
+  // Each of these would reach an out-of-range float-to-integer cast
+  // (undefined behaviour) or silently truncate without the checks.
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "1e30", "-1", "-0.5",
+                          "2.5", "0.1", "18446744073709551616", "1e20", "",
+                          "abc", "3x"}) {
+    size_t v = 7;
+    EXPECT_FALSE(ParseSize(bad, &v)) << bad;
+    EXPECT_EQ(v, 7u) << bad;
+  }
+}
+
 TEST(StringUtilTest, QGramsPadded) {
   std::vector<std::string> grams = QGrams("ab", 2);
   // #a, ab, b#

@@ -31,6 +31,11 @@ Metric classes (selected by key name):
   (the benches also gate these themselves; this catches a silently
   skipped bench).
 
+A gated (throughput, ratio or invariant) key the baseline has but the
+current sidecar lacks is a regression that names the key: renaming or
+dropping a metric must not silently remove its gate. Re-baseline with
+``--update`` when a rename is deliberate.
+
 Everything else (record counts, seconds, high-water marks) is
 informational: counts are exact-gated inside the benches and wall
 times are too noisy to gate here.
@@ -176,11 +181,17 @@ def main():
         baseline = flatten(load(baseline_file))
         for key, base_value in sorted(baseline.items()):
             metric_class = classify(key, base_value)
-            if metric_class is None or key not in current:
+            if metric_class is None:
                 continue
-            value = current[key]
             compared += 1
             name = f"{run_file.name}:{key}"
+            if key not in current:
+                print(f"  {'REGRESSION':>10}  {name}: missing from the "
+                      f"current sidecar")
+                regressions.append(f"{name}: gated {metric_class} key "
+                                   f"missing from the current sidecar")
+                continue
+            value = current[key]
             if metric_class == "invariant":
                 if value is not True:
                     regressions.append(f"{name}: expected true, got {value}")

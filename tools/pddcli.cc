@@ -55,13 +55,6 @@
 //                                  (default 0 = serial; results identical)
 //   --batch N                      candidates per executor batch
 //                                  (default 256)
-//   --kernel auto|scalar|columnar  match-stage implementation (default
-//                                  auto = columnar when every selected
-//                                  comparator has a kernel; results are
-//                                  bit-identical either way — a pure
-//                                  throughput knob like --workers; the
-//                                  resolved kernel shows under
-//                                  --cache-stats)
 //   --shards N                     partition the candidate stream into N
 //                                  shards drained by per-shard worker
 //                                  sets and merged deterministically
@@ -224,11 +217,9 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
       config.reduction = (*method)->method;
     } else if (arg == "--window") {
       const char* v = next();
-      double w = 0.0;
-      if (v == nullptr || !ParseDouble(v, &w)) {
-        return Fail("--window needs a number");
+      if (v == nullptr || !ParseSize(v, &config.window)) {
+        return Fail("--window needs a non-negative integer");
       }
-      config.window = static_cast<size_t>(w);
     } else if (arg == "--t-lambda") {
       const char* v = next();
       if (v == nullptr || !ParseDouble(v, &config.final_thresholds.t_lambda)) {
@@ -248,38 +239,30 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
       config.derivation = (*kind)->kind;
     } else if (arg == "--workers") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 0) {
-        return Fail("--workers needs a non-negative number");
+      if (v == nullptr || !ParseSize(v, &config.workers)) {
+        return Fail("--workers needs a non-negative integer");
       }
-      config.workers = static_cast<size_t>(n);
     } else if (arg == "--batch") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--batch needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--batch needs a positive integer");
       }
-      config.batch_size = static_cast<size_t>(n);
-    } else if (arg == "--kernel") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--kernel needs auto, scalar or columnar");
-      Result<MatchKernel> kernel = MatchKernelFromName(v);
-      if (!kernel.ok()) return Fail(kernel.status().ToString());
-      config.match_kernel = *kernel;
+      config.batch_size = n;
     } else if (arg == "--shards") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--shards needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--shards needs a positive integer");
       }
-      shard_override = static_cast<size_t>(n);
+      shard_override = n;
     } else if (arg == "--cache-capacity") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--cache-capacity needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--cache-capacity needs a positive integer");
       }
-      cache_capacity = static_cast<size_t>(n);
+      cache_capacity = n;
     } else if (arg == "--cache-file") {
       const char* v = next();
       if (v == nullptr) return Fail("--cache-file needs a path");

@@ -260,25 +260,23 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--workers") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 0) {
-        return Fail("--workers needs a non-negative number");
+      if (v == nullptr || !ParseSize(v, &config.workers)) {
+        return Fail("--workers needs a non-negative integer");
       }
-      config.workers = static_cast<size_t>(n);
     } else if (arg == "--batch") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--batch needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--batch needs a positive integer");
       }
-      config.batch_size = static_cast<size_t>(n);
+      config.batch_size = n;
     } else if (arg == "--shards") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--shards needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--shards needs a positive integer");
       }
-      shard_count = static_cast<size_t>(n);
+      shard_count = n;
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return Fail("--seed needs a file");
@@ -292,54 +290,54 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--queue") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--queue needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--queue needs a positive integer");
       }
-      queue_capacity = static_cast<size_t>(n);
+      queue_capacity = n;
     } else if (arg == "--drop") {
       drop_mode = true;
     } else if (arg == "--shuffle") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 0) {
-        return Fail("--shuffle needs a non-negative seed");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n)) {
+        return Fail("--shuffle needs a non-negative integer seed");
       }
       have_shuffle = true;
-      shuffle_seed = static_cast<uint64_t>(n);
+      shuffle_seed = n;
     } else if (arg == "--stream-decisions") {
       stream_decisions = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--cache-capacity") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--cache-capacity needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--cache-capacity needs a positive integer");
       }
-      cache_capacity = static_cast<size_t>(n);
+      cache_capacity = n;
     } else if (arg == "--cache-file") {
       const char* v = next();
       if (v == nullptr) return Fail("--cache-file needs a path");
       cache_file = v;
     } else if (arg == "--snapshot-every") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--snapshot-every needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--snapshot-every needs a positive integer");
       }
-      snapshot_every = static_cast<size_t>(n);
+      snapshot_every = n;
     } else if (arg == "--index") {
       const char* v = next();
       if (v == nullptr) return Fail("--index needs a file");
       index_file = v;
     } else if (arg == "--index-every") {
       const char* v = next();
-      double n = 0.0;
-      if (v == nullptr || !ParseDouble(v, &n) || n < 1) {
-        return Fail("--index-every needs a positive number");
+      size_t n = 0;
+      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
+        return Fail("--index-every needs a positive integer");
       }
-      index_every = static_cast<size_t>(n);
+      index_every = n;
     } else if (arg == "--dump-relation") {
       const char* v = next();
       if (v == nullptr) return Fail("--dump-relation needs a file");
