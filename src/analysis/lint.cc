@@ -21,8 +21,8 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
 
 /// The deterministic core: stages between candidate generation and the
 /// report, where any hidden entropy breaks the serial ≡ pooled ≡
-/// cached ≡ streamed ≡ sharded byte-identity gates. src/index/ is in:
-/// a decision-index image must be a pure function of (record ids,
+/// cached ≡ streamed byte-identity gates. src/index/ is in: a
+/// decision-index image must be a pure function of (record ids,
 /// report content) or byte-identical serving breaks. src/ingest/ is
 /// in: the standing drain promises a report byte-identical to the
 /// batch run for any arrival order, so its queue/admission/session

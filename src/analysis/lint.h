@@ -1,10 +1,10 @@
 // pddlint: a project-invariant linter for the pdd source tree.
 //
 // The engine's load-bearing promise is byte-for-byte determinism:
-// serial ≡ pooled ≡ cached ≡ streamed ≡ sharded for any worker, batch
-// and shard count. Runtime diff tests enforce the promise end-to-end;
-// this linter guards the *sources* of nondeterminism statically, so a
-// violation fails the build before it ever flakes a diff gate.
+// serial ≡ pooled ≡ cached ≡ streamed for any worker count and batch
+// size. Runtime diff tests enforce the promise end-to-end; this linter
+// guards the *sources* of nondeterminism statically, so a violation
+// fails the build before it ever flakes a diff gate.
 //
 // Rules (names are stable identifiers used by the allowlist):
 //

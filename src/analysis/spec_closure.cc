@@ -24,13 +24,11 @@ void CollectKeys(const DetectorConfig& config, std::set<std::string>* keys) {
 }
 
 /// A config that triggers every conditionally-printed base key:
-/// pruning, explicit sharding, named comparators and a per-attribute
-/// uniform preparation (prints `prepare.attributes`).
+/// pruning, named comparators and a per-attribute uniform preparation
+/// (prints `prepare.attributes`).
 DetectorConfig FullyPrintingConfig() {
   DetectorConfig config;
   config.prune = true;
-  config.shard_count = 2;
-  config.shard_strategy = ShardStrategy::kIndexRange;
   config.comparators = {"jaro"};
   Standardizer standardizer;
   standardizer.LowerCase().TrimWhitespace();

@@ -17,7 +17,7 @@
 //                 src/plan/translate.cc and src/plan/registry.cc;
 //   printed keys  runtime enumeration: ToSpec over every registered
 //                 reduction/combination/derivation plus the
-//                 conditionally-printed base keys (prune, sharding,
+//                 conditionally-printed base keys (prune,
 //                 comparators, preparation);
 //   irrelevant    FingerprintIrrelevantSpecKeys(), the documented
 //                 list.

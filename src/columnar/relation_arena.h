@@ -1,7 +1,7 @@
 // RelationArena: a prepared x-relation flattened into contiguous
 // structure-of-arrays columns, built once per candidate stream and
-// shared read-only by every executor worker and shard, and by the
-// decision cache's digest path. Every pair decides over it: it is the
+// shared read-only by every executor worker, and by the decision
+// cache's digest path. Every pair decides over it: it is the
 // data layout ColumnarMatcher and the columnar match kernels
 // (sim/columnar_kernels.h) batch over — no per-pair allocation, no
 // pointer chasing through XTuple/Value object graphs in the hot loop.

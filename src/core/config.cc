@@ -82,10 +82,6 @@ Status DetectorConfig::Validate() const {
   if (batch_size == 0) {
     return Status::InvalidArgument("batch_size must be positive");
   }
-  if (shard_count == 0) {
-    return Status::InvalidArgument(
-        "shard_count must be at least 1 (1 = unsharded)");
-  }
   if (prune_threshold < 0.0 || prune_threshold > 1.0) {
     return Status::InvalidArgument("prune_threshold must be in [0, 1]");
   }

@@ -16,7 +16,6 @@
 #include "reduction/blocking_clustered.h"
 #include "reduction/canopy.h"
 #include "reduction/qgram_index.h"
-#include "reduction/shard_partitioner.h"
 #include "reduction/snm_adaptive.h"
 #include "reduction/snm_uncertain_ranking.h"
 #include "sim/comparator.h"
@@ -145,18 +144,6 @@ struct DetectorConfig {
   /// the calling thread). Results are identical for any worker count.
   size_t batch_size = 256;
   size_t workers = 0;
-
-  /// Candidate-stream sharding (pipeline/sharded_stream.h): partition
-  /// the candidate universe into this many per-shard sources, drained
-  /// by per-shard worker sets and merged deterministically — results
-  /// are identical for any shard count. 1 = unsharded. Spec keys
-  /// `shard.count` / `shard.strategy` carry these declaratively
-  /// (fingerprint-relevant only when the count is not 1); detectors can
-  /// also override them per run without touching the plan.
-  size_t shard_count = 1;
-  /// How tuples map to shards; kAuto resolves per reduction family
-  /// (index ranges / sort-key ranges / block subsets).
-  ShardStrategy shard_strategy = ShardStrategy::kAuto;
 
   /// Basic sanity validation (window, thresholds, weight count, a
   /// canopy plan's tight threshold at most its loose one, pruning

@@ -1,9 +1,5 @@
 #include "core/detector.h"
 
-#include <algorithm>
-
-#include "ingest/standing_session.h"
-
 namespace pdd {
 
 EffectivenessMetrics Evaluate(const DetectionResult& result,
@@ -75,41 +71,22 @@ StageExecutor DuplicateDetector::MakeExecutor() const {
 
 Result<DetectionResult> DuplicateDetector::Run(const XRelation& input) const {
   PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> stream,
-                       MakeFullStream(*plan_, input, shard_options()));
+                       MakeFullStream(*plan_, input));
   return MakeExecutor().Execute(*stream);
 }
 
 Result<DetectionResult> DuplicateDetector::RunOnSources(
     const XRelation& a, const XRelation& b) const {
   PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> stream,
-                       MakeUnionStream(*plan_, a, b, shard_options()));
+                       MakeUnionStream(*plan_, a, b));
   return MakeExecutor().Execute(*stream);
 }
 
 Result<DetectionResult> DuplicateDetector::RunIncremental(
     const XRelation& existing, const XRelation& additions) const {
-  // Thin adapter over the standing ingest path: a one-shot session
-  // sized to hold every addition (push-then-close, so the unconsumed
-  // queue must fit them all), finished as the classic incremental
-  // scenario. Admission preserves arrival order and the finish rebuilds
-  // the same incremental stream this method used to build directly, so
-  // the report is byte-identical to the pre-standing implementation —
-  // including the duplicate-id failure the Union step used to raise,
-  // now surfaced by the lossless-admission check.
-  StandingSession::Options options;
-  options.stream.queue_capacity = std::max<size_t>(additions.size(), 1);
-  options.stream.max_admitted = std::max<size_t>(additions.size(), 1);
-  options.batch_size = plan_->config().batch_size;
-  options.workers = plan_->config().workers;
-  options.stage_timings = collect_stage_timings_;
-  options.cache = cache_;
-  PDD_ASSIGN_OR_RETURN(std::unique_ptr<StandingSession> session,
-                       StandingSession::Make(plan_, &existing, options));
-  for (const XTuple& tuple : additions.xtuples()) {
-    session->queue().Push(tuple);
-  }
-  session->queue().Close();
-  return session->FinishIncremental(existing, shard_options());
+  PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> stream,
+                       MakeIncrementalStream(*plan_, existing, additions));
+  return MakeExecutor().Execute(*stream);
 }
 
 Result<DetectionResult> DuplicateDetector::RunStream(

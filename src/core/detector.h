@@ -67,7 +67,7 @@ class DuplicateDetector {
                                          const XRelation& additions) const;
 
   /// Runs the shared executor on an externally built stream (the seam
-  /// custom scenarios — sharding, replay, filtered re-runs — plug into).
+  /// custom scenarios — replay, filtered re-runs — plug into).
   Result<DetectionResult> RunStream(CandidateStream& stream) const;
 
   /// Derived similarity of a single x-tuple pair under this
@@ -102,21 +102,6 @@ class DuplicateDetector {
     collect_stage_timings_ = collect;
   }
 
-  /// Overrides the plan's sharding for subsequent Run* calls (a
-  /// runtime placement knob, like set_cache: the plan — and with it
-  /// every fingerprint and report byte — is untouched, because shard
-  /// results merge bit-identically to the unsharded run). Without an
-  /// override the plan's own `shard.count` / `shard.strategy` apply.
-  void set_shard_options(ShardOptions options) {
-    shard_override_ = options;
-  }
-  /// The sharding subsequent Run* calls will use (override, else plan).
-  ShardOptions shard_options() const {
-    if (shard_override_.has_value()) return *shard_override_;
-    return ShardOptions{plan_->config().shard_count,
-                        plan_->config().shard_strategy};
-  }
-
   /// Resolved pipeline components (for explanations and diagnostics).
   const TupleMatcher& matcher() const { return plan_->matcher(); }
   const CombinationFunction& combination() const {
@@ -136,7 +121,6 @@ class DuplicateDetector {
   std::shared_ptr<const DetectionPlan> plan_;
   std::shared_ptr<DecisionCache> cache_;
   bool collect_stage_timings_ = false;
-  std::optional<ShardOptions> shard_override_;
 };
 
 }  // namespace pdd

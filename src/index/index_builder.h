@@ -9,8 +9,8 @@
 // reader answers is pointer arithmetic.
 //
 // Determinism: the image is a pure function of (record ids, report
-// content). Serial, pooled, sharded and cached runs of one plan
-// produce byte-identical reports, so they compile to byte-identical
+// content). Serial, pooled and cached runs of one plan produce
+// byte-identical reports, so they compile to byte-identical
 // index files — gated by tests/decision_index_test.cc.
 
 #ifndef PDD_INDEX_INDEX_BUILDER_H_

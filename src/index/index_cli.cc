@@ -42,11 +42,10 @@ Result<XRelation> LoadRelation(const std::string& path) {
 
 /// Plan/executor flags shared by `build` and `verify`: the subset of
 /// `pddcli detect` that affects which plan runs (--plan/--set) plus
-/// the placement knobs that never change the report (--workers,
-/// --batch, --shards) and the telemetry sidecar flags.
+/// the executor knobs that never change the report (--workers,
+/// --batch) and the telemetry sidecar flags.
 struct PlanArgs {
   DetectorConfig config;
-  size_t shard_override = 0;
   std::string metrics_file;
   std::string metrics_format = "json";
   /// Positional (non-flag) operands, in order.
@@ -115,13 +114,6 @@ Result<PlanArgs> ParsePlanArgs(const std::vector<std::string>& args) {
         return Status::InvalidArgument("--batch needs a positive integer");
       }
       out.config.batch_size = n;
-    } else if (arg == "--shards") {
-      const std::string* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
-        return Status::InvalidArgument("--shards needs a positive integer");
-      }
-      out.shard_override = n;
     } else if (arg == "--metrics") {
       const std::string* v = next();
       if (v == nullptr) return Status::InvalidArgument("--metrics needs a file");
@@ -147,9 +139,6 @@ Result<DetectionResult> RunPipeline(const PlanArgs& plan,
                                     const XRelation& rel) {
   PDD_ASSIGN_OR_RETURN(DuplicateDetector detector,
                        DuplicateDetector::Make(plan.config, rel.schema()));
-  if (plan.shard_override > 0) {
-    detector.set_shard_options({plan.shard_override, ShardStrategy::kAuto});
-  }
   return detector.Run(rel);
 }
 

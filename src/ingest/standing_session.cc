@@ -1,7 +1,6 @@
 #include "ingest/standing_session.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,44 +48,13 @@ XRelation StandingSession::CanonicalRelation() {
   return canonical;
 }
 
-Result<DetectionResult> StandingSession::Finish(ShardOptions shards) {
+Result<DetectionResult> StandingSession::Finish() {
   // Tuples that never went through a live drain (queue closed with a
   // backlog, or no drain at all) still belong to the standing set.
   stream_->Pump();
   XRelation canonical = CanonicalRelation();
   PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> batch,
-                       MakeFullStream(*plan_, canonical, shards));
-  return StageExecutor(plan_, ExecutorOptions(/*live=*/false))
-      .Execute(*batch);
-}
-
-Result<DetectionResult> StandingSession::FinishIncremental(
-    const XRelation& existing, ShardOptions shards) {
-  stream_->Pump();
-  const IngestStream::AdmissionStats admission = stream_->admission_stats();
-  const IngestQueueStats queue = stream_->queue().Stats();
-  if (queue.dropped > 0 || admission.duplicate_ids > 0 ||
-      admission.invalid > 0 || admission.rejected_capacity > 0) {
-    return Status::InvalidArgument(
-        "incremental finish requires lossless admission (" +
-        std::to_string(queue.dropped) + " queue drops, " +
-        std::to_string(admission.duplicate_ids) + " duplicate ids, " +
-        std::to_string(admission.invalid) + " invalid, " +
-        std::to_string(admission.rejected_capacity) + " beyond capacity)");
-  }
-  // The admitted suffix, in admission == arrival order: with lossless
-  // admission that is exactly the additions relation the caller fed,
-  // so the incremental stream (and its report) matches the classic
-  // RunIncremental byte for byte.
-  XRelation raw = stream_->SnapshotRaw();
-  XRelation additions("additions", raw.schema());
-  additions.Reserve(raw.size() - stream_->base());
-  for (size_t i = stream_->base(); i < raw.size(); ++i) {
-    additions.AppendUnchecked(raw.xtuple(i));
-  }
-  PDD_ASSIGN_OR_RETURN(
-      std::unique_ptr<CandidateStream> batch,
-      MakeIncrementalStream(*plan_, existing, additions, shards));
+                       MakeFullStream(*plan_, canonical));
   return StageExecutor(plan_, ExecutorOptions(/*live=*/false))
       .Execute(*batch);
 }

@@ -1,7 +1,6 @@
 // StandingSession: wires the push-based ingest path (IngestQueue →
 // IngestStream) to the shared StageExecutor and owns the service
-// lifecycle a standing consumer (pddserve, the RunIncremental adapter)
-// needs:
+// lifecycle a standing consumer (pddserve) needs:
 //
 //   * Drain() — the live loop: decides every crossing pair of every
 //     admitted tuple through the executor's one decide path (cache →
@@ -15,12 +14,8 @@
 //     the FULL crossing set (a superset of any reduction's candidate
 //     set over content-identical tuples), the re-run is ~100% cache
 //     hits, and its report is byte-identical to a one-shot batch run
-//     of the same tuple set — for ANY arrival order, and for
-//     serial/pooled/sharded finish drains alike.
-//   * FinishIncremental() — the RunIncremental bridge: the admitted
-//     suffix re-run as a classic incremental scenario against the
-//     caller's existing relation, byte-identical to the pre-standing
-//     RunIncremental.
+//     of the same tuple set — for ANY arrival order, and for serial
+//     and pooled finish drains alike.
 //
 // One session = one standing run. The decision cache (and its disk
 // snapshots) carries warmth across sessions and process restarts.
@@ -85,14 +80,7 @@ class StandingSession {
 
   /// The deterministic final report (see file comment). Pumps any
   /// still-queued tuples first; call after Close()+Drain().
-  Result<DetectionResult> Finish(ShardOptions shards = {});
-
-  /// RunIncremental bridge: pumps, then re-runs the admitted suffix
-  /// (arrival order) as an incremental scenario against `existing`.
-  /// Fails if any arrival was dropped (duplicate/invalid/capacity/
-  /// queue) — the batch RunIncremental contract has no lossy mode.
-  Result<DetectionResult> FinishIncremental(const XRelation& existing,
-                                            ShardOptions shards = {});
+  Result<DetectionResult> Finish();
 
   /// Folds the queue + admission accounting into the exec.ingest.*
   /// metric family.

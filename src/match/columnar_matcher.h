@@ -8,7 +8,7 @@
 // score grid and comparison-vector buffers are reused across pairs and
 // never reallocate after warmup); the plan and arena it reads are
 // shared and immutable. The executor constructs one matcher per worker
-// thread / per shard worker.
+// thread.
 //
 // Bit-identity contract: Decide(i, j) returns exactly what
 // plan.DecidePair(rel.xtuple(i), rel.xtuple(j)) returns, bit for bit.

@@ -339,17 +339,8 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
          " candidates in " + std::to_string(stream.batches) +
          " batches, live high-water " +
          std::to_string(stream.live_candidate_high_water) + " candidates\n";
-  // Per-shard drain accounting of a sharded run: each shard's
-  // high-water is the live bound a node hosting it must provision for
-  // (the top-level high-water above is their sum).
-  for (size_t i = 0; i < stream.per_shard.size(); ++i) {
-    const StreamRunStats& shard = stream.per_shard[i];
-    out += "- shard " + std::to_string(i) + ": " +
-           std::to_string(shard.batches) + " batches, live high-water " +
-           std::to_string(shard.live_candidate_high_water) + " candidates\n";
-  }
-  // Standing-ingest runs (pddserve, the RunIncremental adapter with
-  // metrics enabled) carry the exec.ingest.* family; batch runs don't.
+  // Standing-ingest runs (pddserve) carry the exec.ingest.* family;
+  // batch runs don't.
   if (m.counters().count(kMetricIngestArrivals) > 0) {
     out += "\n## Standing ingest\n\n";
     out += "- arrivals: " + std::to_string(m.counter(kMetricIngestArrivals)) +
@@ -405,12 +396,6 @@ std::string RenderStreamDiagnostics(const RunTelemetry& telemetry) {
          " candidates in " + std::to_string(stream.batches) +
          " batches, live high-water " +
          std::to_string(stream.live_candidate_high_water) + " candidates\n";
-  for (size_t i = 0; i < stream.per_shard.size(); ++i) {
-    const StreamRunStats& shard = stream.per_shard[i];
-    out += "  shard " + std::to_string(i) + ": " +
-           std::to_string(shard.batches) + " batches, live high-water " +
-           std::to_string(shard.live_candidate_high_water) + " candidates\n";
-  }
   return out;
 }
 

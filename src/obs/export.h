@@ -38,7 +38,7 @@ std::string TelemetryToJson(const RunTelemetry& telemetry);
 
 /// The identity-namespace subset of TelemetryToJson (drops every
 /// time.* / exec.* metric and all spans). Byte-identical across
-/// serial/pooled/sharded/cached runs of the same plan + input.
+/// serial/pooled/cached runs of the same plan + input.
 std::string IdentityMetricsJson(const RunTelemetry& telemetry);
 
 /// Prometheus text exposition: counters, gauges, cumulative histogram
@@ -53,11 +53,11 @@ Result<RunTelemetry> ParseRunTelemetryJson(std::string_view json);
 
 /// The Markdown execution-statistics report: stage timing table ("(disabled)" when the run collected no timings),
 /// decision-cache run and lifetime counters, candidate-stream drain
-/// accounting with per-shard lines.
+/// accounting.
 std::string RenderExecutionStats(const RunTelemetry& telemetry);
 
 /// The candidate-streaming stderr diagnostics (reduction name, native
-/// vs adapter, batches, live high-water, per-shard lines). Reads the
+/// vs adapter, batches, live high-water). Reads the
 /// exec.reduction / exec.streaming infos when present.
 std::string RenderStreamDiagnostics(const RunTelemetry& telemetry);
 

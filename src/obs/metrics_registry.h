@@ -11,17 +11,17 @@
 //
 //   time.*      timing-derived: wall-clock seconds, latency histograms.
 //               Nondeterministic by nature — NEVER identity-gated.
-//   exec.*      execution-shape diagnostics: batch/worker/shard counts,
+//   exec.*      execution-shape diagnostics: batch/worker counts,
 //               cache hit/miss traffic, live high-water marks. These
 //               are honest counts, but they legitimately vary across
-//               placement knobs (worker count, shard count, batch
-//               size, cache warmth) and — for the pooled high-water —
-//               across runs, so they are excluded from identity gating
+//               execution knobs (worker count, batch size, cache
+//               warmth) and — for the pooled high-water — across
+//               runs, so they are excluded from identity gating
 //               alongside time.*.
 //   (rest)      identity metrics: counts and annotations that must be
-//               bit-identical across serial/pooled/sharded/cached runs
-//               of the same plan and input (pairs examined, decisions
-//               per class, the similarity distribution, the plan
+//               bit-identical across serial/pooled/cached runs of the
+//               same plan and input (pairs examined, decisions per
+//               class, the similarity distribution, the plan
 //               fingerprint). The obs_test ctest and the CI metrics
 //               smoke gate exactly this subset.
 //

@@ -76,7 +76,6 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
   m.SetCounter(kMetricStreamBatches, result.stream_stats.batches);
   m.SetCounter(kMetricStreamHighWater,
                result.stream_stats.live_candidate_high_water);
-  m.SetCounter(kMetricStreamShards, result.stream_stats.per_shard.size());
   if (result.cache_stats.has_value()) {
     m.SetCounter(kMetricCacheAttached, 1);
     m.SetCounter(kMetricCacheLookups, result.cache_stats->lookups);
@@ -101,14 +100,6 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
     drain->AddChild("stage.derive")->seconds = t.derive_seconds;
     drain->AddChild("stage.classify")->seconds = t.classify_seconds;
     drain->AddChild("stage.cache_lookup")->seconds = t.cache_lookup_seconds;
-  }
-
-  // Per-shard child spans of a sharded drain.
-  for (size_t i = 0; i < result.stream_stats.per_shard.size(); ++i) {
-    const StreamRunStats& shard = result.stream_stats.per_shard[i];
-    TelemetrySpan* span = drain->AddChild("shard." + std::to_string(i));
-    span->counts["batches"] = shard.batches;
-    span->counts["live_high_water"] = shard.live_candidate_high_water;
   }
   return telemetry;
 }
@@ -149,19 +140,6 @@ StreamRunStats StreamRunStatsView(const RunTelemetry& telemetry) {
   StreamRunStats stats;
   stats.batches = m.counter(kMetricStreamBatches);
   stats.live_candidate_high_water = m.counter(kMetricStreamHighWater);
-  if (const TelemetrySpan* drain = telemetry.root.FindChild("drain")) {
-    for (const TelemetrySpan& child : drain->children) {
-      if (child.name.rfind("shard.", 0) != 0) continue;
-      StreamRunStats shard;
-      auto batches = child.counts.find("batches");
-      if (batches != child.counts.end()) shard.batches = batches->second;
-      auto high_water = child.counts.find("live_high_water");
-      if (high_water != child.counts.end()) {
-        shard.live_candidate_high_water = high_water->second;
-      }
-      stats.per_shard.push_back(std::move(shard));
-    }
-  }
   return stats;
 }
 

@@ -1,7 +1,7 @@
 // RunTelemetry: the unified telemetry of one detection run — a
 // MetricsRegistry (the queryable metric surface) plus a tree of stage/
 // span records (generate → drain → match/combine/derive/classify, with
-// per-worker and per-shard child spans). The StageExecutor builds one
+// per-worker child spans). The StageExecutor builds one
 // per run and attaches it to DetectionResult::telemetry; the legacy
 // stat structs (StageTimings, CacheRunStats, StreamRunStats) are
 // reconstructed from the registry by the *View functions below, so the
@@ -39,8 +39,8 @@ struct DecisionCacheStats;
 // Registry metric names (the stable schema surface; see README
 // "Observability" for the full table).
 //
-// Identity namespace — bit-identical across serial/pooled/sharded/
-// cached runs of one plan + input:
+// Identity namespace — bit-identical across serial/pooled/cached runs
+// of one plan + input:
 inline constexpr char kMetricCandidatePairs[] = "pairs.candidates";
 inline constexpr char kMetricTotalPairs[] = "pairs.total";
 inline constexpr char kMetricDecisions[] = "decisions.total";
@@ -57,7 +57,6 @@ inline constexpr char kInfoPlanFingerprint[] = "plan.fingerprint";
 inline constexpr char kMetricStreamBatches[] = "exec.stream.batches";
 inline constexpr char kMetricStreamHighWater[] =
     "exec.stream.live_high_water";
-inline constexpr char kMetricStreamShards[] = "exec.stream.shards";
 inline constexpr char kMetricCacheAttached[] = "exec.cache.attached";
 inline constexpr char kMetricCacheLookups[] = "exec.cache.lookups";
 inline constexpr char kMetricCacheHits[] = "exec.cache.hits";
@@ -128,7 +127,7 @@ struct TelemetrySpan {
   const TelemetrySpan* FindChild(std::string_view child_name) const;
   TelemetrySpan* FindChild(std::string_view child_name);
 
-  /// Descendant lookup by '/'-separated path ("drain/shard.0").
+  /// Descendant lookup by '/'-separated path ("drain/worker.0").
   const TelemetrySpan* Find(std::string_view path) const;
 
   bool operator==(const TelemetrySpan& other) const {
@@ -157,7 +156,7 @@ struct RunTelemetry {
   }
 };
 
-/// Builds the registry + shard spans from a DetectionResult's stat
+/// Builds the registry + drain span from a DetectionResult's stat
 /// fields — the bridge for hand-assembled results (executor-produced
 /// results carry a richer telemetry with worker/generate spans
 /// already attached).

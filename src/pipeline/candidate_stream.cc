@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "pipeline/sharded_stream.h"
 #include "util/checked_math.h"
 
 namespace pdd {
@@ -13,14 +12,12 @@ namespace {
 /// The body every scenario factory shares. Checks the scenario's
 /// relation (`owned` when the factory built one, else `borrowed`)
 /// against the plan's schema, applies the configured preparation step
-/// (Section III-A) into an owned copy and opens the sharded stream when
-/// `shards.count > 1` and the plain one otherwise. The executor builds
-/// the stream's arena (one arena serves every shard: shards index one
-/// relation).
+/// (Section III-A) into an owned copy and opens the stream over the
+/// plan's pair generator. The executor builds the stream's arena.
 Result<std::unique_ptr<CandidateStream>> MakeScenarioStream(
     const DetectionPlan& plan, std::string name,
     std::optional<XRelation> owned, const XRelation* borrowed,
-    size_t total_pairs, size_t min_second, const ShardOptions& shards) {
+    size_t total_pairs, size_t min_second) {
   const XRelation& input = owned.has_value() ? *owned : *borrowed;
   if (!input.schema().CompatibleWith(plan.schema())) {
     return Status::InvalidArgument(
@@ -29,19 +26,9 @@ Result<std::unique_ptr<CandidateStream>> MakeScenarioStream(
   if (plan.config().preparation.has_value()) {
     owned = plan.config().preparation->Prepare(input);
   }
-  std::unique_ptr<CandidateStream> stream;
-  if (shards.count > 1) {
-    PDD_ASSIGN_OR_RETURN(
-        stream, ShardedCandidateStream::Make(std::move(name), std::move(owned),
-                                             borrowed, plan, total_pairs,
-                                             min_second, shards));
-  } else {
-    PDD_ASSIGN_OR_RETURN(
-        stream, GeneratorCandidateStream::Make(
-                    std::move(name), std::move(owned), borrowed,
-                    plan.MakePairGenerator(), total_pairs, min_second));
-  }
-  return stream;
+  return GeneratorCandidateStream::Make(std::move(name), std::move(owned),
+                                        borrowed, plan.MakePairGenerator(),
+                                        total_pairs, min_second);
 }
 
 }  // namespace
@@ -121,26 +108,24 @@ size_t GeneratorCandidateStream::buffered_candidates() const {
 }
 
 Result<std::unique_ptr<CandidateStream>> MakeFullStream(
-    const DetectionPlan& plan, const XRelation& rel,
-    const ShardOptions& shards) {
+    const DetectionPlan& plan, const XRelation& rel) {
   return MakeScenarioStream(plan, "full", std::nullopt, &rel,
                             TriangularPairCount(rel.size()),
-                            /*min_second=*/0, shards);
+                            /*min_second=*/0);
 }
 
 Result<std::unique_ptr<CandidateStream>> MakeUnionStream(
-    const DetectionPlan& plan, const XRelation& a, const XRelation& b,
-    const ShardOptions& shards) {
+    const DetectionPlan& plan, const XRelation& a, const XRelation& b) {
   PDD_ASSIGN_OR_RETURN(XRelation merged,
                        XRelation::Union(a, b, a.name() + "+" + b.name()));
   size_t total = TriangularPairCount(merged.size());
   return MakeScenarioStream(plan, "union", std::move(merged), nullptr, total,
-                            /*min_second=*/0, shards);
+                            /*min_second=*/0);
 }
 
 Result<std::unique_ptr<CandidateStream>> MakeIncrementalStream(
     const DetectionPlan& plan, const XRelation& existing,
-    const XRelation& additions, const ShardOptions& shards) {
+    const XRelation& additions) {
   PDD_ASSIGN_OR_RETURN(
       XRelation merged,
       XRelation::Union(existing, additions,
@@ -152,7 +137,7 @@ Result<std::unique_ptr<CandidateStream>> MakeIncrementalStream(
   size_t total = SaturatingAdd(SaturatingMul(base_count, new_count),
                                TriangularPairCount(new_count));
   return MakeScenarioStream(plan, "incremental", std::move(merged), nullptr,
-                            total, /*min_second=*/base_count, shards);
+                            total, /*min_second=*/base_count);
 }
 
 }  // namespace pdd

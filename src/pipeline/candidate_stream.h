@@ -30,7 +30,6 @@
 #include "pdb/xrelation.h"
 #include "pipeline/detection_plan.h"
 #include "reduction/pair_generator.h"
-#include "reduction/shard_partitioner.h"
 #include "util/status.h"
 
 namespace pdd {
@@ -40,11 +39,11 @@ class CandidateStream {
   virtual ~CandidateStream() = default;
 
   /// The RelationArena every pair of this stream decides over, shared
-  /// by every executor worker and shard. The executor builds it over
-  /// relation() on the first Execute when the stream has none and
-  /// leaves it attached, so a Reset() re-run reuses it. A standing
-  /// stream publishes a new generation as it grows; the executor reads
-  /// this under the shard mutex right after each pull.
+  /// by every executor worker. The executor builds it over relation()
+  /// on the first Execute when the stream has none and leaves it
+  /// attached, so a Reset() re-run reuses it. A standing stream
+  /// publishes a new generation as it grows; the executor reads this
+  /// under the drain mutex right after each pull.
   const std::shared_ptr<const RelationArena>& arena() const { return arena_; }
 
   /// Attaches the arena; it must describe relation() (the executor
@@ -212,33 +211,19 @@ class GeneratorCandidateStream : public CandidateStream {
   std::unique_ptr<PairBatchSource> source_;
 };
 
-/// Run-level sharding knobs (a runtime placement decision, like the
-/// executor's worker count). Plans can also carry them declaratively
-/// via the `shard.count` / `shard.strategy` spec keys.
-struct ShardOptions {
-  /// Number of shards; 1 = unsharded.
-  size_t count = 1;
-  /// How tuples map to shards; kAuto resolves per reduction family.
-  ShardStrategy strategy = ShardStrategy::kAuto;
-};
-
-// The scenario factories. Each takes the run's ShardOptions: with
-// `shards.count > 1` it builds a ShardedCandidateStream
-// (pipeline/sharded_stream.h) whose merged output is bit-identical to
-// the plain stream it builds otherwise.
+// The scenario factories. Each builds a GeneratorCandidateStream over
+// the scenario's (prepared) relation.
 
 /// Full run on one relation: applies the plan's preparation step, then
 /// streams the plan's reduction method. `rel` must outlive the stream
 /// unless preparation produced an owned copy.
 Result<std::unique_ptr<CandidateStream>> MakeFullStream(
-    const DetectionPlan& plan, const XRelation& rel,
-    const ShardOptions& shards = {});
+    const DetectionPlan& plan, const XRelation& rel);
 
 /// Cross-source union: R = a ∪ b (ids must be unique across sources),
 /// then behaves like the full stream over the owned union.
 Result<std::unique_ptr<CandidateStream>> MakeUnionStream(
-    const DetectionPlan& plan, const XRelation& a, const XRelation& b,
-    const ShardOptions& shards = {});
+    const DetectionPlan& plan, const XRelation& a, const XRelation& b);
 
 /// Incremental run: candidates of existing ∪ additions restricted to
 /// pairs with at least one endpoint in `additions` (intra-existing
@@ -246,7 +231,7 @@ Result<std::unique_ptr<CandidateStream>> MakeUnionStream(
 /// incremental pair universe.
 Result<std::unique_ptr<CandidateStream>> MakeIncrementalStream(
     const DetectionPlan& plan, const XRelation& existing,
-    const XRelation& additions, const ShardOptions& shards = {});
+    const XRelation& additions);
 
 }  // namespace pdd
 

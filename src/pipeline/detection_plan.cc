@@ -9,13 +9,12 @@ namespace pdd {
 
 /// Reduction/key/prune only choose WHICH pairs are examined,
 /// preparation rewrites the content itself (captured by the pair
-/// digest), and executor/shard tuning is a pure throughput/placement
-/// knob. Keys added by future components default to decision-relevant,
-/// which is the safe direction (fewer cross-plan cache hits, never
-/// stale ones).
+/// digest), and executor tuning is a pure throughput knob. Keys added
+/// by future components default to decision-relevant, which is the
+/// safe direction (fewer cross-plan cache hits, never stale ones).
 bool IsDecisionIrrelevantSpecKey(const std::string& key) {
   static const char* kPrefixes[] = {"key", "reduction", "prepare", "prune",
-                                    "executor", "shard"};
+                                    "executor"};
   for (const char* prefix : kPrefixes) {
     size_t len = std::char_traits<char>::length(prefix);
     if (key.compare(0, len, prefix) == 0 &&

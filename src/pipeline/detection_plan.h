@@ -43,7 +43,7 @@ const char* PipelineStageName(PipelineStage stage);
 
 /// True for spec keys that cannot change what DecidePair returns for a
 /// given pair content (key/reduction/prepare/prune choose WHICH pairs
-/// are examined; executor/shard tuning is pure throughput/placement).
+/// are examined; executor tuning is pure throughput).
 /// These keys are excluded from decision_fingerprint(), so the
 /// decision cache carries across them. Exposed for diagnostics
 /// (`pddcli lint-plan`) and the spec-closure lint.

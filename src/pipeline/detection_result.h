@@ -80,16 +80,8 @@ struct StreamRunStats {
   /// buffers plus all in-flight batches. A materialized stream peaks at
   /// its full candidate count — the O(candidates) buffer the streaming
   /// path deletes; native-streaming reductions peak at
-  /// O(window/block + workers · batch). For a sharded drain this is the
-  /// sum of the per-shard high-waters (the worst-case simultaneous
-  /// residency when every shard runs in one process; on a multi-node
-  /// placement each shard pays only its own entry below).
+  /// O(window/block + workers · batch).
   size_t live_candidate_high_water = 0;
-  /// Per-shard drain accounting of a sharded run (one entry per shard,
-  /// empty for unsharded streams). Each entry's high-water is that
-  /// shard's own live bound — the number a node hosting the shard must
-  /// provision for.
-  std::vector<StreamRunStats> per_shard;
 };
 
 /// Decision record for one examined candidate pair: the tuple indices

@@ -12,7 +12,6 @@
 #include "cache/pair_digest.h"
 #include "match/columnar_matcher.h"
 #include "obs/run_telemetry.h"
-#include "pipeline/sharded_stream.h"
 
 namespace pdd {
 
@@ -45,7 +44,7 @@ struct WorkerStats {
   LogHistogram decide_micros;
 };
 
-/// The decision records of one shard's drain, kept in pull order while
+/// The decision records of the drain, kept in pull order while
 /// workers finish batches in any order. A batch decided ahead of an
 /// earlier one parks until the gap closes, so only out-of-order batches
 /// are ever buffered (their buffers are recycled) and the records end
@@ -265,42 +264,29 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   result.stage_timings_collected = options_.stage_timings;
   if (options_.cache != nullptr) result.cache_stats = CacheRunStats{};
 
-  // A multi-shard stream drains shard by shard through ShardNextBatch;
-  // any other stream is a single shard pulled through NextBatch.
-  auto* sharded = dynamic_cast<ShardedCandidateStream*>(&stream);
-  if (sharded != nullptr && sharded->shard_count() <= 1) sharded = nullptr;
-  const size_t shard_count = sharded != nullptr ? sharded->shard_count() : 1;
-  // Each shard is pulled under its own mutex, so workers of different
-  // shards never contend; within a shard, pulls are serialized and
-  // batches indexed in pull order, so batch k's content is independent
-  // of which worker claims it or when. The decision cache handle
-  // (consulted inside DecideBatch) is the one structure every worker
-  // shares.
-  struct ShardDrain {
-    std::mutex mu;
-    bool exhausted = false;
-    OrderedRecords committed;
-    size_t candidate_count = 0;
-    size_t batches = 0;
-    size_t in_flight_candidates = 0;
-    size_t high_water = 0;
-  };
-  std::vector<ShardDrain> drains(shard_count);
-  if (sharded == nullptr) {
-    if (std::optional<size_t> hint = stream.candidate_count_hint()) {
-      drains[0].committed.Reserve(*hint);
-    }
+  // Pulls are serialized under one mutex and batches indexed in pull
+  // order, so batch k's content is independent of which worker claims
+  // it or when. The decision cache handle (consulted inside
+  // DecideBatch) is the one structure every worker shares.
+  std::mutex drain_mu;
+  bool exhausted = false;
+  OrderedRecords committed;
+  size_t batches = 0;
+  size_t candidate_count = 0;
+  size_t in_flight_candidates = 0;
+  size_t high_water = 0;
+  if (std::optional<size_t> hint = stream.candidate_count_hint()) {
+    committed.Reserve(*hint);
   }
-  // Sink calls are serialized but interleave across workers and shards
-  // in commit order — an execution-shape-dependent order by design (see
+  // Sink calls are serialized but interleave across workers in commit
+  // order — an execution-shape-dependent order by design (see
   // StageExecutorOptions::decision_sink).
   std::mutex sink_mu;
   const bool timed = options_.stage_timings;
   const size_t threads = std::max<size_t>(options_.workers, 1);
   std::vector<WorkerStats> workers(threads);
   std::vector<BatchCounters> counters(threads);
-  auto drain_shard = [&](size_t shard, size_t thread) {
-    ShardDrain& drain = drains[shard];
+  auto drain = [&](size_t thread) {
     WorkerStats& ws = workers[thread];
     // The arena generation this worker decides over, and its matcher
     // (one per call: the scratch buffers are thread-private). A
@@ -314,26 +300,21 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
     while (true) {
       size_t index = 0;
       {
-        std::lock_guard<std::mutex> lock(drain.mu);
-        if (drain.exhausted) return;
+        std::lock_guard<std::mutex> lock(drain_mu);
+        if (exhausted) return;
         Clock::time_point pull_start;
         if (timed) pull_start = Clock::now();
-        size_t pulled =
-            sharded != nullptr
-                ? sharded->ShardNextBatch(shard, options_.batch_size, &batch)
-                : stream.NextBatch(options_.batch_size, &batch);
+        size_t pulled = stream.NextBatch(options_.batch_size, &batch);
         if (timed) ws.pull_seconds += Elapsed(pull_start);
         if (pulled == 0) {
           // Exhausted vs idle-but-open: a standing stream blocks in
           // AwaitMore until tuples arrive (resume pulling) or its feed
-          // closes (drain ends). Waiting with drain.mu held parks the
-          // shard's other workers — correct (there is nothing to pull)
-          // and free of lock cycles: AwaitMore blocks on the stream's
-          // own condition, signalled by producers that never take
-          // drain.mu. Shard sources are finite (RestrictToShard over a
-          // finite universe), so their 0-pull is final.
-          if (sharded != nullptr || !stream.AwaitMore()) {
-            drain.exhausted = true;
+          // closes (drain ends). Waiting with drain_mu held parks the
+          // other workers — correct (there is nothing to pull) and free
+          // of lock cycles: AwaitMore blocks on the stream's own
+          // condition, signalled by producers that never take drain_mu.
+          if (!stream.AwaitMore()) {
+            exhausted = true;
             return;
           }
           continue;
@@ -342,14 +323,12 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
           matcher.reset();
           arena = stream.arena();
         }
-        index = drain.batches++;
-        drain.candidate_count += batch.size();
-        drain.in_flight_candidates += batch.size();
-        drain.high_water = std::max(
-            drain.high_water,
-            drain.in_flight_candidates +
-                (sharded != nullptr ? sharded->ShardBufferedCandidates(shard)
-                                    : stream.buffered_candidates()));
+        index = batches++;
+        candidate_count += batch.size();
+        in_flight_candidates += batch.size();
+        high_water =
+            std::max(high_water,
+                     in_flight_candidates + stream.buffered_candidates());
       }
       ++ws.batches;
       ws.candidates += batch.size();
@@ -368,81 +347,32 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
           options_.decision_sink(rec);
         }
       }
-      drain.committed.Commit(index, &decided);
+      committed.Commit(index, &decided);
       {
-        std::lock_guard<std::mutex> lock(drain.mu);
-        drain.in_flight_candidates -= batch.size();
+        std::lock_guard<std::mutex> lock(drain_mu);
+        in_flight_candidates -= batch.size();
       }
     }
   };
-  // Exactly max(1, workers) threads — the configured bound is a
-  // resource cap and must hold regardless of the shard count. With
-  // threads >= shards, thread t joins shard t % shards' worker set
-  // (sets differ in size by at most one); with fewer threads than
-  // shards, thread t drains shards t, t+threads, ... to completion, one
-  // after another. workers <= 1 runs that loop on the calling thread,
-  // shard after shard. The output is identical either way.
-  auto run_thread = [&](size_t t) {
-    for (size_t shard = t % shard_count; shard < shard_count;
-         shard += threads) {
-      drain_shard(shard, t);
-    }
-  };
+  // Exactly max(1, workers) threads run the loop; workers <= 1 runs it
+  // on the calling thread. The output is identical either way.
   if (threads == 1) {
-    run_thread(0);
+    drain(0);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) pool.emplace_back(run_thread, t);
+    for (size_t t = 0; t < threads; ++t) pool.emplace_back(drain, t);
     for (std::thread& t : pool) t.join();
   }
 
-  std::vector<std::vector<PairDecisionRecord>> runs(shard_count);
-  for (size_t shard = 0; shard < shard_count; ++shard) {
-    ShardDrain& drain = drains[shard];
-    result.candidate_count += drain.candidate_count;
-    result.stream_stats.batches += drain.batches;
-    result.stream_stats.live_candidate_high_water += drain.high_water;
-    if (sharded != nullptr) {
-      StreamRunStats stats;
-      stats.batches = drain.batches;
-      stats.live_candidate_high_water = drain.high_water;
-      result.stream_stats.per_shard.push_back(stats);
-    }
-    runs[shard] = drain.committed.Take();
-  }
+  result.candidate_count = candidate_count;
+  result.stream_stats.batches = batches;
+  result.stream_stats.live_candidate_high_water = high_water;
+  result.decisions = committed.Take();
   for (const BatchCounters& worker_counters : counters) {
     result.stage_timings += worker_counters.timings;
     if (result.cache_stats.has_value()) {
       *result.cache_stats += worker_counters.cache;
-    }
-  }
-  if (shard_count == 1) {
-    result.decisions = std::move(runs[0]);
-  } else {
-    // Each shard's committed records form its own (canonically ordered)
-    // run; k-way merge the runs by ascending (first, second) — stable
-    // tie-break by shard index — reconstructing the order the unsharded
-    // drain would have produced.
-    result.decisions.reserve(result.candidate_count);
-    std::vector<size_t> cursor(shard_count, 0);
-    while (true) {
-      size_t best = shard_count;
-      for (size_t shard = 0; shard < shard_count; ++shard) {
-        if (cursor[shard] >= runs[shard].size()) continue;
-        if (best == shard_count) {
-          best = shard;
-          continue;
-        }
-        const PairDecisionRecord& a = runs[shard][cursor[shard]];
-        const PairDecisionRecord& b = runs[best][cursor[best]];
-        if (a.index1 != b.index1 ? a.index1 < b.index1
-                                 : a.index2 < b.index2) {
-          best = shard;
-        }
-      }
-      if (best == shard_count) break;
-      result.decisions.push_back(runs[best][cursor[best]++]);
     }
   }
   FinishResult(options_, stream, std::move(workers), &result);

@@ -4,17 +4,15 @@
 // through a ColumnarMatcher over the stream's RelationArena, which
 // Execute builds when the stream carries none (DetectionPlan::DecidePair
 // is the reference the tests hold it to, bit for bit). There is one
-// drain loop. Each shard of the stream (a plain stream is a single
-// shard) is pulled under its own mutex; its batches are indexed in pull
-// order, decided into a worker-local buffer and committed in index
-// order. The worker count only decides how many threads run that loop:
-// workers <= 1 runs it on the calling thread, shard after shard. So the
-// result is byte-identical for any worker or shard count, and
+// drain loop. The stream is pulled under one mutex; its batches are
+// indexed in pull order, decided into a worker-local buffer and
+// committed in index order. The worker count only decides how many
+// threads run that loop: workers <= 1 runs it on the calling thread.
+// So the result is byte-identical for any worker count, and
 // parallelism is purely a throughput knob. The drain streams: live
-// candidates are bounded per shard by the in-flight batches plus
-// whatever the stream buffers (nothing for native-streaming
-// reductions), and the drain accounting lands in
-// DetectionResult::stream_stats.
+// candidates are bounded by the in-flight batches plus whatever the
+// stream buffers (nothing for native-streaming reductions), and the
+// drain accounting lands in DetectionResult::stream_stats.
 //
 // With a DecisionCache attached, each pair is first looked up by
 // (plan decision fingerprint, pair content digest); hits skip the
@@ -60,8 +58,8 @@ struct StageExecutorOptions {
   /// Called once per committed decision record, as batches complete.
   /// The executor serializes calls (one sink invocation at a time), but
   /// the EMISSION ORDER is execution-shape-dependent once more than one
-  /// worker or shard drains: only the merged DetectionResult carries
-  /// the deterministic order. A standing consumer (pddserve) streams
+  /// worker drains: only the DetectionResult carries the deterministic
+  /// order. A standing consumer (pddserve) streams
   /// decisions out of the drain through this; batch callers leave it
   /// null for zero overhead.
   std::function<void(const PairDecisionRecord&)> decision_sink;
@@ -87,16 +85,8 @@ class StageExecutor {
   /// *idle but open* (a standing ingest source blocks there until more
   /// tuples arrive or the feed closes), so the same decide path serves
   /// batch runs and the standing loop.
-  /// A ShardedCandidateStream with more than one shard drains each
-  /// shard through ShardNextBatch; any other stream is one shard pulled
-  /// through NextBatch. Exactly max(1, workers) threads run the drain,
-  /// split into per-shard worker sets (a thread covers several shards
-  /// one after another when workers < shards), all sharing the one
-  /// attached DecisionCache handle. A multi-shard run reports per-shard
-  /// accounting in DetectionResult::stream_stats.per_shard and merges
-  /// the per-shard decision records deterministically (ascending
-  /// (first, second), stable shard tie-break) — byte-identical to the
-  /// unsharded drain of the same plan and scenario.
+  /// Exactly max(1, workers) threads run the drain, all sharing the one
+  /// attached DecisionCache handle.
   Result<DetectionResult> Execute(CandidateStream& stream) const;
 
   const StageExecutorOptions& options() const { return options_; }

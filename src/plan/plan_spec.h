@@ -18,7 +18,7 @@
 // Parse(ToText(spec)) == spec bit-identically and line order in a plan
 // file never matters. Fingerprint() hashes the canonical form into a
 // stable 64-bit identity; it is invariant to field ordering and is the
-// key the ROADMAP's result caching and shard placement build on.
+// key the decision cache and the serving index build on.
 //
 // Component names ("snm_certain_keys", "weighted_sum", ...) are
 // resolved against the ComponentRegistry when a spec is translated to a

@@ -639,11 +639,6 @@ ComponentRegistry::ComponentRegistry() {
         ClusteredBlockingOptions::Algorithm::kKMedoids}) {
     cluster_algorithms_[ClusterAlgorithmName(algorithm)] = algorithm;
   }
-  for (ShardStrategy strategy :
-       {ShardStrategy::kAuto, ShardStrategy::kIndexRange,
-        ShardStrategy::kKeyRange, ShardStrategy::kBlockSubset}) {
-    shard_strategies_[ShardStrategyName(strategy)] = strategy;
-  }
 }
 
 const ComponentRegistry& ComponentRegistry::Global() {
@@ -735,20 +730,6 @@ std::vector<std::string> ComponentRegistry::ConflictStrategyNames() const {
 
 std::vector<std::string> ComponentRegistry::RankingMethodNames() const {
   return KeysOf(rankings_);
-}
-
-Result<ShardStrategy> ComponentRegistry::FindShardStrategy(
-    std::string_view name) const {
-  auto it = shard_strategies_.find(name);
-  if (it == shard_strategies_.end()) {
-    return UnknownComponentError("shard strategy", name,
-                                 KeysOf(shard_strategies_));
-  }
-  return it->second;
-}
-
-std::vector<std::string> ComponentRegistry::ShardStrategyNames() const {
-  return KeysOf(shard_strategies_);
 }
 
 }  // namespace pdd

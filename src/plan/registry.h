@@ -102,7 +102,6 @@ class ComponentRegistry {
       std::string_view name) const;
   Result<ClusteredBlockingOptions::Algorithm> FindClusterAlgorithm(
       std::string_view name) const;
-  Result<ShardStrategy> FindShardStrategy(std::string_view name) const;
 
   /// Registered names per family, sorted.
   std::vector<std::string> ReductionNames() const;
@@ -110,7 +109,6 @@ class ComponentRegistry {
   std::vector<std::string> DerivationNames() const;
   std::vector<std::string> ConflictStrategyNames() const;
   std::vector<std::string> RankingMethodNames() const;
-  std::vector<std::string> ShardStrategyNames() const;
 
  private:
   ComponentRegistry();
@@ -124,7 +122,6 @@ class ComponentRegistry {
       world_strategies_;
   std::map<std::string, ClusteredBlockingOptions::Algorithm, std::less<>>
       cluster_algorithms_;
-  std::map<std::string, ShardStrategy, std::less<>> shard_strategies_;
 };
 
 /// InvalidArgument for an unresolved component name: names the family,

@@ -93,17 +93,6 @@ PlanSpec DetectorConfig::ToSpec() const {
     params.SetDouble("prune.threshold", prune_threshold);
   }
 
-  // Sharding prints only when active, so unsharded plans (the default)
-  // keep their fingerprint and a shard count != 1 is plan identity.
-  // Decisions never depend on it (see IsDecisionIrrelevantKey), so the
-  // decision-cache key is shared across shard configurations.
-  if (shard_count != 1) {
-    params.SetSize("shard.count", shard_count);
-    if (shard_strategy != ShardStrategy::kAuto) {
-      params.Set("shard.strategy", ShardStrategyName(shard_strategy));
-    }
-  }
-
   size_t comparator_count =
       std::max(comparators.size(), custom_comparators.size());
   if (comparator_count > 0) {
@@ -255,13 +244,6 @@ Result<DetectorConfig> DetectorConfig::FromSpec(const PlanSpec& spec,
                        params.GetSize("executor.batch", config.batch_size));
   PDD_ASSIGN_OR_RETURN(config.workers,
                        params.GetSize("executor.workers", config.workers));
-
-  PDD_ASSIGN_OR_RETURN(config.shard_count,
-                       params.GetSize("shard.count", config.shard_count));
-  std::string shard_strategy = params.GetString(
-      "shard.strategy", ShardStrategyName(config.shard_strategy));
-  PDD_ASSIGN_OR_RETURN(config.shard_strategy,
-                       registry.FindShardStrategy(shard_strategy));
 
   PDD_RETURN_IF_ERROR(params.ExpectFullyConsumed(
       "plan spec (for reduction '" + reduction_name + "', combination '" +

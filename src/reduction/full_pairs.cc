@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "reduction/shard_partitioner.h"
 #include "util/checked_math.h"
 
 namespace pdd {
@@ -17,48 +16,25 @@ class FullPairSource : public PairBatchSource {
 
   size_t NextBatch(size_t max_batch, std::vector<CandidatePair>* out) override {
     out->clear();
-    SkipUnownedRows();
     while (out->size() < max_batch && i_ + 1 < n_) {
       out->push_back({i_, j_});
       if (++j_ == n_) {
         ++i_;
         j_ = i_ + 1;
-        SkipUnownedRows();
       }
     }
     return out->size();
   }
 
-  /// n(n-1)/2 unrestricted; a shard's share would take a pass over its
-  /// owned rows, so a restricted source gives no hint.
+  /// n(n-1)/2, known up front: the executor reserves its records once.
   std::optional<size_t> exact_count_hint() const override {
-    if (assignment_ != nullptr) return std::nullopt;
     return TriangularPairCount(n_);
   }
 
-  bool RestrictToShard(std::shared_ptr<const ShardAssignment> assignment,
-                       uint32_t shard) override {
-    assignment_ = std::move(assignment);
-    shard_ = shard;
-    return true;
-  }
-
  private:
-  /// Advances i_ past rows owned by other shards (index arithmetic
-  /// only — nothing is buffered either way).
-  void SkipUnownedRows() {
-    if (assignment_ == nullptr) return;
-    while (i_ + 1 < n_ && !assignment_->Owns(i_, shard_)) {
-      ++i_;
-      j_ = i_ + 1;
-    }
-  }
-
   size_t n_;
   size_t i_ = 0;
   size_t j_;
-  std::shared_ptr<const ShardAssignment> assignment_;
-  uint32_t shard_ = 0;
 };
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "reduction/pair_generator.h"
-#include "reduction/shard_partitioner.h"
 
 namespace pdd {
 
@@ -17,20 +16,6 @@ size_t MaterializedPairSource::NextBatch(size_t max_batch,
   return count;
 }
 
-bool MaterializedPairSource::RestrictToShard(
-    std::shared_ptr<const ShardAssignment> assignment, uint32_t shard) {
-  candidates_.erase(
-      std::remove_if(candidates_.begin(), candidates_.end(),
-                     [&](const CandidatePair& pair) {
-                       return !assignment->Owns(pair.first, shard);
-                     }),
-      candidates_.end());
-  // Actually release the dropped slice: the per-shard footprint is the
-  // owned subset, not the full generated vector.
-  candidates_.shrink_to_fit();
-  return true;
-}
-
 size_t PerFirstPairSource::NextBatch(size_t max_batch,
                                      std::vector<CandidatePair>* out) {
   out->clear();
@@ -41,10 +26,6 @@ size_t PerFirstPairSource::NextBatch(size_t max_batch,
       consumed_ = 0;
       while (partners_.empty() && next_first_ < tuple_count_) {
         current_first_ = next_first_++;
-        if (shard_assignment_ != nullptr &&
-            !shard_assignment_->Owns(current_first_, shard_)) {
-          continue;  // another shard's tuple: never buffer its partners
-        }
         AppendPartners(current_first_, &partners_);
         // Canonicalize the partner set: emitting only from the smaller
         // endpoint (u > first) covers every pair exactly once, and the
@@ -65,13 +46,6 @@ size_t PerFirstPairSource::NextBatch(size_t max_batch,
     }
   }
   return out->size();
-}
-
-bool PerFirstPairSource::RestrictToShard(
-    std::shared_ptr<const ShardAssignment> assignment, uint32_t shard) {
-  shard_assignment_ = std::move(assignment);
-  shard_ = shard;
-  return true;
 }
 
 size_t FilteringPairSource::NextBatch(size_t max_batch,

@@ -19,7 +19,6 @@
 #ifndef PDD_REDUCTION_PAIR_BATCH_SOURCE_H_
 #define PDD_REDUCTION_PAIR_BATCH_SOURCE_H_
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -28,7 +27,6 @@
 namespace pdd {
 
 struct CandidatePair;
-struct ShardAssignment;
 
 class PairBatchSource {
  public:
@@ -53,22 +51,6 @@ class PairBatchSource {
   virtual std::optional<size_t> exact_count_hint() const {
     return std::nullopt;
   }
-
-  /// Restricts the source to the pairs whose first index `shard` owns
-  /// under `assignment` (see reduction/shard_partitioner.h), preserving
-  /// their relative order — the restricted stream is the owned
-  /// subsequence of the unrestricted one. Must be called before the
-  /// first NextBatch. Returns false when the source cannot restrict
-  /// itself (custom sources); callers then wrap a FilteringPairSource
-  /// around it, which is equivalent but keeps the unrestricted memory
-  /// footprint. Built-in sources all restrict natively: they skip
-  /// non-owned first indices without ever buffering their partners.
-  virtual bool RestrictToShard(
-      std::shared_ptr<const ShardAssignment> assignment, uint32_t shard) {
-    (void)assignment;
-    (void)shard;
-    return false;
-  }
 };
 
 /// Adapter serving a pre-generated candidate vector in slices. This is
@@ -85,10 +67,6 @@ class MaterializedPairSource : public PairBatchSource {
   std::optional<size_t> exact_count_hint() const override {
     return candidates_.size();
   }
-  /// Drops (and releases) the non-owned pairs, so a shard of an
-  /// adapter-backed reduction holds only its own slice.
-  bool RestrictToShard(std::shared_ptr<const ShardAssignment> assignment,
-                       uint32_t shard) override;
 
  private:
   std::vector<CandidatePair> candidates_;
@@ -109,10 +87,6 @@ class PerFirstPairSource : public PairBatchSource {
   size_t buffered_candidates() const final {
     return partners_.size() - consumed_;
   }
-  /// Skips non-owned first indices in the walk: a shard never buffers
-  /// the partner set of a tuple it doesn't own.
-  bool RestrictToShard(std::shared_ptr<const ShardAssignment> assignment,
-                       uint32_t shard) final;
 
  protected:
   /// Appends the co-candidate tuples of `first` (unsorted; duplicates
@@ -125,9 +99,6 @@ class PerFirstPairSource : public PairBatchSource {
   size_t current_first_ = 0; // tuple the buffered partners belong to
   std::vector<size_t> partners_;
   size_t consumed_ = 0;
-  /// Non-null when sharded: only owned firsts are expanded.
-  std::shared_ptr<const ShardAssignment> shard_assignment_;
-  uint32_t shard_ = 0;
 };
 
 /// Wraps another source, keeping only pairs the predicate accepts.
@@ -143,12 +114,6 @@ class FilteringPairSource : public PairBatchSource {
   size_t NextBatch(size_t max_batch, std::vector<CandidatePair>* out) override;
   size_t buffered_candidates() const override {
     return inner_->buffered_candidates();
-  }
-  /// Forwards to the wrapped source (shard restriction composes with
-  /// pruning and the incremental crossing filter).
-  bool RestrictToShard(std::shared_ptr<const ShardAssignment> assignment,
-                       uint32_t shard) override {
-    return inner_->RestrictToShard(std::move(assignment), shard);
   }
 
  private:

@@ -60,8 +60,16 @@ class Rng {
     return std::geometric_distribution<int>(p)(engine_);
   }
 
-  /// Poisson-distributed count with the given mean.
+  /// Poisson-distributed count with the given mean; 0 when the mean is
+  /// not positive. std::poisson_distribution requires mean > 0. Given
+  /// mean 0, libstdc++'s small-mean loop returns 0 after exactly one
+  /// engine draw; this path keeps that draw, so the random stream (and
+  /// every generated dataset) stays the same.
   int Poisson(double mean) {
+    if (!(mean > 0.0)) {
+      engine_.discard(1);
+      return 0;
+    }
     return std::poisson_distribution<int>(mean)(engine_);
   }
 

@@ -4,7 +4,7 @@
 // its registry comparator, and the executor's records equal the
 // DetectionPlan::DecidePair oracle bit for bit for every comparator —
 // kernel-backed, kernel-less and custom — across batch sizes, worker
-// and shard counts and the decision cache.
+// counts and the decision cache.
 
 #include <gtest/gtest.h>
 
@@ -312,8 +312,8 @@ void ExpectRecordsEqual(const std::vector<PairDecisionRecord>& actual,
 }
 
 /// Runs `config` over `rel` in every executor shape — batch {1, 7,
-/// 4096} × workers {0, 2} × shards {1, 3} × uncached / cold-cached /
-/// warm-cached — and checks each run's records against the oracle.
+/// 4096} × workers {0, 2} × uncached / cold-cached / warm-cached — and
+/// checks each run's records against the oracle.
 void ExpectOracleIdentity(DetectorConfig config, const XRelation& rel,
                           const std::string& label) {
   auto plan = DetectionPlan::Compile(config, rel.schema());
@@ -321,35 +321,31 @@ void ExpectOracleIdentity(DetectorConfig config, const XRelation& rel,
   std::vector<PairDecisionRecord> oracle;
   for (size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
     for (size_t workers : {size_t{0}, size_t{2}}) {
-      for (size_t shards : {size_t{1}, size_t{3}}) {
-        auto cache = std::make_shared<ShardedDecisionCache>();
-        for (const char* mode : {"uncached", "cold", "warm"}) {
-          const std::string context =
-              label + " batch " + std::to_string(batch) + " workers " +
-              std::to_string(workers) + " shards " + std::to_string(shards) +
-              " " + mode;
-          StageExecutorOptions options;
-          options.batch_size = batch;
-          options.workers = workers;
-          if (std::string(mode) != "uncached") options.cache = cache;
-          auto stream = MakeFullStream(**plan, rel, {shards});
-          ASSERT_TRUE(stream.ok()) << context;
-          auto result = StageExecutor(*plan, options).Execute(**stream);
-          ASSERT_TRUE(result.ok()) << context << ": "
-                                   << result.status().ToString();
-          ASSERT_GT(result->decisions.size(), 0u) << context;
-          if (oracle.empty()) {
-            oracle = OracleRecords(**plan, (*stream)->relation(),
-                                   result->decisions);
-          }
-          ExpectRecordsEqual(result->decisions, oracle, context);
-          if (std::string(mode) == "warm" &&
-              (*plan)->decision_fingerprint() != 0) {
-            ASSERT_TRUE(result->cache_stats.has_value());
-            EXPECT_EQ(result->cache_stats->hits,
-                      result->cache_stats->lookups)
-                << context;
-          }
+      auto cache = std::make_shared<ShardedDecisionCache>();
+      for (const char* mode : {"uncached", "cold", "warm"}) {
+        const std::string context = label + " batch " +
+                                    std::to_string(batch) + " workers " +
+                                    std::to_string(workers) + " " + mode;
+        StageExecutorOptions options;
+        options.batch_size = batch;
+        options.workers = workers;
+        if (std::string(mode) != "uncached") options.cache = cache;
+        auto stream = MakeFullStream(**plan, rel);
+        ASSERT_TRUE(stream.ok()) << context;
+        auto result = StageExecutor(*plan, options).Execute(**stream);
+        ASSERT_TRUE(result.ok()) << context << ": "
+                                 << result.status().ToString();
+        ASSERT_GT(result->decisions.size(), 0u) << context;
+        if (oracle.empty()) {
+          oracle = OracleRecords(**plan, (*stream)->relation(),
+                                 result->decisions);
+        }
+        ExpectRecordsEqual(result->decisions, oracle, context);
+        if (std::string(mode) == "warm" &&
+            (*plan)->decision_fingerprint() != 0) {
+          ASSERT_TRUE(result->cache_stats.has_value());
+          EXPECT_EQ(result->cache_stats->hits, result->cache_stats->lookups)
+              << context;
         }
       }
     }

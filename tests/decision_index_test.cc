@@ -1,7 +1,7 @@
 // Tests for the decision-index serving layer (src/index/): the
 // pdd.index.v1 format round trip, byte-identical answers against the
-// fresh pipeline across every run shape (serial / pooled / sharded /
-// cached), structural staleness and corruption rejection, and the
+// fresh pipeline across every run shape (serial / pooled / cached),
+// structural staleness and corruption rejection, and the
 // zero-allocation query guarantee (global operator-new counting
 // hooks — the reason these tests live in their own binary).
 
@@ -71,9 +71,6 @@ Result<DetectionResult> RunShape(const XRelation& rel,
   Result<DuplicateDetector> detector =
       DuplicateDetector::Make(config, rel.schema());
   if (!detector.ok()) return detector.status();
-  if (shape == "sharded") {
-    detector->set_shard_options({3, ShardStrategy::kAuto});
-  }
   if (shape == "cached") {
     detector->set_cache(std::make_shared<ShardedDecisionCache>());
     // Warm run, then the run under test is served from the cache.
@@ -204,7 +201,7 @@ TEST(DecisionIndexTest, RunShapesCompileToByteIdenticalImages) {
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const std::string reference = MustBuild(data.relation, *serial);
   ASSERT_FALSE(reference.empty());
-  for (const char* shape : {"pooled", "sharded", "cached"}) {
+  for (const char* shape : {"pooled", "cached"}) {
     SCOPED_TRACE(shape);
     Result<DetectionResult> result = RunShape(data.relation, shape);
     ASSERT_TRUE(result.ok()) << result.status().ToString();

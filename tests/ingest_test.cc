@@ -3,9 +3,9 @@
 // StandingSession lifecycle (live drain → deterministic finish), plus
 // the crash-restart warm-start via decision-cache snapshots.
 //
-// Like pipeline_test, this binary honors PDD_BATCH_SIZE / PDD_WORKERS /
-// PDD_SHARDS so the CMake-registered extra passes (and the TSan CI
-// sweep) drive the standing drain through every executor shape.
+// Like pipeline_test, this binary honors PDD_BATCH_SIZE / PDD_WORKERS
+// so the CMake-registered extra passes (and the TSan CI sweep) drive
+// the standing drain through every executor shape.
 
 #include <gtest/gtest.h>
 
@@ -43,10 +43,6 @@ DetectorConfig PersonConfig() {
     long parsed = std::strtol(batch, nullptr, 10);
     if (parsed > 0) config.batch_size = static_cast<size_t>(parsed);
   }
-  if (const char* shards = std::getenv("PDD_SHARDS")) {
-    long parsed = std::strtol(shards, nullptr, 10);
-    if (parsed > 0) config.shard_count = static_cast<size_t>(parsed);
-  }
   if (const char* workers = std::getenv("PDD_WORKERS")) {
     long parsed = std::strtol(workers, nullptr, 10);
     if (parsed > 0) config.workers = static_cast<size_t>(parsed);
@@ -83,10 +79,6 @@ StandingSession::Options SessionOptions(
   options.workers = config.workers;
   options.cache = std::move(cache);
   return options;
-}
-
-ShardOptions FinishShards() {
-  return ShardOptions{PersonConfig().shard_count, ShardStrategy::kAuto};
 }
 
 void ExpectIdenticalResults(const DetectionResult& a,
@@ -304,7 +296,7 @@ TEST(StandingSessionTest, FinishIsByteIdenticalForAnyArrivalOrder) {
       DrainWithProducer(reference_session->get(), data.relation, forward)
           .ok());
   Result<DetectionResult> reference =
-      (*reference_session)->Finish(FinishShards());
+      (*reference_session)->Finish();
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   Result<DetectionResult> batch =
       detector->Run((*reference_session)->CanonicalRelation());
@@ -324,7 +316,7 @@ TEST(StandingSessionTest, FinishIsByteIdenticalForAnyArrivalOrder) {
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     // The live drain decided the full crossing set of the arrivals.
     EXPECT_EQ(live->decisions.size(), TriangularPairCount(n));
-    Result<DetectionResult> finish = (*session)->Finish(FinishShards());
+    Result<DetectionResult> finish = (*session)->Finish();
     ASSERT_TRUE(finish.ok()) << finish.status().ToString();
     ExpectIdenticalResults(*finish, *reference);
   }
@@ -404,7 +396,7 @@ TEST(StandingSessionTest, FinishReRunIsAllCacheHits) {
   ASSERT_TRUE(DrainWithProducer(session->get(), data.relation,
                                 Iota(data.relation.size()))
                   .ok());
-  Result<DetectionResult> finish = (*session)->Finish(FinishShards());
+  Result<DetectionResult> finish = (*session)->Finish();
   ASSERT_TRUE(finish.ok());
   // Every finish pair was already decided live: the deterministic
   // report is a pure cache read.
@@ -412,30 +404,6 @@ TEST(StandingSessionTest, FinishReRunIsAllCacheHits) {
   EXPECT_EQ(finish->cache_stats->hits, finish->cache_stats->lookups);
   EXPECT_EQ(finish->cache_stats->inserts, 0u);
   EXPECT_GT(finish->cache_stats->lookups, 0u);
-}
-
-TEST(StandingSessionTest, RunIncrementalMatchesDirectIncrementalStream) {
-  GeneratedData data = SeededPersons(30);
-  const size_t split = data.relation.size() / 2;
-  XRelation existing("existing", data.relation.schema());
-  XRelation additions("additions", data.relation.schema());
-  for (size_t i = 0; i < data.relation.size(); ++i) {
-    (i < split ? existing : additions).AppendUnchecked(data.relation.xtuple(i));
-  }
-  Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(PersonConfig(), PersonSchema());
-  ASSERT_TRUE(detector.ok());
-  // The pre-standing implementation, built directly.
-  Result<std::unique_ptr<CandidateStream>> direct =
-      MakeIncrementalStream(detector->plan(), existing, additions);
-  ASSERT_TRUE(direct.ok());
-  Result<DetectionResult> direct_result = detector->RunStream(**direct);
-  ASSERT_TRUE(direct_result.ok());
-  // The standing-path adapter must reproduce it byte for byte.
-  Result<DetectionResult> adapted =
-      detector->RunIncremental(existing, additions);
-  ASSERT_TRUE(adapted.ok()) << adapted.status().ToString();
-  ExpectIdenticalResults(*adapted, *direct_result);
 }
 
 TEST(StandingSessionTest, RunIncrementalRejectsDuplicateIds) {
@@ -502,7 +470,7 @@ TEST(StandingSessionTest, CrashRestartWarmStartsFromSnapshot) {
   ASSERT_TRUE(live->cache_stats.has_value());
   EXPECT_GE(live->cache_stats->hits, TriangularPairCount(crash_after));
   // And the final report is byte-identical to a never-crashed batch run.
-  Result<DetectionResult> finish = (*session)->Finish(FinishShards());
+  Result<DetectionResult> finish = (*session)->Finish();
   ASSERT_TRUE(finish.ok());
   Result<DuplicateDetector> detector =
       DuplicateDetector::Make(PersonConfig(), PersonSchema());

@@ -1,6 +1,6 @@
 // Tests for the run-telemetry subsystem (src/obs/): log-histogram
 // bucket math and merge associativity, registry determinism across
-// worker/shard/batch/cache run shapes, JSON and Prometheus export
+// worker/batch/cache run shapes, JSON and Prometheus export
 // goldens, sidecar round-trips through the parser, span nesting, the
 // stat-struct views, and the "(disabled)" stage-timing rendering.
 
@@ -289,11 +289,11 @@ TEST(JsonTest, LargeIntegersSurviveVerbatim) {
 TEST(TelemetrySpanTest, PathLookup) {
   RunTelemetry t;
   TelemetrySpan* drain = t.root.AddChild("drain");
-  drain->AddChild("shard.0")->counts["batches"] = 4;
-  drain->AddChild("shard.1");
-  ASSERT_NE(t.root.Find("drain/shard.0"), nullptr);
-  EXPECT_EQ(t.root.Find("drain/shard.0")->counts.at("batches"), 4u);
-  EXPECT_EQ(t.root.Find("drain/shard.2"), nullptr);
+  drain->AddChild("worker.0")->counts["batches"] = 4;
+  drain->AddChild("worker.1");
+  ASSERT_NE(t.root.Find("drain/worker.0"), nullptr);
+  EXPECT_EQ(t.root.Find("drain/worker.0")->counts.at("batches"), 4u);
+  EXPECT_EQ(t.root.Find("drain/worker.2"), nullptr);
   EXPECT_EQ(t.root.Find("nope"), nullptr);
 }
 
@@ -320,7 +320,6 @@ struct RunShape {
   const char* label;
   size_t workers = 0;
   size_t batch_size = 256;
-  size_t shards = 1;
   bool cached = false;
 };
 
@@ -330,9 +329,7 @@ TEST(RunTelemetryTest, IdentityMetricsBitIdenticalAcrossRunShapes) {
       {"serial"},
       {"pooled", /*workers=*/4},
       {"tiny-batch", /*workers=*/0, /*batch_size=*/2},
-      {"sharded", /*workers=*/4, /*batch_size=*/256, /*shards=*/3},
-      {"cached", /*workers=*/0, /*batch_size=*/256, /*shards=*/1,
-       /*cached=*/true},
+      {"cached", /*workers=*/0, /*batch_size=*/256, /*cached=*/true},
   };
   std::string baseline;
   for (const RunShape& shape : shapes) {
@@ -341,9 +338,6 @@ TEST(RunTelemetryTest, IdentityMetricsBitIdenticalAcrossRunShapes) {
     config.batch_size = shape.batch_size;
     auto detector = DuplicateDetector::Make(config, PersonSchema());
     ASSERT_TRUE(detector.ok()) << shape.label;
-    if (shape.shards > 1) {
-      detector->set_shard_options({shape.shards, ShardStrategy::kAuto});
-    }
     if (shape.cached) {
       detector->set_cache(std::make_shared<ShardedDecisionCache>());
     }
@@ -351,8 +345,7 @@ TEST(RunTelemetryTest, IdentityMetricsBitIdenticalAcrossRunShapes) {
     ASSERT_TRUE(result.ok()) << shape.label;
     ASSERT_NE(result->telemetry, nullptr) << shape.label;
     // Drain accounting of this shape: one worker.N span per drain
-    // thread, their counts summing to the stream totals; per-shard
-    // entries only for a sharded run.
+    // thread, their counts summing to the stream totals.
     const TelemetrySpan* drain = result->telemetry->root.Find("drain");
     ASSERT_NE(drain, nullptr) << shape.label;
     size_t worker_spans = 0;
@@ -368,9 +361,6 @@ TEST(RunTelemetryTest, IdentityMetricsBitIdenticalAcrossRunShapes) {
         << shape.label;
     EXPECT_EQ(batches, result->stream_stats.batches) << shape.label;
     EXPECT_EQ(candidates, result->candidate_count) << shape.label;
-    EXPECT_EQ(result->stream_stats.per_shard.size(),
-              shape.shards > 1 ? shape.shards : 0)
-        << shape.label;
     std::string identity = IdentityMetricsJson(*result->telemetry);
     if (baseline.empty()) {
       baseline = identity;
@@ -389,7 +379,6 @@ TEST(RunTelemetryTest, StatStructsAreViewsOverTheRegistry) {
   auto detector = DuplicateDetector::Make(config, PersonSchema());
   ASSERT_TRUE(detector.ok());
   detector->set_cache(std::make_shared<ShardedDecisionCache>());
-  detector->set_shard_options({2, ShardStrategy::kAuto});
   detector->set_collect_stage_timings(true);
   auto result = detector->Run(data.relation);
   ASSERT_TRUE(result.ok());
@@ -407,9 +396,8 @@ TEST(RunTelemetryTest, StatStructsAreViewsOverTheRegistry) {
   EXPECT_EQ(result->cache_stats->inserts, cache->inserts);
   StreamRunStats stream = StreamRunStatsView(t);
   EXPECT_EQ(result->stream_stats.batches, stream.batches);
-  ASSERT_EQ(stream.per_shard.size(), 2u);
-  EXPECT_EQ(result->stream_stats.per_shard[1].batches,
-            stream.per_shard[1].batches);
+  EXPECT_EQ(result->stream_stats.live_candidate_high_water,
+            stream.live_candidate_high_water);
 
   // And the registry agrees with the result's own counts.
   EXPECT_EQ(t.metrics.counter(kMetricCandidatePairs),
@@ -419,11 +407,10 @@ TEST(RunTelemetryTest, StatStructsAreViewsOverTheRegistry) {
       t.metrics.histogram(kMetricSimilarityMicros);
   ASSERT_NE(sim, nullptr);
   EXPECT_EQ(sim->count(), result->decisions.size());
-  // Span tree: generate before drain, worker + shard children present.
+  // Span tree: generate before drain, worker children present.
   ASSERT_GE(t.root.children.size(), 2u);
   EXPECT_EQ(t.root.children[0].name, "generate");
   EXPECT_EQ(t.root.children[1].name, "drain");
-  EXPECT_NE(t.root.Find("drain/shard.1"), nullptr);
   EXPECT_NE(t.root.Find("drain/worker.0"), nullptr);
 }
 
@@ -472,15 +459,10 @@ TEST(ExecutionStatsReportTest, StreamDiagnosticsRenderFromRegistry) {
   t.metrics.SetCounter(kMetricStreamHighWater, 260);
   t.metrics.SetInfo("exec.reduction", "snm_certain_keys");
   t.metrics.SetInfo("exec.streaming", "native");
-  TelemetrySpan* drain = t.root.AddChild("drain");
-  TelemetrySpan* shard = drain->AddChild("shard.0");
-  shard->counts["batches"] = 3;
-  shard->counts["live_high_water"] = 260;
   EXPECT_EQ(RenderStreamDiagnostics(t),
             "candidate stream: reduction snm_certain_keys "
             "(native streaming), 732 candidates in 3 batches, "
-            "live high-water 260 candidates\n"
-            "  shard 0: 3 batches, live high-water 260 candidates\n");
+            "live high-water 260 candidates\n");
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "pipeline/detection_plan.h"
 #include "pipeline/detection_result.h"
 #include "pipeline/stage_executor.h"
+#include "util/checked_math.h"
 
 namespace pdd {
 namespace {
@@ -27,18 +28,12 @@ DetectorConfig PersonConfig() {
   // CMake registers a second ctest pass of this binary with
   // PDD_BATCH_SIZE=2 so every Run() path crosses batch boundaries
   // constantly (streaming refill edges, incremental filter re-pulls),
-  // a third with PDD_SHARDS=3 so every Run() drains through the
-  // sharded stream's per-shard sources and deterministic merge, and a
-  // fourth with PDD_WORKERS=4 so every Run() decides on a thread pool
-  // (the TSan CI job leans on this one: the pooled drain is the main
-  // data-race surface).
+  // and a third with PDD_WORKERS=4 so every Run() decides on a thread
+  // pool (the TSan CI job leans on this one: the pooled drain is the
+  // main data-race surface).
   if (const char* batch = std::getenv("PDD_BATCH_SIZE")) {
     long parsed = std::strtol(batch, nullptr, 10);
     if (parsed > 0) config.batch_size = static_cast<size_t>(parsed);
-  }
-  if (const char* shards = std::getenv("PDD_SHARDS")) {
-    long parsed = std::strtol(shards, nullptr, 10);
-    if (parsed > 0) config.shard_count = static_cast<size_t>(parsed);
   }
   if (const char* workers = std::getenv("PDD_WORKERS")) {
     long parsed = std::strtol(workers, nullptr, 10);
@@ -225,6 +220,87 @@ TEST(StageExecutorTest, RejectsStreamsBeyondThe32BitIndexSpace) {
       StageExecutor(detector->shared_plan()).Execute(stream);
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(stream.pulls(), 0u);
+}
+
+// Executor re-run over a Reset stream: stream_stats must equal the
+// first run's, not accumulate.
+TEST(StageExecutorTest, ExecutorRerunAfterResetDoesNotDoubleCount) {
+  GeneratedData data = SeededPersons(40);
+  DetectorConfig config = PersonConfig();
+  config.reduction = ReductionMethod::kBlockingCertainKeys;
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(config, PersonSchema());
+  ASSERT_TRUE(detector.ok());
+  Result<std::unique_ptr<CandidateStream>> stream =
+      MakeFullStream(detector->plan(), data.relation);
+  ASSERT_TRUE(stream.ok());
+  Result<DetectionResult> first = detector->RunStream(**stream);
+  ASSERT_TRUE(first.ok());
+  ASSERT_GT(first->decisions.size(), 0u);
+  ASSERT_GT(first->stream_stats.batches, 0u);
+  (*stream)->Reset();
+  Result<DetectionResult> second = detector->RunStream(**stream);
+  ASSERT_TRUE(second.ok());
+  ExpectIdenticalResults(*first, *second);
+  EXPECT_EQ(second->stream_stats.batches, first->stream_stats.batches);
+}
+
+/// A stream that refuses to hint its candidate count — the shape every
+/// hint consumer must tolerate.
+class HintlessStream : public CandidateStream {
+ public:
+  HintlessStream(const XRelation* rel, std::vector<CandidatePair> candidates)
+      : rel_(rel), candidates_(std::move(candidates)) {}
+
+  const XRelation& relation() const override { return *rel_; }
+  size_t NextBatch(size_t max_batch,
+                   std::vector<CandidatePair>* out) override {
+    out->clear();
+    while (out->size() < max_batch && next_ < candidates_.size()) {
+      out->push_back(candidates_[next_++]);
+    }
+    return out->size();
+  }
+  void Reset() override { next_ = 0; }
+  // candidate_count_hint() stays the base-class nullopt.
+  size_t total_pairs() const override {
+    return TriangularPairCount(rel_->size());
+  }
+  std::string name() const override { return "hintless"; }
+
+ private:
+  const XRelation* rel_;
+  std::vector<CandidatePair> candidates_;
+  size_t next_ = 0;
+};
+
+// A hintless source must execute identically to the hinted run, serial
+// and pooled: the hint is an optional reservation aid, never control
+// flow.
+TEST(StageExecutorTest, HintlessSourceExecutesIdentically) {
+  GeneratedData data = SeededPersons(30);
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(PersonConfig(), PersonSchema());
+  ASSERT_TRUE(detector.ok());
+  Result<DetectionResult> reference = detector->Run(data.relation);
+  ASSERT_TRUE(reference.ok());
+  std::vector<CandidatePair> candidates;
+  for (size_t i = 0; i < data.relation.size(); ++i) {
+    for (size_t j = i + 1; j < data.relation.size(); ++j) {
+      candidates.push_back({i, j});
+    }
+  }
+  for (size_t workers : {size_t{0}, size_t{3}}) {
+    HintlessStream stream(&data.relation, candidates);
+    EXPECT_FALSE(stream.candidate_count_hint().has_value());
+    StageExecutorOptions options;
+    options.workers = workers;
+    options.batch_size = 32;
+    StageExecutor executor(detector->shared_plan(), options);
+    Result<DetectionResult> result = executor.Execute(stream);
+    ASSERT_TRUE(result.ok()) << workers;
+    ExpectIdenticalResults(*reference, *result);
+  }
 }
 
 TEST(CandidateStreamTest, BatchOrderIsIndependentOfBatchSize) {

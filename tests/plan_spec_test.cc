@@ -306,6 +306,22 @@ TEST(TranslateTest, UnknownParameterKeyIsRejected) {
             std::string::npos);
 }
 
+// Every run drains one candidate stream; no spec key partitions it.
+// The shard keys are rejected like any unknown key, never ignored.
+TEST(TranslateTest, ShardKeysAreUnknownKeys) {
+  const std::pair<std::string, std::string> kShardKeys[] = {
+      {"shard.count", "2"}, {"shard.strategy", "auto"}};
+  for (const auto& [key, value] : kShardKeys) {
+    PlanSpec spec = PlanBuilder().Build();
+    spec.params().Set(key, value);
+    Result<DetectorConfig> config = DetectorConfig::FromSpec(spec);
+    ASSERT_FALSE(config.ok()) << key;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(config.status().message().find(key), std::string::npos)
+        << key << ": " << config.status().ToString();
+  }
+}
+
 TEST(TranslateTest, ExecutorKnobsAcceptedButNotFingerprinted) {
   PlanSpec spec = PlanBuilder().Build();
   spec.params().Set("executor.workers", "4");

@@ -331,6 +331,19 @@ TEST(RngTest, IndexWithinBounds) {
   }
 }
 
+// Poisson(0) is outside std::poisson_distribution's mean > 0 domain.
+// It must return 0 and advance the engine by exactly the one draw
+// libstdc++ takes there, so generated datasets keep their bytes.
+TEST(RngTest, PoissonZeroMeanReturnsZeroAfterOneDraw) {
+  for (uint64_t seed : {1u, 7u, 20100301u}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    EXPECT_EQ(rng.Poisson(0.0), 0);
+    reference.discard(1);
+    EXPECT_EQ(rng.engine()(), reference()) << seed;
+  }
+}
+
 // -------------------------------------------------------- TablePrinter
 
 TEST(TablePrinterTest, AlignsColumns) {

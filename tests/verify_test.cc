@@ -281,26 +281,21 @@ TEST(GoldEvaluationTest, IndexSpaceEvaluationEqualsPerRecordIsMatch) {
   config.final_thresholds = {0.5, 0.9};
   config.reduction = ReductionMethod::kSnmCertainKeys;  // prunes gold
   config.window = 4;
-  for (size_t shards : {1, 3}) {
-    config.shard_count = shards;
-    Result<DuplicateDetector> detector =
-        DuplicateDetector::Make(config, PersonSchema());
-    ASSERT_TRUE(detector.ok()) << detector.status().ToString();
-    Result<DetectionResult> result = detector->Run(rel);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ASSERT_FALSE(result->decisions.empty());
-    EXPECT_EQ(result->stream_stats.per_shard.size(), shards > 1 ? shards : 0);
-    ExpectEvaluationMatchesReference(*result, gold);
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(config, PersonSchema());
+  ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+  Result<DetectionResult> result = detector->Run(rel);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->decisions.empty());
+  ExpectEvaluationMatchesReference(*result, gold);
 
-    // Records may name their pair in either index orientation.
-    DetectionResult swapped = *result;
-    for (size_t i = 0; i < swapped.decisions.size(); i += 2) {
-      std::swap(swapped.decisions[i].index1, swapped.decisions[i].index2);
-    }
-    SCOPED_TRACE("swapped orientation");
-    ExpectEvaluationMatchesReference(swapped, gold);
+  // Records may name their pair in either index orientation.
+  DetectionResult swapped = *result;
+  for (size_t i = 0; i < swapped.decisions.size(); i += 2) {
+    std::swap(swapped.decisions[i].index1, swapped.decisions[i].index2);
   }
+  SCOPED_TRACE("swapped orientation");
+  ExpectEvaluationMatchesReference(swapped, gold);
 }
 
 TEST(MakeIdPairTest, OrdersEndpoints) {

@@ -55,16 +55,6 @@
 //                                  (default 0 = serial; results identical)
 //   --batch N                      candidates per executor batch
 //                                  (default 256)
-//   --shards N                     partition the candidate stream into N
-//                                  shards drained by per-shard worker
-//                                  sets and merged deterministically
-//                                  (default 1 = unsharded; the report is
-//                                  byte-identical for any shard count —
-//                                  a runtime placement knob like
-//                                  --workers, it never changes the plan
-//                                  fingerprint; plans can instead bake
-//                                  sharding in via `shard.count` /
-//                                  `shard.strategy` spec keys)
 //   --cache-capacity N             enable the in-memory decision cache
 //                                  bounded to N entries (LRU; default
 //                                  capacity 1048576 when another cache
@@ -181,7 +171,6 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
   bool cache_stats = false;
   bool stream_candidates = false;
   size_t cache_capacity = 0;  // 0 = not set; default applied below
-  size_t shard_override = 0;  // 0 = not set; plan's sharding applies
   std::string cache_file;
   std::string metrics_file;
   std::string metrics_format = "json";
@@ -249,13 +238,6 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
         return Fail("--batch needs a positive integer");
       }
       config.batch_size = n;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--shards needs a positive integer");
-      }
-      shard_override = n;
     } else if (arg == "--cache-capacity") {
       const char* v = next();
       size_t n = 0;
@@ -320,11 +302,6 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
   Result<DuplicateDetector> detector =
       DuplicateDetector::Make(config, rel.schema());
   if (!detector.ok()) return Fail(detector.status().ToString());
-  if (shard_override > 0) {
-    // A run-level placement knob: the plan (and the report it prints)
-    // stays byte-identical to the unsharded run.
-    detector->set_shard_options({shard_override, ShardStrategy::kAuto});
-  }
   // Any cache flag enables the decision cache; --cache-file also
   // warm-starts from earlier invocations.
   std::shared_ptr<ShardedDecisionCache> cache;
@@ -353,7 +330,7 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
     // One telemetry, one exporter code path for every diagnostic: the
     // stderr blocks and the sidecar are all renderings of this
     // registry. Stderr only (stdout stays byte-identical across warm/
-    // cold, streamed/materialized and sharded/unsharded runs).
+    // cold, streamed/materialized and serial/pooled runs).
     RunTelemetry telemetry = result->telemetry != nullptr
                                  ? *result->telemetry
                                  : TelemetryFromResult(*result);

@@ -8,8 +8,10 @@
 //                   [--seed N]
 //   pddgen biblio   <out.pxr> <gold.csv> [--publications N] [--seed N]
 //
-// Relations are written in the text format of pdb/text_format.h; gold
-// standards as "id1,id2" lines (verify/gold_io.h).
+// Relations are written in the text format of pdb/text_format.h, with
+// empty-text alternatives dropped into ⊥ (datagen/text_safe.h); pddgen
+// parses each written text back and fails unless it re-serializes to
+// the same bytes. Gold standards are "id1,id2" lines (verify/gold_io.h).
 
 #include <fstream>
 #include <iostream>
@@ -17,6 +19,7 @@
 #include "datagen/astronomy_generator.h"
 #include "datagen/bibliography_generator.h"
 #include "datagen/person_generator.h"
+#include "datagen/text_safe.h"
 #include "pdb/text_format.h"
 #include "util/string_util.h"
 #include "verify/gold_io.h"
@@ -37,15 +40,32 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return true;
 }
 
+/// The text form of `rel` that the parser reads back byte for byte, or
+/// an error naming what does not round-trip.
+Result<std::string> SerializeRoundTrip(const XRelation& rel) {
+  std::string text = SerializeXRelation(DropEmptyAlternatives(rel));
+  Result<XRelation> parsed = ParseXRelation(text);
+  if (!parsed.ok()) {
+    return Status::Internal("relation '" + rel.name() +
+                            "' does not parse back: " +
+                            parsed.status().ToString());
+  }
+  if (SerializeXRelation(*parsed) != text) {
+    return Status::Internal("relation '" + rel.name() +
+                            "' does not re-serialize to the same text");
+  }
+  return text;
+}
+
 // Shared numeric flag scanning.
 struct Flags {
-  double entities = 100;
+  size_t entities = 100;
   double dup_rate = 0.6;
   double error_rate = 0.04;
   double uncertainty = 0.3;
-  double objects = 100;
-  double publications = 100;
-  double seed = 42;
+  size_t objects = 100;
+  size_t publications = 100;
+  size_t seed = 42;
   bool full_names = false;
 };
 
@@ -59,9 +79,16 @@ int ParseFlags(int argc, char** argv, int first, Flags* flags) {
       *slot = v;
       return 0;
     };
+    auto count = [&](size_t* slot) -> int {
+      if (i + 1 >= argc) return Fail(arg + " needs a value");
+      if (!ParseSize(argv[++i], slot)) {
+        return Fail(arg + " needs a non-negative integer");
+      }
+      return 0;
+    };
     int rc = 0;
     if (arg == "--entities") {
-      rc = number(&flags->entities);
+      rc = count(&flags->entities);
     } else if (arg == "--dup-rate") {
       rc = number(&flags->dup_rate);
     } else if (arg == "--error-rate") {
@@ -69,11 +96,11 @@ int ParseFlags(int argc, char** argv, int first, Flags* flags) {
     } else if (arg == "--uncertainty") {
       rc = number(&flags->uncertainty);
     } else if (arg == "--objects") {
-      rc = number(&flags->objects);
+      rc = count(&flags->objects);
     } else if (arg == "--publications") {
-      rc = number(&flags->publications);
+      rc = count(&flags->publications);
     } else if (arg == "--seed") {
-      rc = number(&flags->seed);
+      rc = count(&flags->seed);
     } else if (arg == "--full-names") {
       flags->full_names = true;
     } else {
@@ -97,15 +124,17 @@ int main(int argc, char** argv) {
     int rc = ParseFlags(argc, argv, 4, &flags);
     if (rc != 0) return rc;
     PersonGenOptions options;
-    options.num_entities = static_cast<size_t>(flags.entities);
+    options.num_entities = flags.entities;
     options.duplicate_rate = flags.dup_rate;
     options.errors.char_error_rate = flags.error_rate;
     options.uncertainty.value_uncertainty_prob = flags.uncertainty;
     options.uncertainty.xtuple_alternative_prob = flags.uncertainty / 2;
-    options.seed = static_cast<uint64_t>(flags.seed);
+    options.seed = flags.seed;
     options.full_names = flags.full_names;
     GeneratedData data = GeneratePersons(options);
-    if (!WriteFile(argv[2], SerializeXRelation(data.relation)) ||
+    Result<std::string> text = SerializeRoundTrip(data.relation);
+    if (!text.ok()) return Fail(text.status().ToString());
+    if (!WriteFile(argv[2], *text) ||
         !WriteFile(argv[3], SerializeGoldStandard(data.gold))) {
       return Fail("cannot write output files");
     }
@@ -119,11 +148,14 @@ int main(int argc, char** argv) {
     int rc = ParseFlags(argc, argv, 5, &flags);
     if (rc != 0) return rc;
     AstroGenOptions options;
-    options.num_objects = static_cast<size_t>(flags.objects);
-    options.seed = static_cast<uint64_t>(flags.seed);
+    options.num_objects = flags.objects;
+    options.seed = flags.seed;
     GeneratedSources sources = GenerateTelescopeSources(options);
-    if (!WriteFile(argv[2], SerializeXRelation(sources.source1)) ||
-        !WriteFile(argv[3], SerializeXRelation(sources.source2)) ||
+    Result<std::string> text1 = SerializeRoundTrip(sources.source1);
+    if (!text1.ok()) return Fail(text1.status().ToString());
+    Result<std::string> text2 = SerializeRoundTrip(sources.source2);
+    if (!text2.ok()) return Fail(text2.status().ToString());
+    if (!WriteFile(argv[2], *text1) || !WriteFile(argv[3], *text2) ||
         !WriteFile(argv[4], SerializeGoldStandard(sources.gold))) {
       return Fail("cannot write output files");
     }
@@ -138,10 +170,12 @@ int main(int argc, char** argv) {
     int rc = ParseFlags(argc, argv, 4, &flags);
     if (rc != 0) return rc;
     BiblioGenOptions options;
-    options.num_publications = static_cast<size_t>(flags.publications);
-    options.seed = static_cast<uint64_t>(flags.seed);
+    options.num_publications = flags.publications;
+    options.seed = flags.seed;
     GeneratedData data = GenerateBibliography(options);
-    if (!WriteFile(argv[2], SerializeXRelation(data.relation)) ||
+    Result<std::string> text = SerializeRoundTrip(data.relation);
+    if (!text.ok()) return Fail(text.status().ToString());
+    if (!WriteFile(argv[2], *text) ||
         !WriteFile(argv[3], SerializeGoldStandard(data.gold))) {
       return Fail("cannot write output files");
     }

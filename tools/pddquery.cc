@@ -10,7 +10,7 @@
 //                    run detection, compile the report into an index
 //                    (plan/executor options match `pddcli detect`:
 //                    --plan FILE, --set key=value, --workers N,
-//                    --batch N, --shards N, plus
+//                    --batch N, plus
 //                    --metrics FILE [--metrics-format json|prom])
 //   pddquery pair    <index> <id1> <id2>
 //                    the run's decision for one pair, printed exactly

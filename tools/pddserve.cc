@@ -21,8 +21,6 @@
 //   --t-lambda X --t-mu Y  classification thresholds
 //   --workers N          decide batches on N threads (default 0)
 //   --batch N            candidates per executor batch (default 256)
-//   --shards N           shard the FINAL report drain (default 1; the
-//                        live drain is unsharded by design)
 //
 // Serving options:
 //   --seed FILE          already-deduplicated standing prefix: arrivals
@@ -215,7 +213,6 @@ int main(int argc, char** argv) {
   uint64_t shuffle_seed = 0;
   bool stream_decisions = false;
   bool stats = false;
-  size_t shard_count = 1;
   size_t cache_capacity = 0;
   std::string cache_file;
   size_t snapshot_every = 0;
@@ -270,13 +267,6 @@ int main(int argc, char** argv) {
         return Fail("--batch needs a positive integer");
       }
       config.batch_size = n;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--shards needs a positive integer");
-      }
-      shard_count = n;
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return Fail("--seed needs a file");
@@ -481,8 +471,7 @@ int main(int argc, char** argv) {
 
   // The deterministic final report (byte-identical to a one-shot batch
   // run of the canonical tuple set, for any arrival order).
-  ShardOptions shards{shard_count, ShardStrategy::kAuto};
-  Result<DetectionResult> final_result = (*session)->Finish(shards);
+  Result<DetectionResult> final_result = (*session)->Finish();
   if (!final_result.ok()) return Fail(final_result.status().ToString());
 
   if (!dump_relation.empty()) {

@@ -20,9 +20,9 @@ Subcommands:
   every counter/gauge/histogram/info entry whose name does NOT start
   with ``exec.`` or ``time.``. Identity metrics are the repo's
   determinism promise made machine-checkable: they must be
-  byte-identical across serial/pooled/sharded/cached runs of one plan
-  + input, while ``exec.*`` (execution shape) and ``time.*`` (wall
-  clock) legitimately vary. Spans are never diffed.
+  byte-identical across serial/pooled/cached runs of one plan + input,
+  while ``exec.*`` (execution shape) and ``time.*`` (wall clock)
+  legitimately vary. Spans are never diffed.
 
 Exit status: 0 clean, 1 validation/diff failure, 2 usage/IO error.
 """
