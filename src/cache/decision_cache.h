@@ -11,10 +11,13 @@
 //     preparation variants and id renames are handled by construction.
 //
 // ShardedDecisionCache is the concurrent in-memory implementation:
-// N lock-striped shards, each an independently-locked LRU map with a
-// per-shard capacity slice, sized for many executor workers hammering
-// lookups/inserts concurrently. Hit/miss/insert/evict counters are
-// kept per shard and aggregated by Stats().
+// N lock stripes, each an independently locked CLOCK store with a
+// per-stripe capacity slice, sized for many executor workers hammering
+// lookups/inserts concurrently. A stripe keeps its entries in one
+// array that the CLOCK hand sweeps, plus an open-addressing index into
+// that array, so a hit relinks nothing and an insert allocates nothing
+// beyond the amortized doubling of the two arrays. Hit/miss/insert/
+// evict counters are kept per stripe and aggregated by Stats().
 //
 // The optional disk snapshot (Append/LoadSnapshot) is an append-only
 // text file so repeated sweeps and CLI invocations warm-start across
@@ -25,13 +28,12 @@
 #ifndef PDD_CACHE_DECISION_CACHE_H_
 #define PDD_CACHE_DECISION_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "decision/classifier.h"
@@ -93,8 +95,9 @@ class DecisionCache {
   virtual std::optional<CachedPairDecision> Lookup(
       const PairDecisionKey& key) = 0;
 
-  /// Inserts (or refreshes) `key`. Inserting an existing key updates
-  /// its value and recency without counting an eviction.
+  /// Inserts (or refreshes) `key`. Inserting a resident key updates
+  /// its value and marks it recently used without counting an insert
+  /// or an eviction.
   virtual void Insert(const PairDecisionKey& key,
                       const CachedPairDecision& decision) = 0;
 
@@ -111,16 +114,32 @@ struct ShardedDecisionCacheOptions {
   /// entry each to the first shards, so the per-shard bounds always sum
   /// to the configured capacity (never more — a truncating division
   /// must not be patched up to "at least 1 per shard", which would
-  /// inflate the total past the bound). 0 is treated as 1.
+  /// inflate the total past the bound). 0 is treated as 1; a capacity
+  /// above shards * ShardedDecisionCache::kMaxShardCapacity is clamped
+  /// to that product.
   size_t capacity = 1u << 20;
   /// Lock stripes; rounded up to a power of two, at least 1. More
-  /// shards = less contention, slightly coarser LRU (per-shard, not
-  /// global).
+  /// shards = less contention, slightly coarser eviction order
+  /// (per-shard, not global).
   size_t shards = 16;
 };
 
-/// Lock-striped LRU cache. Shard choice is a mix of the key hash, so
+/// Lock-striped CLOCK cache. Shard choice is a mix of the key hash, so
 /// both halves of the key spread entries evenly.
+///
+/// Eviction policy, per stripe: a hit, or re-inserting a resident key,
+/// sets the entry's referenced bit. A new key is appended while the
+/// stripe is below its bound; at the bound the hand sweeps the entry
+/// array, clearing referenced bits, and the first unreferenced entry
+/// it reaches is evicted and replaced in place. New entries start
+/// unreferenced.
+///
+/// Sizing: an entry is 32 bytes and its index slot 8 bytes; the index
+/// keeps at most half its slots in use. Storage grows by amortized
+/// doubling with the residents, up to the stripe's bound, and the
+/// constructor allocates only the stripes, so a large capacity costs
+/// nothing until it is filled. A full stripe holds 48–64 bytes per
+/// resident entry.
 class ShardedDecisionCache : public DecisionCache {
  public:
   explicit ShardedDecisionCache(ShardedDecisionCacheOptions options = {});
@@ -136,9 +155,15 @@ class ShardedDecisionCache : public DecisionCache {
   /// TotalCapacity().
   size_t size() const;
   /// Sum of the per-shard entry bounds — exactly the configured
-  /// capacity (after its 0 → 1 normalization), for any shard count.
+  /// capacity (after its 0 → 1 normalization and kMaxShardCapacity
+  /// clamp), for any shard count.
   size_t TotalCapacity() const;
   const ShardedDecisionCacheOptions& options() const { return options_; }
+
+  /// Largest per-stripe entry bound. Entry positions are 32-bit and
+  /// the index (at most 2^32 slots at half load) recovers a slot's home
+  /// from the 32-bit hash fragment it stores.
+  static constexpr size_t kMaxShardCapacity = size_t{1} << 31;
 
   // --- disk snapshot ------------------------------------------------
 
@@ -150,28 +175,46 @@ class ShardedDecisionCache : public DecisionCache {
   /// Replays a snapshot file into the cache (entries load as already
   /// persisted; later lines win on duplicate keys). Missing files are
   /// NotFound; callers treating a first run's absent file as an empty
-  /// cache should check for that code.
-  Status LoadSnapshot(const std::string& path);
+  /// cache should check for that code. A final line without its '\n'
+  /// is a torn append (a writer stopped mid-save): it is skipped and
+  /// its byte count stored in `*torn_bytes` when given (0 otherwise).
+  /// A complete malformed line, or a first non-blank line that is not
+  /// the header, is a ParseError.
+  Status LoadSnapshot(const std::string& path, size_t* torn_bytes = nullptr);
 
  private:
+  /// One resident entry.
   struct Entry {
     PairDecisionKey key;
-    CachedPairDecision decision;
+    double similarity = 0.0;
+    MatchClass match_class = MatchClass::kUnmatch;
+    /// CLOCK bit: looked up or re-inserted since the hand last passed.
+    bool referenced = false;
     /// Already written to (or read from) a snapshot file.
     bool persisted = false;
   };
-  using LruList = std::list<Entry>;
+  static_assert(sizeof(Entry) <= 32, "a cache entry must fit in 32 bytes");
 
-  struct KeyHash {
-    size_t operator()(const PairDecisionKey& key) const;
+  /// One index slot: the entry's position in the stripe's array and
+  /// the low 32 bits of its key mix. Probes compare full keys only
+  /// when the fragments agree.
+  struct Slot {
+    uint32_t position;
+    uint32_t fragment;
   };
 
-  /// One lock stripe: independently locked LRU map. Padded so shard
-  /// mutexes don't share cache lines under contention.
+  /// One lock stripe. Padded so stripe mutexes don't share cache lines
+  /// under contention.
   struct alignas(64) Shard {
     mutable std::mutex mutex;
-    LruList lru;  // front = most recent
-    std::unordered_map<PairDecisionKey, LruList::iterator, KeyHash> index;
+    /// Resident entries; grows to `capacity`, then entries are replaced
+    /// in place.
+    std::vector<Entry> entries;
+    /// Linear-probing index into `entries`: empty or a power-of-two
+    /// slot count, at most half of them used.
+    std::vector<Slot> slots;
+    /// CLOCK hand: the next eviction candidate once `entries` is full.
+    size_t hand = 0;
     /// This shard's entry bound (capacity/shards, +1 for the shards
     /// absorbing the remainder).
     size_t capacity = 1;
@@ -179,12 +222,21 @@ class ShardedDecisionCache : public DecisionCache {
     uint64_t misses = 0;
     uint64_t inserts = 0;
     uint64_t evictions = 0;
+
+    /// The slot indexing `key`, or SIZE_MAX when it is not resident.
+    size_t Find(const PairDecisionKey& key, uint32_t fragment) const;
+    /// Indexes entries[position] under `fragment`.
+    void Place(size_t position, uint32_t fragment);
+    /// Empties slot `hole` by backward shift (no tombstones).
+    void Erase(size_t hole);
+    /// Rebuilds the index over `slot_count` slots.
+    void Rehash(size_t slot_count);
   };
 
-  Shard& ShardFor(const PairDecisionKey& key);
+  Shard& ShardFor(uint64_t mix);
   /// Insert/refresh under the shard lock; `persisted` tags loaded
   /// entries so AppendSnapshot skips them.
-  void InsertInShard(Shard& shard, const PairDecisionKey& key,
+  void InsertInShard(Shard& shard, uint64_t mix, const PairDecisionKey& key,
                      const CachedPairDecision& decision, bool persisted);
 
   ShardedDecisionCacheOptions options_;

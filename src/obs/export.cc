@@ -302,6 +302,7 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
         {"derive", timings.derive_seconds},
         {"classify", timings.classify_seconds},
         {"cache lookup", timings.cache_lookup_seconds},
+        {"cache insert", timings.cache_insert_seconds},
     };
     for (const auto& [name, seconds] : rows) {
       out += std::string("| ") + name + " | " + FormatDouble(seconds, 6) +

@@ -95,11 +95,13 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
     m.SetGauge(kGaugeDeriveSeconds, t.derive_seconds);
     m.SetGauge(kGaugeClassifySeconds, t.classify_seconds);
     m.SetGauge(kGaugeCacheLookupSeconds, t.cache_lookup_seconds);
+    m.SetGauge(kGaugeCacheInsertSeconds, t.cache_insert_seconds);
     drain->AddChild("stage.match")->seconds = t.match_seconds;
     drain->AddChild("stage.combine")->seconds = t.combine_seconds;
     drain->AddChild("stage.derive")->seconds = t.derive_seconds;
     drain->AddChild("stage.classify")->seconds = t.classify_seconds;
     drain->AddChild("stage.cache_lookup")->seconds = t.cache_lookup_seconds;
+    drain->AddChild("stage.cache_insert")->seconds = t.cache_insert_seconds;
   }
   return telemetry;
 }
@@ -121,6 +123,7 @@ StageTimings StageTimingsView(const RunTelemetry& telemetry) {
   timings.derive_seconds = m.gauge(kGaugeDeriveSeconds);
   timings.classify_seconds = m.gauge(kGaugeClassifySeconds);
   timings.cache_lookup_seconds = m.gauge(kGaugeCacheLookupSeconds);
+  timings.cache_insert_seconds = m.gauge(kGaugeCacheInsertSeconds);
   return timings;
 }
 

@@ -98,6 +98,8 @@ inline constexpr char kGaugeClassifySeconds[] =
     "time.stage.classify_seconds";
 inline constexpr char kGaugeCacheLookupSeconds[] =
     "time.stage.cache_lookup_seconds";
+inline constexpr char kGaugeCacheInsertSeconds[] =
+    "time.stage.cache_insert_seconds";
 /// Per-batch decide latency histogram (microseconds), recorded only
 /// when stage timings are on.
 inline constexpr char kMetricBatchDecideMicros[] =

@@ -31,10 +31,12 @@ struct StageTimings {
   double classify_seconds = 0.0;
   /// Digest read + cache lookup on cached runs.
   double cache_lookup_seconds = 0.0;
+  /// Storing decided pairs (and any eviction) on cached runs.
+  double cache_insert_seconds = 0.0;
 
   double TotalSeconds() const {
     return match_seconds + combine_seconds + derive_seconds +
-           classify_seconds + cache_lookup_seconds;
+           classify_seconds + cache_lookup_seconds + cache_insert_seconds;
   }
   StageTimings& operator+=(const StageTimings& other) {
     match_seconds += other.match_seconds;
@@ -42,6 +44,7 @@ struct StageTimings {
     derive_seconds += other.derive_seconds;
     classify_seconds += other.classify_seconds;
     cache_lookup_seconds += other.cache_lookup_seconds;
+    cache_insert_seconds += other.cache_insert_seconds;
     return *this;
   }
 };

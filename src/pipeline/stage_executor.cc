@@ -211,7 +211,12 @@ void StageExecutor::DecideBatch(const std::vector<CandidatePair>& batch,
         timed ? matcher->DecideTimed(i1, i2, &counters->timings)
               : matcher->Decide(i1, i2);
     if (use_cache) {
+      Clock::time_point insert_start;
+      if (timed) insert_start = Clock::now();
       cache->Insert(key, {decision.similarity, decision.match_class});
+      if (timed) {
+        counters->timings.cache_insert_seconds += Elapsed(insert_start);
+      }
       ++counters->cache.inserts;
     }
     out->push_back({static_cast<uint32_t>(pair.first),

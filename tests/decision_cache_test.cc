@@ -1,12 +1,16 @@
 // Tests for the decision-cache subsystem: pair content digests,
-// the sharded LRU store (incl. concurrency and disk snapshots), and
-// the StageExecutor/DuplicateDetector memoization path.
+// the sharded CLOCK store (incl. concurrency, allocation counts and
+// disk snapshots), and the StageExecutor/DuplicateDetector memoization
+// path.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -16,11 +20,17 @@
 #include "core/detector.h"
 #include "core/explain.h"
 #include "datagen/person_generator.h"
+#include "obs/export.h"
+#include "obs/run_telemetry.h"
 #include "pipeline/candidate_stream.h"
 #include "pipeline/detection_plan.h"
 #include "pipeline/stage_executor.h"
 #include "plan/plan_builder.h"
 #include "sim/edit_distance.h"
+
+// Allocation counters of tests/alloc_hooks.cc.
+extern std::atomic<uint64_t> g_alloc_count;
+extern std::atomic<uint64_t> g_alloc_bytes;
 
 namespace pdd {
 namespace {
@@ -127,7 +137,7 @@ TEST(PairDigestTest, CollisionSanityOverGeneratedRelation) {
   EXPECT_GT(distinct, 100u);
 }
 
-// --- sharded LRU store ----------------------------------------------
+// --- sharded CLOCK store --------------------------------------------
 
 PairDecisionKey Key(uint64_t fp, uint64_t digest) {
   PairDecisionKey key;
@@ -268,6 +278,188 @@ TEST(ShardedDecisionCacheTest, ConcurrentHammerMatchesReference) {
   EXPECT_EQ(cache.size(), resident);
 }
 
+// Reference CLOCK store for one stripe: a ring of entries, a key →
+// position map and the hand. Same policy as the real store, none of
+// its layout.
+class ReferenceClock {
+ public:
+  explicit ReferenceClock(size_t capacity) : capacity_(capacity) {}
+
+  std::optional<CachedPairDecision> Lookup(uint64_t key) {
+    auto it = where_.find(key);
+    if (it == where_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    ring_[it->second].referenced = true;
+    return ring_[it->second].value;
+  }
+
+  void Insert(uint64_t key, const CachedPairDecision& value) {
+    auto it = where_.find(key);
+    if (it != where_.end()) {
+      ring_[it->second] = {key, value, true};
+      return;
+    }
+    ++stats_.inserts;
+    if (ring_.size() < capacity_) {
+      where_[key] = ring_.size();
+      ring_.push_back({key, value, false});
+      return;
+    }
+    while (ring_[hand_].referenced) {
+      ring_[hand_].referenced = false;
+      hand_ = (hand_ + 1) % capacity_;
+    }
+    where_.erase(ring_[hand_].key);
+    ++stats_.evictions;
+    ring_[hand_] = {key, value, false};
+    where_[key] = hand_;
+    hand_ = (hand_ + 1) % capacity_;
+  }
+
+  DecisionCacheStats Stats() const {
+    DecisionCacheStats stats = stats_;
+    stats.size = ring_.size();
+    return stats;
+  }
+
+ private:
+  struct Slot {
+    uint64_t key;
+    CachedPairDecision value;
+    bool referenced;
+  };
+  size_t capacity_;
+  size_t hand_ = 0;
+  std::vector<Slot> ring_;
+  std::unordered_map<uint64_t, size_t> where_;
+  DecisionCacheStats stats_;
+};
+
+// Differential test of the flat store against the reference model
+// under churn over 4x capacity keys: every eviction backward-shifts the
+// index, so any probe-chain breakage shows up as a hit/miss mismatch.
+TEST(ShardedDecisionCacheTest, MatchesReferenceClockModel) {
+  for (size_t capacity : {size_t{1}, size_t{3}, size_t{257}, size_t{4096}}) {
+    ShardedDecisionCacheOptions options;
+    options.capacity = capacity;
+    options.shards = 1;
+    ShardedDecisionCache cache(options);
+    ReferenceClock model(capacity);
+    const uint64_t key_space = 4 * capacity;
+    uint64_t state = 0x2545f4914f6cdd1dull ^ capacity;
+    for (size_t op = 0; op < 200000; ++op) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const uint64_t k = (state >> 33) % key_space + 1;
+      const CachedPairDecision value{static_cast<double>(op),
+                                     static_cast<MatchClass>(op % 3)};
+      const uint64_t kind = (state >> 17) % 3;
+      if (kind == 1) {
+        // Plain insert: a resident key makes this a re-insert.
+        cache.Insert(Key(5, k), value);
+        model.Insert(k, value);
+        continue;
+      }
+      std::optional<CachedPairDecision> got = cache.Lookup(Key(5, k));
+      std::optional<CachedPairDecision> want = model.Lookup(k);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "capacity " << capacity << " op " << op << " key " << k;
+      if (got.has_value()) {
+        ASSERT_TRUE(*got == *want) << "capacity " << capacity << " op " << op;
+      } else if (kind == 2) {
+        // The executor's pattern: a miss is decided, then inserted.
+        cache.Insert(Key(5, k), value);
+        model.Insert(k, value);
+      }
+    }
+    const DecisionCacheStats got = cache.Stats();
+    const DecisionCacheStats want = model.Stats();
+    EXPECT_EQ(got.hits, want.hits) << "capacity " << capacity;
+    EXPECT_EQ(got.misses, want.misses) << "capacity " << capacity;
+    EXPECT_EQ(got.inserts, want.inserts) << "capacity " << capacity;
+    EXPECT_EQ(got.evictions, want.evictions) << "capacity " << capacity;
+    EXPECT_EQ(got.size, want.size) << "capacity " << capacity;
+    EXPECT_GT(got.evictions, 0u) << "capacity " << capacity;
+    // Same resident key set.
+    for (uint64_t k = 1; k <= key_space; ++k) {
+      EXPECT_EQ(cache.Lookup(Key(5, k)).has_value(),
+                model.Lookup(k).has_value())
+          << "capacity " << capacity << " key " << k;
+    }
+  }
+}
+
+TEST(ShardedDecisionCacheTest, LookedUpEntrySurvivesTheNextEviction) {
+  ShardedDecisionCacheOptions options;
+  options.capacity = 4;
+  options.shards = 1;
+  ShardedDecisionCache cache(options);
+  for (uint64_t i = 1; i <= 5; ++i) {  // 5 evicts 1; the hand is at 2
+    cache.Insert(Key(2, i), {0.5, MatchClass::kPossible});
+  }
+  // Key 2 is looked up since the hand last passed it: the next
+  // eviction clears its bit and takes the younger key 3 instead.
+  EXPECT_TRUE(cache.Lookup(Key(2, 2)).has_value());
+  cache.Insert(Key(2, 6), {0.5, MatchClass::kPossible});
+  EXPECT_FALSE(cache.Lookup(Key(2, 3)).has_value());
+  EXPECT_EQ(cache.Stats().evictions, 2u);
+  // The chance is spent: untouched since, key 2 goes when the hand
+  // comes round again (after 4 and 5).
+  for (uint64_t i = 7; i <= 9; ++i) {
+    cache.Insert(Key(2, i), {0.5, MatchClass::kPossible});
+  }
+  for (uint64_t gone : {1, 2, 3, 4, 5}) {
+    EXPECT_FALSE(cache.Lookup(Key(2, gone)).has_value()) << "key " << gone;
+  }
+  for (uint64_t kept : {6, 7, 8, 9}) {
+    EXPECT_TRUE(cache.Lookup(Key(2, kept)).has_value()) << "key " << kept;
+  }
+}
+
+// Entry positions are 32-bit, so no stripe's bound may pass
+// kMaxShardCapacity: a larger capacity clamps to shards x the cap,
+// remainder included, and still costs nothing until it fills.
+TEST(ShardedDecisionCacheTest, CapacityClampsToTheStripeCap) {
+  constexpr size_t kCap = ShardedDecisionCache::kMaxShardCapacity;
+  for (size_t capacity : {16 * kCap + 5, std::numeric_limits<size_t>::max()}) {
+    ShardedDecisionCacheOptions options;
+    options.capacity = capacity;
+    options.shards = 16;
+    ShardedDecisionCache cache(options);
+    EXPECT_EQ(cache.TotalCapacity(), 16 * kCap);
+    EXPECT_EQ(cache.options().capacity, 16 * kCap);
+    cache.Insert(Key(1, 1), {0.5, MatchClass::kMatch});
+    EXPECT_TRUE(cache.Lookup(Key(1, 1)).has_value());
+  }
+  // Exactly shards x the cap is not clamped.
+  ShardedDecisionCacheOptions exact;
+  exact.capacity = 4 * kCap;
+  exact.shards = 4;
+  EXPECT_EQ(ShardedDecisionCache(exact).TotalCapacity(), 4 * kCap);
+}
+
+// The store allocates per stripe, not per entry: construction costs
+// the stripes only, whatever the capacity, and inserts cost amortized
+// array doublings.
+TEST(ShardedDecisionCacheTest, AllocatesPerStripeNotPerEntry) {
+  const uint64_t bytes_before = g_alloc_bytes.load(std::memory_order_relaxed);
+  ShardedDecisionCacheOptions options;
+  options.capacity = size_t{1} << 20;
+  auto cache = std::make_unique<ShardedDecisionCache>(options);
+  EXPECT_LT(g_alloc_bytes.load(std::memory_order_relaxed) - bytes_before,
+            64u * 1024u);
+  const uint64_t count_before = g_alloc_count.load(std::memory_order_relaxed);
+  for (uint64_t i = 1; i <= 100000; ++i) {
+    cache->Insert(Key(3, i), {0.25, MatchClass::kUnmatch});
+  }
+  EXPECT_LT(g_alloc_count.load(std::memory_order_relaxed) - count_before,
+            2000u);
+  EXPECT_EQ(cache->size(), 100000u);
+  EXPECT_EQ(cache->Stats().evictions, 0u);
+}
+
 // --- disk snapshot --------------------------------------------------
 
 class SnapshotFile {
@@ -341,6 +533,123 @@ TEST(SnapshotTest, MissingFileIsNotFoundAndGarbageIsParseError) {
             StatusCode::kParseError);
 }
 
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
+TEST(SnapshotTest, ReloadRebuildsTheClockOrder) {
+  SnapshotFile file("decision_cache_test_clock_order.pddcache");
+  ShardedDecisionCacheOptions options;
+  options.capacity = 8;
+  options.shards = 1;
+  ShardedDecisionCache writer(options);
+  // 13 inserts into 8 entries: 5 evictions leave the hand mid-array.
+  for (uint64_t i = 1; i <= 13; ++i) {
+    writer.Insert(Key(6, i), {0.5, MatchClass::kMatch});
+  }
+  ASSERT_TRUE(writer.AppendSnapshot(file.path()).ok());
+  ShardedDecisionCache reader(options);
+  ASSERT_TRUE(reader.LoadSnapshot(file.path()).ok());
+  EXPECT_EQ(reader.size(), 8u);
+  // Both evict the same keys for the next inserts.
+  for (uint64_t i = 100; i <= 102; ++i) {
+    writer.Insert(Key(6, i), {0.5, MatchClass::kMatch});
+    reader.Insert(Key(6, i), {0.5, MatchClass::kMatch});
+  }
+  for (uint64_t i = 1; i <= 102; ++i) {
+    EXPECT_EQ(writer.Lookup(Key(6, i)).has_value(),
+              reader.Lookup(Key(6, i)).has_value())
+        << "key " << i;
+  }
+  EXPECT_FALSE(reader.Lookup(Key(6, 6)).has_value());
+}
+
+TEST(SnapshotTest, TornFinalLineIsDroppedAndCutBeforeTheNextSave) {
+  SnapshotFile file("decision_cache_test_torn.pddcache");
+  ShardedDecisionCache cache;
+  for (uint64_t i = 1; i <= 5; ++i) {
+    cache.Insert(Key(4, i), {0.125 * static_cast<double>(i),
+                             MatchClass::kMatch});
+  }
+  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
+  // A save that stopped 7 bytes short of its end. Every entry line is
+  // three 16-digit hex fields, a class code, three spaces and '\n'.
+  const uintmax_t size = std::filesystem::file_size(file.path());
+  std::filesystem::resize_file(file.path(), size - 7);
+  ShardedDecisionCache restored;
+  size_t torn_bytes = 0;
+  ASSERT_TRUE(restored.LoadSnapshot(file.path(), &torn_bytes).ok());
+  EXPECT_EQ(torn_bytes, 53u - 7u);
+  EXPECT_EQ(restored.size(), 4u);
+
+  // The next save cuts the torn line off first: the file ends on a
+  // complete line and reloads clean, with the new entry.
+  restored.Insert(Key(4, 6), {0.75, MatchClass::kPossible});
+  ASSERT_TRUE(restored.AppendSnapshot(file.path()).ok());
+  const std::string text = ReadText(file.path());
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  ShardedDecisionCache reloaded;
+  torn_bytes = 99;
+  ASSERT_TRUE(reloaded.LoadSnapshot(file.path(), &torn_bytes).ok());
+  EXPECT_EQ(torn_bytes, 0u);
+  EXPECT_EQ(reloaded.size(), 5u);
+  EXPECT_TRUE(reloaded.Lookup(Key(4, 6)).has_value());
+}
+
+TEST(SnapshotTest, TornHeaderLoadsEmptyAndForeignLineIsRejected) {
+  SnapshotFile file("decision_cache_test_torn_header.pddcache");
+  // The first save stopped inside the header.
+  WriteText(file.path(), "# pddca");
+  ShardedDecisionCache cache;
+  size_t torn_bytes = 0;
+  ASSERT_TRUE(cache.LoadSnapshot(file.path(), &torn_bytes).ok());
+  EXPECT_EQ(torn_bytes, 7u);
+  EXPECT_EQ(cache.size(), 0u);
+  cache.Insert(Key(8, 1), {0.5, MatchClass::kMatch});
+  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
+  ShardedDecisionCache reloaded;
+  ASSERT_TRUE(reloaded.LoadSnapshot(file.path(), &torn_bytes).ok());
+  EXPECT_EQ(torn_bytes, 0u);
+  EXPECT_EQ(reloaded.size(), 1u);
+
+  // One unterminated line that is no piece of the header is not a
+  // torn snapshot: loading fails and saving leaves the file alone.
+  WriteText(file.path(), "not a cache file");
+  EXPECT_EQ(cache.LoadSnapshot(file.path()).code(), StatusCode::kParseError);
+  EXPECT_FALSE(cache.AppendSnapshot(file.path()).ok());
+  EXPECT_EQ(ReadText(file.path()), "not a cache file");
+}
+
+TEST(SnapshotTest, CompleteMalformedLineAndMissingHeaderAreParseErrors) {
+  SnapshotFile file("decision_cache_test_malformed.pddcache");
+  const std::string entry =
+      "00000000000000010000000000000002 3fe0000000000000 m\n";
+  const std::string good_line =
+      "0000000000000001 0000000000000002 3fe0000000000000 m\n";
+  ShardedDecisionCache cache;
+  // A cut line that still ends in '\n' is malformed, not torn.
+  WriteText(file.path(), "# pddcache v1\n" + good_line + entry);
+  Status malformed = cache.LoadSnapshot(file.path());
+  EXPECT_EQ(malformed.code(), StatusCode::kParseError);
+  EXPECT_NE(malformed.ToString().find("line 3"), std::string::npos)
+      << malformed.ToString();
+  // The first non-blank line must be the header, blank lines or not.
+  WriteText(file.path(), "\n" + good_line);
+  EXPECT_EQ(cache.LoadSnapshot(file.path()).code(), StatusCode::kParseError);
+  WriteText(file.path(), "\n\n# pddcache v1\n" + good_line);
+  ShardedDecisionCache headed;
+  ASSERT_TRUE(headed.LoadSnapshot(file.path()).ok());
+  EXPECT_EQ(headed.size(), 1u);
+}
+
 // --- executor integration -------------------------------------------
 
 TEST(CachedExecutionTest, CachedColdWarmAndParallelAreBitIdentical) {
@@ -401,6 +710,30 @@ TEST(CachedExecutionTest, StageTimingsAccumulateWhenOptedIn) {
   EXPECT_GT(timed->stage_timings.match_seconds, 0.0);
   // The timed walk executes the same stage graph bit for bit.
   ExpectIdenticalDecisions(*untimed, *timed);
+
+  // Cache inserts are timed too: a cold run inserts, a warm all-hit
+  // run inserts nothing, and an untimed run reads no clock.
+  detector->set_cache(std::make_shared<ShardedDecisionCache>());
+  Result<DetectionResult> cold = detector->Run(data.relation);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_GT(cold->stage_timings.cache_insert_seconds, 0.0);
+  ASSERT_NE(cold->telemetry, nullptr);
+  const TelemetrySpan* insert_span =
+      cold->telemetry->root.Find("drain/stage.cache_insert");
+  ASSERT_NE(insert_span, nullptr);
+  EXPECT_EQ(insert_span->seconds, cold->stage_timings.cache_insert_seconds);
+  EXPECT_NE(RenderExecutionStats(*cold->telemetry).find("| cache insert |"),
+            std::string::npos);
+  Result<DetectionResult> warm = detector->Run(data.relation);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->cache_stats->inserts, 0u);
+  EXPECT_EQ(warm->stage_timings.cache_insert_seconds, 0.0);
+  detector->set_collect_stage_timings(false);
+  detector->set_cache(std::make_shared<ShardedDecisionCache>());
+  Result<DetectionResult> untimed_cold = detector->Run(data.relation);
+  ASSERT_TRUE(untimed_cold.ok());
+  EXPECT_GT(untimed_cold->cache_stats->inserts, 0u);
+  EXPECT_EQ(untimed_cold->stage_timings.cache_insert_seconds, 0.0);
 }
 
 TEST(CachedExecutionTest, ReductionSweepReusesDecisionsAcrossPlans) {

@@ -56,17 +56,19 @@
 //   --batch N                      candidates per executor batch
 //                                  (default 256)
 //   --cache-capacity N             enable the in-memory decision cache
-//                                  bounded to N entries (LRU; default
-//                                  capacity 1048576 when another cache
-//                                  flag enables caching)
+//                                  bounded to N entries (CLOCK eviction;
+//                                  default capacity 1048576 when another
+//                                  cache flag enables caching)
 //   --cache-file PATH              warm-start from PATH when it exists
 //                                  and append this run's new decisions
 //                                  to it afterwards (append-only; the
 //                                  report stays byte-identical between
-//                                  warm and cold runs)
+//                                  warm and cold runs; a torn final
+//                                  line is dropped and cut off)
 //   --cache-stats                  print the execution statistics
-//                                  (per-stage wall times, cache hits)
-//                                  to stderr after the run
+//                                  (per-stage wall times, cache hits,
+//                                  torn cache-file bytes dropped) to
+//                                  stderr after the run
 //   --stream-candidates            print the candidate streaming
 //                                  diagnostics to stderr after the run:
 //                                  whether the plan's reduction streams
@@ -310,10 +312,15 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
     if (cache_capacity > 0) cache_options.capacity = cache_capacity;
     cache = std::make_shared<ShardedDecisionCache>(cache_options);
     if (!cache_file.empty()) {
-      Status loaded = cache->LoadSnapshot(cache_file);
+      size_t torn_bytes = 0;
+      Status loaded = cache->LoadSnapshot(cache_file, &torn_bytes);
       // A missing file is a cold first run, not an error.
       if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
         return Fail(loaded.ToString());
+      }
+      if (loaded.ok() && cache_stats) {
+        std::cerr << "cache file: " << torn_bytes
+                  << " torn bytes dropped\n";
       }
     }
     detector->set_cache(cache);

@@ -12,9 +12,16 @@
 // empty-text alternatives dropped into ⊥ (datagen/text_safe.h); pddgen
 // parses each written text back and fails unless it re-serializes to
 // the same bytes. Gold standards are "id1,id2" lines (verify/gold_io.h).
+// Entity, object and publication counts above 2^32 - 1 are flag errors
+// (the engine addresses tuples by 32-bit index), and a count the
+// machine cannot hold fails with a message, not a crash.
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <new>
+#include <stdexcept>
 
 #include "datagen/astronomy_generator.h"
 #include "datagen/bibliography_generator.h"
@@ -86,9 +93,18 @@ int ParseFlags(int argc, char** argv, int first, Flags* flags) {
       }
       return 0;
     };
+    // Generated tuples are addressed by the engine's 32-bit index.
+    auto tuple_count = [&](size_t* slot) -> int {
+      int rc = count(slot);
+      if (rc == 0 && *slot > std::numeric_limits<uint32_t>::max()) {
+        return Fail(arg + " must be at most " +
+                    std::to_string(std::numeric_limits<uint32_t>::max()));
+      }
+      return rc;
+    };
     int rc = 0;
     if (arg == "--entities") {
-      rc = count(&flags->entities);
+      rc = tuple_count(&flags->entities);
     } else if (arg == "--dup-rate") {
       rc = number(&flags->dup_rate);
     } else if (arg == "--error-rate") {
@@ -96,9 +112,9 @@ int ParseFlags(int argc, char** argv, int first, Flags* flags) {
     } else if (arg == "--uncertainty") {
       rc = number(&flags->uncertainty);
     } else if (arg == "--objects") {
-      rc = count(&flags->objects);
+      rc = tuple_count(&flags->objects);
     } else if (arg == "--publications") {
-      rc = count(&flags->publications);
+      rc = tuple_count(&flags->publications);
     } else if (arg == "--seed") {
       rc = count(&flags->seed);
     } else if (arg == "--full-names") {
@@ -111,9 +127,7 @@ int ParseFlags(int argc, char** argv, int first, Flags* flags) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   if (argc < 2) {
     return Fail("usage: pddgen <person|astro|biblio> <outputs...> [options]");
   }
@@ -184,4 +198,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   return Fail("unknown generator '" + kind + "'");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const std::bad_alloc&) {
+    return Fail("out of memory: the requested count is too large");
+  } catch (const std::length_error&) {
+    return Fail("the requested count is too large to generate");
+  }
 }

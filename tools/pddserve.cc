@@ -40,7 +40,8 @@
 // Durability / serving artifacts:
 //   --cache-capacity N   bound the decision cache (default 1048576)
 //   --cache-file PATH    warm-start from PATH when it exists (the
-//                        crash-restart path) and append new decisions
+//                        crash-restart path; a torn final line is
+//                        dropped) and append new decisions
 //   --snapshot-every N   also append a cache snapshot every N admitted
 //                        tuples while serving (requires --cache-file)
 //   --index FILE         compile a pdd.index.v1 serving index of the
@@ -372,10 +373,14 @@ int main(int argc, char** argv) {
   if (cache_capacity > 0) cache_options.capacity = cache_capacity;
   auto cache = std::make_shared<ShardedDecisionCache>(cache_options);
   if (!cache_file.empty()) {
-    Status loaded = cache->LoadSnapshot(cache_file);
+    size_t torn_bytes = 0;
+    Status loaded = cache->LoadSnapshot(cache_file, &torn_bytes);
     // A missing file is a cold first start, not an error.
     if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
       return Fail(loaded.ToString());
+    }
+    if (loaded.ok() && stats) {
+      std::cerr << "cache file: " << torn_bytes << " torn bytes dropped\n";
     }
   }
 
