@@ -1,14 +1,14 @@
 #include "cache/decision_cache.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <system_error>
 
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace pdd {
@@ -18,6 +18,9 @@ namespace {
 /// Snapshot header; bump the version when the line format changes so a
 /// stale file fails loudly instead of silently loading garbage.
 constexpr char kSnapshotHeader[] = "# pddcache v1";
+/// A written entry line: fingerprint, digest and similarity bits as 16
+/// hex digits and the match class code, each followed by ' ' or '\n'.
+constexpr size_t kLineBytes = 3 * 17 + 2;
 
 /// Slot position of an empty index slot. Entry positions stay below it
 /// because a stripe holds at most kMaxShardCapacity entries.
@@ -47,10 +50,7 @@ uint64_t KeyMix(const PairDecisionKey& key) {
 /// stripe, and a slot's home is the fragment masked to the index size.
 uint32_t Fragment(uint64_t mix) { return static_cast<uint32_t>(mix); }
 
-/// Snapshot field rendering: the shared 16-digit hex form.
-std::string Hex16(uint64_t v) { return HexU64(v); }
-
-bool ParseHex64(const std::string& text, uint64_t* out) {
+bool ParseHex64(std::string_view text, uint64_t* out) {
   if (text.empty() || text.size() > 16) return false;
   uint64_t v = 0;
   for (char c : text) {
@@ -74,38 +74,33 @@ size_t RoundUpPowerOfTwo(size_t v) {
   return p;
 }
 
-/// Cuts `path`, which `in` reads, back to just after its last '\n' (to
-/// empty when it has none) if it ends inside a line: a save that
-/// stopped mid-append.
-Status CutTornTail(std::ifstream& in, const std::string& path) {
-  in.clear();
-  in.seekg(0, std::ios::end);
-  const std::streamoff end = in.tellg();
-  std::streamoff complete = 0;
-  char buffer[512];
-  for (std::streamoff pos = end; pos > 0 && complete == 0;) {
-    const std::streamoff chunk = std::min<std::streamoff>(
-        pos, static_cast<std::streamoff>(sizeof(buffer)));
-    pos -= chunk;
-    in.seekg(pos);
-    if (!in.read(buffer, chunk)) {
-      return Status::InvalidArgument("cannot read cache file '" + path + "'");
+/// Reads `in` through the header, counting lines in `*line_number`:
+/// false unless the first non-blank line is the header, an unterminated
+/// piece of it (its size goes to `*torn_bytes`) or absent.
+bool ReadHeader(std::istream& in, size_t* line_number, size_t* torn_bytes) {
+  std::string line;
+  while (std::getline(in, line)) {
+    ++*line_number;
+    if (in.eof()) {
+      if (!StartsWith(kSnapshotHeader, line)) return false;
+      if (torn_bytes != nullptr) *torn_bytes = line.size();
+      return true;
     }
-    for (std::streamoff i = chunk; i-- > 0;) {
-      if (buffer[i] == '\n') {
-        complete = pos + i + 1;
-        break;
-      }
-    }
+    const std::string_view trimmed = Trim(line);
+    if (!trimmed.empty()) return trimmed == kSnapshotHeader;
   }
-  if (complete == end) return Status::OK();
-  std::error_code error;
-  std::filesystem::resize_file(path, static_cast<uintmax_t>(complete), error);
-  if (error) {
-    return Status::InvalidArgument("cannot cut the torn tail of cache file '" +
-                                   path + "': " + error.message());
-  }
-  return Status::OK();
+  return true;
+}
+
+/// Opens `path` into `*in` when a regular file is there (a device such
+/// as /dev/zero would never end); one that cannot be read is refused,
+/// not taken for absent.
+Status OpenSnapshot(const std::string& path, std::ifstream* in) {
+  PDD_ASSIGN_OR_RETURN(const std::string target, ResolveRegularFile(path));
+  in->open(target);
+  std::error_code absent;  // an unreadable directory: the write says so
+  if (*in || !std::filesystem::exists(target, absent)) return Status::OK();
+  return Status::InvalidArgument("cannot read cache file '" + path + "'");
 }
 
 }  // namespace
@@ -219,8 +214,7 @@ std::optional<CachedPairDecision> ShardedDecisionCache::Lookup(
 
 void ShardedDecisionCache::InsertInShard(Shard& shard, uint64_t mix,
                                          const PairDecisionKey& key,
-                                         const CachedPairDecision& decision,
-                                         bool persisted) {
+                                         const CachedPairDecision& decision) {
   const uint32_t fragment = Fragment(mix);
   const size_t slot = shard.Find(key, fragment);
   if (slot != kNoSlot) {
@@ -228,12 +222,11 @@ void ShardedDecisionCache::InsertInShard(Shard& shard, uint64_t mix,
     entry.similarity = decision.similarity;
     entry.match_class = decision.match_class;
     entry.referenced = true;
-    entry.persisted = persisted;
     return;
   }
   ++shard.inserts;
   const Entry fresh{key, decision.similarity, decision.match_class,
-                    /*referenced=*/false, persisted};
+                    /*referenced=*/false};
   std::vector<Entry>& entries = shard.entries;
   if (entries.size() < shard.capacity) {
     if (entries.size() == entries.capacity()) {
@@ -268,7 +261,7 @@ void ShardedDecisionCache::Insert(const PairDecisionKey& key,
   const uint64_t mix = KeyMix(key);
   Shard& shard = ShardFor(mix);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  InsertInShard(shard, mix, key, decision, /*persisted=*/false);
+  InsertInShard(shard, mix, key, decision);
 }
 
 DecisionCacheStats ShardedDecisionCache::Stats() const {
@@ -311,116 +304,83 @@ size_t ShardedDecisionCache::TotalCapacity() const {
   return total;
 }
 
-Status ShardedDecisionCache::AppendSnapshot(const std::string& path) {
-  // Header only for a fresh (or empty) file; appends afterwards never
-  // touch earlier lines. A save that stopped mid-append left a final
-  // line without its '\n': cut it off first, so this save starts a
-  // line of its own and the next load stays clean.
-  bool needs_header = true;
+Status ShardedDecisionCache::SaveSnapshot(const std::string& path) {
   {
-    std::ifstream probe(path);
-    std::string first;
-    if (probe && std::getline(probe, first)) {
-      // One unterminated line that is no piece of the header is not a
-      // torn snapshot, so it is not ours to cut.
-      if (probe.eof() && !StartsWith(kSnapshotHeader, first)) {
-        return Status::InvalidArgument("cache file '" + path +
-                                       "' is not a pddcache v1 file");
-      }
-      needs_header = probe.eof() || first.empty();
-      PDD_RETURN_IF_ERROR(CutTornTail(probe, path));
+    std::ifstream existing;
+    PDD_RETURN_IF_ERROR(OpenSnapshot(path, &existing));
+    size_t line_number = 0;
+    if (!ReadHeader(existing, &line_number, nullptr)) {
+      return Status::InvalidArgument("cache file '" + path +
+                                     "' is not a pddcache v1 file");
     }
   }
-  // Serialize first, write once, and only mark entries persisted after
-  // the flush succeeded — a failed write (disk full) must leave them
-  // eligible for the next save, not silently lost from every future
-  // snapshot.
-  std::string buffer;
-  std::vector<PairDecisionKey> written;
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    // Oldest first, starting at the hand, so a replay into an empty
-    // cache of the same capacity rebuilds this CLOCK order.
-    const size_t count = shard->entries.size();
-    for (size_t k = 0, i = shard->hand; k < count;
-         ++k, i = i + 1 == count ? 0 : i + 1) {
-      const Entry& entry = shard->entries[i];
-      if (entry.persisted) continue;
+  std::string bytes = std::string(kSnapshotHeader) + "\n";
+  bytes.reserve(bytes.size() + kLineBytes * size());
+  std::vector<Entry> oldest_first;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    {
+      // Copy under the lock and format outside it, so workers sharing
+      // the cache wait for a memcpy, not for the text.
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      const auto hand = shard->entries.begin() +
+                        static_cast<std::ptrdiff_t>(shard->hand);
+      oldest_first.assign(hand, shard->entries.end());
+      oldest_first.insert(oldest_first.end(), shard->entries.begin(), hand);
+    }
+    const size_t at = bytes.size();
+    bytes.resize(at + kLineBytes * oldest_first.size());
+    char* out = &bytes[at];
+    for (const Entry& entry : oldest_first) {
       uint64_t sim_bits = 0;
       std::memcpy(&sim_bits, &entry.similarity, sizeof(sim_bits));
-      buffer += Hex16(entry.key.plan_fingerprint);
-      buffer += ' ';
-      buffer += Hex16(entry.key.pair_digest);
-      buffer += ' ';
-      buffer += Hex16(sim_bits);
-      buffer += ' ';
-      buffer += MatchClassCode(entry.match_class);
-      buffer += '\n';
-      written.push_back(entry.key);
+      for (uint64_t field : {entry.key.plan_fingerprint,
+                             entry.key.pair_digest, sim_bits}) {
+        out = WriteHexU64(field, out);
+        *out++ = ' ';
+      }
+      *out++ = MatchClassCode(entry.match_class);
+      *out++ = '\n';
     }
   }
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return Status::InvalidArgument("cannot open cache file '" + path +
-                                   "' for append");
-  }
-  if (needs_header) out << kSnapshotHeader << "\n";
-  out << buffer;
-  out.flush();
-  if (!out) {
-    return Status::InvalidArgument("write to cache file '" + path +
-                                   "' failed");
-  }
-  // Marking an overwritten entry is still sound: decisions are a
-  // deterministic function of the key, so a concurrent Insert wrote
-  // the same value the file now holds. Evicted keys are simply gone.
-  for (const PairDecisionKey& key : written) {
-    const uint64_t mix = KeyMix(key);
-    Shard& shard = ShardFor(mix);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const size_t slot = shard.Find(key, Fragment(mix));
-    if (slot != kNoSlot) {
-      shard.entries[shard.slots[slot].position].persisted = true;
-    }
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, bytes);
 }
 
 Status ShardedDecisionCache::LoadSnapshot(const std::string& path,
                                           size_t* torn_bytes) {
   if (torn_bytes != nullptr) *torn_bytes = 0;
-  std::ifstream in(path);
+  std::ifstream in;
+  PDD_RETURN_IF_ERROR(OpenSnapshot(path, &in));
   if (!in) {
     return Status::NotFound("cache file '" + path + "' not found");
   }
-  const std::string not_a_snapshot =
-      "'" + path + "' is not a pddcache v1 file";
-  std::string line;
   size_t line_number = 0;
-  bool saw_header = false;
+  if (!ReadHeader(in, &line_number, torn_bytes)) {
+    return Status::ParseError("'" + path + "' is not a pddcache v1 file");
+  }
+  std::string line;
   while (std::getline(in, line)) {
     ++line_number;
     if (in.eof()) {
-      // No '\n' ended the file: a save stopped mid-append. Drop the
-      // partial line; before the header it can only be a piece of it.
-      if (!saw_header && !StartsWith(kSnapshotHeader, line)) {
-        return Status::ParseError(not_a_snapshot);
-      }
+      // No '\n' ended the file: an older build's append stopped
+      // mid-line, or the file was cut. Drop the partial line.
       if (torn_bytes != nullptr) *torn_bytes = line.size();
       break;
     }
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty()) continue;
-    if (!saw_header) {
-      if (trimmed != kSnapshotHeader) return Status::ParseError(not_a_snapshot);
-      saw_header = true;
-      continue;
+    const std::string_view trimmed = Trim(line);
+    if (trimmed.empty() || trimmed[0] == '#') continue;
+    // Whitespace-separated fields, as views into the line.
+    std::string_view fields[4];
+    std::string_view rest = trimmed;
+    for (std::string_view& field : fields) {
+      const auto end = std::find_if(rest.begin(), rest.end(), [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;  // as Trim
+      });
+      field = rest.substr(0, static_cast<size_t>(end - rest.begin()));
+      rest = Trim(rest.substr(field.size()));
     }
-    if (trimmed[0] == '#') continue;
-    std::vector<std::string> fields = SplitWhitespace(trimmed);
     PairDecisionKey key;
     uint64_t sim_bits = 0;
-    if (fields.size() != 4 ||
+    if (!rest.empty() ||
         !ParseHex64(fields[0], &key.plan_fingerprint) ||
         !ParseHex64(fields[1], &key.pair_digest) ||
         !ParseHex64(fields[2], &sim_bits) || fields[3].size() != 1) {
@@ -444,13 +404,13 @@ Status ShardedDecisionCache::LoadSnapshot(const std::string& path,
       default:
         return Status::ParseError("'" + path + "' line " +
                                   std::to_string(line_number) +
-                                  ": unknown match class '" + fields[3] +
-                                  "'");
+                                  ": unknown match class '" +
+                                  std::string(fields[3]) + "'");
     }
     const uint64_t mix = KeyMix(key);
     Shard& shard = ShardFor(mix);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    InsertInShard(shard, mix, key, decision, /*persisted=*/true);
+    InsertInShard(shard, mix, key, decision);
   }
   return Status::OK();
 }

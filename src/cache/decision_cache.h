@@ -19,11 +19,12 @@
 // beyond the amortized doubling of the two arrays. Hit/miss/insert/
 // evict counters are kept per stripe and aggregated by Stats().
 //
-// The optional disk snapshot (Append/LoadSnapshot) is an append-only
-// text file so repeated sweeps and CLI invocations warm-start across
-// processes: every save appends only the entries not yet persisted,
-// and a load replays the file in order. Similarities are serialized as
-// bit patterns, so a warm-started run stays bit-identical to a cold one.
+// The optional disk snapshot (Save/LoadSnapshot) is a text file so
+// repeated sweeps and CLI invocations warm-start across processes: a
+// save atomically replaces it with the resident set (at most capacity
+// + 1 lines, however often it is saved), and a load replays it in
+// order. Similarities are serialized as bit patterns, so a
+// warm-started run stays bit-identical to a cold one.
 
 #ifndef PDD_CACHE_DECISION_CACHE_H_
 #define PDD_CACHE_DECISION_CACHE_H_
@@ -167,19 +168,23 @@ class ShardedDecisionCache : public DecisionCache {
 
   // --- disk snapshot ------------------------------------------------
 
-  /// Appends every not-yet-persisted entry to `path` (creating the file
-  /// with a header if absent) and marks them persisted, so consecutive
-  /// saves never rewrite earlier lines: the file only ever grows.
-  Status AppendSnapshot(const std::string& path);
+  /// Atomically replaces `path` (the file a link names) with the header
+  /// and every resident entry, each stripe oldest first from its hand,
+  /// so a replay into an empty cache of the same capacity rebuilds the
+  /// CLOCK order. What is there and is no snapshot (or torn piece of
+  /// one), no regular file or unreadable is left alone with
+  /// InvalidArgument.
+  Status SaveSnapshot(const std::string& path);
 
-  /// Replays a snapshot file into the cache (entries load as already
-  /// persisted; later lines win on duplicate keys). Missing files are
-  /// NotFound; callers treating a first run's absent file as an empty
-  /// cache should check for that code. A final line without its '\n'
-  /// is a torn append (a writer stopped mid-save): it is skipped and
-  /// its byte count stored in `*torn_bytes` when given (0 otherwise).
-  /// A complete malformed line, or a first non-blank line that is not
-  /// the header, is a ParseError.
+  /// Replays a snapshot file into the cache (later lines win on
+  /// duplicate keys, as in files older builds appended to). Missing
+  /// files are NotFound; callers treating a first run's absent file as
+  /// an empty cache should check for that code. A path that is no
+  /// regular file or cannot be read is InvalidArgument. A final line
+  /// without its '\n' is torn (left by an older build or outside
+  /// damage): it is skipped and its byte count stored in `*torn_bytes`
+  /// when given (0 otherwise). A complete malformed line, or a first
+  /// non-blank line that is not the header, is a ParseError.
   Status LoadSnapshot(const std::string& path, size_t* torn_bytes = nullptr);
 
  private:
@@ -190,8 +195,6 @@ class ShardedDecisionCache : public DecisionCache {
     MatchClass match_class = MatchClass::kUnmatch;
     /// CLOCK bit: looked up or re-inserted since the hand last passed.
     bool referenced = false;
-    /// Already written to (or read from) a snapshot file.
-    bool persisted = false;
   };
   static_assert(sizeof(Entry) <= 32, "a cache entry must fit in 32 bytes");
 
@@ -234,10 +237,9 @@ class ShardedDecisionCache : public DecisionCache {
   };
 
   Shard& ShardFor(uint64_t mix);
-  /// Insert/refresh under the shard lock; `persisted` tags loaded
-  /// entries so AppendSnapshot skips them.
+  /// Insert/refresh; the caller holds the shard lock.
   void InsertInShard(Shard& shard, uint64_t mix, const PairDecisionKey& key,
-                     const CachedPairDecision& decision, bool persisted);
+                     const CachedPairDecision& decision);
 
   ShardedDecisionCacheOptions options_;
   size_t shard_mask_ = 0;

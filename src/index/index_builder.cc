@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <limits>
 
 #include "index/format.h"
 #include "obs/metrics_registry.h"
+#include "util/file_util.h"
 #include "util/union_find.h"
 
 namespace pdd {
@@ -263,11 +263,7 @@ Result<std::string> BuildDecisionIndexImage(const XRelation& rel,
 
 Status WriteDecisionIndexFile(const std::string& path,
                               const std::string& image) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::NotFound("cannot write '" + path + "'");
-  out.write(image.data(), static_cast<std::streamsize>(image.size()));
-  if (!out.good()) return Status::Internal("error writing '" + path + "'");
-  return Status::OK();
+  return WriteFileAtomically(path, image);
 }
 
 void AddIndexBuildMetrics(const IndexBuildStats& stats,

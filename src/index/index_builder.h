@@ -63,7 +63,7 @@ Result<std::string> BuildDecisionIndexImage(const XRelation& rel,
                                             const DetectionResult& result,
                                             IndexBuildStats* stats = nullptr);
 
-/// Writes an image to `path` (binary, whole-file replace).
+/// Replaces `path` with an image through WriteFileAtomically.
 Status WriteDecisionIndexFile(const std::string& path,
                               const std::string& image);
 

@@ -112,13 +112,18 @@ std::string FormatDouble(double v, int digits) {
 }
 
 std::string HexU64(uint64_t v) {
-  static const char kDigits[] = "0123456789abcdef";
   std::string out(16, '0');
+  WriteHexU64(v, out.data());
+  return out;
+}
+
+char* WriteHexU64(uint64_t v, char* out) {
+  static const char kDigits[] = "0123456789abcdef";
   for (int i = 15; i >= 0; --i) {
     out[i] = kDigits[v & 0xf];
     v >>= 4;
   }
-  return out;
+  return out + 16;
 }
 
 bool ParseDouble(std::string_view s, double* out) {

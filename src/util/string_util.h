@@ -57,6 +57,9 @@ bool ParseSize(std::string_view s, size_t* out);
 /// the rendering plan fingerprints and cache snapshots share.
 std::string HexU64(uint64_t v);
 
+/// Writes HexU64(v)'s 16 digits at `out`; returns the end of them.
+char* WriteHexU64(uint64_t v, char* out);
+
 /// The multiset of character q-grams of `s`, padded with `pad` (use '\0' to
 /// disable padding). q must be >= 1.
 std::vector<std::string> QGrams(std::string_view s, size_t q, char pad = '#');

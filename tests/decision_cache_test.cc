@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <set>
 #include <thread>
 #include <unordered_map>
 
@@ -482,7 +484,7 @@ TEST(SnapshotTest, RoundTripIsBitIdentical) {
   cache.Insert(Key(0xdeadbeef, 1), {0.1 + 0.2, MatchClass::kMatch});
   cache.Insert(Key(0xdeadbeef, 2), {1.0 / 3.0, MatchClass::kPossible});
   cache.Insert(Key(0xffffffffffffffffull, 0), {0.0, MatchClass::kUnmatch});
-  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
 
   ShardedDecisionCache restored;
   ASSERT_TRUE(restored.LoadSnapshot(file.path()).ok());
@@ -497,22 +499,22 @@ TEST(SnapshotTest, RoundTripIsBitIdentical) {
   EXPECT_EQ(hit->match_class, MatchClass::kPossible);
 }
 
-TEST(SnapshotTest, SavesAreAppendOnly) {
+TEST(SnapshotTest, ResavingKeepsTheSizeAndAddsNewEntries) {
   SnapshotFile file("decision_cache_test_append.pddcache");
   ShardedDecisionCache cache;
   cache.Insert(Key(1, 1), {0.25, MatchClass::kUnmatch});
-  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
   // Second save with no new entries must not grow the file.
   std::ifstream before(file.path(), std::ios::ate);
   std::streampos size_before = before.tellg();
   before.close();
-  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
   std::ifstream unchanged(file.path(), std::ios::ate);
   EXPECT_EQ(unchanged.tellg(), size_before);
   unchanged.close();
-  // New inserts append; the earlier entry survives a reload.
+  // A new insert is saved too; the earlier entry survives a reload.
   cache.Insert(Key(1, 2), {0.75, MatchClass::kMatch});
-  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
   ShardedDecisionCache restored;
   ASSERT_TRUE(restored.LoadSnapshot(file.path()).ok());
   EXPECT_EQ(restored.size(), 2u);
@@ -554,7 +556,7 @@ TEST(SnapshotTest, ReloadRebuildsTheClockOrder) {
   for (uint64_t i = 1; i <= 13; ++i) {
     writer.Insert(Key(6, i), {0.5, MatchClass::kMatch});
   }
-  ASSERT_TRUE(writer.AppendSnapshot(file.path()).ok());
+  ASSERT_TRUE(writer.SaveSnapshot(file.path()).ok());
   ShardedDecisionCache reader(options);
   ASSERT_TRUE(reader.LoadSnapshot(file.path()).ok());
   EXPECT_EQ(reader.size(), 8u);
@@ -571,16 +573,17 @@ TEST(SnapshotTest, ReloadRebuildsTheClockOrder) {
   EXPECT_FALSE(reader.Lookup(Key(6, 6)).has_value());
 }
 
-TEST(SnapshotTest, TornFinalLineIsDroppedAndCutBeforeTheNextSave) {
+TEST(SnapshotTest, TornFinalLineIsDroppedAndTheNextSaveEndsClean) {
   SnapshotFile file("decision_cache_test_torn.pddcache");
   ShardedDecisionCache cache;
   for (uint64_t i = 1; i <= 5; ++i) {
     cache.Insert(Key(4, i), {0.125 * static_cast<double>(i),
                              MatchClass::kMatch});
   }
-  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
-  // A save that stopped 7 bytes short of its end. Every entry line is
-  // three 16-digit hex fields, a class code, three spaces and '\n'.
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+  // A file cut 7 bytes short of its end, as an older build's append
+  // could leave it. Every entry line is three 16-digit hex fields, a
+  // class code, three spaces and '\n'.
   const uintmax_t size = std::filesystem::file_size(file.path());
   std::filesystem::resize_file(file.path(), size - 7);
   ShardedDecisionCache restored;
@@ -589,10 +592,10 @@ TEST(SnapshotTest, TornFinalLineIsDroppedAndCutBeforeTheNextSave) {
   EXPECT_EQ(torn_bytes, 53u - 7u);
   EXPECT_EQ(restored.size(), 4u);
 
-  // The next save cuts the torn line off first: the file ends on a
+  // The next save writes the resident set whole: the file ends on a
   // complete line and reloads clean, with the new entry.
   restored.Insert(Key(4, 6), {0.75, MatchClass::kPossible});
-  ASSERT_TRUE(restored.AppendSnapshot(file.path()).ok());
+  ASSERT_TRUE(restored.SaveSnapshot(file.path()).ok());
   const std::string text = ReadText(file.path());
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');
@@ -614,7 +617,7 @@ TEST(SnapshotTest, TornHeaderLoadsEmptyAndForeignLineIsRejected) {
   EXPECT_EQ(torn_bytes, 7u);
   EXPECT_EQ(cache.size(), 0u);
   cache.Insert(Key(8, 1), {0.5, MatchClass::kMatch});
-  ASSERT_TRUE(cache.AppendSnapshot(file.path()).ok());
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
   ShardedDecisionCache reloaded;
   ASSERT_TRUE(reloaded.LoadSnapshot(file.path(), &torn_bytes).ok());
   EXPECT_EQ(torn_bytes, 0u);
@@ -624,7 +627,7 @@ TEST(SnapshotTest, TornHeaderLoadsEmptyAndForeignLineIsRejected) {
   // torn snapshot: loading fails and saving leaves the file alone.
   WriteText(file.path(), "not a cache file");
   EXPECT_EQ(cache.LoadSnapshot(file.path()).code(), StatusCode::kParseError);
-  EXPECT_FALSE(cache.AppendSnapshot(file.path()).ok());
+  EXPECT_FALSE(cache.SaveSnapshot(file.path()).ok());
   EXPECT_EQ(ReadText(file.path()), "not a cache file");
 }
 
@@ -648,6 +651,259 @@ TEST(SnapshotTest, CompleteMalformedLineAndMissingHeaderAreParseErrors) {
   ShardedDecisionCache headed;
   ASSERT_TRUE(headed.LoadSnapshot(file.path()).ok());
   EXPECT_EQ(headed.size(), 1u);
+}
+
+// The line syntax the loader accepts, pinned: fields are separated by
+// runs of any whitespace byte (the "C" locale's isspace), hex fields
+// are 1 to 16 lower-case digits, and blank and '#' lines after the
+// header are skipped.
+TEST(SnapshotTest, LoaderAcceptsExactlyTheLineSyntax) {
+  SnapshotFile file("decision_cache_test_syntax.pddcache");
+  WriteText(file.path(),
+            " \t# pddcache v1 \r\n"
+            "\n"
+            " \t\v\f\r\n"
+            "# a comment after the header\n"
+            "  #another\n"
+            "1 2 3ff0000000000000 m\n"
+            "\t0000000000000001\t\t3  3fe0000000000000\tp \r\n"
+            "a  \v b\f 0 u\n");
+  ShardedDecisionCache cache;
+  ASSERT_TRUE(cache.LoadSnapshot(file.path()).ok());
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.Lookup(Key(1, 2)),
+            std::optional<CachedPairDecision>({1.0, MatchClass::kMatch}));
+  EXPECT_EQ(cache.Lookup(Key(1, 3)),
+            std::optional<CachedPairDecision>({0.5, MatchClass::kPossible}));
+  EXPECT_EQ(cache.Lookup(Key(0xa, 0xb)),
+            std::optional<CachedPairDecision>({0.0, MatchClass::kUnmatch}));
+
+  const std::string head = "# pddcache v1\n1 2 3 m\n";
+  // Each one line fails the load, naming that line.
+  const char* const rejected[] = {
+      "1 2 3\n",       "1 2 3 m x\n",  "1 2 3A m\n",
+      "1 2 0x3 m\n",   "1 2 3 mm\n",   "1 2 12345678901234567 m\n",
+      "1,2 3 4 m\n",   "1 2 -3 m\n",   "1 2 3 M\n",
+  };
+  for (const char* line : rejected) {
+    WriteText(file.path(), head + line);
+    ShardedDecisionCache rejecting;
+    Status status = rejecting.LoadSnapshot(file.path());
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << line;
+    EXPECT_NE(status.ToString().find("line 3"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+std::vector<std::string> EntryLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  std::string line;
+  std::getline(in, line);  // the header
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+// A save writes what is resident, not what was ever inserted: however
+// often a churning cache is saved, the file has size() + 1 lines and
+// holds no evicted key.
+TEST(SnapshotTest, SavesHoldExactlyTheResidentSet) {
+  SnapshotFile file("decision_cache_test_resident.pddcache");
+  ShardedDecisionCacheOptions options;
+  options.capacity = 8;
+  options.shards = 1;
+  ShardedDecisionCache cache(options);
+  uint64_t next = 1;
+  for (; next <= 8; ++next) {
+    cache.Insert(Key(9, next), {0.5, MatchClass::kMatch});
+  }
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    for (int i = 0; i < 20; ++i, ++next) {
+      cache.Insert(Key(9, next), {0.5, MatchClass::kMatch});
+    }
+    ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+    ASSERT_EQ(cache.size(), 8u);
+    const std::string text = ReadText(file.path());
+    EXPECT_EQ(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')),
+              cache.size() + 1)
+        << "cycle " << cycle;
+    const std::vector<std::string> lines = EntryLines(file.path());
+    EXPECT_EQ(std::set<std::string>(lines.begin(), lines.end()).size(),
+              lines.size());
+    ShardedDecisionCache reloaded(options);
+    ASSERT_TRUE(reloaded.LoadSnapshot(file.path()).ok());
+    EXPECT_EQ(reloaded.size(), cache.size());
+    for (uint64_t k = 1; k < next; ++k) {
+      if (reloaded.Lookup(Key(9, k)).has_value()) {
+        EXPECT_TRUE(cache.Lookup(Key(9, k)).has_value())
+            << "evicted key " << k << " saved in cycle " << cycle;
+      }
+    }
+  }
+}
+
+// Saves copy each stripe under its lock while workers insert and
+// evict: every save stays loadable, with only keys that were inserted
+// and their own values (TSan watches the copy).
+TEST(SnapshotTest, SavesWhileWorkersInsertStayConsistent) {
+  SnapshotFile file("decision_cache_test_concurrent.pddcache");
+  auto value_of = [](uint64_t i) {
+    return CachedPairDecision{static_cast<double>(i) * 0.25,
+                              MatchClass::kPossible};
+  };
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kKeysPerThread = 5000;
+  ShardedDecisionCacheOptions options;
+  options.capacity = 1024;  // churns: most inserts evict
+  ShardedDecisionCache cache(options);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> pool;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t]() {
+      for (uint64_t i = t * kKeysPerThread; i < (t + 1) * kKeysPerThread;
+           ++i) {
+        cache.Insert(Key(12, i), value_of(i));
+      }
+    });
+  }
+  std::thread saver([&]() {
+    while (!done.load()) {
+      ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+    }
+  });
+  for (std::thread& t : pool) t.join();
+  done.store(true);
+  saver.join();
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+  ShardedDecisionCache reloaded(options);
+  ASSERT_TRUE(reloaded.LoadSnapshot(file.path()).ok());
+  EXPECT_EQ(reloaded.size(), cache.size());
+  for (uint64_t i = 0; i < kThreads * kKeysPerThread; ++i) {
+    std::optional<CachedPairDecision> hit = reloaded.Lookup(Key(12, i));
+    if (hit.has_value()) {
+      EXPECT_EQ(*hit, value_of(i)) << "key " << i;
+    }
+  }
+}
+
+// A save replaces the file instead of rewriting it in place: a hard
+// link taken before it still reads the old bytes.
+TEST(SnapshotTest, SaveReplacesTheFileRatherThanRewritingIt) {
+  SnapshotFile file("decision_cache_test_replace.pddcache");
+  SnapshotFile link("decision_cache_test_replace_link.pddcache");
+  ShardedDecisionCache cache;
+  cache.Insert(Key(10, 1), {0.5, MatchClass::kMatch});
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+  const std::string before = ReadText(file.path());
+  std::filesystem::create_hard_link(file.path(), link.path());
+  cache.Insert(Key(10, 2), {0.25, MatchClass::kUnmatch});
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+  EXPECT_EQ(ReadText(link.path()), before);
+  EXPECT_NE(ReadText(file.path()), before);
+}
+
+// A file an appending build grew over three runs repeats a key: the
+// load keeps its last line, and the next save compacts the file to
+// the resident set.
+TEST(SnapshotTest, AppendEraFileLoadsItsLastStateAndTheNextSaveCompactsIt) {
+  SnapshotFile file("decision_cache_test_append_era.pddcache");
+  WriteText(file.path(),
+            "# pddcache v1\n"
+            "0000000000000001 0000000000000001 3fd0000000000000 u\n"
+            "0000000000000001 0000000000000002 3fe0000000000000 p\n"
+            "0000000000000001 0000000000000001 3fe8000000000000 p\n"
+            "0000000000000001 0000000000000003 3ff0000000000000 m\n"
+            "0000000000000001 0000000000000001 3ff0000000000000 m\n");
+  ShardedDecisionCache cache;
+  ASSERT_TRUE(cache.LoadSnapshot(file.path()).ok());
+  EXPECT_EQ(cache.size(), 3u);
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+  EXPECT_EQ(EntryLines(file.path()).size(), 3u);
+  ShardedDecisionCache reloaded;
+  ASSERT_TRUE(reloaded.LoadSnapshot(file.path()).ok());
+  EXPECT_EQ(reloaded.size(), 3u);
+  EXPECT_EQ(reloaded.Lookup(Key(1, 1)),
+            std::optional<CachedPairDecision>({1.0, MatchClass::kMatch}));
+  EXPECT_EQ(reloaded.Lookup(Key(1, 2)),
+            std::optional<CachedPairDecision>({0.5, MatchClass::kPossible}));
+}
+
+// Only a snapshot is replaced: a file whose first line is anything
+// else is refused and left as it was.
+TEST(SnapshotTest, SaveRefusesAFileThatIsNotASnapshot) {
+  SnapshotFile file("decision_cache_test_foreign.pddcache");
+  WriteText(file.path(), "id,name\nr1,Tim\n");
+  ShardedDecisionCache cache;
+  cache.Insert(Key(11, 1), {0.5, MatchClass::kMatch});
+  EXPECT_EQ(cache.SaveSnapshot(file.path()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadText(file.path()), "id,name\nr1,Tim\n");
+}
+
+// A cache file that is a symbolic link is written through: the file it
+// names is replaced (created, while the link dangles), the link stays,
+// and the next process warm-starts from it.
+TEST(SnapshotTest, LinkedCacheFileWarmStartsAndStaysLinked) {
+  SnapshotFile file("decision_cache_test_linked.pddcache");
+  SnapshotFile link("decision_cache_test_linked_link.pddcache");
+  std::filesystem::create_symlink(file.path(), link.path());
+  ShardedDecisionCache cold;
+  cold.Insert(Key(12, 1), {0.5, MatchClass::kMatch});
+  ASSERT_TRUE(cold.SaveSnapshot(link.path()).ok());
+  ShardedDecisionCache warm;
+  ASSERT_TRUE(warm.LoadSnapshot(link.path()).ok());
+  EXPECT_EQ(warm.Lookup(Key(12, 1)),
+            std::optional<CachedPairDecision>({0.5, MatchClass::kMatch}));
+  warm.Insert(Key(12, 2), {0.25, MatchClass::kUnmatch});
+  ASSERT_TRUE(warm.SaveSnapshot(link.path()).ok());
+  EXPECT_TRUE(std::filesystem::is_symlink(link.path()));
+  EXPECT_EQ(EntryLines(file.path()).size(), 2u);
+}
+
+// What is no regular file is refused before it is read or replaced: a
+// directory or a device is not taken for an empty snapshot. (A FIFO or
+// /dev/zero, which a read would block on or never finish, goes through
+// the same check; CI runs those under a timeout.)
+TEST(SnapshotTest, NonRegularFilesAreRefusedBeforeReading) {
+  const std::string dir = "decision_cache_test_dir.pddcache";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  ShardedDecisionCache cache;
+  cache.Insert(Key(13, 1), {0.5, MatchClass::kMatch});
+  for (const std::string& path : {dir, std::string("/dev/null")}) {
+    for (const Status& status :
+         {cache.LoadSnapshot(path), cache.SaveSnapshot(path)}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << path;
+      EXPECT_NE(status.ToString().find("not a regular file"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove(dir);
+}
+
+// A snapshot that is there but cannot be read is refused, not taken
+// for a missing file and replaced.
+TEST(SnapshotTest, UnreadableSnapshotIsRefusedAndKept) {
+  SnapshotFile file("decision_cache_test_unreadable.pddcache");
+  ShardedDecisionCache cache;
+  cache.Insert(Key(14, 1), {0.5, MatchClass::kMatch});
+  ASSERT_TRUE(cache.SaveSnapshot(file.path()).ok());
+  const std::string before = ReadText(file.path());
+  namespace fs = std::filesystem;
+  fs::permissions(file.path(), fs::perms::none);
+  if (std::ifstream(file.path())) {
+    GTEST_SKIP() << "this user reads files whatever their permission bits";
+  }
+  cache.Insert(Key(14, 2), {0.25, MatchClass::kUnmatch});
+  EXPECT_EQ(cache.SaveSnapshot(file.path()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cache.LoadSnapshot(file.path()).code(),
+            StatusCode::kInvalidArgument);
+  fs::permissions(file.path(), fs::perms::owner_read);
+  EXPECT_EQ(ReadText(file.path()), before);
 }
 
 // --- executor integration -------------------------------------------

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -104,6 +106,12 @@ class IndexFile {
  private:
   std::string path_;
 };
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 // --- answers vs the fresh pipeline ----------------------------------
 
@@ -451,6 +459,34 @@ TEST(DecisionIndexTest, QueriesAllocateNothing) {
 
   EXPECT_EQ(after, before) << "queries allocated " << (after - before)
                            << " times (checksum " << checksum << ")";
+}
+
+// A rewrite replaces the file instead of truncating it in place: a
+// hard link taken before it still reads the old image, and an index
+// opened (mmap'ed) before it keeps serving the old one.
+TEST(DecisionIndexTest, RewriteReplacesTheFileAMappedReaderHolds) {
+  GeneratedData first = SeededPersons(30, 7);
+  GeneratedData second = SeededPersons(20, 8);
+  Result<DetectionResult> first_result = RunShape(first.relation, "serial");
+  Result<DetectionResult> second_result = RunShape(second.relation, "serial");
+  ASSERT_TRUE(first_result.ok() && second_result.ok());
+  const std::string old_image = MustBuild(first.relation, *first_result);
+  const std::string new_image = MustBuild(second.relation, *second_result);
+  ASSERT_NE(old_image, new_image);
+
+  IndexFile file("decision_index_test_replace.pddindex");
+  IndexFile link("decision_index_test_replace_link.pddindex");
+  ASSERT_TRUE(WriteDecisionIndexFile(file.path(), old_image).ok());
+  std::filesystem::create_hard_link(file.path(), link.path());
+  Result<DecisionIndex> held = DecisionIndex::Open(file.path());
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(WriteDecisionIndexFile(file.path(), new_image).ok());
+  EXPECT_EQ(ReadBytes(link.path()), old_image);
+  EXPECT_EQ(ReadBytes(file.path()), new_image);
+  EXPECT_EQ(held->record_count(), first.relation.size());
+  Result<DecisionIndex> reopened = DecisionIndex::Open(file.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->record_count(), second.relation.size());
 }
 
 TEST(DecisionIndexTest, MmapQueriesAllocateNothing) {

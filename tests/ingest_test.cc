@@ -452,7 +452,7 @@ TEST(StandingSessionTest, CrashRestartWarmStartsFromSnapshot) {
     std::vector<size_t> first_half = Iota(crash_after);
     ASSERT_TRUE(
         DrainWithProducer(session->get(), data.relation, first_half).ok());
-    ASSERT_TRUE(cache->AppendSnapshot(file.path()).ok());
+    ASSERT_TRUE(cache->SaveSnapshot(file.path()).ok());
   }
 
   // Second life: fresh process state, warm cache from disk, replay the

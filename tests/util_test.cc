@@ -1,10 +1,14 @@
 // Unit tests for the utility layer: Status/Result, string helpers,
-// deterministic RNG and the table printer.
+// atomic file replacement, deterministic RNG and the table printer.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 
+#include "util/file_util.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -370,6 +374,111 @@ TEST(TablePrinterTest, EmptyTableStillRendersHeader) {
   std::string out = table.ToString();
   EXPECT_NE(out.find("h1"), std::string::npos);
   EXPECT_EQ(table.row_count(), 0u);
+}
+
+// --------------------------------------------------- WriteFileAtomically
+
+/// A fresh directory, removed with everything in it.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const char* name) : path_(name) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directory(path_);
+  }
+  ~ScratchDir() {
+    std::error_code error;
+    std::filesystem::remove_all(path_, error);
+  }
+  std::string File(const char* name) const { return path_ + "/" + name; }
+  size_t EntryCount() const {
+    return static_cast<size_t>(
+        std::distance(std::filesystem::directory_iterator(path_),
+                      std::filesystem::directory_iterator()));
+  }
+
+ private:
+  std::string path_;
+};
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(WriteFileAtomicallyTest, CreatesAndReplacesLeavingNoTemporaries) {
+  ScratchDir dir("util_test_atomic_write");
+  const std::string path = dir.File("state");
+  ASSERT_TRUE(WriteFileAtomically(path, "first\n").ok());
+  EXPECT_EQ(ReadBytes(path), "first\n");
+  // An existing file keeps its permission bits.
+  namespace fs = std::filesystem;
+  fs::permissions(path, fs::perms::owner_read | fs::perms::owner_write);
+  const std::string binary("second\0line", 11);
+  ASSERT_TRUE(WriteFileAtomically(path, binary).ok());
+  EXPECT_EQ(ReadBytes(path), binary);
+  EXPECT_EQ(fs::status(path).permissions(),
+            fs::perms::owner_read | fs::perms::owner_write);
+  ASSERT_TRUE(WriteFileAtomically(path, "").ok());
+  EXPECT_EQ(ReadBytes(path), "");
+  EXPECT_EQ(dir.EntryCount(), 1u);
+}
+
+TEST(WriteFileAtomicallyTest, RefusesWhatIsNotARegularFileBeforeCreating) {
+  ScratchDir dir("util_test_atomic_refuse");
+  const std::string sub = dir.File("sub");
+  std::filesystem::create_directory(sub);
+  EXPECT_EQ(WriteFileAtomically(sub, "x").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(std::filesystem::is_empty(sub));
+  EXPECT_EQ(WriteFileAtomically("/dev/null", "x").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WriteFileAtomically(dir.File("missing/file"), "x").code(),
+            StatusCode::kInternal);
+  // A link to a directory, and a cycle of links, are refused too.
+  std::filesystem::create_symlink("sub", dir.File("to_dir"));
+  std::filesystem::create_symlink("loop_b", dir.File("loop_a"));
+  std::filesystem::create_symlink("loop_a", dir.File("loop_b"));
+  EXPECT_EQ(WriteFileAtomically(dir.File("to_dir"), "x").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WriteFileAtomically(dir.File("loop_a"), "x").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ResolveRegularFile(dir.File("loop_b")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(std::filesystem::is_empty(sub));
+  EXPECT_EQ(dir.EntryCount(), 4u);
+}
+
+// A link is written through: the file it names is replaced beside
+// itself and every link stays a link; a dangling link creates the file
+// it names.
+TEST(WriteFileAtomicallyTest, WritesThroughSymbolicLinks) {
+  namespace fs = std::filesystem;
+  ScratchDir dir("util_test_atomic_links");
+  const std::string sub = dir.File("sub");
+  fs::create_directory(sub);
+  ASSERT_TRUE(WriteFileAtomically(dir.File("sub/target"), "old").ok());
+  fs::permissions(dir.File("sub/target"), fs::perms::owner_read);
+  fs::create_symlink("sub/target", dir.File("link"));
+  fs::create_symlink(fs::absolute(dir.File("link")), dir.File("chain"));
+  ASSERT_TRUE(WriteFileAtomically(dir.File("chain"), "new").ok());
+  EXPECT_EQ(ReadBytes(dir.File("link")), "new");
+  EXPECT_EQ(fs::status(dir.File("sub/target")).permissions(),
+            fs::perms::owner_read);
+  EXPECT_TRUE(fs::is_symlink(dir.File("link")));
+  EXPECT_TRUE(fs::is_symlink(dir.File("chain")));
+  fs::create_symlink("sub/created", dir.File("dangling"));
+  ASSERT_TRUE(WriteFileAtomically(dir.File("dangling"), "made").ok());
+  EXPECT_EQ(ReadBytes(dir.File("sub/created")), "made");
+  EXPECT_TRUE(fs::is_symlink(dir.File("dangling")));
+  Result<std::string> resolved = ResolveRegularFile(dir.File("chain"));
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_TRUE(fs::equivalent(*resolved, dir.File("sub/target")));
+  // No temporary file is left beside the links or the files.
+  EXPECT_EQ(dir.EntryCount(), 4u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(sub),
+                          fs::directory_iterator()),
+            2);
 }
 
 }  // namespace

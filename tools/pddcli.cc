@@ -60,11 +60,12 @@
 //                                  default capacity 1048576 when another
 //                                  cache flag enables caching)
 //   --cache-file PATH              warm-start from PATH when it exists
-//                                  and append this run's new decisions
-//                                  to it afterwards (append-only; the
-//                                  report stays byte-identical between
-//                                  warm and cold runs; a torn final
-//                                  line is dropped and cut off)
+//                                  and atomically replace it with the
+//                                  resident cache afterwards (at most
+//                                  capacity + 1 lines; the report stays
+//                                  byte-identical between warm and cold
+//                                  runs; an older build's torn final
+//                                  line is dropped)
 //   --cache-stats                  print the execution statistics
 //                                  (per-stage wall times, cache hits,
 //                                  torn cache-file bytes dropped) to
@@ -330,7 +331,7 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
   Result<DetectionResult> result = detector->Run(rel);
   if (!result.ok()) return Fail(result.status().ToString());
   if (cache != nullptr && !cache_file.empty()) {
-    Status saved = cache->AppendSnapshot(cache_file);
+    Status saved = cache->SaveSnapshot(cache_file);
     if (!saved.ok()) return Fail(saved.ToString());
   }
   if (cache_stats || stream_candidates || !metrics_file.empty()) {

@@ -14,7 +14,8 @@
 // the same bytes. Gold standards are "id1,id2" lines (verify/gold_io.h).
 // Entity, object and publication counts above 2^32 - 1 are flag errors
 // (the engine addresses tuples by 32-bit index), and a count the
-// machine cannot hold fails with a message, not a crash.
+// machine cannot hold fails with a message, not a crash. An output
+// file that cannot be written in full (a full disk) exits 1 naming it.
 
 #include <cstdint>
 #include <fstream>
@@ -40,11 +41,13 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+/// False, after a message naming `path`, unless all of `content` got there.
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
-  if (!out) return false;
   out << content;
-  return true;
+  out.close();  // flushes, so a full disk fails here
+  if (!out) Fail("cannot write '" + path + "'");
+  return static_cast<bool>(out);
 }
 
 /// The text form of `rel` that the parser reads back byte for byte, or
@@ -150,7 +153,7 @@ int Run(int argc, char** argv) {
     if (!text.ok()) return Fail(text.status().ToString());
     if (!WriteFile(argv[2], *text) ||
         !WriteFile(argv[3], SerializeGoldStandard(data.gold))) {
-      return Fail("cannot write output files");
+      return 1;
     }
     std::cout << "wrote " << data.relation.size() << " records, "
               << data.gold.size() << " gold pairs\n";
@@ -171,7 +174,7 @@ int Run(int argc, char** argv) {
     if (!text2.ok()) return Fail(text2.status().ToString());
     if (!WriteFile(argv[2], *text1) || !WriteFile(argv[3], *text2) ||
         !WriteFile(argv[4], SerializeGoldStandard(sources.gold))) {
-      return Fail("cannot write output files");
+      return 1;
     }
     std::cout << "wrote " << sources.source1.size() << " + "
               << sources.source2.size() << " detections, "
@@ -191,7 +194,7 @@ int Run(int argc, char** argv) {
     if (!text.ok()) return Fail(text.status().ToString());
     if (!WriteFile(argv[2], *text) ||
         !WriteFile(argv[3], SerializeGoldStandard(data.gold))) {
-      return Fail("cannot write output files");
+      return 1;
     }
     std::cout << "wrote " << data.relation.size() << " citations, "
               << data.gold.size() << " gold pairs\n";

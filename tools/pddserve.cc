@@ -40,10 +40,12 @@
 // Durability / serving artifacts:
 //   --cache-capacity N   bound the decision cache (default 1048576)
 //   --cache-file PATH    warm-start from PATH when it exists (the
-//                        crash-restart path; a torn final line is
-//                        dropped) and append new decisions
-//   --snapshot-every N   also append a cache snapshot every N admitted
-//                        tuples while serving (requires --cache-file)
+//                        crash-restart path) and atomically replace it
+//                        with the resident cache (at most capacity + 1
+//                        lines) at the end
+//   --snapshot-every N   also replace it every N admitted tuples while
+//                        serving, waiting as long as the last save took
+//                        (requires --cache-file)
 //   --index FILE         compile a pdd.index.v1 serving index of the
 //                        standing set to FILE after the final report
 //   --index-every N      also recompile it every N admitted tuples
@@ -59,7 +61,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <optional>
 #include <fstream>
 #include <iostream>
@@ -151,8 +152,8 @@ void OnDecision(SinkState* state, const PairDecisionRecord& rec) {
 
 /// Compiles the current standing set into a pdd.index.v1 file: batch
 /// re-run of the canonical snapshot (shared cache makes already-decided
-/// pairs free), then image build + atomic replace via temp + rename.
-/// Safe to call while the live drain runs.
+/// pairs free), then image build + atomic replace. Safe to call while
+/// the live drain runs.
 Status BuildIndexOnce(StandingSession* session, const std::string& path,
                       size_t batch_size, std::shared_ptr<DecisionCache> cache) {
   XRelation canonical = session->CanonicalRelation();
@@ -166,12 +167,7 @@ Status BuildIndexOnce(StandingSession* session, const std::string& path,
       StageExecutor(session->plan(), options).Execute(*stream));
   PDD_ASSIGN_OR_RETURN(std::string image,
                        BuildDecisionIndexImage(canonical, result));
-  const std::string tmp = path + ".tmp";
-  PDD_RETURN_IF_ERROR(WriteDecisionIndexFile(tmp, image));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  return Status::OK();
+  return WriteDecisionIndexFile(path, image);
 }
 
 }  // namespace
@@ -446,13 +442,20 @@ int main(int argc, char** argv) {
     maintenance = std::thread([&] {
       uint64_t last_snapshot = 0;
       uint64_t last_index = 0;
+      // A save writes the whole resident set, so the next one waits as
+      // long as the last took: saves hold at most half of this thread.
+      auto next_save = std::chrono::steady_clock::now();
       while (serving.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         const uint64_t admitted =
             (*session)->stream().admission_stats().admitted;
-        if (snapshot_every > 0 && admitted >= last_snapshot + snapshot_every) {
+        const auto now = std::chrono::steady_clock::now();
+        if (snapshot_every > 0 && admitted >= last_snapshot + snapshot_every &&
+            now >= next_save) {
           last_snapshot = admitted;
-          if (cache->AppendSnapshot(cache_file).ok()) ++snapshot_count;
+          if (cache->SaveSnapshot(cache_file).ok()) ++snapshot_count;
+          const auto done = std::chrono::steady_clock::now();
+          next_save = done + (done - now);
         }
         if (index_every > 0 && admitted >= last_index + index_every) {
           last_index = admitted;
@@ -486,7 +489,7 @@ int main(int argc, char** argv) {
     if (!out.good()) return Fail("error writing '" + dump_relation + "'");
   }
   if (!cache_file.empty()) {
-    Status saved = cache->AppendSnapshot(cache_file);
+    Status saved = cache->SaveSnapshot(cache_file);
     if (!saved.ok()) return Fail(saved.ToString());
     ++snapshot_count;
   }
