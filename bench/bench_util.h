@@ -4,7 +4,6 @@
 #define PDD_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -71,16 +70,14 @@ class BenchJsonWriter {
   /// registry (histograms, counters) rather than scalar summaries.
   pdd::RunTelemetry& telemetry() { return telemetry_; }
 
-  /// Writes `BENCH_<name>.json` and echoes the path; returns false
-  /// (without aborting the bench) if the file can't be opened.
+  /// Replaces `BENCH_<name>.json` atomically and echoes the path;
+  /// returns false (without aborting the bench) if it can't be written.
   bool Write() const {
     const std::string path = "BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (!out) {
+    if (!pdd::WriteTelemetrySidecar(telemetry_, path, "json").ok()) {
       std::cout << "(could not write " << path << ")\n";
       return false;
     }
-    out << pdd::TelemetryToJson(telemetry_);
     std::cout << "metrics: " << path << "\n";
     return true;
   }

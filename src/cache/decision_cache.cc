@@ -314,22 +314,35 @@ Status ShardedDecisionCache::SaveSnapshot(const std::string& path) {
                                      "' is not a pddcache v1 file");
     }
   }
-  std::string bytes = std::string(kSnapshotHeader) + "\n";
-  bytes.reserve(bytes.size() + kLineBytes * size());
-  std::vector<Entry> oldest_first;
+  // One piece per stripe, so a save holds one stripe's entries and
+  // text, not the whole file. Both buffers are sized once to the
+  // largest stripe and reused.
+  size_t largest = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    largest = std::max(largest, shard->entries.size());
+  }
+  std::string text = std::string(kSnapshotHeader) + "\n";
+  text.reserve(text.size() + kLineBytes * largest);
+  std::vector<Entry> oldest_first;
+  oldest_first.reserve(largest);
+  size_t next = 0;
+  return WriteFileAtomically(path, [&](std::string_view* piece) {
+    if (next == shards_.size()) return false;
+    Shard& shard = *shards_[next];
     {
       // Copy under the lock and format outside it, so workers sharing
       // the cache wait for a memcpy, not for the text.
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      const auto hand = shard->entries.begin() +
-                        static_cast<std::ptrdiff_t>(shard->hand);
-      oldest_first.assign(hand, shard->entries.end());
-      oldest_first.insert(oldest_first.end(), shard->entries.begin(), hand);
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      const auto hand =
+          shard.entries.begin() + static_cast<std::ptrdiff_t>(shard.hand);
+      oldest_first.assign(hand, shard.entries.end());
+      oldest_first.insert(oldest_first.end(), shard.entries.begin(), hand);
     }
-    const size_t at = bytes.size();
-    bytes.resize(at + kLineBytes * oldest_first.size());
-    char* out = &bytes[at];
+    // The first piece leads with the header.
+    const size_t at = next++ == 0 ? text.size() : 0;
+    text.resize(at + kLineBytes * oldest_first.size());
+    char* out = &text[at];
     for (const Entry& entry : oldest_first) {
       uint64_t sim_bits = 0;
       std::memcpy(&sim_bits, &entry.similarity, sizeof(sim_bits));
@@ -341,8 +354,9 @@ Status ShardedDecisionCache::SaveSnapshot(const std::string& path) {
       *out++ = MatchClassCode(entry.match_class);
       *out++ = '\n';
     }
-  }
-  return WriteFileAtomically(path, bytes);
+    *piece = text;
+    return true;
+  });
 }
 
 Status ShardedDecisionCache::LoadSnapshot(const std::string& path,

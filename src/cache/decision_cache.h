@@ -171,9 +171,11 @@ class ShardedDecisionCache : public DecisionCache {
   /// Atomically replaces `path` (the file a link names) with the header
   /// and every resident entry, each stripe oldest first from its hand,
   /// so a replay into an empty cache of the same capacity rebuilds the
-  /// CLOCK order. What is there and is no snapshot (or torn piece of
-  /// one), no regular file or unreadable is left alone with
-  /// InvalidArgument.
+  /// CLOCK order. Each stripe is copied under its lock, formatted and
+  /// written before the next is copied, so a save holds one stripe's
+  /// entries and text beside the cache, not the whole file. What is
+  /// there and is no snapshot (or torn piece of one), no regular file
+  /// or unreadable is left alone with InvalidArgument.
   Status SaveSnapshot(const std::string& path);
 
   /// Replays a snapshot file into the cache (later lines win on

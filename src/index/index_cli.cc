@@ -16,6 +16,7 @@
 #include "pipeline/detection_plan.h"
 #include "plan/plan_spec.h"
 #include "plan/translate.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace pdd {
@@ -117,6 +118,7 @@ Result<PlanArgs> ParsePlanArgs(const std::vector<std::string>& args) {
     } else if (arg == "--metrics") {
       const std::string* v = next();
       if (v == nullptr) return Status::InvalidArgument("--metrics needs a file");
+      PDD_RETURN_IF_ERROR(CheckOutputPath(*v));
       out.metrics_file = *v;
     } else if (arg == "--metrics-format") {
       const std::string* v = next();
@@ -140,16 +142,6 @@ Result<DetectionResult> RunPipeline(const PlanArgs& plan,
   PDD_ASSIGN_OR_RETURN(DuplicateDetector detector,
                        DuplicateDetector::Make(plan.config, rel.schema()));
   return detector.Run(rel);
-}
-
-int WriteMetricsSidecar(const RunTelemetry& telemetry,
-                        const std::string& path, const std::string& format) {
-  std::ofstream out(path);
-  if (!out) return Fail("cannot write '" + path + "'");
-  out << (format == "prom" ? TelemetryToPrometheus(telemetry)
-                           : TelemetryToJson(telemetry));
-  if (!out.good()) return Fail("error writing '" + path + "'");
-  return 0;
 }
 
 /// The report's --csv row format, so indexed answers diff cleanly
@@ -330,6 +322,8 @@ int CmdBench(const std::vector<std::string>& args) {
     } else if (args[i] == "--metrics") {
       const std::string* v = next();
       if (v == nullptr) return Fail("--metrics needs a file");
+      Status usable = CheckOutputPath(*v);
+      if (!usable.ok()) return Fail(usable.ToString());
       metrics_file = *v;
     } else if (args[i] == "--metrics-format") {
       const std::string* v = next();
@@ -412,7 +406,9 @@ int CmdBench(const std::vector<std::string>& args) {
   // The checksum keeps the query loops observable (and honest).
   std::cout << "  checksum: " << checksum << "\n";
   if (!metrics_file.empty()) {
-    return WriteMetricsSidecar(telemetry, metrics_file, metrics_format);
+    Status written =
+        WriteTelemetrySidecar(telemetry, metrics_file, metrics_format);
+    if (!written.ok()) return Fail(written.ToString());
   }
   return 0;
 }
@@ -425,6 +421,8 @@ int RunIndexBuild(const std::vector<std::string>& args) {
   if (plan->positional.size() != 2) {
     return Fail("build needs <relation.pxr> <out.pddindex>");
   }
+  Status usable = CheckOutputPath(plan->positional[1]);
+  if (!usable.ok()) return Fail(usable.ToString());
   Result<XRelation> rel = LoadRelation(plan->positional[0]);
   if (!rel.ok()) return Fail(rel.status().ToString());
   Result<DetectionResult> result = RunPipeline(*plan, *rel);
@@ -434,17 +432,16 @@ int RunIndexBuild(const std::vector<std::string>& args) {
   if (!image.ok()) return Fail(image.status().ToString());
   Status written = WriteDecisionIndexFile(plan->positional[1], *image);
   if (!written.ok()) return Fail(written.ToString());
-  RunTelemetry telemetry = result->telemetry != nullptr
-                               ? *result->telemetry
-                               : TelemetryFromResult(*result);
+  RunTelemetry telemetry = *result->telemetry;
   AddIndexBuildMetrics(stats, &telemetry.metrics);
   std::cout << "index: wrote " << plan->positional[1] << " (plan "
             << FingerprintHex(result->plan_fingerprint) << ", source digest "
             << FingerprintHex(result->ContentDigest()) << ")\n"
             << RenderIndexStats(telemetry);
   if (!plan->metrics_file.empty()) {
-    return WriteMetricsSidecar(telemetry, plan->metrics_file,
-                               plan->metrics_format);
+    Status sidecar = WriteTelemetrySidecar(telemetry, plan->metrics_file,
+                                           plan->metrics_format);
+    if (!sidecar.ok()) return Fail(sidecar.ToString());
   }
   return 0;
 }

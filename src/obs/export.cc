@@ -1,10 +1,8 @@
 #include "obs/export.h"
 
-#include <array>
-
 #include "cache/decision_cache.h"
 #include "obs/json.h"
-#include "pipeline/detection_result.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace pdd {
@@ -181,129 +179,29 @@ std::string TelemetryToPrometheus(const RunTelemetry& telemetry) {
   return out;
 }
 
-namespace {
-
-Result<TelemetrySpan> SpanFromJson(const JsonValue& value) {
-  if (!value.IsObject()) {
-    return Status::InvalidArgument("telemetry: span is not an object");
-  }
-  TelemetrySpan span;
-  if (const JsonValue* name = value.Find("name"); name != nullptr) {
-    span.name = name->string_value;
-  }
-  if (const JsonValue* seconds = value.Find("seconds"); seconds != nullptr) {
-    span.seconds = seconds->ToDouble();
-  }
-  if (const JsonValue* counts = value.Find("counts");
-      counts != nullptr && counts->IsObject()) {
-    for (const auto& [count_name, count] : counts->members) {
-      span.counts[count_name] = count.ToUint64();
-    }
-  }
-  if (const JsonValue* children = value.Find("children");
-      children != nullptr && children->IsArray()) {
-    for (const JsonValue& child : children->elements) {
-      PDD_ASSIGN_OR_RETURN(TelemetrySpan parsed, SpanFromJson(child));
-      span.children.push_back(std::move(parsed));
-    }
-  }
-  return span;
-}
-
-Result<LogHistogram> HistogramFromJson(const JsonValue& value) {
-  if (!value.IsObject()) {
-    return Status::InvalidArgument("telemetry: histogram is not an object");
-  }
-  std::array<uint64_t, LogHistogram::kBucketCount> buckets{};
-  if (const JsonValue* pairs = value.Find("buckets");
-      pairs != nullptr && pairs->IsArray()) {
-    for (const JsonValue& pair : pairs->elements) {
-      if (!pair.IsArray() || pair.elements.size() != 2) {
-        return Status::InvalidArgument("telemetry: malformed bucket pair");
-      }
-      uint64_t upper = pair.elements[0].ToUint64();
-      buckets[LogHistogram::BucketIndex(upper)] +=
-          pair.elements[1].ToUint64();
-    }
-  }
-  uint64_t sum = 0;
-  uint64_t min = 0;
-  uint64_t max = 0;
-  if (const JsonValue* v = value.Find("sum"); v != nullptr) {
-    sum = v->ToUint64();
-  }
-  if (const JsonValue* v = value.Find("min"); v != nullptr) {
-    min = v->ToUint64();
-  }
-  if (const JsonValue* v = value.Find("max"); v != nullptr) {
-    max = v->ToUint64();
-  }
-  return LogHistogram::FromState(buckets, sum, min, max);
-}
-
-}  // namespace
-
-Result<RunTelemetry> ParseRunTelemetryJson(std::string_view json) {
-  PDD_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(json));
-  if (!doc.IsObject()) {
-    return Status::InvalidArgument("telemetry: document is not an object");
-  }
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->string_value != RunTelemetry::kSchemaVersion) {
-    return Status::InvalidArgument(
-        "telemetry: missing or unsupported schema version (want " +
-        std::string(RunTelemetry::kSchemaVersion) + ")");
-  }
-  RunTelemetry telemetry;
-  if (const JsonValue* counters = doc.Find("counters");
-      counters != nullptr && counters->IsObject()) {
-    for (const auto& [name, value] : counters->members) {
-      telemetry.metrics.SetCounter(name, value.ToUint64());
-    }
-  }
-  if (const JsonValue* gauges = doc.Find("gauges");
-      gauges != nullptr && gauges->IsObject()) {
-    for (const auto& [name, value] : gauges->members) {
-      telemetry.metrics.SetGauge(name, value.ToDouble());
-    }
-  }
-  if (const JsonValue* histograms = doc.Find("histograms");
-      histograms != nullptr && histograms->IsObject()) {
-    for (const auto& [name, value] : histograms->members) {
-      PDD_ASSIGN_OR_RETURN(LogHistogram histogram, HistogramFromJson(value));
-      *telemetry.metrics.MutableHistogram(name) = histogram;
-    }
-  }
-  if (const JsonValue* infos = doc.Find("info");
-      infos != nullptr && infos->IsObject()) {
-    for (const auto& [name, value] : infos->members) {
-      telemetry.metrics.SetInfo(name, value.string_value);
-    }
-  }
-  if (const JsonValue* spans = doc.Find("spans");
-      spans != nullptr && spans->IsArray() && !spans->elements.empty()) {
-    PDD_ASSIGN_OR_RETURN(telemetry.root, SpanFromJson(spans->elements[0]));
-  }
-  return telemetry;
+Status WriteTelemetrySidecar(const RunTelemetry& telemetry,
+                             const std::string& path,
+                             std::string_view format) {
+  return WriteFileAtomically(path, format == "prom"
+                                       ? TelemetryToPrometheus(telemetry)
+                                       : TelemetryToJson(telemetry));
 }
 
 std::string RenderExecutionStats(const RunTelemetry& telemetry) {
   const MetricsRegistry& m = telemetry.metrics;
   std::string out = "# Execution statistics\n\n";
-  const StageTimings timings = StageTimingsView(telemetry);
-  double total = timings.TotalSeconds();
+  const std::pair<const char*, double> rows[] = {
+      {"match", m.gauge(kGaugeMatchSeconds)},
+      {"derive", m.gauge(kGaugeDeriveSeconds)},
+      {"classify", m.gauge(kGaugeClassifySeconds)},
+      {"cache lookup", m.gauge(kGaugeCacheLookupSeconds)},
+      {"cache insert", m.gauge(kGaugeCacheInsertSeconds)},
+  };
+  double total = 0.0;
+  for (const auto& [name, seconds] : rows) total += seconds;
   out += "## Stage timings\n\n";
   if (total > 0.0) {
     out += "| stage | seconds | share |\n|---|---|---|\n";
-    const std::pair<const char*, double> rows[] = {
-        {"match", timings.match_seconds},
-        {"combine", timings.combine_seconds},
-        {"derive", timings.derive_seconds},
-        {"classify", timings.classify_seconds},
-        {"cache lookup", timings.cache_lookup_seconds},
-        {"cache insert", timings.cache_insert_seconds},
-    };
     for (const auto& [name, seconds] : rows) {
       out += std::string("| ") + name + " | " + FormatDouble(seconds, 6) +
              " | " + FormatDouble(100.0 * seconds / total, 1) + "% |\n";
@@ -318,12 +216,17 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
     // "instant stages", so say what actually happened.
     out += "(disabled)\n";
   }
-  if (std::optional<CacheRunStats> cache = CacheRunStatsView(telemetry)) {
+  if (m.counter(kMetricCacheAttached) != 0) {
+    const uint64_t lookups = m.counter(kMetricCacheLookups);
+    const uint64_t hits = m.counter(kMetricCacheHits);
+    const double hit_rate =
+        lookups == 0 ? 0.0
+                     : static_cast<double>(hits) / static_cast<double>(lookups);
     out += "\n## Decision cache\n\n";
-    out += "- cache: " + std::to_string(cache->hits) + " hits / " +
-           std::to_string(cache->lookups) + " lookups (" +
-           FormatDouble(cache->HitRate() * 100.0, 1) + "% hit rate), " +
-           std::to_string(cache->inserts) + " inserts\n";
+    out += "- cache: " + std::to_string(hits) + " hits / " +
+           std::to_string(lookups) + " lookups (" +
+           FormatDouble(hit_rate * 100.0, 1) + "% hit rate), " +
+           std::to_string(m.counter(kMetricCacheInserts)) + " inserts\n";
     if (m.counters().count("exec.cache.lifetime.hits") > 0) {
       DecisionCacheStats lifetime;
       lifetime.hits = m.counter("exec.cache.lifetime.hits");
@@ -334,12 +237,11 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
       out += "- cache lifetime: " + lifetime.ToString() + "\n";
     }
   }
-  const StreamRunStats stream = StreamRunStatsView(telemetry);
   out += "\n## Candidate stream\n\n";
   out += "- stream: " + std::to_string(m.counter(kMetricCandidatePairs)) +
-         " candidates in " + std::to_string(stream.batches) +
+         " candidates in " + std::to_string(m.counter(kMetricStreamBatches)) +
          " batches, live high-water " +
-         std::to_string(stream.live_candidate_high_water) + " candidates\n";
+         std::to_string(m.counter(kMetricStreamHighWater)) + " candidates\n";
   // Standing-ingest runs (pddserve) carry the exec.ingest.* family;
   // batch runs don't.
   if (m.counters().count(kMetricIngestArrivals) > 0) {
@@ -385,7 +287,6 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
 
 std::string RenderStreamDiagnostics(const RunTelemetry& telemetry) {
   const MetricsRegistry& m = telemetry.metrics;
-  const StreamRunStats stream = StreamRunStatsView(telemetry);
   std::string out = "candidate stream:";
   if (std::string reduction = m.info("exec.reduction"); !reduction.empty()) {
     out += " reduction " + reduction;
@@ -394,9 +295,9 @@ std::string RenderStreamDiagnostics(const RunTelemetry& telemetry) {
     out += ",";
   }
   out += " " + std::to_string(m.counter(kMetricCandidatePairs)) +
-         " candidates in " + std::to_string(stream.batches) +
+         " candidates in " + std::to_string(m.counter(kMetricStreamBatches)) +
          " batches, live high-water " +
-         std::to_string(stream.live_candidate_high_water) + " candidates\n";
+         std::to_string(m.counter(kMetricStreamHighWater)) + " candidates\n";
   return out;
 }
 

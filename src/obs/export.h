@@ -2,7 +2,9 @@
 // a RunTelemetry lives here, so there is exactly one code path per
 // format and all of them iterate the registry's sorted maps — no
 // export ever observes unordered iteration (pddlint's rule holds with
-// zero allowlist entries).
+// zero allowlist entries). The obs layer only writes: sidecars are
+// read back and validated in Python (tools/telemetry_check.py,
+// tools/bench_compare.py).
 //
 //   TelemetryToJson         schema-versioned JSON sidecar (sorted
 //                           keys; superseded bench_util.h's ad-hoc
@@ -12,8 +14,8 @@
 //                           exec.*, no spans): the byte-comparable
 //                           form the determinism gates diff
 //   TelemetryToPrometheus   Prometheus text exposition
-//   ParseRunTelemetryJson   reads TelemetryToJson output back
-//                           (round-trip tests, sidecar tooling)
+//   WriteTelemetrySidecar   one of the two above, replacing a file
+//                           atomically (`--metrics FILE`)
 //   RenderExecutionStats    the Markdown execution-statistics report
 //                           (ExecutionStatsReport renders through it)
 //   RenderStreamDiagnostics the `--stream-candidates` stderr block
@@ -47,13 +49,19 @@ std::string IdentityMetricsJson(const RunTelemetry& telemetry);
 /// dot→underscore sanitized and prefixed `pdd_`.
 std::string TelemetryToPrometheus(const RunTelemetry& telemetry);
 
-/// Parses TelemetryToJson output back into a RunTelemetry. Rejects
-/// unknown schema versions.
-Result<RunTelemetry> ParseRunTelemetryJson(std::string_view json);
+/// Replaces `path` with TelemetryToPrometheus(telemetry) when `format`
+/// is "prom" and with TelemetryToJson(telemetry) otherwise, through
+/// WriteFileAtomically: a symbolic link is written through, and a path
+/// that is no regular file (a directory, /dev/null, a FIFO) is refused
+/// with InvalidArgument before anything is created.
+Status WriteTelemetrySidecar(const RunTelemetry& telemetry,
+                             const std::string& path,
+                             std::string_view format);
 
-/// The Markdown execution-statistics report: stage timing table ("(disabled)" when the run collected no timings),
-/// decision-cache run and lifetime counters, candidate-stream drain
-/// accounting.
+/// The Markdown execution-statistics report: stage timing table
+/// ("(disabled)" when the run collected no timings), decision-cache
+/// run and lifetime counters, candidate-stream drain accounting. Reads
+/// the metric names of run_telemetry.h.
 std::string RenderExecutionStats(const RunTelemetry& telemetry);
 
 /// The candidate-streaming stderr diagnostics (reduction name, native

@@ -1,231 +1,10 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace pdd {
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    PDD_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
-    return value;
-  }
-
- private:
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument("json: " + message + " at offset " +
-                                   std::to_string(pos_));
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) == literal) {
-      pos_ += literal.size();
-      return true;
-    }
-    return false;
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') return ParseString();
-    if (ConsumeLiteral("true")) {
-      JsonValue value;
-      value.kind = JsonValue::Kind::kBool;
-      value.bool_value = true;
-      return value;
-    }
-    if (ConsumeLiteral("false")) {
-      JsonValue value;
-      value.kind = JsonValue::Kind::kBool;
-      value.bool_value = false;
-      return value;
-    }
-    if (ConsumeLiteral("null")) {
-      JsonValue value;
-      value.kind = JsonValue::Kind::kNull;
-      return value;
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) return ParseNumber();
-    return Error(std::string("unexpected character '") + c + "'");
-  }
-
-  Result<JsonValue> ParseObject() {
-    ++pos_;  // '{'
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    SkipWhitespace();
-    if (Consume('}')) return value;
-    while (true) {
-      SkipWhitespace();
-      PDD_ASSIGN_OR_RETURN(JsonValue key, ParseString());
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' in object");
-      PDD_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
-      value.members.emplace_back(std::move(key.string_value),
-                                 std::move(member));
-      SkipWhitespace();
-      if (Consume('}')) return value;
-      if (!Consume(',')) return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    ++pos_;  // '['
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    SkipWhitespace();
-    if (Consume(']')) return value;
-    while (true) {
-      PDD_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
-      value.elements.push_back(std::move(element));
-      SkipWhitespace();
-      if (Consume(']')) return value;
-      if (!Consume(',')) return Error("expected ',' or ']' in array");
-    }
-  }
-
-  Result<JsonValue> ParseString() {
-    if (!Consume('"')) return Error("expected string");
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
-    std::string& out = value.string_value;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Error("malformed \\u escape");
-            }
-          }
-          // The exporters only emit \u00XX for control bytes; decode
-          // the Latin-1 range and reject the rest rather than silently
-          // mangling astral-plane input.
-          if (code > 0xFF) return Error("\\u escape beyond exporter subset");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return Error("unknown escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (Consume('.')) {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-        ++pos_;
-      }
-    }
-    if (pos_ == start) return Error("malformed number");
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number_token = std::string(text_.substr(start, pos_ - start));
-    return value;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-const JsonValue* JsonValue::Find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members) {
-    if (name == key) return &value;
-  }
-  return nullptr;
-}
-
-double JsonValue::ToDouble() const {
-  if (kind != Kind::kNumber) return 0.0;
-  return std::strtod(number_token.c_str(), nullptr);
-}
-
-uint64_t JsonValue::ToUint64() const {
-  if (kind != Kind::kNumber) return 0;
-  return std::strtoull(number_token.c_str(), nullptr, 10);
-}
-
-Result<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).Parse();
-}
 
 std::string JsonQuote(std::string_view s) {
   std::string out = "\"";

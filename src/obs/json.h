@@ -1,58 +1,15 @@
-// Minimal JSON support for the telemetry subsystem: escaping for the
-// writers and a small recursive-descent parser for reading telemetry
-// sidecars back (the span-nesting round-trip test, future tooling that
-// consumes its own exports). Not a general-purpose JSON library — it
-// covers the subset the exporters emit (objects, arrays, strings,
-// numbers, booleans, null) with two deliberate properties:
-//
-//   * object member order is preserved (the exporters write sorted
-//     keys; the parser must not re-order or the round-trip test would
-//     prove nothing), and
-//   * number tokens are kept verbatim, so a uint64 counter above 2^53
-//     survives a parse → re-export cycle without drifting through a
-//     double.
+// JSON formatting for the telemetry exporters: string quoting and
+// round-trippable number text. The obs layer only writes JSON;
+// sidecars are read back in Python (tools/telemetry_check.py,
+// tools/bench_compare.py).
 
 #ifndef PDD_OBS_JSON_H_
 #define PDD_OBS_JSON_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
-
-#include "util/status.h"
 
 namespace pdd {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  /// Verbatim number token ("42", "1.5e-3") — parse on demand.
-  std::string number_token;
-  std::string string_value;
-  /// Members in document order (the exporters emit sorted keys).
-  std::vector<std::pair<std::string, JsonValue>> members;
-  std::vector<JsonValue> elements;
-
-  bool IsObject() const { return kind == Kind::kObject; }
-  bool IsArray() const { return kind == Kind::kArray; }
-  bool IsString() const { return kind == Kind::kString; }
-  bool IsNumber() const { return kind == Kind::kNumber; }
-
-  /// Member lookup on an object; nullptr when absent or not an object.
-  const JsonValue* Find(std::string_view key) const;
-
-  /// Number accessors; 0 on kind mismatch or malformed token.
-  double ToDouble() const;
-  uint64_t ToUint64() const;
-};
-
-/// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage is an error).
-Result<JsonValue> ParseJson(std::string_view text);
 
 /// Double-quoted JSON string literal of `s` (escapes quotes,
 /// backslashes and control characters).

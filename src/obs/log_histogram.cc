@@ -54,17 +54,4 @@ uint64_t LogHistogram::Quantile(double q) const {
   return BucketUpperBound(kBucketCount - 1);
 }
 
-LogHistogram LogHistogram::FromState(
-    const std::array<uint64_t, kBucketCount>& bucket_counts, uint64_t sum,
-    uint64_t min, uint64_t max) {
-  LogHistogram out;
-  out.buckets_ = bucket_counts;
-  out.count_ = 0;
-  for (uint64_t c : bucket_counts) out.count_ += c;
-  out.sum_ = sum;
-  out.min_ = out.count_ == 0 ? UINT64_MAX : min;
-  out.max_ = max;
-  return out;
-}
-
 }  // namespace pdd

@@ -66,13 +66,6 @@ class LogHistogram {
     return !(*this == other);
   }
 
-  /// Rebuilds a histogram from exported state (telemetry JSON
-  /// round-trip). `bucket_counts` must have kBucketCount entries; count
-  /// is derived from them.
-  static LogHistogram FromState(
-      const std::array<uint64_t, kBucketCount>& bucket_counts, uint64_t sum,
-      uint64_t min, uint64_t max);
-
  private:
   std::array<uint64_t, kBucketCount> buckets_{};
   uint64_t count_ = 0;

@@ -11,10 +11,6 @@ bool IsIdentityMetricName(std::string_view name) {
          !StartsWith(name, kExecNamespace);
 }
 
-void MetricsRegistry::AddCounter(const std::string& name, uint64_t delta) {
-  counters_[name] += delta;
-}
-
 void MetricsRegistry::SetCounter(const std::string& name, uint64_t value) {
   counters_[name] = value;
 }
@@ -25,10 +21,6 @@ void MetricsRegistry::SetGauge(const std::string& name, double value) {
 
 void MetricsRegistry::SetInfo(const std::string& name, std::string value) {
   infos_[name] = std::move(value);
-}
-
-void MetricsRegistry::Observe(const std::string& name, uint64_t value) {
-  histograms_[name].Record(value);
 }
 
 LogHistogram* MetricsRegistry::MutableHistogram(const std::string& name) {
@@ -53,15 +45,6 @@ std::string MetricsRegistry::info(const std::string& name) const {
 const LogHistogram* MetricsRegistry::histogram(const std::string& name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::Merge(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, value] : other.gauges_) gauges_[name] = value;
-  for (const auto& [name, value] : other.infos_) infos_[name] = value;
-  for (const auto& [name, histogram] : other.histograms_) {
-    histograms_[name].Merge(histogram);
-  }
 }
 
 }  // namespace pdd

@@ -1,8 +1,11 @@
 // MetricsRegistry: the one queryable telemetry surface of a detection
-// run. Four metric kinds, all stored in sorted (std::map) order so
-// every export path iterates deterministically:
+// run. TelemetryFromResult fills it once from the run's stat fields
+// and the tools add their own families (exec.ingest.*, exec.index.*,
+// exec.cache.lifetime.*); the renderers and exporters only read it.
+// Four metric kinds, all stored in sorted (std::map) order so every
+// export path iterates deterministically:
 //
-//   counters    monotonically accumulated uint64 event counts
+//   counters    uint64 event counts
 //   gauges      last-written double readings
 //   infos       string-valued annotations (reduction name, fingerprints)
 //   histograms  log2-bucketed value distributions (obs/log_histogram.h)
@@ -24,10 +27,6 @@
 //               class, the similarity distribution, the plan
 //               fingerprint). The obs_test ctest and the CI metrics
 //               smoke gate exactly this subset.
-//
-// Merge() is order-insensitive for counters and histograms (element-
-// wise addition), which is what lets per-worker registries collapse
-// into one deterministic run registry.
 
 #ifndef PDD_OBS_METRICS_REGISTRY_H_
 #define PDD_OBS_METRICS_REGISTRY_H_
@@ -54,16 +53,12 @@ class MetricsRegistry {
  public:
   // --- writers ------------------------------------------------------
 
-  /// Adds `delta` to the counter `name` (created at 0).
-  void AddCounter(const std::string& name, uint64_t delta = 1);
   /// Sets the counter `name` to an absolute value.
   void SetCounter(const std::string& name, uint64_t value);
   void SetGauge(const std::string& name, double value);
   void SetInfo(const std::string& name, std::string value);
-  /// Records `value` into the histogram `name` (created empty).
-  void Observe(const std::string& name, uint64_t value);
-  /// The histogram `name`, created empty if absent (bulk recording,
-  /// state restore).
+  /// The histogram `name`, created empty if absent, to record or merge
+  /// into.
   LogHistogram* MutableHistogram(const std::string& name);
 
   // --- readers ------------------------------------------------------
@@ -84,24 +79,6 @@ class MetricsRegistry {
   const std::map<std::string, std::string>& infos() const { return infos_; }
   const std::map<std::string, LogHistogram>& histograms() const {
     return histograms_;
-  }
-
-  bool empty() const {
-    return counters_.empty() && gauges_.empty() && infos_.empty() &&
-           histograms_.empty();
-  }
-
-  /// Accumulates `other`: counters and histograms add element-wise
-  /// (order-insensitive), gauges and infos are overwritten by `other`'s
-  /// entries (workers must not write conflicting gauges/infos).
-  void Merge(const MetricsRegistry& other);
-
-  bool operator==(const MetricsRegistry& other) const {
-    return counters_ == other.counters_ && gauges_ == other.gauges_ &&
-           infos_ == other.infos_ && histograms_ == other.histograms_;
-  }
-  bool operator!=(const MetricsRegistry& other) const {
-    return !(*this == other);
   }
 
  private:

@@ -91,13 +91,11 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
   if (result.stage_timings_collected) {
     const StageTimings& t = result.stage_timings;
     m.SetGauge(kGaugeMatchSeconds, t.match_seconds);
-    m.SetGauge(kGaugeCombineSeconds, t.combine_seconds);
     m.SetGauge(kGaugeDeriveSeconds, t.derive_seconds);
     m.SetGauge(kGaugeClassifySeconds, t.classify_seconds);
     m.SetGauge(kGaugeCacheLookupSeconds, t.cache_lookup_seconds);
     m.SetGauge(kGaugeCacheInsertSeconds, t.cache_insert_seconds);
     drain->AddChild("stage.match")->seconds = t.match_seconds;
-    drain->AddChild("stage.combine")->seconds = t.combine_seconds;
     drain->AddChild("stage.derive")->seconds = t.derive_seconds;
     drain->AddChild("stage.classify")->seconds = t.classify_seconds;
     drain->AddChild("stage.cache_lookup")->seconds = t.cache_lookup_seconds;
@@ -113,37 +111,6 @@ void AddCacheLifetimeStats(const DecisionCacheStats& stats,
   metrics->SetCounter("exec.cache.lifetime.inserts", stats.inserts);
   metrics->SetCounter("exec.cache.lifetime.evictions", stats.evictions);
   metrics->SetCounter("exec.cache.lifetime.size", stats.size);
-}
-
-StageTimings StageTimingsView(const RunTelemetry& telemetry) {
-  const MetricsRegistry& m = telemetry.metrics;
-  StageTimings timings;
-  timings.match_seconds = m.gauge(kGaugeMatchSeconds);
-  timings.combine_seconds = m.gauge(kGaugeCombineSeconds);
-  timings.derive_seconds = m.gauge(kGaugeDeriveSeconds);
-  timings.classify_seconds = m.gauge(kGaugeClassifySeconds);
-  timings.cache_lookup_seconds = m.gauge(kGaugeCacheLookupSeconds);
-  timings.cache_insert_seconds = m.gauge(kGaugeCacheInsertSeconds);
-  return timings;
-}
-
-std::optional<CacheRunStats> CacheRunStatsView(const RunTelemetry& telemetry) {
-  const MetricsRegistry& m = telemetry.metrics;
-  if (m.counter(kMetricCacheAttached) == 0) return std::nullopt;
-  CacheRunStats stats;
-  stats.lookups = m.counter(kMetricCacheLookups);
-  stats.hits = m.counter(kMetricCacheHits);
-  stats.misses = m.counter(kMetricCacheMisses);
-  stats.inserts = m.counter(kMetricCacheInserts);
-  return stats;
-}
-
-StreamRunStats StreamRunStatsView(const RunTelemetry& telemetry) {
-  const MetricsRegistry& m = telemetry.metrics;
-  StreamRunStats stats;
-  stats.batches = m.counter(kMetricStreamBatches);
-  stats.live_candidate_high_water = m.counter(kMetricStreamHighWater);
-  return stats;
 }
 
 }  // namespace pdd

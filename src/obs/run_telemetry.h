@@ -1,13 +1,14 @@
 // RunTelemetry: the unified telemetry of one detection run — a
 // MetricsRegistry (the queryable metric surface) plus a tree of stage/
-// span records (generate → drain → match/combine/derive/classify, with
-// per-worker child spans). The StageExecutor builds one
-// per run and attaches it to DetectionResult::telemetry; the legacy
-// stat structs (StageTimings, CacheRunStats, StreamRunStats) are
-// reconstructed from the registry by the *View functions below, so the
-// registry is the single source every consumer — ExecutionStatsReport,
-// `pddcli --metrics`, the stderr diagnostics, the bench sidecars —
-// renders from.
+// span records (generate → drain → match/derive/classify/cache, with
+// per-worker child spans). Telemetry flows one way: the StageExecutor
+// sums each stat into DetectionResult's fields (StageTimings,
+// CacheRunStats, StreamRunStats) once, TelemetryFromResult builds the
+// registry from those fields once, and the executor attaches the
+// result to DetectionResult::telemetry. Every consumer —
+// ExecutionStatsReport, `pddcli --metrics`, the stderr diagnostics,
+// the bench sidecars — renders from the registry and never writes
+// back into the fields.
 //
 // Span seconds and every `time.*` metric are wall-clock-derived and
 // therefore nondeterministic; span COUNT fields on worker spans vary
@@ -21,7 +22,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,9 +31,6 @@
 namespace pdd {
 
 struct DetectionResult;
-struct StageTimings;
-struct CacheRunStats;
-struct StreamRunStats;
 struct DecisionCacheStats;
 
 // Registry metric names (the stable schema surface; see README
@@ -91,8 +88,9 @@ inline constexpr char kMetricIngestCacheSnapshots[] =
 inline constexpr char kMetricIngestIndexBuilds[] =
     "exec.ingest.index_builds";
 // Timing namespace — nondeterministic by nature:
+/// ColumnarMatcher fuses the combination into the match stage, so
+/// there is no combine gauge or span.
 inline constexpr char kGaugeMatchSeconds[] = "time.stage.match_seconds";
-inline constexpr char kGaugeCombineSeconds[] = "time.stage.combine_seconds";
 inline constexpr char kGaugeDeriveSeconds[] = "time.stage.derive_seconds";
 inline constexpr char kGaugeClassifySeconds[] =
     "time.stage.classify_seconds";
@@ -131,14 +129,6 @@ struct TelemetrySpan {
 
   /// Descendant lookup by '/'-separated path ("drain/worker.0").
   const TelemetrySpan* Find(std::string_view path) const;
-
-  bool operator==(const TelemetrySpan& other) const {
-    return name == other.name && seconds == other.seconds &&
-           counts == other.counts && children == other.children;
-  }
-  bool operator!=(const TelemetrySpan& other) const {
-    return !(*this == other);
-  }
 };
 
 struct RunTelemetry {
@@ -149,36 +139,18 @@ struct RunTelemetry {
 
   MetricsRegistry metrics;
   TelemetrySpan root{"run"};
-
-  bool operator==(const RunTelemetry& other) const {
-    return metrics == other.metrics && root == other.root;
-  }
-  bool operator!=(const RunTelemetry& other) const {
-    return !(*this == other);
-  }
 };
 
 /// Builds the registry + drain span from a DetectionResult's stat
-/// fields — the bridge for hand-assembled results (executor-produced
-/// results carry a richer telemetry with worker/generate spans
-/// already attached).
+/// fields. The executor calls it once per run and adds the generate
+/// and worker spans; ExecutionStatsReport calls it for hand-assembled
+/// results, which carry no telemetry.
 RunTelemetry TelemetryFromResult(const DetectionResult& result);
 
 /// Folds a cache's lifetime counters (DecisionCache::Stats()) into the
 /// registry under exec.cache.lifetime.*.
 void AddCacheLifetimeStats(const DecisionCacheStats& stats,
                            MetricsRegistry* metrics);
-
-// --- views ----------------------------------------------------------
-// The legacy stat structs as pure functions of one RunTelemetry: the
-// executor assigns DetectionResult's fields from these, making every
-// struct a view over the registry rather than a second bookkeeping
-// path.
-
-StageTimings StageTimingsView(const RunTelemetry& telemetry);
-/// nullopt when the run had no cache attached.
-std::optional<CacheRunStats> CacheRunStatsView(const RunTelemetry& telemetry);
-StreamRunStats StreamRunStatsView(const RunTelemetry& telemetry);
 
 }  // namespace pdd
 

@@ -142,10 +142,10 @@ struct DetectionResult {
   /// are two integers per batch).
   StreamRunStats stream_stats;
   /// Unified telemetry of the run: the metrics registry plus the span
-  /// tree (see obs/run_telemetry.h). Attached by the executor; null for
-  /// hand-assembled results (consumers fall back to
-  /// TelemetryFromResult over the stat fields above, which are
-  /// themselves views over this registry when it is present).
+  /// tree (see obs/run_telemetry.h). Every executor result carries one,
+  /// built once from the stat fields above; null for hand-assembled
+  /// results, which ExecutionStatsReport bridges through
+  /// TelemetryFromResult.
   std::shared_ptr<RunTelemetry> telemetry;
 
   /// Decisions per class.

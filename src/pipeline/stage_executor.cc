@@ -94,11 +94,10 @@ class OrderedRecords {
 /// The drain's tail, whatever its shape. Re-reads the pair universe (a
 /// standing stream's grows as tuples are admitted; finite streams
 /// report the same value) and copies the relation's ids into the
-/// result's own table. Then builds the run's unified telemetry —
-/// registry from the result's stat fields, generate/drain/worker spans
-/// from the per-thread slots — and reassigns the legacy stat structs
-/// from the registry views, so every struct a caller reads is provably
-/// a projection of the one registry.
+/// result's own table. Then builds the run's unified telemetry once:
+/// the registry from the stat fields Execute summed, the generate/
+/// drain/worker spans from the per-thread slots. Nothing is written
+/// back into the fields.
 void FinishResult(const StageExecutorOptions& options,
                   const CandidateStream& stream,
                   std::vector<WorkerStats> workers, DetectionResult* result) {
@@ -148,10 +147,6 @@ void FinishResult(const StageExecutorOptions& options,
   if (options.stage_timings) {
     m.MutableHistogram(kMetricBatchDecideMicros)->Merge(decide_micros);
   }
-
-  result->stage_timings = StageTimingsView(*telemetry);
-  result->cache_stats = CacheRunStatsView(*telemetry);
-  result->stream_stats = StreamRunStatsView(*telemetry);
   result->telemetry = std::move(telemetry);
 }
 

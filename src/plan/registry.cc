@@ -555,39 +555,37 @@ std::unique_ptr<DerivationFunction> MakeModeSimilarity(const DetectorConfig&) {
 }  // namespace
 
 ComponentRegistry::ComponentRegistry() {
-  // `streams` mirrors the generator's native_streaming() override; the
-  // streaming test suite asserts the two stay in sync per entry.
-  auto reduction = [this](ReductionMethod method, bool streams,
+  auto reduction = [this](ReductionMethod method,
                           Status (*configure)(const ParamMap&,
                                               DetectorConfig*),
                           void (*print)(const DetectorConfig&, ParamMap*),
                           std::unique_ptr<PairGenerator> (*make)(
                               const DetectorConfig&, const KeySpec&)) {
-    reductions_[ReductionMethodName(method)] = {method, streams, configure,
-                                                print, make};
+    reductions_[ReductionMethodName(method)] = {method, configure, print,
+                                                make};
   };
-  reduction(ReductionMethod::kFull, true, NoParams, PrintNothing, MakeFull);
-  reduction(ReductionMethod::kSnmMultipassWorlds, true, ConfigureSnmMultipass,
+  reduction(ReductionMethod::kFull, NoParams, PrintNothing, MakeFull);
+  reduction(ReductionMethod::kSnmMultipassWorlds, ConfigureSnmMultipass,
             PrintSnmMultipass, MakeSnmMultipass);
-  reduction(ReductionMethod::kSnmCertainKeys, true, ConfigureSnmCertain,
+  reduction(ReductionMethod::kSnmCertainKeys, ConfigureSnmCertain,
             PrintSnmCertain, MakeSnmCertain);
-  reduction(ReductionMethod::kSnmSortingAlternatives, true, ConfigureWindow,
+  reduction(ReductionMethod::kSnmSortingAlternatives, ConfigureWindow,
             PrintWindow, MakeSnmAlternatives);
-  reduction(ReductionMethod::kSnmUncertainRanking, true, ConfigureSnmRanking,
+  reduction(ReductionMethod::kSnmUncertainRanking, ConfigureSnmRanking,
             PrintSnmRanking, MakeSnmRanking);
-  reduction(ReductionMethod::kBlockingCertainKeys, true, ConfigureConflict,
+  reduction(ReductionMethod::kBlockingCertainKeys, ConfigureConflict,
             PrintConflict, MakeBlockingCertain);
-  reduction(ReductionMethod::kBlockingAlternatives, true, NoParams,
-            PrintNothing, MakeBlockingAlternatives);
-  reduction(ReductionMethod::kBlockingMultipassWorlds, true, ConfigureWorlds,
+  reduction(ReductionMethod::kBlockingAlternatives, NoParams, PrintNothing,
+            MakeBlockingAlternatives);
+  reduction(ReductionMethod::kBlockingMultipassWorlds, ConfigureWorlds,
             PrintWorlds, MakeBlockingMultipass);
-  reduction(ReductionMethod::kBlockingClustered, true, ConfigureClustered,
+  reduction(ReductionMethod::kBlockingClustered, ConfigureClustered,
             PrintClustered, MakeBlockingClustered);
-  reduction(ReductionMethod::kCanopy, false, ConfigureCanopy, PrintCanopy,
+  reduction(ReductionMethod::kCanopy, ConfigureCanopy, PrintCanopy,
             MakeCanopy);
-  reduction(ReductionMethod::kSnmAdaptive, true, ConfigureAdaptive,
-            PrintAdaptive, MakeSnmAdaptive);
-  reduction(ReductionMethod::kQGramIndex, false, ConfigureQGram, PrintQGram,
+  reduction(ReductionMethod::kSnmAdaptive, ConfigureAdaptive, PrintAdaptive,
+            MakeSnmAdaptive);
+  reduction(ReductionMethod::kQGramIndex, ConfigureQGram, PrintQGram,
             MakeQGram);
 
   combinations_[CombinationKindName(CombinationKind::kWeightedSum)] = {

@@ -57,10 +57,6 @@ class ComponentRegistry {
  public:
   struct ReductionEntry {
     ReductionMethod method;
-    /// Whether the built generator streams candidates natively (bounded
-    /// live pairs) rather than through the materializing adapter.
-    /// Mirrors PairGenerator::native_streaming() on the made instance.
-    bool native_streaming = false;
     /// Consumes this method's `reduction.*` parameters into `*config`.
     Status (*configure)(const ParamMap& params, DetectorConfig* config);
     /// Emits this method's parameters from `config` (full, canonical).

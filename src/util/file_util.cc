@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 namespace pdd {
 
@@ -17,7 +18,7 @@ Result<std::string> ResolveRegularFile(const std::string& path) {
   struct stat info;
   // One link per hop; 40 hops, the kernel's own limit, end a cycle.
   for (int hops = 0; ::lstat(target.c_str(), &info) == 0; ++hops) {
-    if (S_ISREG(info.st_mode)) break;
+    if (S_ISREG(info.st_mode)) return target.string();
     std::error_code error;  // leaves `link` empty, as a link never is
     const std::filesystem::path link =
         S_ISLNK(info.st_mode) && hops < 40
@@ -28,10 +29,41 @@ Result<std::string> ResolveRegularFile(const std::string& path) {
     }
     target = target.parent_path() / link;
   }
+  // Nothing is there, unless the kernel follows a link whose text names
+  // no path: /dev/stdout reaches a pipe through /proc/self/fd/1.
+  if (::stat(path.c_str(), &info) == 0) {
+    return Status::InvalidArgument("'" + path + "' is not a regular file");
+  }
   return target.string();
 }
 
-Status WriteFileAtomically(const std::string& path, std::string_view bytes) {
+Status CheckOutputPath(const std::string& path) {
+  PDD_ASSIGN_OR_RETURN(const std::string target, ResolveRegularFile(path));
+  // Replacing the file standard output or error goes to (/dev/stdout
+  // redirected to a file) would send what the process prints next to
+  // the unlinked old file.
+  struct stat file;
+  struct stat stream;
+  if (::stat(target.c_str(), &file) == 0) {
+    for (const int fd : {STDOUT_FILENO, STDERR_FILENO}) {
+      if (::fstat(fd, &stream) == 0 && stream.st_dev == file.st_dev &&
+          stream.st_ino == file.st_ino) {
+        return Status::InvalidArgument(
+            "'" + path + "' is where standard output or error goes");
+      }
+    }
+  }
+  const std::string dir = std::filesystem::path(target).parent_path();
+  std::error_code error;
+  if (std::filesystem::is_directory(dir.empty() ? "." : dir, error)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("cannot create '" + path + "': '" + dir +
+                                 "' is not a directory");
+}
+
+Status WriteFileAtomically(const std::string& path,
+                           const FilePieces& next_piece) {
   PDD_ASSIGN_OR_RETURN(const std::string target, ResolveRegularFile(path));
   // The umask can only narrow the replaced file's bits.
   struct stat info;
@@ -46,18 +78,30 @@ Status WriteFileAtomically(const std::string& path, std::string_view bytes) {
            std::to_string(next_temp.fetch_add(1));
     fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, mode);
   } while (fd < 0 && errno == EEXIST);
-  // The first failing step's errno text. Nothing from here to the
-  // closes allocates, so no exception can leak a descriptor.
+  // The first failing step's errno text. Only `next_piece` can throw
+  // from here to the closes; it takes the temporary file with it.
   const char* error = nullptr;
   auto check = [&error](bool ok) {
     if (!ok && error == nullptr) error = std::strerror(errno);
   };
+  auto next = [&](std::string_view* piece) {
+    try {
+      return next_piece(piece);
+    } catch (...) {
+      ::close(fd);
+      ::unlink(temp.c_str());
+      throw;
+    }
+  };
   check(fd >= 0);
-  while (error == nullptr && !bytes.empty()) {
-    const ssize_t written = ::write(fd, bytes.data(), bytes.size());
-    if (written < 0 && errno == EINTR) continue;
-    check(written > 0);
-    if (written > 0) bytes.remove_prefix(static_cast<size_t>(written));
+  std::string_view piece;
+  while (error == nullptr && next(&piece)) {
+    while (error == nullptr && !piece.empty()) {
+      const ssize_t written = ::write(fd, piece.data(), piece.size());
+      if (written < 0 && errno == EINTR) continue;
+      check(written > 0);
+      if (written > 0) piece.remove_prefix(static_cast<size_t>(written));
+    }
   }
   if (error == nullptr) check(::fsync(fd) == 0);
   if (fd >= 0) check(::close(fd) == 0);
@@ -75,6 +119,14 @@ Status WriteFileAtomically(const std::string& path, std::string_view bytes) {
   if (error == nullptr) return Status::OK();
   return Status::Internal("cannot sync the directory of '" + path +
                           "': " + error);
+}
+
+Status WriteFileAtomically(const std::string& path, std::string_view bytes) {
+  bool yielded = false;
+  return WriteFileAtomically(path, [&](std::string_view* piece) {
+    *piece = bytes;
+    return !std::exchange(yielded, true);
+  });
 }
 
 }  // namespace pdd

@@ -1,13 +1,17 @@
 // Tests for the run-telemetry subsystem (src/obs/): log-histogram
 // bucket math and merge associativity, registry determinism across
-// worker/batch/cache run shapes, JSON and Prometheus export
-// goldens, sidecar round-trips through the parser, span nesting, the
-// stat-struct views, and the "(disabled)" stage-timing rendering.
+// worker/batch/cache run shapes, JSON and Prometheus export goldens,
+// the atomic sidecar writer, span nesting, the registry's agreement
+// with the result's stat fields, and the "(disabled)" stage-timing
+// rendering.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +21,6 @@
 #include "core/report_writer.h"
 #include "datagen/person_generator.h"
 #include "obs/export.h"
-#include "obs/json.h"
 #include "obs/log_histogram.h"
 #include "obs/metrics_registry.h"
 #include "obs/run_telemetry.h"
@@ -47,8 +50,8 @@ TEST(LogHistogramTest, BucketUpperBoundsInvertBucketIndex) {
   EXPECT_EQ(LogHistogram::BucketUpperBound(2), 3u);
   EXPECT_EQ(LogHistogram::BucketUpperBound(3), 7u);
   EXPECT_EQ(LogHistogram::BucketUpperBound(64), UINT64_MAX);
-  // Every bucket's upper bound maps back to that bucket: the property
-  // the JSON round-trip (upper bound -> bucket index) relies on.
+  // Every bucket's upper bound maps back to that bucket, so a
+  // sidecar's [upper_bound, count] pairs name their buckets.
   for (size_t i = 0; i < LogHistogram::kBucketCount; ++i) {
     EXPECT_EQ(LogHistogram::BucketIndex(LogHistogram::BucketUpperBound(i)), i);
   }
@@ -103,14 +106,6 @@ TEST(LogHistogramTest, MergeEqualsSequentialRecording) {
   EXPECT_EQ(reversed, all);
 }
 
-TEST(LogHistogramTest, FromStateRoundTrips) {
-  LogHistogram h;
-  for (uint64_t v : {0ull, 2ull, 9ull, 1000000ull}) h.Record(v);
-  LogHistogram rebuilt =
-      LogHistogram::FromState(h.buckets(), h.sum(), h.min(), h.max());
-  EXPECT_EQ(rebuilt, h);
-}
-
 // --- registry -----------------------------------------------------------
 
 TEST(MetricsRegistryTest, NamespaceClassification) {
@@ -120,36 +115,23 @@ TEST(MetricsRegistryTest, NamespaceClassification) {
   EXPECT_FALSE(IsIdentityMetricName("time.stage.match_seconds"));
 }
 
-TEST(MetricsRegistryTest, MergeAddsCountsOverwritesAnnotations) {
-  MetricsRegistry a;
-  a.AddCounter("pairs.candidates", 10);
-  a.SetGauge("time.x", 1.0);
-  a.SetInfo("exec.reduction", "full");
-  a.Observe("lat", 4);
-  MetricsRegistry b;
-  b.AddCounter("pairs.candidates", 5);
-  b.AddCounter("decisions.total", 2);
-  b.SetGauge("time.x", 2.0);
-  b.SetInfo("exec.reduction", "canopy");
-  b.Observe("lat", 9);
-  a.Merge(b);
-  EXPECT_EQ(a.counter("pairs.candidates"), 15u);
-  EXPECT_EQ(a.counter("decisions.total"), 2u);
-  EXPECT_EQ(a.gauge("time.x"), 2.0);
-  EXPECT_EQ(a.info("exec.reduction"), "canopy");
-  ASSERT_NE(a.histogram("lat"), nullptr);
-  EXPECT_EQ(a.histogram("lat")->count(), 2u);
-  EXPECT_EQ(a.histogram("lat")->sum(), 13u);
-  // Absent reads have defaults, never side effects.
-  EXPECT_EQ(a.counter("nope"), 0u);
-  EXPECT_EQ(a.histogram("nope"), nullptr);
+TEST(MetricsRegistryTest, AbsentReadsHaveDefaultsAndNoSideEffects) {
+  MetricsRegistry m;
+  EXPECT_EQ(m.counter("nope"), 0u);
+  EXPECT_EQ(m.gauge("nope"), 0.0);
+  EXPECT_EQ(m.info("nope"), "");
+  EXPECT_EQ(m.histogram("nope"), nullptr);
+  EXPECT_TRUE(m.counters().empty());
+  EXPECT_TRUE(m.gauges().empty());
+  EXPECT_TRUE(m.infos().empty());
+  EXPECT_TRUE(m.histograms().empty());
 }
 
 // --- JSON export goldens ------------------------------------------------
 
 RunTelemetry GoldenTelemetry() {
   RunTelemetry t;
-  t.metrics.AddCounter("pairs.candidates", 3);
+  t.metrics.SetCounter("pairs.candidates", 3);
   t.metrics.SetGauge("time.stage.match_seconds", 0.5);
   t.metrics.SetInfo("plan.fingerprint", "0xdeadbeef");
   LogHistogram* h = t.metrics.MutableHistogram("decisions.similarity_micros");
@@ -261,27 +243,79 @@ TEST(TelemetryExportTest, PrometheusExposition) {
       std::string::npos);
 }
 
-TEST(TelemetryExportTest, JsonRoundTripIsByteStable) {
-  std::string exported = TelemetryToJson(GoldenTelemetry());
-  Result<RunTelemetry> parsed = ParseRunTelemetryJson(exported);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->metrics, GoldenTelemetry().metrics);
-  EXPECT_EQ(parsed->root, GoldenTelemetry().root);
-  EXPECT_EQ(TelemetryToJson(*parsed), exported);
+// --- sidecar writer -----------------------------------------------------
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
-TEST(TelemetryExportTest, ParserRejectsWrongSchema) {
-  EXPECT_FALSE(ParseRunTelemetryJson("{\"schema\": \"pdd.telemetry.v0\"}")
-                   .ok());
-  EXPECT_FALSE(ParseRunTelemetryJson("{}").ok());
-  EXPECT_FALSE(ParseRunTelemetryJson("not json").ok());
+/// A fresh directory, removed with everything in it.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const char* name) : path_(name) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directory(path_);
+  }
+  ~ScratchDir() {
+    std::error_code error;
+    std::filesystem::remove_all(path_, error);
+  }
+  std::string File(const char* name) const { return path_ + "/" + name; }
+  size_t EntryCount() const {
+    return static_cast<size_t>(
+        std::distance(std::filesystem::directory_iterator(path_),
+                      std::filesystem::directory_iterator()));
+  }
+
+ private:
+  std::string path_;
+};
+
+TEST(TelemetrySidecarTest, WritesExactlyTheExportersBytes) {
+  ScratchDir dir("obs_test_sidecar_bytes");
+  const RunTelemetry telemetry = GoldenTelemetry();
+  ASSERT_TRUE(
+      WriteTelemetrySidecar(telemetry, dir.File("run.json"), "json").ok());
+  EXPECT_EQ(ReadBytes(dir.File("run.json")), TelemetryToJson(telemetry));
+  ASSERT_TRUE(
+      WriteTelemetrySidecar(telemetry, dir.File("run.prom"), "prom").ok());
+  EXPECT_EQ(ReadBytes(dir.File("run.prom")),
+            TelemetryToPrometheus(telemetry));
+  EXPECT_EQ(dir.EntryCount(), 2u);
 }
 
-TEST(JsonTest, LargeIntegersSurviveVerbatim) {
-  // uint64 counters beyond 2^53 must not round through double.
-  Result<JsonValue> doc = ParseJson("{\"v\": 18446744073709551615}");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->Find("v")->ToUint64(), UINT64_MAX);
+// A second write replaces the file instead of rewriting it: a hard
+// link taken before it keeps the old bytes.
+TEST(TelemetrySidecarTest, ReplacesTheFileRatherThanRewritingIt) {
+  ScratchDir dir("obs_test_sidecar_replace");
+  RunTelemetry telemetry = GoldenTelemetry();
+  ASSERT_TRUE(
+      WriteTelemetrySidecar(telemetry, dir.File("run.json"), "json").ok());
+  const std::string before = ReadBytes(dir.File("run.json"));
+  std::filesystem::create_hard_link(dir.File("run.json"),
+                                    dir.File("link.json"));
+  telemetry.metrics.SetCounter("pairs.candidates", 4);
+  ASSERT_TRUE(
+      WriteTelemetrySidecar(telemetry, dir.File("run.json"), "json").ok());
+  EXPECT_EQ(ReadBytes(dir.File("link.json")), before);
+  EXPECT_EQ(ReadBytes(dir.File("run.json")), TelemetryToJson(telemetry));
+  EXPECT_EQ(dir.EntryCount(), 2u);
+}
+
+// What is no regular file is refused before anything is created.
+TEST(TelemetrySidecarTest, RefusesWhatIsNotARegularFile) {
+  ScratchDir dir("obs_test_sidecar_refuse");
+  const std::string sub = dir.File("sub");
+  std::filesystem::create_directory(sub);
+  for (const std::string& path : {sub, std::string("/dev/null")}) {
+    EXPECT_EQ(WriteTelemetrySidecar(GoldenTelemetry(), path, "json").code(),
+              StatusCode::kInvalidArgument)
+        << path;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(sub));
+  EXPECT_EQ(dir.EntryCount(), 1u);
 }
 
 // --- spans --------------------------------------------------------------
@@ -373,7 +407,7 @@ TEST(RunTelemetryTest, IdentityMetricsBitIdenticalAcrossRunShapes) {
   }
 }
 
-TEST(RunTelemetryTest, StatStructsAreViewsOverTheRegistry) {
+TEST(RunTelemetryTest, RegistryIsBuiltOnceFromTheResultFields) {
   GeneratedData data = UncertainPersons(25);
   DetectorConfig config = PersonConfig();
   auto detector = DuplicateDetector::Make(config, PersonSchema());
@@ -385,19 +419,25 @@ TEST(RunTelemetryTest, StatStructsAreViewsOverTheRegistry) {
   ASSERT_NE(result->telemetry, nullptr);
   const RunTelemetry& t = *result->telemetry;
 
-  // The struct fields the executor returns ARE the view projections.
-  StageTimings timings = StageTimingsView(t);
-  EXPECT_EQ(result->stage_timings.match_seconds, timings.match_seconds);
-  EXPECT_EQ(result->stage_timings.TotalSeconds(), timings.TotalSeconds());
+  // The registry holds the stat fields the executor summed.
+  EXPECT_EQ(t.metrics.gauge(kGaugeMatchSeconds),
+            result->stage_timings.match_seconds);
+  EXPECT_EQ(t.metrics.gauge(kGaugeCacheLookupSeconds),
+            result->stage_timings.cache_lookup_seconds);
   ASSERT_TRUE(result->cache_stats.has_value());
-  std::optional<CacheRunStats> cache = CacheRunStatsView(t);
-  ASSERT_TRUE(cache.has_value());
-  EXPECT_EQ(result->cache_stats->lookups, cache->lookups);
-  EXPECT_EQ(result->cache_stats->inserts, cache->inserts);
-  StreamRunStats stream = StreamRunStatsView(t);
-  EXPECT_EQ(result->stream_stats.batches, stream.batches);
-  EXPECT_EQ(result->stream_stats.live_candidate_high_water,
-            stream.live_candidate_high_water);
+  EXPECT_EQ(t.metrics.counter(kMetricCacheAttached), 1u);
+  EXPECT_EQ(t.metrics.counter(kMetricCacheLookups),
+            result->cache_stats->lookups);
+  EXPECT_EQ(t.metrics.counter(kMetricCacheInserts),
+            result->cache_stats->inserts);
+  EXPECT_EQ(t.metrics.counter(kMetricStreamBatches),
+            result->stream_stats.batches);
+  EXPECT_EQ(t.metrics.counter(kMetricStreamHighWater),
+            result->stream_stats.live_candidate_high_water);
+  // The matcher fuses the combination into match: no combine stage.
+  EXPECT_EQ(t.metrics.gauges().count("time.stage.combine_seconds"), 0u);
+  EXPECT_EQ(t.root.Find("drain/stage.combine"), nullptr);
+  EXPECT_NE(t.root.Find("drain/stage.match"), nullptr);
 
   // And the registry agrees with the result's own counts.
   EXPECT_EQ(t.metrics.counter(kMetricCandidatePairs),
@@ -425,8 +465,9 @@ TEST(RunTelemetryTest, HandAssembledResultsBridgeThroughTelemetryFromResult) {
   EXPECT_EQ(t.metrics.counter(kMetricMatches), 1u);
   EXPECT_EQ(t.metrics.counter(kMetricUnmatches), 1u);
   EXPECT_EQ(t.metrics.info(kInfoTimings), "disabled");
-  // No cache attached -> no cache view.
-  EXPECT_FALSE(CacheRunStatsView(t).has_value());
+  // No cache attached -> no cache counters.
+  EXPECT_EQ(t.metrics.counters().count(kMetricCacheAttached), 0u);
+  EXPECT_EQ(t.metrics.counters().count(kMetricCacheLookups), 0u);
 }
 
 // --- stats report rendering ---------------------------------------------
@@ -448,8 +489,10 @@ TEST(ExecutionStatsReportTest, DisabledTimingsRenderDisabledNotZeroRows) {
   detector->set_collect_stage_timings(true);
   auto timed = detector->Run(data.relation);
   ASSERT_TRUE(timed.ok());
-  EXPECT_EQ(ExecutionStatsReport(*timed).find("(disabled)"),
-            std::string::npos);
+  const std::string timed_report = ExecutionStatsReport(*timed);
+  EXPECT_EQ(timed_report.find("(disabled)"), std::string::npos);
+  // The matcher fuses the combination into match: no combine row.
+  EXPECT_EQ(timed_report.find("| combine |"), std::string::npos);
 }
 
 TEST(ExecutionStatsReportTest, StreamDiagnosticsRenderFromRegistry) {

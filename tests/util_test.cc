@@ -2,6 +2,7 @@
 // atomic file replacement, deterministic RNG and the table printer.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -433,6 +434,16 @@ TEST(WriteFileAtomicallyTest, RefusesWhatIsNotARegularFileBeforeCreating) {
   EXPECT_TRUE(std::filesystem::is_empty(sub));
   EXPECT_EQ(WriteFileAtomically("/dev/null", "x").code(),
             StatusCode::kInvalidArgument);
+  // A pipe behind /proc/self/fd, as /dev/stdout names one when output
+  // is piped: the link's text ("pipe:[...]") names no path.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::string piped = "/proc/self/fd/" + std::to_string(fds[1]);
+  EXPECT_EQ(WriteFileAtomically(piped, "x").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckOutputPath(piped).code(), StatusCode::kInvalidArgument);
+  ::close(fds[0]);
+  ::close(fds[1]);
   EXPECT_EQ(WriteFileAtomically(dir.File("missing/file"), "x").code(),
             StatusCode::kInternal);
   // A link to a directory, and a cycle of links, are refused too.
@@ -447,6 +458,24 @@ TEST(WriteFileAtomicallyTest, RefusesWhatIsNotARegularFileBeforeCreating) {
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(std::filesystem::is_empty(sub));
   EXPECT_EQ(dir.EntryCount(), 4u);
+}
+
+// The tools check their output paths before the run: what a write
+// would refuse, and a file in a missing directory, which a write would
+// fail on.
+TEST(CheckOutputPathTest, RefusesWhatAWriteWouldRefuseOrFailOn) {
+  ScratchDir dir("util_test_output_path");
+  EXPECT_TRUE(CheckOutputPath(dir.File("new")).ok());
+  ASSERT_TRUE(WriteFileAtomically(dir.File("old"), "x").ok());
+  EXPECT_TRUE(CheckOutputPath(dir.File("old")).ok());
+  std::filesystem::create_symlink("missing/file", dir.File("dangling"));
+  for (const std::string& path :
+       {dir.File("missing/file"), dir.File("dangling"),
+        dir.File("old/file"), std::string(".."), std::string("/dev/null")}) {
+    EXPECT_EQ(CheckOutputPath(path).code(), StatusCode::kInvalidArgument)
+        << path;
+  }
+  EXPECT_EQ(dir.EntryCount(), 2u);
 }
 
 // A link is written through: the file it names is replaced beside

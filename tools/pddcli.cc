@@ -23,9 +23,16 @@
 //                                               run detection and compile
 //                                               the result into a
 //                                               pdd.index.v1 serving
-//                                               index (same plan/executor
-//                                               options as detect; see
-//                                               README "Decision index")
+//                                               index; options as for
+//                                               `pddquery build`: --plan
+//                                               FILE, --set key=value
+//                                               (reaches every plan key,
+//                                               e.g. --set reduction=
+//                                               canopy), --workers N,
+//                                               --batch N, --metrics FILE
+//                                               [--metrics-format
+//                                               json|prom] (see README
+//                                               "Decision index")
 //   pddcli index-query <pair|cluster|members|inspect|verify|bench> ...
 //                                               query/inspect/verify an
 //                                               index file (same surface
@@ -65,7 +72,9 @@
 //                                  capacity + 1 lines; the report stays
 //                                  byte-identical between warm and cold
 //                                  runs; an older build's torn final
-//                                  line is dropped)
+//                                  line is dropped; a PATH that is no
+//                                  regular file or lies in a missing
+//                                  directory exits 1 before the run)
 //   --cache-stats                  print the execution statistics
 //                                  (per-stage wall times, cache hits,
 //                                  torn cache-file bytes dropped) to
@@ -80,8 +89,14 @@
 //   --metrics FILE                 write the run's telemetry sidecar
 //                                  (schema pdd.telemetry.v1: counters,
 //                                  gauges, histograms, info, span tree)
-//                                  to FILE after the run; stdout stays
-//                                  byte-identical
+//                                  to FILE after the run, replacing it
+//                                  atomically (a link is written
+//                                  through); stdout stays
+//                                  byte-identical. A FILE that is no
+//                                  regular file (a directory, a FIFO),
+//                                  is where stdout or stderr goes
+//                                  (/dev/stdout) or lies in a missing
+//                                  directory exits 1 before the run
 //   --metrics-format json|prom     sidecar format (default json;
 //                                  prom = Prometheus text exposition)
 //   --csv                          emit per-pair CSV instead of the report
@@ -116,6 +131,7 @@
 #include "plan/registry.h"
 #include "plan/translate.h"
 #include "prep/standardizer.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 #include "verify/gold_io.h"
 #include "verify/similarity_histogram.h"
@@ -251,6 +267,8 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
     } else if (arg == "--cache-file") {
       const char* v = next();
       if (v == nullptr) return Fail("--cache-file needs a path");
+      Status usable = CheckOutputPath(v);
+      if (!usable.ok()) return Fail(usable.ToString());
       cache_file = v;
     } else if (arg == "--cache-stats") {
       cache_stats = true;
@@ -259,6 +277,8 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
     } else if (arg == "--metrics") {
       const char* v = next();
       if (v == nullptr) return Fail("--metrics needs a file");
+      Status usable = CheckOutputPath(v);
+      if (!usable.ok()) return Fail(usable.ToString());
       metrics_file = v;
     } else if (arg == "--metrics-format") {
       const char* v = next();
@@ -339,9 +359,7 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
     // stderr blocks and the sidecar are all renderings of this
     // registry. Stderr only (stdout stays byte-identical across warm/
     // cold, streamed/materialized and serial/pooled runs).
-    RunTelemetry telemetry = result->telemetry != nullptr
-                                 ? *result->telemetry
-                                 : TelemetryFromResult(*result);
+    RunTelemetry telemetry = *result->telemetry;
     if (cache != nullptr) {
       AddCacheLifetimeStats(cache->Stats(), &telemetry.metrics);
     }
@@ -354,11 +372,9 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
     if (cache_stats) std::cerr << RenderExecutionStats(telemetry);
     if (stream_candidates) std::cerr << RenderStreamDiagnostics(telemetry);
     if (!metrics_file.empty()) {
-      std::ofstream out(metrics_file);
-      if (!out) return Fail("cannot write '" + metrics_file + "'");
-      out << (metrics_format == "prom" ? TelemetryToPrometheus(telemetry)
-                                       : TelemetryToJson(telemetry));
-      if (!out.good()) return Fail("error writing '" + metrics_file + "'");
+      Status written =
+          WriteTelemetrySidecar(telemetry, metrics_file, metrics_format);
+      if (!written.ok()) return Fail(written.ToString());
     }
   }
   const GoldStandard* gold_ptr = gold.has_value() ? &*gold : nullptr;

@@ -7,11 +7,13 @@
 //
 // Usage:
 //   pddquery build   <relation.pxr> <out.pddindex> [options]
-//                    run detection, compile the report into an index
-//                    (plan/executor options match `pddcli detect`:
-//                    --plan FILE, --set key=value, --workers N,
-//                    --batch N, plus
-//                    --metrics FILE [--metrics-format json|prom])
+//                    run detection, compile the report into an index;
+//                    options: --plan FILE, --set key=value (reaches
+//                    every plan key), --workers N, --batch N,
+//                    --metrics FILE [--metrics-format json|prom]. An
+//                    <out.pddindex> or --metrics FILE that is no
+//                    regular file, is where stdout or stderr goes or
+//                    lies in a missing directory exits 1 before the run
 //   pddquery pair    <index> <id1> <id2>
 //                    the run's decision for one pair, printed exactly
 //                    like a report --csv row (`id1,id2,sim,class`); a

@@ -57,6 +57,12 @@
 //                        the exec.ingest.* family and the
 //                        time.ingest.admit_to_decide_micros histogram)
 //   --metrics-format json|prom   sidecar format (default json)
+//
+// Every output file is replaced atomically (a link is written
+// through). A --cache-file, --index, --dump-relation or --metrics path
+// that is no regular file (a directory, /dev/null, a FIFO), is where
+// stdout or stderr goes (/dev/stdout) or lies in a missing directory
+// exits 1 before serving starts.
 
 #include <algorithm>
 #include <atomic>
@@ -83,6 +89,7 @@
 #include "plan/plan_spec.h"
 #include "plan/translate.h"
 #include "prep/standardizer.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace {
@@ -306,6 +313,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-file") {
       const char* v = next();
       if (v == nullptr) return Fail("--cache-file needs a path");
+      Status usable = CheckOutputPath(v);
+      if (!usable.ok()) return Fail(usable.ToString());
       cache_file = v;
     } else if (arg == "--snapshot-every") {
       const char* v = next();
@@ -317,6 +326,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--index") {
       const char* v = next();
       if (v == nullptr) return Fail("--index needs a file");
+      Status usable = CheckOutputPath(v);
+      if (!usable.ok()) return Fail(usable.ToString());
       index_file = v;
     } else if (arg == "--index-every") {
       const char* v = next();
@@ -328,10 +339,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--dump-relation") {
       const char* v = next();
       if (v == nullptr) return Fail("--dump-relation needs a file");
+      Status usable = CheckOutputPath(v);
+      if (!usable.ok()) return Fail(usable.ToString());
       dump_relation = v;
     } else if (arg == "--metrics") {
       const char* v = next();
       if (v == nullptr) return Fail("--metrics needs a file");
+      Status usable = CheckOutputPath(v);
+      if (!usable.ok()) return Fail(usable.ToString());
       metrics_file = v;
     } else if (arg == "--metrics-format") {
       const char* v = next();
@@ -483,10 +498,9 @@ int main(int argc, char** argv) {
   if (!final_result.ok()) return Fail(final_result.status().ToString());
 
   if (!dump_relation.empty()) {
-    std::ofstream out(dump_relation);
-    if (!out) return Fail("cannot write '" + dump_relation + "'");
-    out << SerializeXRelation((*session)->CanonicalRelation());
-    if (!out.good()) return Fail("error writing '" + dump_relation + "'");
+    Status dumped = WriteFileAtomically(
+        dump_relation, SerializeXRelation((*session)->CanonicalRelation()));
+    if (!dumped.ok()) return Fail(dumped.ToString());
   }
   if (!cache_file.empty()) {
     Status saved = cache->SaveSnapshot(cache_file);
@@ -501,9 +515,7 @@ int main(int argc, char** argv) {
   }
 
   if (stats || !metrics_file.empty()) {
-    RunTelemetry telemetry = final_result->telemetry != nullptr
-                                 ? *final_result->telemetry
-                                 : TelemetryFromResult(*final_result);
+    RunTelemetry telemetry = *final_result->telemetry;
     (*session)->AddIngestStats(&telemetry.metrics);
     telemetry.metrics.SetCounter(kMetricIngestCacheSnapshots, snapshot_count);
     telemetry.metrics.SetCounter(kMetricIngestIndexBuilds, index_build_count);
@@ -514,11 +526,9 @@ int main(int argc, char** argv) {
     AddCacheLifetimeStats(cache->Stats(), &telemetry.metrics);
     if (stats) std::cerr << RenderExecutionStats(telemetry);
     if (!metrics_file.empty()) {
-      std::ofstream out(metrics_file);
-      if (!out) return Fail("cannot write '" + metrics_file + "'");
-      out << (metrics_format == "prom" ? TelemetryToPrometheus(telemetry)
-                                       : TelemetryToJson(telemetry));
-      if (!out.good()) return Fail("error writing '" + metrics_file + "'");
+      Status written =
+          WriteTelemetrySidecar(telemetry, metrics_file, metrics_format);
+      if (!written.ok()) return Fail(written.ToString());
     }
   }
 
