@@ -53,7 +53,7 @@ std::shared_ptr<const DetectionPlan> CompilePlan(size_t window) {
 /// the clock reads don't bill the hit path.
 double MeasureRate(const std::shared_ptr<const DetectionPlan>& plan,
                    const XRelation& rel,
-                   const std::shared_ptr<DecisionCache>& cache,
+                   const std::shared_ptr<ShardedDecisionCache>& cache,
                    DetectionResult* out) {
   using BenchClock = std::chrono::steady_clock;
   Result<std::unique_ptr<CandidateStream>> stream =

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+
+#include "util/file_util.h"
 
 namespace pdd {
 
@@ -622,13 +623,8 @@ Status ParseLintAllowlist(std::string_view text, LintOptions* options) {
 }
 
 Status LoadLintAllowlist(const std::string& path, LintOptions* options) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open allowlist '" + path + "'");
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ParseLintAllowlist(buffer.str(), options);
+  PDD_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
+  return ParseLintAllowlist(text, options);
 }
 
 std::vector<LintFinding> LintSource(std::string_view rel_path,
@@ -666,17 +662,12 @@ Result<std::vector<LintFinding>> LintTree(const std::string& root,
       if (extension != ".h" && extension != ".cc" && extension != ".cpp") {
         continue;
       }
-      std::ifstream in(entry.path());
-      if (!in) {
-        return Status::Internal("cannot read '" + entry.path().string() +
-                                "'");
-      }
-      std::stringstream buffer;
-      buffer << in.rdbuf();
+      PDD_ASSIGN_OR_RETURN(std::string text,
+                           ReadFileToString(entry.path().string()));
       std::string rel_path =
           fs::relative(entry.path(), base).generic_string();
       std::vector<LintFinding> file_findings =
-          LintSource(rel_path, buffer.str(), options);
+          LintSource(rel_path, text, options);
       findings.insert(findings.end(),
                       std::make_move_iterator(file_findings.begin()),
                       std::make_move_iterator(file_findings.end()));

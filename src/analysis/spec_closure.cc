@@ -1,8 +1,6 @@
 #include "analysis/spec_closure.h"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "core/config.h"
 #include "plan/param_map.h"
@@ -10,6 +8,7 @@
 #include "plan/registry.h"
 #include "plan/translate.h"
 #include "prep/standardizer.h"
+#include "util/file_util.h"
 
 namespace pdd {
 
@@ -86,16 +85,6 @@ void ScanReadKeys(std::string_view content, std::set<std::string>* keys) {
   }
 }
 
-Result<std::string> ReadFileText(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path.string() + "'");
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 }  // namespace
 
 const std::set<std::string>& FingerprintIrrelevantSpecKeys() {
@@ -116,8 +105,9 @@ Result<SpecClosureReport> CheckSpecClosure(const std::string& source_root) {
       "src/plan/registry.cc",
   };
   for (std::string_view rel : kReaderFiles) {
-    PDD_ASSIGN_OR_RETURN(std::string text,
-                         ReadFileText(fs::path(source_root) / rel));
+    PDD_ASSIGN_OR_RETURN(
+        std::string text,
+        ReadFileToString((fs::path(source_root) / rel).string()));
     ScanReadKeys(text, &report.read_keys);
   }
   if (report.read_keys.empty()) {

@@ -1,4 +1,4 @@
-// DecisionCache: memoization of per-pair detection decisions, the
+// The decision cache: memoization of per-pair detection decisions, the
 // ROADMAP's result-caching subsystem. Entries are keyed by
 // (plan decision fingerprint, pair content digest):
 //
@@ -10,14 +10,15 @@
 //   * the digest (cache/pair_digest.h) pins the pair's content, so
 //     preparation variants and id renames are handled by construction.
 //
-// ShardedDecisionCache is the concurrent in-memory implementation:
-// N lock stripes, each an independently locked CLOCK store with a
-// per-stripe capacity slice, sized for many executor workers hammering
-// lookups/inserts concurrently. A stripe keeps its entries in one
-// array that the CLOCK hand sweeps, plus an open-addressing index into
-// that array, so a hit relinks nothing and an insert allocates nothing
-// beyond the amortized doubling of the two arrays. Hit/miss/insert/
-// evict counters are kept per stripe and aggregated by Stats().
+// ShardedDecisionCache is the concurrent in-memory store the
+// StageExecutor consults: N lock stripes, each an independently locked
+// CLOCK store with a per-stripe capacity slice, sized for many executor
+// workers hammering lookups/inserts concurrently. A stripe keeps its
+// entries in one array that the CLOCK hand sweeps, plus an
+// open-addressing index into that array, so a hit relinks nothing and
+// an insert allocates nothing beyond the amortized doubling of the two
+// arrays. Hit/miss/insert/evict counters are kept per stripe and
+// aggregated by Stats().
 //
 // The optional disk snapshot (Save/LoadSnapshot) is a text file so
 // repeated sweeps and CLI invocations warm-start across processes: a
@@ -86,29 +87,6 @@ struct DecisionCacheStats {
   std::string ToString() const;
 };
 
-/// The memoization interface the StageExecutor consults. All methods
-/// must be safe to call from multiple threads concurrently.
-class DecisionCache {
- public:
-  virtual ~DecisionCache() = default;
-
-  /// The entry for `key`, or nullopt on miss. Counts a hit or miss.
-  virtual std::optional<CachedPairDecision> Lookup(
-      const PairDecisionKey& key) = 0;
-
-  /// Inserts (or refreshes) `key`. Inserting a resident key updates
-  /// its value and marks it recently used without counting an insert
-  /// or an eviction.
-  virtual void Insert(const PairDecisionKey& key,
-                      const CachedPairDecision& decision) = 0;
-
-  /// Aggregated lifetime counters.
-  virtual DecisionCacheStats Stats() const = 0;
-
-  /// Drops every entry (counters are kept).
-  virtual void Clear() = 0;
-};
-
 struct ShardedDecisionCacheOptions {
   /// Total entry bound across all shards. Divided exactly: every shard
   /// gets capacity/shards entries and the remainder is distributed one
@@ -125,8 +103,9 @@ struct ShardedDecisionCacheOptions {
   size_t shards = 16;
 };
 
-/// Lock-striped CLOCK cache. Shard choice is a mix of the key hash, so
-/// both halves of the key spread entries evenly.
+/// Lock-striped CLOCK cache. Every method is safe to call from many
+/// threads at once. Shard choice is a mix of the key hash, so both
+/// halves of the key spread entries evenly.
 ///
 /// Eviction policy, per stripe: a hit, or re-inserting a resident key,
 /// sets the entry's referenced bit. A new key is appended while the
@@ -141,16 +120,23 @@ struct ShardedDecisionCacheOptions {
 /// constructor allocates only the stripes, so a large capacity costs
 /// nothing until it is filled. A full stripe holds 48–64 bytes per
 /// resident entry.
-class ShardedDecisionCache : public DecisionCache {
+class ShardedDecisionCache {
  public:
   explicit ShardedDecisionCache(ShardedDecisionCacheOptions options = {});
 
-  std::optional<CachedPairDecision> Lookup(
-      const PairDecisionKey& key) override;
-  void Insert(const PairDecisionKey& key,
-              const CachedPairDecision& decision) override;
-  DecisionCacheStats Stats() const override;
-  void Clear() override;
+  /// The entry for `key`, or nullopt on miss. Counts a hit or miss.
+  std::optional<CachedPairDecision> Lookup(const PairDecisionKey& key);
+
+  /// Inserts (or refreshes) `key`. Inserting a resident key updates
+  /// its value and marks it recently used without counting an insert
+  /// or an eviction.
+  void Insert(const PairDecisionKey& key, const CachedPairDecision& decision);
+
+  /// Aggregated lifetime counters.
+  DecisionCacheStats Stats() const;
+
+  /// Drops every entry (counters are kept).
+  void Clear();
 
   /// Entries currently resident (sums shard sizes). Always <=
   /// TotalCapacity().

@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <string>
+
 #include "reduction/pruning.h"
 
 namespace pdd {
@@ -81,6 +83,10 @@ Status DetectorConfig::Validate() const {
   }
   if (batch_size == 0) {
     return Status::InvalidArgument("batch_size must be positive");
+  }
+  if (workers > kMaxWorkers) {
+    return Status::InvalidArgument("workers must be at most " +
+                                   std::to_string(kMaxWorkers));
   }
   if (prune_threshold < 0.0 || prune_threshold > 1.0) {
     return Status::InvalidArgument("prune_threshold must be in [0, 1]");

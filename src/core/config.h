@@ -72,6 +72,12 @@ enum class DerivationKind {
 /// Stable name of a derivation kind.
 const char* DerivationKindName(DerivationKind kind);
 
+/// Most worker threads one executor starts. A larger worker count is
+/// InvalidArgument (DetectorConfig::Validate, StageExecutor::Execute)
+/// before any thread starts, so the operating system never gets to
+/// refuse a thread halfway through a pool.
+inline constexpr size_t kMaxWorkers = 1024;
+
 /// Full pipeline configuration. Defaults reproduce the paper's running
 /// setup: key = name[3] + job[2], weighted sum φ with (0.8, 0.2),
 /// expected-similarity derivation, thresholds Tλ=0.4, Tμ=0.7.
@@ -141,14 +147,16 @@ struct DetectorConfig {
 
   /// Stage executor tuning: candidates per batch handed to the stage
   /// pipeline, and worker threads deciding batches (0 or 1 = serial on
-  /// the calling thread). Results are identical for any worker count.
+  /// the calling thread; at most kMaxWorkers). Results are identical
+  /// for any worker count.
   size_t batch_size = 256;
   size_t workers = 0;
 
   /// Basic sanity validation (window, thresholds, weight count, a
-  /// canopy plan's tight threshold at most its loose one, pruning
-  /// soundness: `prune_threshold` must lie in [0, 1] and `prune`
-  /// requires every named comparator to be max-length-normalized).
+  /// canopy plan's tight threshold at most its loose one, a positive
+  /// batch size, at most kMaxWorkers workers, pruning soundness:
+  /// `prune_threshold` must lie in [0, 1] and `prune` requires every
+  /// named comparator to be max-length-normalized).
   Status Validate() const;
 
   // --- declarative form (src/plan/) ---------------------------------

@@ -89,10 +89,10 @@ class DuplicateDetector {
   /// via ShardedDecisionCache snapshots — across processes. Pass
   /// nullptr to detach. Copies of the detector share the handle made
   /// at copy time.
-  void set_cache(std::shared_ptr<DecisionCache> cache) {
+  void set_cache(std::shared_ptr<ShardedDecisionCache> cache) {
     cache_ = std::move(cache);
   }
-  const std::shared_ptr<DecisionCache>& cache() const { return cache_; }
+  const std::shared_ptr<ShardedDecisionCache>& cache() const { return cache_; }
 
   /// Opt into per-stage wall-time accumulation on subsequent Run*
   /// results (DetectionResult::stage_timings; rendered by
@@ -119,7 +119,7 @@ class DuplicateDetector {
   StageExecutor MakeExecutor() const;
 
   std::shared_ptr<const DetectionPlan> plan_;
-  std::shared_ptr<DecisionCache> cache_;
+  std::shared_ptr<ShardedDecisionCache> cache_;
   bool collect_stage_timings_ = false;
 };
 

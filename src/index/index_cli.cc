@@ -1,13 +1,12 @@
 #include "index/index_cli.h"
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <utility>
 
 #include "core/detector.h"
 #include "core/entity_clusters.h"
+#include "core/tool_args.h"
 #include "index/decision_index.h"
 #include "index/index_builder.h"
 #include "obs/export.h"
@@ -15,7 +14,6 @@
 #include "pdb/text_format.h"
 #include "pipeline/detection_plan.h"
 #include "plan/plan_spec.h"
-#include "plan/translate.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
 
@@ -28,120 +26,16 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Result<XRelation> LoadRelation(const std::string& path) {
-  PDD_ASSIGN_OR_RETURN(std::string text, ReadWholeFile(path));
-  return ParseXRelation(text);
-}
-
-/// Plan/executor flags shared by `build` and `verify`: the subset of
-/// `pddcli detect` that affects which plan runs (--plan/--set) plus
-/// the executor knobs that never change the report (--workers,
-/// --batch) and the telemetry sidecar flags.
-struct PlanArgs {
-  DetectorConfig config;
-  std::string metrics_file;
-  std::string metrics_format = "json";
-  /// Positional (non-flag) operands, in order.
-  std::vector<std::string> positional;
-};
-
-Result<PlanArgs> ParsePlanArgs(const std::vector<std::string>& args) {
-  PlanArgs out;
-  // Every flag of this surface takes exactly one value, so the
-  // positional scan skips `--flag value` as a unit.
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (!args[i].empty() && args[i][0] == '-') {
-      ++i;
-    } else {
-      out.positional.push_back(args[i]);
-    }
-  }
-  if (out.positional.empty()) {
-    return Status::InvalidArgument("missing relation file operand");
-  }
-  PDD_ASSIGN_OR_RETURN(XRelation rel, LoadRelation(out.positional[0]));
-  // Default key mirrors `pddcli detect`: first two attributes,
-  // prefixes 3 and 2, uniform weights.
-  out.config.key.clear();
-  out.config.key.emplace_back(rel.schema().attribute(0).name, 3);
-  if (rel.schema().arity() > 1) {
-    out.config.key.emplace_back(rel.schema().attribute(1).name, 2);
-  }
-  out.config.weights.assign(
-      rel.schema().arity(), 1.0 / static_cast<double>(rel.schema().arity()));
-  // --plan applies before any other flag, wherever it appears.
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--plan") {
-      if (i + 1 >= args.size()) {
-        return Status::InvalidArgument("--plan needs a file");
-      }
-      PDD_ASSIGN_OR_RETURN(std::string text, ReadWholeFile(args[i + 1]));
-      PDD_ASSIGN_OR_RETURN(PlanSpec spec, PlanSpec::Parse(text));
-      PDD_ASSIGN_OR_RETURN(
-          out.config, DetectorConfig::FromSpec(spec, std::move(out.config)));
-    }
-  }
-  PlanSpec overrides;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto next = [&]() -> const std::string* {
-      return i + 1 < args.size() ? &args[++i] : nullptr;
-    };
-    if (arg[0] != '-') continue;
-    if (arg == "--plan") {
-      ++i;  // applied above
-    } else if (arg == "--set") {
-      const std::string* v = next();
-      if (v == nullptr) return Status::InvalidArgument("--set needs key=value");
-      PDD_RETURN_IF_ERROR(overrides.SetAssignment(*v));
-    } else if (arg == "--workers") {
-      const std::string* v = next();
-      if (v == nullptr || !ParseSize(*v, &out.config.workers)) {
-        return Status::InvalidArgument(
-            "--workers needs a non-negative integer");
-      }
-    } else if (arg == "--batch") {
-      const std::string* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
-        return Status::InvalidArgument("--batch needs a positive integer");
-      }
-      out.config.batch_size = n;
-    } else if (arg == "--metrics") {
-      const std::string* v = next();
-      if (v == nullptr) return Status::InvalidArgument("--metrics needs a file");
-      PDD_RETURN_IF_ERROR(CheckOutputPath(*v));
-      out.metrics_file = *v;
-    } else if (arg == "--metrics-format") {
-      const std::string* v = next();
-      if (v == nullptr || (*v != "json" && *v != "prom")) {
-        return Status::InvalidArgument("--metrics-format needs json or prom");
-      }
-      out.metrics_format = *v;
-    } else {
-      return Status::InvalidArgument("unknown option '" + arg + "'");
-    }
-  }
-  if (!overrides.params().empty()) {
-    PDD_ASSIGN_OR_RETURN(
-        out.config, DetectorConfig::FromSpec(overrides, std::move(out.config)));
-  }
-  return out;
-}
-
-Result<DetectionResult> RunPipeline(const PlanArgs& plan,
-                                    const XRelation& rel) {
-  PDD_ASSIGN_OR_RETURN(DuplicateDetector detector,
-                       DuplicateDetector::Make(plan.config, rel.schema()));
-  return detector.Run(rel);
+/// The index's shape metrics (`exec.index.*`); the build time stays 0
+/// and unrendered.
+void AddIndexShapeMetrics(const DecisionIndex& index,
+                          MetricsRegistry* metrics) {
+  IndexBuildStats shape;
+  shape.record_count = index.record_count();
+  shape.pair_count = index.pair_count();
+  shape.cluster_count = index.cluster_count();
+  shape.bytes = index.bytes();
+  AddIndexBuildMetrics(shape, metrics);
 }
 
 /// The report's --csv row format, so indexed answers diff cleanly
@@ -230,24 +124,28 @@ int CmdVerify(const std::vector<std::string>& args) {
   if (args.empty()) {
     return Fail("verify needs <index> <relation.pxr> [plan flags]");
   }
-  const std::string index_path = args[0];
-  Result<DecisionIndex> index = OpenIndex(index_path);
+  Result<DecisionIndex> index = OpenIndex(args[0]);
   if (!index.ok()) return Fail(index.status().ToString());
-  Result<PlanArgs> plan =
-      ParsePlanArgs({args.begin() + 1, args.end()});
-  if (!plan.ok()) return Fail(plan.status().ToString());
-  Result<XRelation> rel = LoadRelation(plan->positional[0]);
+  Result<ToolArgs> flags =
+      ParseToolArgs({args.begin() + 1, args.end()}, kPlanFlags | kSidecarFlags);
+  if (!flags.ok()) return Fail(flags.status().ToString());
+  if (flags->positional.size() != 1) {
+    return Fail("verify needs <index> <relation.pxr> [plan flags]");
+  }
+  Result<XRelation> rel = LoadXRelation(flags->positional[0]);
   if (!rel.ok()) return Fail(rel.status().ToString());
+  Result<DetectorConfig> config = ResolveConfig(*flags, rel->schema());
+  if (!config.ok()) return Fail(config.status().ToString());
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(*config, rel->schema());
+  if (!detector.ok()) return Fail(detector.status().ToString());
   // Fast structural staleness check before paying for a pipeline run:
   // the plan fingerprint alone rejects an index built under another
   // plan.
-  Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(plan->config, rel->schema());
-  if (!detector.ok()) return Fail(detector.status().ToString());
   Status fresh_plan =
       index->VerifyPlanFingerprint(detector->plan().fingerprint());
   if (!fresh_plan.ok()) return Fail(fresh_plan.ToString());
-  Result<DetectionResult> result = RunPipeline(*plan, *rel);
+  Result<DetectionResult> result = detector->Run(*rel);
   if (!result.ok()) return Fail(result.status().ToString());
   Status fresh_source = index->VerifySourceDigest(result->ContentDigest());
   if (!fresh_source.ok()) return Fail(fresh_source.ToString());
@@ -286,6 +184,12 @@ int CmdVerify(const std::vector<std::string>& args) {
       }
     }
   }
+  // The fresh run's telemetry with the verified index's shape, as
+  // `bench` reports it.
+  RunTelemetry telemetry = *result->telemetry;
+  AddIndexShapeMetrics(*index, &telemetry.metrics);
+  Status sidecar = WriteSidecar(*flags, telemetry);
+  if (!sidecar.ok()) return Fail(sidecar.ToString());
   std::cout << "index verify: OK — " << result->decisions.size()
             << " pair answers and " << index->cluster_count()
             << " clusters byte-identical to the fresh run (plan "
@@ -300,40 +204,13 @@ int CmdBench(const std::vector<std::string>& args) {
   const DecisionIndex& index = *opened;
   size_t point_target = 2'000'000;
   size_t membership_target = 2'000'000;
-  std::string metrics_file;
-  std::string metrics_format = "json";
-  for (size_t i = 1; i < args.size(); ++i) {
-    auto next = [&]() -> const std::string* {
-      return i + 1 < args.size() ? &args[++i] : nullptr;
-    };
-    size_t n = 0;
-    if (args[i] == "--point") {
-      const std::string* v = next();
-      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
-        return Fail("--point needs a positive integer");
-      }
-      point_target = n;
-    } else if (args[i] == "--membership") {
-      const std::string* v = next();
-      if (v == nullptr || !ParseSize(*v, &n) || n < 1) {
-        return Fail("--membership needs a positive integer");
-      }
-      membership_target = n;
-    } else if (args[i] == "--metrics") {
-      const std::string* v = next();
-      if (v == nullptr) return Fail("--metrics needs a file");
-      Status usable = CheckOutputPath(*v);
-      if (!usable.ok()) return Fail(usable.ToString());
-      metrics_file = *v;
-    } else if (args[i] == "--metrics-format") {
-      const std::string* v = next();
-      if (v == nullptr || (*v != "json" && *v != "prom")) {
-        return Fail("--metrics-format needs json or prom");
-      }
-      metrics_format = *v;
-    } else {
-      return Fail("unknown option '" + args[i] + "'");
-    }
+  Result<ToolArgs> flags = ParseToolArgs(
+      {args.begin() + 1, args.end()}, kSidecarFlags,
+      {CountFlag("--point", &point_target),
+       CountFlag("--membership", &membership_target)});
+  if (!flags.ok()) return Fail(flags.status().ToString());
+  if (!flags->positional.empty()) {
+    return Fail("unknown option '" + flags->positional[0] + "'");
   }
   // The query load is every decided pair (in index order) repeated to
   // the target — deterministic, no RNG, covers every run and width.
@@ -351,13 +228,7 @@ int CmdBench(const std::vector<std::string>& args) {
   }
   RunTelemetry telemetry;
   telemetry.root.name = "index.bench";
-  IndexBuildStats shape;
-  shape.record_count = index.record_count();
-  shape.pair_count = index.pair_count();
-  shape.cluster_count = index.cluster_count();
-  shape.bytes = index.bytes();
-  // Build time is unknown here; the zero gauge stays unrendered.
-  AddIndexBuildMetrics(shape, &telemetry.metrics);
+  AddIndexShapeMetrics(index, &telemetry.metrics);
   uint64_t checksum = 0;
   if (!pairs.empty()) {
     size_t done = 0;
@@ -405,44 +276,44 @@ int CmdBench(const std::vector<std::string>& args) {
   std::cout << RenderIndexStats(telemetry);
   // The checksum keeps the query loops observable (and honest).
   std::cout << "  checksum: " << checksum << "\n";
-  if (!metrics_file.empty()) {
-    Status written =
-        WriteTelemetrySidecar(telemetry, metrics_file, metrics_format);
-    if (!written.ok()) return Fail(written.ToString());
-  }
+  Status written = WriteSidecar(*flags, telemetry);
+  if (!written.ok()) return Fail(written.ToString());
   return 0;
 }
 
 }  // namespace
 
 int RunIndexBuild(const std::vector<std::string>& args) {
-  Result<PlanArgs> plan = ParsePlanArgs(args);
-  if (!plan.ok()) return Fail(plan.status().ToString());
-  if (plan->positional.size() != 2) {
+  Result<ToolArgs> flags = ParseToolArgs(args, kPlanFlags | kSidecarFlags);
+  if (!flags.ok()) return Fail(flags.status().ToString());
+  if (flags->positional.size() != 2) {
     return Fail("build needs <relation.pxr> <out.pddindex>");
   }
-  Status usable = CheckOutputPath(plan->positional[1]);
+  const std::string& image_path = flags->positional[1];
+  Status usable = CheckOutputPath(image_path);
   if (!usable.ok()) return Fail(usable.ToString());
-  Result<XRelation> rel = LoadRelation(plan->positional[0]);
+  Result<XRelation> rel = LoadXRelation(flags->positional[0]);
   if (!rel.ok()) return Fail(rel.status().ToString());
-  Result<DetectionResult> result = RunPipeline(*plan, *rel);
+  Result<DetectorConfig> config = ResolveConfig(*flags, rel->schema());
+  if (!config.ok()) return Fail(config.status().ToString());
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(*config, rel->schema());
+  if (!detector.ok()) return Fail(detector.status().ToString());
+  Result<DetectionResult> result = detector->Run(*rel);
   if (!result.ok()) return Fail(result.status().ToString());
   IndexBuildStats stats;
   Result<std::string> image = BuildDecisionIndexImage(*rel, *result, &stats);
   if (!image.ok()) return Fail(image.status().ToString());
-  Status written = WriteDecisionIndexFile(plan->positional[1], *image);
+  Status written = WriteDecisionIndexFile(image_path, *image);
   if (!written.ok()) return Fail(written.ToString());
   RunTelemetry telemetry = *result->telemetry;
   AddIndexBuildMetrics(stats, &telemetry.metrics);
-  std::cout << "index: wrote " << plan->positional[1] << " (plan "
+  std::cout << "index: wrote " << image_path << " (plan "
             << FingerprintHex(result->plan_fingerprint) << ", source digest "
             << FingerprintHex(result->ContentDigest()) << ")\n"
             << RenderIndexStats(telemetry);
-  if (!plan->metrics_file.empty()) {
-    Status sidecar = WriteTelemetrySidecar(telemetry, plan->metrics_file,
-                                           plan->metrics_format);
-    if (!sidecar.ok()) return Fail(sidecar.ToString());
-  }
+  Status sidecar = WriteSidecar(*flags, telemetry);
+  if (!sidecar.ok()) return Fail(sidecar.ToString());
   return 0;
 }
 

@@ -4,7 +4,7 @@
 // `pddcli index-query` both dispatch here, so the two entry points
 // cannot drift.
 //
-//   build    <relation.pxr> <out.pddindex> [plan/executor flags]
+//   build    <relation.pxr> <out.pddindex> [plan/sidecar flags]
 //            run the pipeline, compile the result into an index file
 //   pair     <index> <id1> <id2>      one point query (CSV-formatted
 //            exactly like the report's --csv rows, so answers diff
@@ -12,15 +12,20 @@
 //   cluster  <index> <id>             cluster id + members of a record
 //   members  <index> <cluster-id>     members of a cluster
 //   inspect  <index>                  header/identity/size dump
-//   verify   <index> <relation.pxr> [plan flags]
+//   verify   <index> <relation.pxr> [plan/sidecar flags]
 //            recompute: reject stale plan fingerprint / source digest,
 //            then prove every indexed answer equals the fresh report
-//   bench    <index> [--point N] [--membership N]
+//   bench    <index> [--point N] [--membership N] [sidecar flags]
 //            deterministic query sweep; records queries/sec
 //
-// `build`, `verify` and `bench` accept `--metrics FILE
-// [--metrics-format json|prom]` and write a pdd.telemetry.v1 sidecar
-// with the `exec.index.*` / `time.index.*` metrics.
+// The plan flags (--plan FILE, --workers N, --batch N, --set
+// key=value) and the sidecar flags (--metrics FILE [--metrics-format
+// json|prom]) are core/tool_args.h's groups. `build` and `verify` read
+// the relation once, so it may come from a pipe (/dev/stdin). Each of
+// `build`, `verify` and `bench` writes a pdd.telemetry.v1 sidecar with
+// the `exec.index.*` shape metrics (`build` adds the build time,
+// `bench` the `time.index.*` query rates, `verify` the fresh run's
+// telemetry).
 
 #ifndef PDD_INDEX_INDEX_CLI_H_
 #define PDD_INDEX_INDEX_CLI_H_

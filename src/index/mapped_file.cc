@@ -2,9 +2,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
+
+#include "util/file_util.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define PDD_HAVE_MMAP 1
@@ -80,11 +80,7 @@ Status MappedFile::Open(const std::string& path) {
   is_mmap_ = true;
   return Status::OK();
 #else
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  fallback_ = std::move(buffer).str();
+  PDD_ASSIGN_OR_RETURN(fallback_, ReadFileToString(path));
   data_ = reinterpret_cast<const unsigned char*>(fallback_.data());
   size_ = fallback_.size();
   is_mmap_ = false;

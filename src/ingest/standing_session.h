@@ -47,7 +47,7 @@ class StandingSession {
     /// Shared decision store: what makes Finish() nearly free and
     /// crash-restart warm-up possible. Null runs uncached (Finish then
     /// re-decides from scratch — same bytes, full cost).
-    std::shared_ptr<DecisionCache> cache;
+    std::shared_ptr<ShardedDecisionCache> cache;
     /// Receives each live decision as it commits (see
     /// StageExecutorOptions::decision_sink for the ordering contract).
     std::function<void(const PairDecisionRecord&)> decision_sink;
@@ -65,7 +65,7 @@ class StandingSession {
   IngestStream& stream() { return *stream_; }
   const IngestStream& stream() const { return *stream_; }
   const std::shared_ptr<const DetectionPlan>& plan() const { return plan_; }
-  const std::shared_ptr<DecisionCache>& cache() const {
+  const std::shared_ptr<ShardedDecisionCache>& cache() const {
     return options_.cache;
   }
 

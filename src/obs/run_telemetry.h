@@ -147,7 +147,7 @@ struct RunTelemetry {
 /// results, which carry no telemetry.
 RunTelemetry TelemetryFromResult(const DetectionResult& result);
 
-/// Folds a cache's lifetime counters (DecisionCache::Stats()) into the
+/// Folds a cache's lifetime counters (ShardedDecisionCache::Stats()) into the
 /// registry under exec.cache.lifetime.*.
 void AddCacheLifetimeStats(const DecisionCacheStats& stats,
                            MetricsRegistry* metrics);

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace pdd {
@@ -254,6 +255,11 @@ Result<XRelation> ParseXRelation(std::string_view text) {
   Status flushed = flush_tuple();
   if (!flushed.ok()) return Status::ParseError(flushed.message());
   return rel;
+}
+
+Result<XRelation> LoadXRelation(const std::string& path) {
+  PDD_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
+  return ParseXRelation(text);
 }
 
 }  // namespace pdd

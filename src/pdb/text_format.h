@@ -41,6 +41,10 @@ std::string SerializeXRelation(const XRelation& rel);
 /// Parses the text format. Errors carry the offending line number.
 Result<XRelation> ParseXRelation(std::string_view text);
 
+/// Reads the file at `path` (a pipe such as /dev/stdin included) once
+/// and parses it; NotFound when it cannot be opened.
+Result<XRelation> LoadXRelation(const std::string& path);
+
 /// Serializes a single probabilistic value using the value syntax above.
 std::string SerializeValue(const Value& value);
 

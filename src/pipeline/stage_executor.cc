@@ -166,7 +166,7 @@ void StageExecutor::DecideBatch(const std::vector<CandidatePair>& batch,
   // 0) runs uncached rather than risking cross-instance collisions.
   const bool use_cache =
       options_.cache != nullptr && plan_->decision_fingerprint() != 0;
-  DecisionCache* cache = options_.cache.get();
+  ShardedDecisionCache* cache = options_.cache.get();
   const RelationArena& arena = matcher->arena();
   PairDecisionKey key;
   key.plan_fingerprint = plan_->decision_fingerprint();
@@ -226,6 +226,10 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   }
   if (options_.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be positive");
+  }
+  if (options_.workers > kMaxWorkers) {
+    return Status::InvalidArgument("workers must be at most " +
+                                   std::to_string(kMaxWorkers));
   }
   // Records address tuples by 32-bit index, like the RelationArena and
   // the pdd.index.v1 id space.

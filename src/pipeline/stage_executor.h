@@ -14,7 +14,7 @@
 // stream buffers (nothing for native-streaming reductions), and the
 // drain accounting lands in DetectionResult::stream_stats.
 //
-// With a DecisionCache attached, each pair is first looked up by
+// With a ShardedDecisionCache attached, each pair is first looked up by
 // (plan decision fingerprint, pair content digest); hits skip the
 // stage graph entirely and misses insert the freshly decided outcome,
 // so repeated, incremental and swept runs only pay for pairs no
@@ -44,6 +44,7 @@ struct StageExecutorOptions {
   /// Candidates per batch handed to the stage pipeline.
   size_t batch_size = 256;
   /// Worker threads; 0 or 1 executes serially on the calling thread.
+  /// At most kMaxWorkers.
   size_t workers = 0;
   /// Accumulate per-stage wall times into the result. Off by default:
   /// the clock reads cost real time in the innermost decide loop
@@ -54,7 +55,7 @@ struct StageExecutorOptions {
   /// Decision memoization store shared across runs/plans/threads;
   /// null runs uncached. Ignored (with stats reporting zero lookups)
   /// when the plan is cache-ineligible (decision_fingerprint() == 0).
-  std::shared_ptr<DecisionCache> cache;
+  std::shared_ptr<ShardedDecisionCache> cache;
   /// Called once per committed decision record, as batches complete.
   /// The executor serializes calls (one sink invocation at a time), but
   /// the EMISSION ORDER is execution-shape-dependent once more than one
@@ -86,7 +87,8 @@ class StageExecutor {
   /// tuples arrive or the feed closes), so the same decide path serves
   /// batch runs and the standing loop.
   /// Exactly max(1, workers) threads run the drain, all sharing the one
-  /// attached DecisionCache handle.
+  /// attached cache handle. More than kMaxWorkers workers, like a zero
+  /// batch size, is InvalidArgument before any thread starts.
   Result<DetectionResult> Execute(CandidateStream& stream) const;
 
   const StageExecutorOptions& options() const { return options_; }

@@ -28,6 +28,10 @@
 
 namespace pdd {
 
+namespace {
+
+/// Parses the `key` value "attr:len[,attr:len...]" into
+/// DetectorConfig::key components.
 Result<std::vector<std::pair<std::string, size_t>>> ParseKeyComponents(
     std::string_view text) {
   std::vector<std::pair<std::string, size_t>> key;
@@ -49,6 +53,8 @@ Result<std::vector<std::pair<std::string, size_t>>> ParseKeyComponents(
   }
   return key;
 }
+
+}  // namespace
 
 std::string FormatKeyComponents(
     const std::vector<std::pair<std::string, size_t>>& key) {

@@ -6,20 +6,14 @@
 #define PDD_PLAN_TRANSLATE_H_
 
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "util/status.h"
-
 namespace pdd {
 
-/// Parses the plan-spec key form "attr:len[,attr:len...]" (prefix
-/// length 0 = whole value) into DetectorConfig::key components.
-Result<std::vector<std::pair<std::string, size_t>>> ParseKeyComponents(
-    std::string_view text);
-
-/// The inverse of ParseKeyComponents: "name:3,job:2".
+/// The plan-spec form of DetectorConfig::key components,
+/// "attr:len[,attr:len...]" (prefix length 0 = whole value), as in
+/// "name:3,job:2". DetectorConfig::FromSpec parses it back.
 std::string FormatKeyComponents(
     const std::vector<std::pair<std::string, size_t>>& key);
 

@@ -9,9 +9,19 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 namespace pdd {
+
+Result<std::string> ReadFileToString(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 Result<std::string> ResolveRegularFile(const std::string& path) {
   std::filesystem::path target = path;

@@ -1,6 +1,8 @@
-// Atomic whole-file replacement: the one way the files the tools write
-// (decision-cache snapshots, pdd.index.v1 images, telemetry sidecars,
-// pddserve's relation dump) reach disk.
+// Whole-file reads and atomic whole-file replacement: the one way the
+// tools and analyses read a text file (relations, plans, gold pairs,
+// sources) and the one way the files the tools write (decision-cache
+// snapshots, pdd.index.v1 images, telemetry sidecars, pddserve's
+// relation dump) reach disk.
 
 #ifndef PDD_UTIL_FILE_UTIL_H_
 #define PDD_UTIL_FILE_UTIL_H_
@@ -12,6 +14,10 @@
 #include "util/status.h"
 
 namespace pdd {
+
+/// The bytes of the file at `path`; NotFound ("cannot open 'path'")
+/// when it cannot be opened. Reads a pipe (/dev/stdin) to its end.
+Result<std::string> ReadFileToString(const std::string& path);
 
 /// `path` with its symbolic links followed: the regular file it names,
 /// or the file a write creates when nothing is there (a dangling link

@@ -1036,7 +1036,7 @@ TEST(CachedExecutionTest, ReductionSweepReusesDecisionsAcrossPlans) {
   EXPECT_EQ(narrow->decision_fingerprint(), wide->decision_fingerprint());
 
   auto run = [&](const std::shared_ptr<const DetectionPlan>& plan,
-                 std::shared_ptr<DecisionCache> shared) {
+                 std::shared_ptr<ShardedDecisionCache> shared) {
     Result<std::unique_ptr<CandidateStream>> stream =
         MakeFullStream(*plan, data.relation);
     EXPECT_TRUE(stream.ok());

@@ -72,7 +72,7 @@ XTuple MakePerson(const std::string& id, const std::string& name) {
 }
 
 StandingSession::Options SessionOptions(
-    std::shared_ptr<DecisionCache> cache = nullptr) {
+    std::shared_ptr<ShardedDecisionCache> cache = nullptr) {
   DetectorConfig config = PersonConfig();
   StandingSession::Options options;
   options.batch_size = config.batch_size;

@@ -186,6 +186,37 @@ TEST(StageExecutorTest, RejectsZeroBatchSize) {
   EXPECT_FALSE(executor.Execute(**stream).ok());
 }
 
+TEST(StageExecutorTest, RejectsMoreWorkersThanTheCapBeforeStartingAny) {
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(PersonConfig(), PersonSchema());
+  ASSERT_TRUE(detector.ok());
+  GeneratedData data = SeededPersons(5);
+  Result<std::unique_ptr<CandidateStream>> stream =
+      MakeFullStream(detector->plan(), data.relation);
+  ASSERT_TRUE(stream.ok());
+  StageExecutorOptions too_many;
+  too_many.workers = kMaxWorkers + 1;
+  Result<DetectionResult> result =
+      StageExecutor(detector->shared_plan(), too_many).Execute(**stream);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // Nothing ran: no arena was built and no worker pulled a pair.
+  EXPECT_EQ((*stream)->arena(), nullptr);
+  std::vector<CandidatePair> batch;
+  ASSERT_LT((*stream)->total_pairs(), 4096u);
+  EXPECT_EQ((*stream)->NextBatch(4096, &batch), (*stream)->total_pairs());
+}
+
+TEST(StageExecutorTest, ConfigRefusesMoreWorkersThanTheCap) {
+  DetectorConfig config = PersonConfig();
+  config.workers = kMaxWorkers + 1;
+  EXPECT_EQ(DuplicateDetector::Make(config, PersonSchema()).status().code(),
+            StatusCode::kInvalidArgument);
+  // Compiling a plan starts no thread, so the cap itself is cheap to
+  // accept here.
+  config.workers = kMaxWorkers;
+  EXPECT_TRUE(DuplicateDetector::Make(config, PersonSchema()).ok());
+}
+
 /// A stream that may grow past the 32-bit tuple index space (a standing
 /// source with an oversized admission bound). Counts its pulls.
 class OversizedStream : public CandidateStream {

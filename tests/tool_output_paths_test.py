@@ -5,7 +5,8 @@ Each tool checks its output paths (--metrics, --cache-file, --index,
 --dump-relation, the image of `pddquery build`) while it parses its
 flags: a path that is no regular file, is where stdout goes, or lies in
 a missing directory exits 1 before the run, with nothing on stdout and
-nothing created.
+nothing created. `pddquery verify --metrics` writes a sidecar that
+tools/telemetry_check.py accepts.
 Outputs are replaced atomically (a new inode each write) and a symbolic
 link is written through.
 
@@ -21,6 +22,8 @@ import tempfile
 import unittest
 
 TOOLS = pathlib.Path(sys.argv.pop(1)) if len(sys.argv) > 1 else None
+TELEMETRY_CHECK = (pathlib.Path(__file__).resolve().parent.parent / "tools" /
+                   "telemetry_check.py")
 
 
 def tool(name, *args):
@@ -100,6 +103,24 @@ class ToolOutputPathsTest(unittest.TestCase):
             tool("pddquery", "build", self.relation, self.dir / "i.pddindex",
                  "--metrics", self.dir))
         self.assertEqual(list(self.dir.iterdir()), [])
+
+    def test_pddquery_verify_writes_its_sidecar(self):
+        index = self.dir / "run.pddindex"
+        metrics = self.dir / "verify.json"
+        self.assertEqual(
+            tool("pddquery", "build", self.relation, index).returncode, 0)
+        verified = tool("pddquery", "verify", index, self.relation,
+                        "--metrics", metrics)
+        self.assertEqual(verified.returncode, 0, verified.stderr)
+        self.assertIn("index verify: OK", verified.stdout)
+        checked = subprocess.run(
+            [sys.executable, str(TELEMETRY_CHECK), "validate", str(metrics)],
+            capture_output=True, text=True, timeout=20)
+        self.assertEqual(checked.returncode, 0, checked.stdout)
+        doc = json.loads(metrics.read_text())
+        self.assertIn("exec.index.pairs", doc["counters"])
+        self.assertEqual(sorted(p.name for p in self.dir.iterdir()),
+                         ["run.pddindex", "verify.json"])
 
     def test_pddserve_refuses_bad_output_paths_before_serving(self):
         # At one arrival per second the feed alone outlasts the timeout.

@@ -3,9 +3,14 @@
 // Usage:
 //   pddcli detect  <relation.pxr> [options]     run detection, print report
 //   pddcli stats   <relation.pxr>               profile a relation
-//   pddcli explain <relation.pxr> <id1> <id2> [options]
+//   pddcli explain <relation.pxr> <id1> <id2> [plan options]
 //                                               per-alternative breakdown
 //                                               of one pair's decision
+//                                               under the plan, on the
+//                                               tuples as the plan
+//                                               prepares them (its
+//                                               `sim=... -> class` line
+//                                               is detect's CSV row)
 //   pddcli lint-plan <plan-file>                validate a plan spec
 //                                               offline: unknown keys /
 //                                               components / values fail
@@ -18,19 +23,16 @@
 //                                               knob, decision-relevant
 //                                               for the cache key);
 //                                               also spelled --lint-plan
-//   pddcli demo                                 run on the paper's R34
+//   pddcli demo [options]                       run on the paper's R34
+//                                               (detect's options)
 //   pddcli index-build <relation.pxr> <out.pddindex> [options]
 //                                               run detection and compile
 //                                               the result into a
 //                                               pdd.index.v1 serving
 //                                               index; options as for
-//                                               `pddquery build`: --plan
-//                                               FILE, --set key=value
-//                                               (reaches every plan key,
-//                                               e.g. --set reduction=
-//                                               canopy), --workers N,
-//                                               --batch N, --metrics FILE
-//                                               [--metrics-format
+//                                               `pddquery build`: the
+//                                               plan options, --metrics
+//                                               FILE [--metrics-format
 //                                               json|prom] (see README
 //                                               "Decision index")
 //   pddcli index-query <pair|cluster|members|inspect|verify|bench> ...
@@ -38,30 +40,31 @@
 //                                               index file (same surface
 //                                               as the pddquery tool)
 //
-// Options for `detect`:
+// Plan options (detect, demo, explain; pddserve and `pddquery build` /
+// `verify` take the same):
 //   --plan FILE                    load a declarative plan spec
 //                                  (`key = value` lines; see README
-//                                  "Plan files"); applied before any
-//                                  other option regardless of position
-//   --set key=value                override one plan parameter (may
-//                                  repeat; applied after all other
-//                                  options)
+//                                  "Plan files")
+//   --workers N                    decide candidate batches on N threads
+//                                  (plan key executor.workers; default
+//                                  0 = serial, at most 1024; results
+//                                  identical)
+//   --batch N                      candidates per executor batch (plan
+//                                  key executor.batch; default 256)
+//   --set key=value                set one plan key (may repeat), e.g.
+//                                  key=name:3,job:2, reduction=canopy,
+//                                  reduction.window=4, classify.t_mu=0.8,
+//                                  derivation=max_similarity or
+//                                  prepare=lower,trim,collapse
+// Plan files apply first, wherever they appear, then --workers and
+// --batch, then every --set. Without them the plan is the full
+// reduction over the key of the first two attributes (prefixes 3 and
+// 2), uniform weights and thresholds 0.4 / 0.7.
+//
+// More options for `detect` and `demo`:
 //   --print-plan                   print the resolved plan in canonical
 //                                  spec form (with its fingerprint as a
 //                                  comment) and exit without running
-//   --key attr:len[,attr:len...]   sorting/blocking key (default: first
-//                                  two attributes, prefix 3 and 2)
-//   --reduction NAME               any registered reduction (see
-//                                  --print-plan / README; default: full)
-//   --window N                     SNM window (default 3)
-//   --t-lambda X --t-mu Y          thresholds (default 0.4 / 0.7)
-//   --derivation NAME              any registered derivation (default:
-//                                  expected_similarity)
-//   --prepare                      lowercase/trim/collapse before matching
-//   --workers N                    decide candidate batches on N threads
-//                                  (default 0 = serial; results identical)
-//   --batch N                      candidates per executor batch
-//                                  (default 256)
 //   --cache-capacity N             enable the in-memory decision cache
 //                                  bounded to N entries (CLOCK eviction;
 //                                  default capacity 1048576 when another
@@ -108,31 +111,27 @@
 //
 // Relations use the text format of pdb/text_format.h (.pxr files).
 // `--print-plan` output is itself a valid plan file:
-//   pddcli detect r.pxr --reduction canopy --print-plan > plan.txt
+//   pddcli detect r.pxr --set reduction=canopy --print-plan > plan.txt
 //   pddcli detect r.pxr --plan plan.txt
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 
 #include "analysis/spec_closure.h"
 #include "cache/decision_cache.h"
 #include "core/detector.h"
-#include "pipeline/detection_plan.h"
 #include "core/explain.h"
 #include "core/paper_examples.h"
 #include "core/report_writer.h"
+#include "core/tool_args.h"
 #include "index/index_cli.h"
 #include "obs/export.h"
 #include "obs/run_telemetry.h"
 #include "pdb/statistics.h"
 #include "pdb/text_format.h"
+#include "pipeline/detection_plan.h"
 #include "plan/plan_spec.h"
-#include "plan/registry.h"
-#include "plan/translate.h"
-#include "prep/standardizer.h"
 #include "util/file_util.h"
-#include "util/string_util.h"
 #include "verify/gold_io.h"
 #include "verify/similarity_histogram.h"
 
@@ -145,216 +144,70 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Result<XRelation> LoadRelation(const std::string& path) {
-  PDD_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  return ParseXRelation(text);
-}
-
-int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
-  DetectorConfig config;
-  // Default key: first two attributes, prefixes 3 and 2.
-  config.key.clear();
-  config.key.emplace_back(rel.schema().attribute(0).name, 3);
-  if (rel.schema().arity() > 1) {
-    config.key.emplace_back(rel.schema().attribute(1).name, 2);
-  }
-  config.weights.assign(rel.schema().arity(),
-                        1.0 / static_cast<double>(rel.schema().arity()));
-  // A plan file applies before any other option, wherever it appears.
-  for (int i = first_arg; i < argc; ++i) {
-    if (std::string(argv[i]) == "--plan") {
-      if (i + 1 >= argc) return Fail("--plan needs a file");
-      Result<std::string> text = ReadFile(argv[i + 1]);
-      if (!text.ok()) return Fail(text.status().ToString());
-      Result<PlanSpec> spec = PlanSpec::Parse(*text);
-      if (!spec.ok()) return Fail(spec.status().ToString());
-      Result<DetectorConfig> merged =
-          DetectorConfig::FromSpec(*spec, std::move(config));
-      if (!merged.ok()) return Fail(merged.status().ToString());
-      config = std::move(merged).value();
-    }
-  }
+/// `detect`, or `demo` on the paper's R34 when `demo`.
+int RunDetect(bool demo, const std::vector<std::string>& argv) {
   bool csv = false;
   bool histogram = false;
   bool print_plan = false;
   bool cache_stats = false;
   bool stream_candidates = false;
-  size_t cache_capacity = 0;  // 0 = not set; default applied below
-  std::string cache_file;
-  std::string metrics_file;
-  std::string metrics_format = "json";
-  PlanSpec overrides;
+  std::string gold_file;
+  Result<ToolArgs> args = ParseToolArgs(
+      argv, kPlanFlags | kSidecarFlags | kCacheFlags,
+      {SwitchFlag("--print-plan", &print_plan), SwitchFlag("--csv", &csv),
+       SwitchFlag("--histogram", &histogram),
+       SwitchFlag("--cache-stats", &cache_stats),
+       SwitchFlag("--stream-candidates", &stream_candidates),
+       TextFlag("--gold", &gold_file)});
+  if (!args.ok()) return Fail(args.status().ToString());
+  if (args->positional.size() != (demo ? 0 : 1)) {
+    return Fail(demo ? "demo takes no operands"
+                     : "detect needs one relation file");
+  }
+  Result<XRelation> rel =
+      demo ? BuildR34() : LoadXRelation(args->positional[0]);
+  if (!rel.ok()) return Fail(rel.status().ToString());
   std::optional<GoldStandard> gold;
-  for (int i = first_arg; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--plan") {
-      ++i;  // handled in the first pass
-    } else if (arg == "--set") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--set needs key=value");
-      Status status = overrides.SetAssignment(v);
-      if (!status.ok()) return Fail(status.ToString());
-    } else if (arg == "--print-plan") {
-      print_plan = true;
-    } else if (arg == "--key") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--key needs a value");
-      Result<std::vector<std::pair<std::string, size_t>>> key =
-          ParseKeyComponents(v);
-      if (!key.ok()) return Fail(key.status().ToString());
-      config.key = std::move(key).value();
-    } else if (arg == "--reduction") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--reduction needs a value");
-      Result<const ComponentRegistry::ReductionEntry*> method =
-          ComponentRegistry::Global().FindReduction(v);
-      if (!method.ok()) return Fail(method.status().ToString());
-      config.reduction = (*method)->method;
-    } else if (arg == "--window") {
-      const char* v = next();
-      if (v == nullptr || !ParseSize(v, &config.window)) {
-        return Fail("--window needs a non-negative integer");
-      }
-    } else if (arg == "--t-lambda") {
-      const char* v = next();
-      if (v == nullptr || !ParseDouble(v, &config.final_thresholds.t_lambda)) {
-        return Fail("--t-lambda needs a number");
-      }
-    } else if (arg == "--t-mu") {
-      const char* v = next();
-      if (v == nullptr || !ParseDouble(v, &config.final_thresholds.t_mu)) {
-        return Fail("--t-mu needs a number");
-      }
-    } else if (arg == "--derivation") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--derivation needs a value");
-      Result<const ComponentRegistry::DerivationEntry*> kind =
-          ComponentRegistry::Global().FindDerivation(v);
-      if (!kind.ok()) return Fail(kind.status().ToString());
-      config.derivation = (*kind)->kind;
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr || !ParseSize(v, &config.workers)) {
-        return Fail("--workers needs a non-negative integer");
-      }
-    } else if (arg == "--batch") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--batch needs a positive integer");
-      }
-      config.batch_size = n;
-    } else if (arg == "--cache-capacity") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--cache-capacity needs a positive integer");
-      }
-      cache_capacity = n;
-    } else if (arg == "--cache-file") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--cache-file needs a path");
-      Status usable = CheckOutputPath(v);
-      if (!usable.ok()) return Fail(usable.ToString());
-      cache_file = v;
-    } else if (arg == "--cache-stats") {
-      cache_stats = true;
-    } else if (arg == "--stream-candidates") {
-      stream_candidates = true;
-    } else if (arg == "--metrics") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--metrics needs a file");
-      Status usable = CheckOutputPath(v);
-      if (!usable.ok()) return Fail(usable.ToString());
-      metrics_file = v;
-    } else if (arg == "--metrics-format") {
-      const char* v = next();
-      if (v == nullptr || (std::string(v) != "json" && std::string(v) != "prom")) {
-        return Fail("--metrics-format needs json or prom");
-      }
-      metrics_format = v;
-    } else if (arg == "--prepare") {
-      Standardizer standard;
-      standard.LowerCase().TrimWhitespace().CollapseWhitespace();
-      config.preparation = DataPreparation::UniformAll(std::move(standard));
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--histogram") {
-      histogram = true;
-    } else if (arg == "--gold") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--gold needs a file");
-      std::ifstream in(v);
-      if (!in) return Fail(std::string("cannot open '") + v + "'");
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      Result<GoldStandard> parsed = ParseGoldStandard(buffer.str());
-      if (!parsed.ok()) return Fail(parsed.status().ToString());
-      gold = std::move(parsed).value();
-    } else {
-      return Fail("unknown option '" + arg + "'");
-    }
+  if (!gold_file.empty()) {
+    Result<std::string> text = ReadFileToString(gold_file);
+    if (!text.ok()) return Fail(text.status().ToString());
+    Result<GoldStandard> parsed = ParseGoldStandard(*text);
+    if (!parsed.ok()) return Fail(parsed.status().ToString());
+    gold = std::move(parsed).value();
   }
-  // --set overrides apply last, on top of plan file and flags.
-  if (!overrides.params().empty()) {
-    Result<DetectorConfig> merged =
-        DetectorConfig::FromSpec(overrides, std::move(config));
-    if (!merged.ok()) return Fail(merged.status().ToString());
-    config = std::move(merged).value();
-  }
+  Result<DetectorConfig> config = ResolveConfig(*args, rel->schema());
+  if (!config.ok()) return Fail(config.status().ToString());
   if (print_plan) {
-    PlanSpec spec = config.ToSpec();
+    // The plan is the only stdout output, so it pipes back into --plan.
+    PlanSpec spec = config->ToSpec();
     std::cout << "# pddcli plan (fingerprint " +
                      FingerprintHex(spec.Fingerprint()) + ")\n"
               << spec.ToText();
     return 0;
   }
+  if (demo) std::cout << ComputeStatistics(*rel).ToString() << "\n";
   Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(config, rel.schema());
+      DuplicateDetector::Make(*config, rel->schema());
   if (!detector.ok()) return Fail(detector.status().ToString());
   // Any cache flag enables the decision cache; --cache-file also
   // warm-starts from earlier invocations.
   std::shared_ptr<ShardedDecisionCache> cache;
-  if (cache_capacity > 0 || !cache_file.empty() || cache_stats) {
-    ShardedDecisionCacheOptions cache_options;
-    if (cache_capacity > 0) cache_options.capacity = cache_capacity;
-    cache = std::make_shared<ShardedDecisionCache>(cache_options);
-    if (!cache_file.empty()) {
-      size_t torn_bytes = 0;
-      Status loaded = cache->LoadSnapshot(cache_file, &torn_bytes);
-      // A missing file is a cold first run, not an error.
-      if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-        return Fail(loaded.ToString());
-      }
-      if (loaded.ok() && cache_stats) {
-        std::cerr << "cache file: " << torn_bytes
-                  << " torn bytes dropped\n";
-      }
-    }
+  if (args->cache_capacity > 0 || !args->cache_file.empty() || cache_stats) {
+    Result<std::shared_ptr<ShardedDecisionCache>> opened =
+        OpenCache(*args, cache_stats ? &std::cerr : nullptr);
+    if (!opened.ok()) return Fail(opened.status().ToString());
+    cache = *opened;
     detector->set_cache(cache);
   }
   // The stats report renders the per-stage breakdown, so collect it.
   if (cache_stats) detector->set_collect_stage_timings(true);
-  Result<DetectionResult> result = detector->Run(rel);
+  Result<DetectionResult> result = detector->Run(*rel);
   if (!result.ok()) return Fail(result.status().ToString());
-  if (cache != nullptr && !cache_file.empty()) {
-    Status saved = cache->SaveSnapshot(cache_file);
+  if (cache != nullptr && !args->cache_file.empty()) {
+    Status saved = cache->SaveSnapshot(args->cache_file);
     if (!saved.ok()) return Fail(saved.ToString());
   }
-  if (cache_stats || stream_candidates || !metrics_file.empty()) {
+  if (cache_stats || stream_candidates || !args->metrics_file.empty()) {
     // One telemetry, one exporter code path for every diagnostic: the
     // stderr blocks and the sidecar are all renderings of this
     // registry. Stderr only (stdout stays byte-identical across warm/
@@ -371,11 +224,8 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
         generator->native_streaming() ? "native" : "adapter");
     if (cache_stats) std::cerr << RenderExecutionStats(telemetry);
     if (stream_candidates) std::cerr << RenderStreamDiagnostics(telemetry);
-    if (!metrics_file.empty()) {
-      Status written =
-          WriteTelemetrySidecar(telemetry, metrics_file, metrics_format);
-      if (!written.ok()) return Fail(written.ToString());
-    }
+    Status written = WriteSidecar(*args, telemetry);
+    if (!written.ok()) return Fail(written.ToString());
   }
   const GoldStandard* gold_ptr = gold.has_value() ? &*gold : nullptr;
   std::cout << (csv ? DecisionsToCsv(*result, gold_ptr)
@@ -392,8 +242,40 @@ int RunDetect(const XRelation& rel, int argc, char** argv, int first_arg) {
   return 0;
 }
 
+/// `explain`: one pair's Fig. 6 breakdown under the plan, on the tuples
+/// as MakeFullStream prepares them for detect.
+int RunExplain(const std::vector<std::string>& argv) {
+  Result<ToolArgs> args = ParseToolArgs(argv, kPlanFlags);
+  if (!args.ok()) return Fail(args.status().ToString());
+  if (args->positional.size() != 3) {
+    return Fail("explain needs <file> <id1> <id2>");
+  }
+  Result<XRelation> rel = LoadXRelation(args->positional[0]);
+  if (!rel.ok()) return Fail(rel.status().ToString());
+  Result<DetectorConfig> config = ResolveConfig(*args, rel->schema());
+  if (!config.ok()) return Fail(config.status().ToString());
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(*config, rel->schema());
+  if (!detector.ok()) return Fail(detector.status().ToString());
+  const std::optional<DataPreparation>& preparation =
+      detector->config().preparation;
+  const XRelation prepared =
+      preparation.has_value() ? preparation->Prepare(*rel) : std::move(*rel);
+  const XTuple* t1 = nullptr;
+  const XTuple* t2 = nullptr;
+  for (const XTuple& t : prepared.xtuples()) {
+    if (t.id() == args->positional[1]) t1 = &t;
+    if (t.id() == args->positional[2]) t2 = &t;
+  }
+  if (t1 == nullptr || t2 == nullptr) {
+    return Fail("tuple id not found in relation");
+  }
+  std::cout << ExplainPair(*detector, *t1, *t2).ToString(prepared.schema());
+  return 0;
+}
+
 int RunLintPlan(const std::string& path) {
-  Result<std::string> text = ReadFile(path);
+  Result<std::string> text = ReadFileToString(path);
   if (!text.ok()) return Fail(text.status().ToString());
   Result<PlanSpec> spec = PlanSpec::Parse(*text);
   if (!spec.ok()) {
@@ -445,70 +327,33 @@ int RunLintPlan(const std::string& path) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    return Fail("usage: pddcli <detect|stats|demo> [file] [options]");
+    return Fail("usage: pddcli <detect|stats|explain|demo|lint-plan|"
+                "index-build|index-query> [file] [options]");
   }
-  std::string command = argv[1];
+  const std::string command = argv[1];
+  const std::vector<std::string> args(argv + 2, argv + argc);
   if (command == "lint-plan" || command == "--lint-plan") {
-    if (argc < 3) return Fail("lint-plan needs a plan file");
-    return RunLintPlan(argv[2]);
+    if (args.empty()) return Fail("lint-plan needs a plan file");
+    return RunLintPlan(args[0]);
   }
-  if (command == "demo") {
-    XRelation r34 = BuildR34();
-    // Keep --print-plan output pipeable back into --plan: the plan
-    // must be the only stdout output.
-    bool print_plan = false;
-    for (int i = 2; i < argc; ++i) {
-      if (std::string(argv[i]) == "--print-plan") print_plan = true;
-    }
-    if (!print_plan) std::cout << ComputeStatistics(r34).ToString() << "\n";
-    return RunDetect(r34, argc, argv, 2);
+  if (command == "detect" || command == "demo") {
+    return RunDetect(command == "demo", args);
   }
-  if (command == "index-build") {
-    return RunIndexBuild(std::vector<std::string>(argv + 2, argv + argc));
-  }
+  if (command == "explain") return RunExplain(args);
+  if (command == "index-build") return RunIndexBuild(args);
   if (command == "index-query") {
-    if (argc < 3) {
+    if (args.empty()) {
       return Fail(
           "index-query needs <pair|cluster|members|inspect|verify|bench>");
     }
-    return RunIndexQuery(argv[2],
-                         std::vector<std::string>(argv + 3, argv + argc));
+    return RunIndexQuery(args[0], {args.begin() + 1, args.end()});
   }
-  if (argc < 3) return Fail(command + " needs a relation file");
-  Result<XRelation> rel = LoadRelation(argv[2]);
-  if (!rel.ok()) return Fail(rel.status().ToString());
   if (command == "stats") {
+    if (args.empty()) return Fail("stats needs a relation file");
+    Result<XRelation> rel = LoadXRelation(args[0]);
+    if (!rel.ok()) return Fail(rel.status().ToString());
     std::cout << "relation " << rel->name() << "\n"
               << ComputeStatistics(*rel).ToString();
-    return 0;
-  }
-  if (command == "detect") {
-    return RunDetect(*rel, argc, argv, 3);
-  }
-  if (command == "explain") {
-    if (argc < 5) return Fail("explain needs <file> <id1> <id2>");
-    const XTuple* t1 = nullptr;
-    const XTuple* t2 = nullptr;
-    for (const XTuple& t : rel->xtuples()) {
-      if (t.id() == argv[3]) t1 = &t;
-      if (t.id() == argv[4]) t2 = &t;
-    }
-    if (t1 == nullptr || t2 == nullptr) {
-      return Fail("tuple id not found in relation");
-    }
-    DetectorConfig config;
-    config.key.clear();
-    config.key.emplace_back(rel->schema().attribute(0).name, 3);
-    if (rel->schema().arity() > 1) {
-      config.key.emplace_back(rel->schema().attribute(1).name, 2);
-    }
-    config.weights.assign(rel->schema().arity(),
-                          1.0 / static_cast<double>(rel->schema().arity()));
-    Result<DuplicateDetector> detector =
-        DuplicateDetector::Make(config, rel->schema());
-    if (!detector.ok()) return Fail(detector.status().ToString());
-    PairExplanation explanation = ExplainPair(*detector, *t1, *t2);
-    std::cout << explanation.ToString(rel->schema());
     return 0;
   }
   return Fail("unknown command '" + command + "'");

@@ -8,9 +8,11 @@
 // Usage:
 //   pddquery build   <relation.pxr> <out.pddindex> [options]
 //                    run detection, compile the report into an index;
-//                    options: --plan FILE, --set key=value (reaches
-//                    every plan key), --workers N, --batch N,
-//                    --metrics FILE [--metrics-format json|prom]. An
+//                    options: --plan FILE, --workers N, --batch N,
+//                    --set key=value (reaches every plan key; see
+//                    `pddcli` for the order they apply in), --metrics
+//                    FILE [--metrics-format json|prom]. The relation is
+//                    read once, so it may be /dev/stdin. An
 //                    <out.pddindex> or --metrics FILE that is no
 //                    regular file, is where stdout or stderr goes or
 //                    lies in a missing directory exits 1 before the run
@@ -21,11 +23,13 @@
 //   pddquery cluster <index> <id>       cluster id + members of a record
 //   pddquery members <index> <cluster-id>   members of a cluster
 //   pddquery inspect <index>            header/identity/size dump
-//   pddquery verify  <index> <relation.pxr> [plan options]
+//   pddquery verify  <index> <relation.pxr> [options]
 //                    staleness gate: rejects a plan-fingerprint
 //                    mismatch before running anything, then reruns the
 //                    pipeline and proves the index byte-identical to
-//                    the fresh report (source digest + every answer)
+//                    the fresh report (source digest + every answer);
+//                    build's options, and --metrics writes the fresh
+//                    run's sidecar with the index's shape metrics
 //   pddquery bench   <index> [--point N] [--membership N]
 //                    [--metrics FILE [--metrics-format json|prom]]
 //                    deterministic query sweep; reports queries/sec

@@ -13,14 +13,11 @@
 // (the canonical id-sorted tuple set re-run through the batch path,
 // ~100% decision-cache hits) goes to stdout.
 //
-// Detection options (same semantics as pddcli detect):
-//   --plan FILE          declarative plan spec, applied first
-//   --set key=value      override one plan parameter (applied last)
-//   --key attr:len[,..]  sorting key (default: first two attributes)
-//   --prepare            lowercase/trim/collapse before matching
-//   --t-lambda X --t-mu Y  classification thresholds
-//   --workers N          decide batches on N threads (default 0)
-//   --batch N            candidates per executor batch (default 256)
+// Plan options (as for pddcli detect; see its usage): --plan FILE,
+// --workers N, --batch N and --set key=value (e.g. --set
+// key=name:3,job:2, --set prepare=lower,trim,collapse, --set
+// classify.t_mu=0.8). Plan files apply first, then --workers and
+// --batch, then every --set.
 //
 // Serving options:
 //   --seed FILE          already-deduplicated standing prefix: arrivals
@@ -67,11 +64,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <optional>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <random>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -79,6 +74,7 @@
 #include "cache/decision_cache.h"
 #include "core/config.h"
 #include "core/report_writer.h"
+#include "core/tool_args.h"
 #include "decision/classifier.h"
 #include "index/index_builder.h"
 #include "ingest/standing_session.h"
@@ -86,9 +82,6 @@
 #include "obs/run_telemetry.h"
 #include "pdb/text_format.h"
 #include "pipeline/detection_plan.h"
-#include "plan/plan_spec.h"
-#include "plan/translate.h"
-#include "prep/standardizer.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
 
@@ -99,21 +92,6 @@ using namespace pdd;
 int Fail(const std::string& message) {
   std::cerr << "pddserve: " << message << "\n";
   return 1;
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Result<XRelation> LoadRelation(const std::string& path) {
-  PDD_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  return ParseXRelation(text);
 }
 
 uint64_t NowMicros() {
@@ -162,7 +140,8 @@ void OnDecision(SinkState* state, const PairDecisionRecord& rec) {
 /// pairs free), then image build + atomic replace. Safe to call while
 /// the live drain runs.
 Status BuildIndexOnce(StandingSession* session, const std::string& path,
-                      size_t batch_size, std::shared_ptr<DecisionCache> cache) {
+                      size_t batch_size,
+                      std::shared_ptr<ShardedDecisionCache> cache) {
   XRelation canonical = session->CanonicalRelation();
   PDD_ASSIGN_OR_RETURN(std::unique_ptr<CandidateStream> stream,
                        MakeFullStream(*session->plan(), canonical));
@@ -180,220 +159,78 @@ Status BuildIndexOnce(StandingSession* session, const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    return Fail("usage: pddserve <arrivals.pxr> [options]");
-  }
-  Result<XRelation> arrivals = LoadRelation(argv[1]);
-  if (!arrivals.ok()) return Fail(arrivals.status().ToString());
-
-  DetectorConfig config;
-  config.key.clear();
-  config.key.emplace_back(arrivals->schema().attribute(0).name, 3);
-  if (arrivals->schema().arity() > 1) {
-    config.key.emplace_back(arrivals->schema().attribute(1).name, 2);
-  }
-  config.weights.assign(arrivals->schema().arity(),
-                        1.0 / static_cast<double>(arrivals->schema().arity()));
-  // A plan file applies before any other option, wherever it appears.
-  for (int i = 2; i < argc; ++i) {
-    if (std::string(argv[i]) == "--plan") {
-      if (i + 1 >= argc) return Fail("--plan needs a file");
-      Result<std::string> text = ReadFile(argv[i + 1]);
-      if (!text.ok()) return Fail(text.status().ToString());
-      Result<PlanSpec> spec = PlanSpec::Parse(*text);
-      if (!spec.ok()) return Fail(spec.status().ToString());
-      Result<DetectorConfig> merged =
-          DetectorConfig::FromSpec(*spec, std::move(config));
-      if (!merged.ok()) return Fail(merged.status().ToString());
-      config = std::move(merged).value();
-    }
-  }
-
-  std::optional<XRelation> seed;
+  std::string seed_file;
   double rate = 0.0;
   size_t queue_capacity = 256;
   bool drop_mode = false;
-  bool have_shuffle = false;
-  uint64_t shuffle_seed = 0;
+  std::optional<uint64_t> shuffle_seed;
   bool stream_decisions = false;
   bool stats = false;
-  size_t cache_capacity = 0;
-  std::string cache_file;
   size_t snapshot_every = 0;
   std::string index_file;
   size_t index_every = 0;
   std::string dump_relation;
-  std::string metrics_file;
-  std::string metrics_format = "json";
-  PlanSpec overrides;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--plan") {
-      ++i;  // handled in the first pass
-    } else if (arg == "--set") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--set needs key=value");
-      Status status = overrides.SetAssignment(v);
-      if (!status.ok()) return Fail(status.ToString());
-    } else if (arg == "--key") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--key needs a value");
-      Result<std::vector<std::pair<std::string, size_t>>> key =
-          ParseKeyComponents(v);
-      if (!key.ok()) return Fail(key.status().ToString());
-      config.key = std::move(key).value();
-    } else if (arg == "--prepare") {
-      Standardizer standard;
-      standard.LowerCase().TrimWhitespace().CollapseWhitespace();
-      config.preparation = DataPreparation::UniformAll(std::move(standard));
-    } else if (arg == "--t-lambda") {
-      const char* v = next();
-      if (v == nullptr || !ParseDouble(v, &config.final_thresholds.t_lambda)) {
-        return Fail("--t-lambda needs a number");
-      }
-    } else if (arg == "--t-mu") {
-      const char* v = next();
-      if (v == nullptr || !ParseDouble(v, &config.final_thresholds.t_mu)) {
-        return Fail("--t-mu needs a number");
-      }
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr || !ParseSize(v, &config.workers)) {
-        return Fail("--workers needs a non-negative integer");
-      }
-    } else if (arg == "--batch") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--batch needs a positive integer");
-      }
-      config.batch_size = n;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--seed needs a file");
-      Result<XRelation> loaded = LoadRelation(v);
-      if (!loaded.ok()) return Fail(loaded.status().ToString());
-      seed = std::move(loaded).value();
-    } else if (arg == "--rate") {
-      const char* v = next();
-      if (v == nullptr || !ParseDouble(v, &rate) || rate < 0) {
-        return Fail("--rate needs a non-negative number");
-      }
-    } else if (arg == "--queue") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--queue needs a positive integer");
-      }
-      queue_capacity = n;
-    } else if (arg == "--drop") {
-      drop_mode = true;
-    } else if (arg == "--shuffle") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n)) {
-        return Fail("--shuffle needs a non-negative integer seed");
-      }
-      have_shuffle = true;
-      shuffle_seed = n;
-    } else if (arg == "--stream-decisions") {
-      stream_decisions = true;
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--cache-capacity") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--cache-capacity needs a positive integer");
-      }
-      cache_capacity = n;
-    } else if (arg == "--cache-file") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--cache-file needs a path");
-      Status usable = CheckOutputPath(v);
-      if (!usable.ok()) return Fail(usable.ToString());
-      cache_file = v;
-    } else if (arg == "--snapshot-every") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--snapshot-every needs a positive integer");
-      }
-      snapshot_every = n;
-    } else if (arg == "--index") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--index needs a file");
-      Status usable = CheckOutputPath(v);
-      if (!usable.ok()) return Fail(usable.ToString());
-      index_file = v;
-    } else if (arg == "--index-every") {
-      const char* v = next();
-      size_t n = 0;
-      if (v == nullptr || !ParseSize(v, &n) || n < 1) {
-        return Fail("--index-every needs a positive integer");
-      }
-      index_every = n;
-    } else if (arg == "--dump-relation") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--dump-relation needs a file");
-      Status usable = CheckOutputPath(v);
-      if (!usable.ok()) return Fail(usable.ToString());
-      dump_relation = v;
-    } else if (arg == "--metrics") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--metrics needs a file");
-      Status usable = CheckOutputPath(v);
-      if (!usable.ok()) return Fail(usable.ToString());
-      metrics_file = v;
-    } else if (arg == "--metrics-format") {
-      const char* v = next();
-      if (v == nullptr ||
-          (std::string(v) != "json" && std::string(v) != "prom")) {
-        return Fail("--metrics-format needs json or prom");
-      }
-      metrics_format = v;
-    } else {
-      return Fail("unknown option '" + arg + "'");
-    }
+  Result<ToolArgs> args = ParseToolArgs(
+      {argv + 1, argv + argc}, kPlanFlags | kSidecarFlags | kCacheFlags,
+      {TextFlag("--seed", &seed_file),
+       {"--rate", true,
+        [&rate](const std::string& v) {
+          return ParseDouble(v, &rate) && rate >= 0
+                     ? Status::OK()
+                     : Status::InvalidArgument(
+                           "--rate needs a non-negative number");
+        }},
+       CountFlag("--queue", &queue_capacity),
+       SwitchFlag("--drop", &drop_mode),
+       {"--shuffle", true,
+        [&shuffle_seed](const std::string& v) {
+          size_t n = 0;
+          if (!ParseSize(v, &n)) {
+            return Status::InvalidArgument(
+                "--shuffle needs a non-negative integer seed");
+          }
+          shuffle_seed = n;
+          return Status::OK();
+        }},
+       SwitchFlag("--stream-decisions", &stream_decisions),
+       SwitchFlag("--stats", &stats),
+       CountFlag("--snapshot-every", &snapshot_every),
+       OutputPathFlag("--index", &index_file),
+       CountFlag("--index-every", &index_every),
+       OutputPathFlag("--dump-relation", &dump_relation)});
+  if (!args.ok()) return Fail(args.status().ToString());
+  if (args->positional.size() != 1) {
+    return Fail("usage: pddserve <arrivals.pxr> [options]");
   }
-  if (snapshot_every > 0 && cache_file.empty()) {
+  if (snapshot_every > 0 && args->cache_file.empty()) {
     return Fail("--snapshot-every requires --cache-file");
   }
   if (index_every > 0 && index_file.empty()) {
     return Fail("--index-every requires --index");
   }
-  if (!overrides.params().empty()) {
-    Result<DetectorConfig> merged =
-        DetectorConfig::FromSpec(overrides, std::move(config));
-    if (!merged.ok()) return Fail(merged.status().ToString());
-    config = std::move(merged).value();
+  Result<XRelation> arrivals = LoadXRelation(args->positional[0]);
+  if (!arrivals.ok()) return Fail(arrivals.status().ToString());
+  std::optional<XRelation> seed;
+  if (!seed_file.empty()) {
+    Result<XRelation> loaded = LoadXRelation(seed_file);
+    if (!loaded.ok()) return Fail(loaded.status().ToString());
+    seed = std::move(loaded).value();
   }
+  Result<DetectorConfig> config = ResolveConfig(*args, arrivals->schema());
+  if (!config.ok()) return Fail(config.status().ToString());
 
   Result<std::shared_ptr<const DetectionPlan>> plan = DetectionPlan::Compile(
-      std::move(config),
+      std::move(config).value(),
       seed.has_value() ? seed->schema() : arrivals->schema());
   if (!plan.ok()) return Fail(plan.status().ToString());
 
   // The decision cache is always on for a standing run — it is what
   // makes the deterministic final report nearly free and the
   // crash-restart warm-up possible.
-  ShardedDecisionCacheOptions cache_options;
-  if (cache_capacity > 0) cache_options.capacity = cache_capacity;
-  auto cache = std::make_shared<ShardedDecisionCache>(cache_options);
-  if (!cache_file.empty()) {
-    size_t torn_bytes = 0;
-    Status loaded = cache->LoadSnapshot(cache_file, &torn_bytes);
-    // A missing file is a cold first start, not an error.
-    if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-      return Fail(loaded.ToString());
-    }
-    if (loaded.ok() && stats) {
-      std::cerr << "cache file: " << torn_bytes << " torn bytes dropped\n";
-    }
-  }
+  Result<std::shared_ptr<ShardedDecisionCache>> opened =
+      OpenCache(*args, stats ? &std::cerr : nullptr);
+  if (!opened.ok()) return Fail(opened.status().ToString());
+  std::shared_ptr<ShardedDecisionCache> cache = *opened;
 
   SinkState sink_state;
   sink_state.stream_decisions = stream_decisions;
@@ -419,8 +256,8 @@ int main(int argc, char** argv) {
   // report is identical either way — that is the point of the tool).
   std::vector<size_t> order(arrivals->size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (have_shuffle) {
-    std::mt19937_64 rng(shuffle_seed);
+  if (shuffle_seed.has_value()) {
+    std::mt19937_64 rng(*shuffle_seed);
     std::shuffle(order.begin(), order.end(), rng);
   }
 
@@ -468,7 +305,7 @@ int main(int argc, char** argv) {
         if (snapshot_every > 0 && admitted >= last_snapshot + snapshot_every &&
             now >= next_save) {
           last_snapshot = admitted;
-          if (cache->SaveSnapshot(cache_file).ok()) ++snapshot_count;
+          if (cache->SaveSnapshot(args->cache_file).ok()) ++snapshot_count;
           const auto done = std::chrono::steady_clock::now();
           next_save = done + (done - now);
         }
@@ -502,8 +339,8 @@ int main(int argc, char** argv) {
         dump_relation, SerializeXRelation((*session)->CanonicalRelation()));
     if (!dumped.ok()) return Fail(dumped.ToString());
   }
-  if (!cache_file.empty()) {
-    Status saved = cache->SaveSnapshot(cache_file);
+  if (!args->cache_file.empty()) {
+    Status saved = cache->SaveSnapshot(args->cache_file);
     if (!saved.ok()) return Fail(saved.ToString());
     ++snapshot_count;
   }
@@ -514,7 +351,7 @@ int main(int argc, char** argv) {
     ++index_build_count;
   }
 
-  if (stats || !metrics_file.empty()) {
+  if (stats || !args->metrics_file.empty()) {
     RunTelemetry telemetry = *final_result->telemetry;
     (*session)->AddIngestStats(&telemetry.metrics);
     telemetry.metrics.SetCounter(kMetricIngestCacheSnapshots, snapshot_count);
@@ -525,11 +362,8 @@ int main(int argc, char** argv) {
     }
     AddCacheLifetimeStats(cache->Stats(), &telemetry.metrics);
     if (stats) std::cerr << RenderExecutionStats(telemetry);
-    if (!metrics_file.empty()) {
-      Status written =
-          WriteTelemetrySidecar(telemetry, metrics_file, metrics_format);
-      if (!written.ok()) return Fail(written.ToString());
-    }
+    Status written = WriteSidecar(*args, telemetry);
+    if (!written.ok()) return Fail(written.ToString());
   }
 
   std::cout << DetectionReport(*final_result, nullptr);
