@@ -29,9 +29,9 @@
 //
 // The live pair order depends on arrival order, so the drain's record
 // order does too: the deterministic byte-identical report is produced
-// by StandingSession::Finish(), which re-runs the canonical relation
-// through the batch path — with the shared decision cache turning that
-// re-run into ~100% hits.
+// by StandingSession::Finish(), which streams the canonical relation
+// through the batch path and takes each drained pair's decision from
+// the live records, found by the pair's place in this cursor order.
 
 #ifndef PDD_INGEST_INGEST_STREAM_H_
 #define PDD_INGEST_INGEST_STREAM_H_

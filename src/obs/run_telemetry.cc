@@ -77,11 +77,7 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
   m.SetCounter(kMetricStreamHighWater,
                result.stream_stats.live_candidate_high_water);
   if (result.cache_stats.has_value()) {
-    m.SetCounter(kMetricCacheAttached, 1);
-    m.SetCounter(kMetricCacheLookups, result.cache_stats->lookups);
-    m.SetCounter(kMetricCacheHits, result.cache_stats->hits);
-    m.SetCounter(kMetricCacheMisses, result.cache_stats->misses);
-    m.SetCounter(kMetricCacheInserts, result.cache_stats->inserts);
+    SetCacheRunStats(*result.cache_stats, &m);
   }
   m.SetInfo(kInfoTimings,
             result.stage_timings_collected ? "collected" : "disabled");
@@ -102,6 +98,14 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
     drain->AddChild("stage.cache_insert")->seconds = t.cache_insert_seconds;
   }
   return telemetry;
+}
+
+void SetCacheRunStats(const CacheRunStats& stats, MetricsRegistry* metrics) {
+  metrics->SetCounter(kMetricCacheAttached, 1);
+  metrics->SetCounter(kMetricCacheLookups, stats.lookups);
+  metrics->SetCounter(kMetricCacheHits, stats.hits);
+  metrics->SetCounter(kMetricCacheMisses, stats.misses);
+  metrics->SetCounter(kMetricCacheInserts, stats.inserts);
 }
 
 void AddCacheLifetimeStats(const DecisionCacheStats& stats,

@@ -30,6 +30,7 @@
 
 namespace pdd {
 
+struct CacheRunStats;
 struct DetectionResult;
 struct DecisionCacheStats;
 
@@ -146,6 +147,10 @@ struct RunTelemetry {
 /// and worker spans; ExecutionStatsReport calls it for hand-assembled
 /// results, which carry no telemetry.
 RunTelemetry TelemetryFromResult(const DetectionResult& result);
+
+/// Sets the exec.cache.* run counters (and exec.cache.attached) from
+/// `stats`.
+void SetCacheRunStats(const CacheRunStats& stats, MetricsRegistry* metrics);
 
 /// Folds a cache's lifetime counters (ShardedDecisionCache::Stats()) into the
 /// registry under exec.cache.lifetime.*.

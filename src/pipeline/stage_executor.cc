@@ -167,10 +167,21 @@ void StageExecutor::DecideBatch(const std::vector<CandidatePair>& batch,
   const bool use_cache =
       options_.cache != nullptr && plan_->decision_fingerprint() != 0;
   ShardedDecisionCache* cache = options_.cache.get();
+  const auto* prior =
+      options_.prior_decision ? &options_.prior_decision : nullptr;
   const RelationArena& arena = matcher->arena();
   PairDecisionKey key;
   key.plan_fingerprint = plan_->decision_fingerprint();
   for (const CandidatePair& pair : batch) {
+    if (prior != nullptr) {
+      if (std::optional<CachedPairDecision> known =
+              (*prior)(pair.first, pair.second)) {
+        out->push_back({static_cast<uint32_t>(pair.first),
+                        static_cast<uint32_t>(pair.second),
+                        known->similarity, known->match_class});
+        continue;
+      }
+    }
     // The clock reads themselves are gated on `timed`: an untimed
     // warm run's per-pair cost stays digest + lookup, nothing else.
     Clock::time_point start;

@@ -20,16 +20,20 @@
 // so repeated, incremental and swept runs only pay for pairs no
 // equivalent plan has decided before. Cached values are the bit
 // patterns the stages produced, so cached ≡ uncached ≡ serial ≡
-// parallel output. Per-stage wall times (plus the cache-lookup path)
-// are accumulated into DetectionResult::stage_timings unless
-// stage_timings is disabled; the matcher fuses φ into the match stage,
-// so combine_seconds always reads 0.
+// parallel output. A caller that already holds decisions for some
+// candidates (a standing session's live records) hands them in as
+// prior_decision, which answers before the cache is consulted.
+// Per-stage wall times (plus the cache-lookup path) are accumulated
+// into DetectionResult::stage_timings unless stage_timings is
+// disabled; the matcher fuses φ into the match stage, so
+// combine_seconds always reads 0.
 
 #ifndef PDD_PIPELINE_STAGE_EXECUTOR_H_
 #define PDD_PIPELINE_STAGE_EXECUTOR_H_
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/decision_cache.h"
@@ -56,6 +60,15 @@ struct StageExecutorOptions {
   /// null runs uncached. Ignored (with stats reporting zero lookups)
   /// when the plan is cache-ineligible (decision_fingerprint() == 0).
   std::shared_ptr<ShardedDecisionCache> cache;
+  /// Decisions the caller already holds, consulted before the cache:
+  /// candidate (first, second) takes the returned similarity and class
+  /// and is neither looked up, inserted nor decided. Workers call it
+  /// concurrently, so it must only read. The answer must be what this
+  /// plan decides for the pair. A standing session's Finish() answers
+  /// from its live drain's records; null everywhere else.
+  std::function<std::optional<CachedPairDecision>(size_t first,
+                                                  size_t second)>
+      prior_decision;
   /// Called once per committed decision record, as batches complete.
   /// The executor serializes calls (one sink invocation at a time), but
   /// the EMISSION ORDER is execution-shape-dependent once more than one

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 #include "ingest/standing_session.h"
 #include "pdb/xrelation.h"
 #include "pipeline/detection_plan.h"
+#include "prep/standardizer.h"
 #include "util/checked_math.h"
 
 namespace pdd {
@@ -387,23 +389,143 @@ TEST(StandingSessionTest, PooledLiveDrainDecidesOverGrowingArena) {
   }
 }
 
-TEST(StandingSessionTest, FinishReRunIsAllCacheHits) {
+/// The one-shot batch run of the session's canonical standing set (an
+/// empty result, after a reported failure, when it cannot run).
+DetectionResult BatchRun(const DetectorConfig& config,
+                         StandingSession* session) {
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(config, PersonSchema());
+  EXPECT_TRUE(detector.ok()) << detector.status().ToString();
+  if (!detector.ok()) return {};
+  Result<DetectionResult> batch = detector->Run(session->CanonicalRelation());
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  return batch.ok() ? std::move(batch).value() : DetectionResult{};
+}
+
+TEST(StandingSessionTest, FinishDecidesNothingAfterAFullLiveDrain) {
   GeneratedData data = SeededPersons(20);
+  const size_t n = data.relation.size();
   auto cache = std::make_shared<ShardedDecisionCache>();
   Result<std::unique_ptr<StandingSession>> session =
       StandingSession::Make(PersonPlan(), nullptr, SessionOptions(cache));
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(DrainWithProducer(session->get(), data.relation,
-                                Iota(data.relation.size()))
-                  .ok());
+  Result<DetectionResult> live =
+      DrainWithProducer(session->get(), data.relation, Iota(n));
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
   Result<DetectionResult> finish = (*session)->Finish();
-  ASSERT_TRUE(finish.ok());
-  // Every finish pair was already decided live: the deterministic
-  // report is a pure cache read.
+  ASSERT_TRUE(finish.ok()) << finish.status().ToString();
+  // Every finish pair takes its live record: the cache is not touched.
   ASSERT_TRUE(finish->cache_stats.has_value());
-  EXPECT_EQ(finish->cache_stats->hits, finish->cache_stats->lookups);
+  EXPECT_EQ(finish->cache_stats->lookups, 0u);
   EXPECT_EQ(finish->cache_stats->inserts, 0u);
-  EXPECT_GT(finish->cache_stats->lookups, 0u);
+  EXPECT_EQ(finish->candidate_count, live->decisions.size());
+  ExpectIdenticalResults(*finish, BatchRun(PersonConfig(), session->get()));
+
+  // Finish() released the live records, so a second call decides every
+  // pair again — from the cache the live drain filled — to the same
+  // result.
+  Result<DetectionResult> again = (*session)->Finish();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(again->cache_stats.has_value());
+  EXPECT_EQ(again->cache_stats->lookups, TriangularPairCount(n));
+  ExpectIdenticalResults(*again, *finish);
+}
+
+TEST(StandingSessionTest, FinishMatchesTheBatchRunInEveryShape) {
+  GeneratedData data = SeededPersons(30);
+  const size_t n = data.relation.size();
+  std::vector<size_t> reversed = Iota(n);
+  std::reverse(reversed.begin(), reversed.end());
+  Standardizer standardizer;
+  standardizer.LowerCase().TrimWhitespace().CollapseWhitespace();
+  struct Reduction {
+    ReductionMethod method;
+    size_t window;
+  };
+  for (const Reduction reduction :
+       {Reduction{ReductionMethod::kFull, 3},
+        Reduction{ReductionMethod::kSnmCertainKeys, 4},
+        Reduction{ReductionMethod::kBlockingAlternatives, 3},
+        Reduction{ReductionMethod::kCanopy, 3}}) {
+    DetectorConfig config = PersonConfig();
+    config.reduction = reduction.method;
+    config.window = reduction.window;
+    config.preparation = DataPreparation::UniformAll(standardizer);
+    Result<std::shared_ptr<const DetectionPlan>> plan =
+        DetectionPlan::Compile(config, PersonSchema());
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    for (const auto& [workers, batch_size] :
+         {std::pair<size_t, size_t>{0, 256}, std::pair<size_t, size_t>{4, 2}}) {
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(std::string(ReductionMethodName(reduction.method)) +
+                     " workers " + std::to_string(workers) + " batch " +
+                     std::to_string(batch_size) +
+                     (cached ? " cached" : " uncached"));
+        StandingSession::Options options = SessionOptions(
+            cached ? std::make_shared<ShardedDecisionCache>() : nullptr);
+        options.workers = workers;
+        options.batch_size = batch_size;
+        Result<std::unique_ptr<StandingSession>> session =
+            StandingSession::Make(*plan, nullptr, options);
+        ASSERT_TRUE(session.ok());
+        ASSERT_TRUE(
+            DrainWithProducer(session->get(), data.relation, reversed).ok());
+        Result<DetectionResult> finish = (*session)->Finish();
+        ASSERT_TRUE(finish.ok()) << finish.status().ToString();
+        if (cached) {
+          ASSERT_TRUE(finish->cache_stats.has_value());
+          EXPECT_EQ(finish->cache_stats->lookups, 0u);
+        }
+        ExpectIdenticalResults(*finish, BatchRun(config, session->get()));
+      }
+    }
+  }
+}
+
+TEST(StandingSessionTest, SeededFinishDecidesOnlyTheSeedPairs) {
+  GeneratedData data = SeededPersons(20);
+  const size_t seed_size = data.relation.size() / 3;
+  XRelation seed("seed", data.relation.schema());
+  for (size_t i = 0; i < seed_size; ++i) {
+    seed.AppendUnchecked(data.relation.xtuple(i));
+  }
+  std::vector<size_t> arrivals;
+  for (size_t i = data.relation.size(); i-- > seed_size;) {
+    arrivals.push_back(i);
+  }
+  auto cache = std::make_shared<ShardedDecisionCache>();
+  Result<std::unique_ptr<StandingSession>> session =
+      StandingSession::Make(PersonPlan(), &seed, SessionOptions(cache));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(
+      DrainWithProducer(session->get(), data.relation, arrivals).ok());
+  Result<DetectionResult> finish = (*session)->Finish();
+  ASSERT_TRUE(finish.ok()) << finish.status().ToString();
+  // The drain decided every arrival's crossing pairs; the seed's own
+  // pairs were never live.
+  ASSERT_TRUE(finish->cache_stats.has_value());
+  EXPECT_EQ(finish->cache_stats->lookups, TriangularPairCount(seed_size));
+  ExpectIdenticalResults(*finish, BatchRun(PersonConfig(), session->get()));
+}
+
+TEST(StandingSessionTest, FinishWithoutDrainDecidesThePumpedSet) {
+  GeneratedData data = SeededPersons(20);
+  const size_t n = data.relation.size();
+  auto cache = std::make_shared<ShardedDecisionCache>();
+  StandingSession::Options options = SessionOptions(cache);
+  options.stream.queue_capacity = n;
+  Result<std::unique_ptr<StandingSession>> session =
+      StandingSession::Make(PersonPlan(), nullptr, options);
+  ASSERT_TRUE(session.ok());
+  for (const XTuple& tuple : data.relation.xtuples()) {
+    ASSERT_TRUE((*session)->queue().Push(tuple));
+  }
+  (*session)->queue().Close();
+  Result<DetectionResult> finish = (*session)->Finish();
+  ASSERT_TRUE(finish.ok()) << finish.status().ToString();
+  ASSERT_TRUE(finish->cache_stats.has_value());
+  EXPECT_EQ(finish->cache_stats->lookups, TriangularPairCount(n));
+  ExpectIdenticalResults(*finish, BatchRun(PersonConfig(), session->get()));
 }
 
 TEST(StandingSessionTest, RunIncrementalRejectsDuplicateIds) {

@@ -10,8 +10,8 @@
 // the main thread runs the standing drain, deciding every crossing
 // pair of every admitted tuple as it arrives. When the feed ends the
 // queue closes, the drain finishes, and the deterministic final report
-// (the canonical id-sorted tuple set re-run through the batch path,
-// ~100% decision-cache hits) goes to stdout.
+// (the canonical id-sorted tuple set run through the batch path, each
+// pair the live drain decided taking its live record) goes to stdout.
 //
 // Plan options (as for pddcli detect; see its usage): --plan FILE,
 // --workers N, --batch N and --set key=value (e.g. --set
@@ -35,7 +35,10 @@
 //   --stats              print execution statistics to stderr
 //
 // Durability / serving artifacts:
-//   --cache-capacity N   bound the decision cache (default 1048576)
+//   --cache-capacity N   bound the decision cache (default 1048576);
+//                        the live drain looks up and inserts there,
+//                        the final report only for pairs no drain
+//                        decided (the --seed prefix's own pairs)
 //   --cache-file PATH    warm-start from PATH when it exists (the
 //                        crash-restart path) and atomically replace it
 //                        with the resident cache (at most capacity + 1
@@ -44,9 +47,10 @@
 //                        serving, waiting as long as the last save took
 //                        (requires --cache-file)
 //   --index FILE         compile a pdd.index.v1 serving index of the
-//                        standing set to FILE after the final report
+//                        final report's decisions to FILE
 //   --index-every N      also recompile it every N admitted tuples
-//                        while serving (requires --index)
+//                        while serving, from a cached batch run of the
+//                        standing set so far (requires --index)
 //   --dump-relation FILE write the canonical (id-sorted) standing
 //                        relation as .pxr — the exact input a batch
 //                        `pddcli detect` run reproduces the report from
@@ -135,10 +139,10 @@ void OnDecision(SinkState* state, const PairDecisionRecord& rec) {
   }
 }
 
-/// Compiles the current standing set into a pdd.index.v1 file: batch
-/// re-run of the canonical snapshot (shared cache makes already-decided
-/// pairs free), then image build + atomic replace. Safe to call while
-/// the live drain runs.
+/// Compiles the current standing set into a pdd.index.v1 file while
+/// the live drain runs: batch re-run of the canonical snapshot (shared
+/// cache makes already-decided pairs free), then image build + atomic
+/// replace.
 Status BuildIndexOnce(StandingSession* session, const std::string& path,
                       size_t batch_size,
                       std::shared_ptr<ShardedDecisionCache> cache) {
@@ -225,8 +229,7 @@ int main(int argc, char** argv) {
   if (!plan.ok()) return Fail(plan.status().ToString());
 
   // The decision cache is always on for a standing run — it is what
-  // makes the deterministic final report nearly free and the
-  // crash-restart warm-up possible.
+  // makes the crash-restart warm-up and the cadence index builds cheap.
   Result<std::shared_ptr<ShardedDecisionCache>> opened =
       OpenCache(*args, stats ? &std::cerr : nullptr);
   if (!opened.ok()) return Fail(opened.status().ToString());
@@ -322,12 +325,18 @@ int main(int argc, char** argv) {
   }
 
   // The standing drain: decides every crossing pair of every admitted
-  // tuple, blocking on the queue between arrivals, until Close.
-  Result<DetectionResult> live = (*session)->Drain();
-  producer.join();
-  serving.store(false);
-  if (maintenance.joinable()) maintenance.join();
-  if (!live.ok()) return Fail(live.status().ToString());
+  // tuple, blocking on the queue between arrivals, until Close. The
+  // session keeps the live records for Finish(), so this copy goes as
+  // soon as its cache counters are read.
+  CacheRunStats live_cache;
+  {
+    Result<DetectionResult> live = (*session)->Drain();
+    producer.join();
+    serving.store(false);
+    if (maintenance.joinable()) maintenance.join();
+    if (!live.ok()) return Fail(live.status().ToString());
+    live_cache = live->cache_stats.value_or(CacheRunStats{});
+  }
 
   // The deterministic final report (byte-identical to a one-shot batch
   // run of the canonical tuple set, for any arrival order).
@@ -345,14 +354,20 @@ int main(int argc, char** argv) {
     ++snapshot_count;
   }
   if (!index_file.empty()) {
-    Status built = BuildIndexOnce(session->get(), index_file,
-                                  session_options.batch_size, cache);
+    Result<std::string> image = BuildDecisionIndexImage(
+        (*session)->CanonicalRelation(), *final_result);
+    if (!image.ok()) return Fail(image.status().ToString());
+    Status built = WriteDecisionIndexFile(index_file, *image);
     if (!built.ok()) return Fail(built.ToString());
     ++index_build_count;
   }
 
   if (stats || !args->metrics_file.empty()) {
     RunTelemetry telemetry = *final_result->telemetry;
+    // The cache works in the live drain; Finish() adds only the pairs
+    // no drain decided.
+    live_cache += final_result->cache_stats.value_or(CacheRunStats{});
+    SetCacheRunStats(live_cache, &telemetry.metrics);
     (*session)->AddIngestStats(&telemetry.metrics);
     telemetry.metrics.SetCounter(kMetricIngestCacheSnapshots, snapshot_count);
     telemetry.metrics.SetCounter(kMetricIngestIndexBuilds, index_build_count);
