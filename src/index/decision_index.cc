@@ -10,35 +10,6 @@ namespace pdd {
 
 namespace {
 
-/// Bytes a fixed-layout section needs given the header counts.
-uint64_t FixedSectionBytes(IndexSection section, const IndexHeader& h) {
-  switch (section) {
-    case kIdOffsets:
-      return (h.record_count + 1) * 4;
-    case kIdSorted:
-    case kAdjBase:
-    case kClusterOf:
-    case kClusterMembers:
-      return h.record_count * 4;
-    case kAdjEntryOffsets:
-    case kAdjByteOffsets:
-      return (h.record_count + 1) * 8;
-    case kAdjWidth:
-      return h.record_count;
-    case kEdgeClass:
-      return (h.pair_count + 3) / 4;
-    case kEdgeSim:
-      return h.pair_count * 8;
-    case kClusterOffsets:
-      return (h.cluster_count + 1) * 8;
-    case kIdArena:
-    case kAdjData:
-    case kIndexSectionCount:
-      return 0;  // variable; validated from the offset arrays
-  }
-  return 0;
-}
-
 Status Corrupt(const std::string& what) {
   return Status::ParseError("decision index: corrupted file: " + what);
 }
@@ -81,32 +52,48 @@ Status DecisionIndex::Attach(const OpenOptions& options) {
       return Corrupt("payload digest mismatch");
     }
   }
+  // The checks below hold with or without the digest, so a
+  // digest-skipping open never serves an index that reads outside its
+  // image. They cost O(records); the one per-pair value, a run's
+  // neighbor deltas, RunEntry checks where it reads it.
+  //
+  // Every record, pair and cluster takes payload bytes, which also
+  // keeps the section sizes below from overflowing.
+  const uint64_t n = h.record_count;
+  if (n > h.payload_bytes || h.pair_count > h.payload_bytes ||
+      h.cluster_count > n) {
+    return Corrupt("counts exceed the payload");
+  }
   // Section extents: every fixed-size section must fit between its
   // offset and the next section's (the last one inside the payload).
   for (uint32_t s = 0; s < kIndexSectionCount; ++s) {
     uint64_t end = s + 1 < kIndexSectionCount ? h.section_offsets[s + 1]
                                               : h.payload_bytes;
     uint64_t need = FixedSectionBytes(static_cast<IndexSection>(s), h);
-    if (h.section_offsets[s] + need > end) {
+    if (need > end - h.section_offsets[s]) {
       return Corrupt("section " + std::to_string(s) +
                      " smaller than its declared contents");
     }
   }
   // Offset arrays: monotone, consistent with the variable sections.
   const uint32_t* id_offsets = Section<uint32_t>(kIdOffsets);
-  for (uint64_t r = 0; r < h.record_count; ++r) {
+  for (uint64_t r = 0; r < n; ++r) {
     if (id_offsets[r] > id_offsets[r + 1]) {
       return Corrupt("id offsets not monotone");
     }
   }
-  if (h.section_offsets[kIdArena] + id_offsets[h.record_count] >
-      h.section_offsets[kIdSorted]) {
+  if (id_offsets[n] >
+      h.section_offsets[kIdSorted] - h.section_offsets[kIdArena]) {
     return Corrupt("id arena overflows its section");
   }
   const uint64_t* entry_offsets = Section<uint64_t>(kAdjEntryOffsets);
   const uint64_t* byte_offsets = Section<uint64_t>(kAdjByteOffsets);
+  const uint32_t* bases = Section<uint32_t>(kAdjBase);
   const uint8_t* widths = Section<uint8_t>(kAdjWidth);
-  for (uint64_t r = 0; r < h.record_count; ++r) {
+  if (entry_offsets[n] != h.pair_count) {
+    return Corrupt("adjacency entries disagree with the pair count");
+  }
+  for (uint64_t r = 0; r < n; ++r) {
     uint64_t entries = entry_offsets[r + 1] - entry_offsets[r];
     if (entry_offsets[r] > entry_offsets[r + 1] ||
         byte_offsets[r] > byte_offsets[r + 1]) {
@@ -118,13 +105,25 @@ Status DecisionIndex::Attach(const OpenOptions& options) {
     if (byte_offsets[r + 1] - byte_offsets[r] != entries * widths[r]) {
       return Corrupt("adjacency run bytes disagree with entry count");
     }
+    if (entries > 0 && bases[r] >= n) {
+      return Corrupt("adjacency run base outside the records");
+    }
   }
-  if (entry_offsets[h.record_count] != h.pair_count) {
-    return Corrupt("adjacency entries disagree with the pair count");
-  }
-  if (h.section_offsets[kAdjData] + byte_offsets[h.record_count] >
-      h.section_offsets[kEdgeClass]) {
+  if (byte_offsets[n] >
+      h.section_offsets[kEdgeClass] - h.section_offsets[kAdjData]) {
     return Corrupt("adjacency data overflows its section");
+  }
+  // Record-valued tables: every entry names a record or a cluster.
+  const uint32_t* id_sorted = Section<uint32_t>(kIdSorted);
+  const uint32_t* cluster_of = Section<uint32_t>(kClusterOf);
+  const uint32_t* members = Section<uint32_t>(kClusterMembers);
+  for (uint64_t r = 0; r < n; ++r) {
+    if (id_sorted[r] >= n || members[r] >= n) {
+      return Corrupt("record table entry outside the records");
+    }
+    if (cluster_of[r] >= h.cluster_count) {
+      return Corrupt("cluster id outside the clusters");
+    }
   }
   const uint64_t* cluster_offsets = Section<uint64_t>(kClusterOffsets);
   for (uint64_t c = 0; c < h.cluster_count; ++c) {
@@ -132,7 +131,7 @@ Status DecisionIndex::Attach(const OpenOptions& options) {
       return Corrupt("cluster offsets not monotone");
     }
   }
-  if (cluster_offsets[h.cluster_count] != h.record_count) {
+  if (cluster_offsets[h.cluster_count] != n) {
     return Corrupt("cluster membership does not cover every record");
   }
   return Status::OK();
@@ -213,6 +212,7 @@ std::optional<uint32_t> DecisionIndex::FindRecord(std::string_view id) const {
 }
 
 std::string_view DecisionIndex::RecordId(uint32_t r) const {
+  if (r >= header_.record_count) return {};
   const uint32_t* offsets = Section<uint32_t>(kIdOffsets);
   const char* arena = Section<char>(kIdArena);
   return std::string_view(arena + offsets[r], offsets[r + 1] - offsets[r]);
@@ -224,15 +224,18 @@ size_t DecisionIndex::RunLength(uint32_t r) const {
   return static_cast<size_t>(entry_offsets[r + 1] - entry_offsets[r]);
 }
 
-void DecisionIndex::RunEntry(uint32_t r, size_t k, uint32_t* neighbor,
+bool DecisionIndex::RunEntry(uint32_t r, size_t k, uint32_t* neighbor,
                              IndexedDecision* decision) const {
-  const uint64_t e0 = Section<uint64_t>(kAdjEntryOffsets)[r];
+  if (k >= RunLength(r)) return false;
   const uint32_t width = Section<uint8_t>(kAdjWidth)[r];
   const unsigned char* run =
       Section<unsigned char>(kAdjData) + Section<uint64_t>(kAdjByteOffsets)[r];
-  *neighbor = Section<uint32_t>(kAdjBase)[r] +
-              IndexReadDelta(run + k * width, width);
-  *decision = EdgeAt(e0 + k);
+  const uint64_t hi = uint64_t{Section<uint32_t>(kAdjBase)[r]} +
+                      IndexReadDelta(run + k * width, width);
+  if (hi >= header_.record_count) return false;
+  *neighbor = static_cast<uint32_t>(hi);
+  *decision = EdgeAt(Section<uint64_t>(kAdjEntryOffsets)[r] + k);
+  return true;
 }
 
 IndexedDecision DecisionIndex::EdgeAt(uint64_t e) const {

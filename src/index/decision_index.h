@@ -58,7 +58,11 @@ class DecisionIndex {
  public:
   /// Options of Open/FromImage. Verification hashes the whole payload
   /// once; serving processes that reopen a file they just validated
-  /// can skip it.
+  /// can skip it. Either way Open checks, in O(records), that every
+  /// offset stays inside its section and every table entry names a
+  /// record or cluster, and RunEntry checks each neighbor it decodes:
+  /// a corrupted file opened without the digest may answer wrongly,
+  /// but never reads outside its image.
   struct OpenOptions {
     bool verify_digest = true;
   };
@@ -102,15 +106,19 @@ class DecisionIndex {
   /// Record index of `id`, or nullopt when unknown.
   std::optional<uint32_t> FindRecord(std::string_view id) const;
 
-  /// Id of record `r` (view into the mapped arena).
+  /// Id of record `r` (view into the mapped arena); empty when out of
+  /// range.
   std::string_view RecordId(uint32_t r) const;
 
   /// Neighbors of `r` with a decided pair where r is the lower index
   /// (the record's own adjacency run; full-degree walks also consult
   /// runs of lower records). For inspect/bench sweeps.
   size_t RunLength(uint32_t r) const;
-  /// The k-th neighbor of r's run plus its decision.
-  void RunEntry(uint32_t r, size_t k, uint32_t* neighbor,
+  /// The k-th neighbor of r's run plus its decision. False, with the
+  /// outputs untouched, when k is past the run or the stored neighbor
+  /// lies outside the records (only in a corrupted image opened
+  /// without its digest check).
+  bool RunEntry(uint32_t r, size_t k, uint32_t* neighbor,
                 IndexedDecision* decision) const;
 
   // --- identity / staleness ------------------------------------------

@@ -6,16 +6,14 @@ namespace pdd {
 
 namespace {
 
-void PutU32(std::string* out, uint32_t value) {
-  char buf[4];
-  std::memcpy(buf, &value, sizeof(value));
-  out->append(buf, sizeof(buf));
+unsigned char* PutU32(unsigned char* out, uint32_t value) {
+  std::memcpy(out, &value, sizeof(value));
+  return out + sizeof(value);
 }
 
-void PutU64(std::string* out, uint64_t value) {
-  char buf[8];
-  std::memcpy(buf, &value, sizeof(value));
-  out->append(buf, sizeof(buf));
+unsigned char* PutU64(unsigned char* out, uint64_t value) {
+  std::memcpy(out, &value, sizeof(value));
+  return out + sizeof(value);
 }
 
 uint32_t GetU32(const unsigned char* at) {
@@ -32,21 +30,48 @@ uint64_t GetU64(const unsigned char* at) {
 
 }  // namespace
 
-std::string EncodeIndexHeader(const IndexHeader& header) {
-  std::string out;
-  out.reserve(kIndexHeaderBytes);
-  out.append(kIndexMagic, sizeof(kIndexMagic));
-  PutU32(&out, header.version);
-  PutU32(&out, kIndexEndianTag);
-  PutU64(&out, header.plan_fingerprint);
-  PutU64(&out, header.source_digest);
-  PutU64(&out, header.record_count);
-  PutU64(&out, header.pair_count);
-  PutU64(&out, header.cluster_count);
-  PutU64(&out, header.payload_bytes);
-  PutU64(&out, header.payload_digest);
-  for (uint64_t offset : header.section_offsets) PutU64(&out, offset);
-  return out;
+uint64_t FixedSectionBytes(IndexSection section, const IndexHeader& h) {
+  switch (section) {
+    case kIdOffsets:
+      return (h.record_count + 1) * 4;
+    case kIdSorted:
+    case kAdjBase:
+    case kClusterOf:
+    case kClusterMembers:
+      return h.record_count * 4;
+    case kAdjEntryOffsets:
+    case kAdjByteOffsets:
+      return (h.record_count + 1) * 8;
+    case kAdjWidth:
+      return h.record_count;
+    case kEdgeClass:
+      return (h.pair_count + 3) / 4;
+    case kEdgeSim:
+      return h.pair_count * 8;
+    case kClusterOffsets:
+      return (h.cluster_count + 1) * 8;
+    case kIdArena:
+    case kAdjData:
+    case kIndexSectionCount:
+      return 0;
+  }
+  return 0;
+}
+
+void EncodeIndexHeader(const IndexHeader& header, void* out) {
+  unsigned char* at = static_cast<unsigned char*>(out);
+  std::memcpy(at, kIndexMagic, sizeof(kIndexMagic));
+  at += sizeof(kIndexMagic);
+  at = PutU32(at, header.version);
+  at = PutU32(at, kIndexEndianTag);
+  at = PutU64(at, header.plan_fingerprint);
+  at = PutU64(at, header.source_digest);
+  at = PutU64(at, header.record_count);
+  at = PutU64(at, header.pair_count);
+  at = PutU64(at, header.cluster_count);
+  at = PutU64(at, header.payload_bytes);
+  at = PutU64(at, header.payload_digest);
+  for (uint64_t offset : header.section_offsets) at = PutU64(at, offset);
 }
 
 Result<IndexHeader> DecodeIndexHeader(const void* data, size_t size) {

@@ -45,7 +45,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 #include "util/status.h"
 
@@ -118,10 +117,16 @@ inline uint64_t IndexHashBytes(uint64_t hash, const void* data, size_t size) {
   return hash;
 }
 
+/// Bytes a fixed-layout section needs given the header counts; 0 for
+/// the variable sections (kIdArena, kAdjData), whose extents the
+/// offset arrays give. The builder lays sections out by it and the
+/// reader checks their extents by it.
+uint64_t FixedSectionBytes(IndexSection section, const IndexHeader& header);
+
 // --- header serialization -------------------------------------------
 
-/// Serializes `header` into exactly kIndexHeaderBytes bytes.
-std::string EncodeIndexHeader(const IndexHeader& header);
+/// Serializes `header` into the kIndexHeaderBytes bytes at `out`.
+void EncodeIndexHeader(const IndexHeader& header, void* out);
 
 /// Decodes and structurally validates a header against the image size:
 /// magic, version, endianness, header/payload size agreement, section

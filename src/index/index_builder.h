@@ -8,6 +8,13 @@
 // cluster-id -> member-range tables out flat, so every query the
 // reader answers is pointer arithmetic.
 //
+// Memory: a layout pass over the records validates them and sizes
+// every section, the image is allocated once, and a fill pass writes
+// each section in place. Beyond the result and the image a build holds
+// a few words per record and nothing per pair, except that records
+// not in canonical (lo, hi) order (only hand-assembled results; the
+// executor's are) are sorted once into a copy.
+//
 // Determinism: the image is a pure function of (record ids, report
 // content). Serial, pooled and cached runs of one plan produce
 // byte-identical reports, so they compile to byte-identical

@@ -222,8 +222,9 @@ int CmdBench(const std::vector<std::string>& args) {
     for (size_t k = 0; k < degree; ++k) {
       uint32_t neighbor = 0;
       IndexedDecision decision;
-      index.RunEntry(record, k, &neighbor, &decision);
-      pairs.emplace_back(record, neighbor);
+      if (index.RunEntry(record, k, &neighbor, &decision)) {
+        pairs.emplace_back(record, neighbor);
+      }
     }
   }
   RunTelemetry telemetry;

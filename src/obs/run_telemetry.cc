@@ -83,21 +83,35 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
             result.stage_timings_collected ? "collected" : "disabled");
 
   // Timing metrics + stage spans, only for runs that collected them.
-  TelemetrySpan* drain = telemetry.root.AddChild("drain");
+  telemetry.root.AddChild("drain");
   if (result.stage_timings_collected) {
-    const StageTimings& t = result.stage_timings;
-    m.SetGauge(kGaugeMatchSeconds, t.match_seconds);
-    m.SetGauge(kGaugeDeriveSeconds, t.derive_seconds);
-    m.SetGauge(kGaugeClassifySeconds, t.classify_seconds);
-    m.SetGauge(kGaugeCacheLookupSeconds, t.cache_lookup_seconds);
-    m.SetGauge(kGaugeCacheInsertSeconds, t.cache_insert_seconds);
-    drain->AddChild("stage.match")->seconds = t.match_seconds;
-    drain->AddChild("stage.derive")->seconds = t.derive_seconds;
-    drain->AddChild("stage.classify")->seconds = t.classify_seconds;
-    drain->AddChild("stage.cache_lookup")->seconds = t.cache_lookup_seconds;
-    drain->AddChild("stage.cache_insert")->seconds = t.cache_insert_seconds;
+    SetStageTimings(result.stage_timings, &telemetry);
   }
   return telemetry;
+}
+
+void SetStageTimings(const StageTimings& timings, RunTelemetry* telemetry) {
+  const struct {
+    const char* gauge;
+    const char* span;
+    double seconds;
+  } stages[] = {
+      {kGaugeMatchSeconds, "stage.match", timings.match_seconds},
+      {kGaugeDeriveSeconds, "stage.derive", timings.derive_seconds},
+      {kGaugeClassifySeconds, "stage.classify", timings.classify_seconds},
+      {kGaugeCacheLookupSeconds, "stage.cache_lookup",
+       timings.cache_lookup_seconds},
+      {kGaugeCacheInsertSeconds, "stage.cache_insert",
+       timings.cache_insert_seconds},
+  };
+  TelemetrySpan* drain = telemetry->root.FindChild("drain");
+  if (drain == nullptr) drain = telemetry->root.AddChild("drain");
+  for (const auto& stage : stages) {
+    telemetry->metrics.SetGauge(stage.gauge, stage.seconds);
+    TelemetrySpan* span = drain->FindChild(stage.span);
+    if (span == nullptr) span = drain->AddChild(stage.span);
+    span->seconds = stage.seconds;
+  }
 }
 
 void SetCacheRunStats(const CacheRunStats& stats, MetricsRegistry* metrics) {

@@ -33,6 +33,7 @@ namespace pdd {
 struct CacheRunStats;
 struct DetectionResult;
 struct DecisionCacheStats;
+struct StageTimings;
 
 // Registry metric names (the stable schema surface; see README
 // "Observability" for the full table).
@@ -151,6 +152,10 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result);
 /// Sets the exec.cache.* run counters (and exec.cache.attached) from
 /// `stats`.
 void SetCacheRunStats(const CacheRunStats& stats, MetricsRegistry* metrics);
+
+/// Sets the time.stage.* gauges and the drain span's stage.* children
+/// from `timings`, replacing earlier values.
+void SetStageTimings(const StageTimings& timings, RunTelemetry* telemetry);
 
 /// Folds a cache's lifetime counters (ShardedDecisionCache::Stats()) into the
 /// registry under exec.cache.lifetime.*.

@@ -1,21 +1,27 @@
 // Tests for the decision-index serving layer (src/index/): the
 // pdd.index.v1 format round trip, byte-identical answers against the
 // fresh pipeline across every run shape (serial / pooled / cached),
-// structural staleness and corruption rejection, and the
-// zero-allocation query guarantee (global operator-new counting
-// hooks — the reason these tests live in their own binary).
+// structural staleness and corruption rejection, a seeded mutation
+// harness over the digest-skipping open, and the allocation bounds of
+// queries (none) and builds (the image plus per-record tables), both
+// measured with global operator-new counting hooks — the reason these
+// tests live in their own binary.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cache/decision_cache.h"
@@ -26,14 +32,15 @@
 #include "index/format.h"
 #include "index/index_builder.h"
 #include "obs/metrics_registry.h"
+#include "util/random.h"
 
 // --- allocation counting hooks --------------------------------------
 //
 // Every allocation in the binary routes through the replaced operator
 // new in alloc_hooks.cc, which bumps these. The ZeroAllocation tests
-// snapshot the call counter around query sweeps, the record-footprint
-// test the byte counter around a run; the rest of the suite simply
-// ignores them.
+// snapshot the call counter around query sweeps, the footprint tests
+// the byte counter around a run or a build; the rest of the suite
+// simply ignores them.
 
 extern std::atomic<uint64_t> g_alloc_count;
 extern std::atomic<uint64_t> g_alloc_bytes;
@@ -366,11 +373,59 @@ TEST(DecisionIndexTest, BuilderRejectsInconsistentDecisions) {
   EXPECT_FALSE(BuildDecisionIndexImage(ids, result).ok());
   result.decisions[0].index2 = 1;
   EXPECT_TRUE(BuildDecisionIndexImage(ids, result).ok());
+  // Out of order, so the duplicate only meets its twin in the sorted
+  // copy; the twin is oriented the other way.
+  PairDecisionRecord other = rec;
+  other.index1 = 0;
+  other.index2 = 2;
+  PairDecisionRecord twin = other;
+  std::swap(twin.index1, twin.index2);
+  const std::vector<std::string> three = {"a", "b", "c"};
+  result.ids = std::make_shared<std::vector<std::string>>(three);
+  result.decisions = {other, rec, twin};
+  EXPECT_FALSE(BuildDecisionIndexImage(three, result).ok());
+  result.decisions = {other, rec};
+  EXPECT_TRUE(BuildDecisionIndexImage(three, result).ok());
+  result.decisions = {rec};
   result.ids = std::make_shared<std::vector<std::string>>(
       std::vector<std::string>{"a", "mismatch"});  // table disagrees
   EXPECT_FALSE(BuildDecisionIndexImage(ids, result).ok());
   result.ids = nullptr;  // decisions without an id table
   EXPECT_FALSE(BuildDecisionIndexImage(ids, result).ok());
+}
+
+// Executor results arrive in canonical (lo, hi) order; any other
+// order and orientation of the same records compiles to the same
+// payload. Only the header's source digest differs, because the
+// report's content digest hashes records in their order.
+TEST(DecisionIndexTest, ShuffledSwappedRecordsCompileToTheCanonicalPayload) {
+  GeneratedData data = SeededPersons();
+  Result<DetectionResult> result = RunShape(data.relation, "serial");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string canonical = MustBuild(data.relation, *result);
+
+  DetectionResult shuffled = *result;
+  std::vector<PairDecisionRecord>& records = shuffled.decisions;
+  Rng rng(11);
+  for (size_t d = records.size(); d > 1; --d) {
+    std::swap(records[d - 1], records[rng.Index(d)]);
+  }
+  for (size_t d = 0; d < records.size(); d += 2) {
+    std::swap(records[d].index1, records[d].index2);
+  }
+  const std::string image = MustBuild(data.relation, shuffled);
+  ASSERT_EQ(image.size(), canonical.size());
+  EXPECT_TRUE(image.compare(kIndexHeaderBytes, std::string::npos, canonical,
+                            kIndexHeaderBytes, std::string::npos) == 0);
+
+  Result<IndexHeader> header = DecodeIndexHeader(image.data(), image.size());
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->source_digest, shuffled.ContentDigest());
+  EXPECT_NE(header->source_digest, result->ContentDigest());
+  header->source_digest = result->ContentDigest();
+  std::string restamped(kIndexHeaderBytes, '\0');
+  EncodeIndexHeader(*header, restamped.data());
+  EXPECT_EQ(restamped, canonical.substr(0, kIndexHeaderBytes));
 }
 
 // --- metrics --------------------------------------------------------
@@ -416,6 +471,25 @@ TEST(DecisionIndexTest, PooledRunAllocatesAtMost64BytesPerDecision) {
       static_cast<double>(after - before) / static_cast<double>(decisions);
   EXPECT_LE(per_decision, 64.0) << (after - before) << " bytes for "
                                 << decisions << " decisions";
+}
+
+// A build holds the image and tables of a few words per record;
+// nothing it allocates grows with the pairs beyond the image itself.
+TEST(DecisionIndexTest, BuildAllocatesOnlyTheImageAndPerRecordTables) {
+  GeneratedData data = SeededPersons(360, 7);
+  Result<DetectionResult> result = RunShape(data.relation, "serial");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->decisions.size(), 200000u);
+
+  const uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  Result<std::string> image = BuildDecisionIndexImage(data.relation, *result);
+  const uint64_t after = g_alloc_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  const uint64_t bound =
+      image->size() + 128 * data.relation.size() + 64 * 1024;
+  EXPECT_LE(after - before, bound)
+      << (after - before) << " bytes allocated for a " << image->size()
+      << "-byte image of " << data.relation.size() << " records";
 }
 
 // --- zero allocation ------------------------------------------------
@@ -511,6 +585,168 @@ TEST(DecisionIndexTest, MmapQueriesAllocateNothing) {
   }
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "checksum " << checksum;
+}
+
+// --- digest-skipping open -------------------------------------------
+//
+// Without the digest check, only Attach's structural checks stand
+// between a corrupted file and the queries. A mutant either fails to
+// open with a ParseError, or every answer it gives stays inside the
+// image and names a record or cluster that exists.
+
+DecisionIndex::OpenOptions SkipDigest() {
+  DecisionIndex::OpenOptions options;
+  options.verify_digest = false;
+  return options;
+}
+
+/// Overwrites the 4 bytes at `at` with `value`.
+void Put32(std::string* image, size_t at, uint32_t value) {
+  std::memcpy(image->data() + at, &value, sizeof(value));
+}
+
+/// Image offset of the `entry`-th 4-byte entry of a section.
+size_t EntryAt(const IndexHeader& header, IndexSection section,
+               size_t entry) {
+  return kIndexHeaderBytes + header.section_offsets[section] + 4 * entry;
+}
+
+/// The first answer of an opened index that leaves the records or
+/// clusters, or "" when queries over every record, run and cluster stay
+/// in range. Reads outside the image itself are ASan's to report.
+std::string FirstOutOfRangeAnswer(const DecisionIndex& index) {
+  const uint64_t n = index.record_count();
+  for (uint32_t r = 0; r < n; ++r) {
+    const std::string_view id = index.RecordId(r);
+    if (id.size() > index.bytes()) return "RecordId(" + std::to_string(r) + ")";
+    const std::optional<uint32_t> found = index.FindRecord(id);
+    if (found.has_value() && *found >= n) {
+      return "FindRecord of record " + std::to_string(r);
+    }
+    const std::optional<uint32_t> cluster = index.ClusterOf(r);
+    if (!cluster.has_value() || *cluster >= index.cluster_count()) {
+      return "ClusterOf(" + std::to_string(r) + ")";
+    }
+    for (size_t k = 0; k < index.RunLength(r); ++k) {
+      uint32_t neighbor = 0;
+      IndexedDecision decision;
+      if (!index.RunEntry(r, k, &neighbor, &decision)) continue;
+      if (neighbor >= n) return "RunEntry(" + std::to_string(r) + ")";
+      index.Lookup(r, neighbor);
+    }
+  }
+  for (uint32_t c = 0; c < index.cluster_count(); ++c) {
+    for (uint32_t member : index.Members(c)) {
+      if (member >= n || index.RecordId(member).size() > index.bytes()) {
+        return "Members(" + std::to_string(c) + ")";
+      }
+    }
+  }
+  return "";
+}
+
+TEST(DecisionIndexTest, DigestSkippingOpenRangeChecksRecordTables) {
+  GeneratedData data = SeededPersons(30, 7);
+  Result<DetectionResult> result = RunShape(data.relation, "serial");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string image = MustBuild(data.relation, *result);
+  const IndexHeader header = *DecodeIndexHeader(image.data(), image.size());
+  const DecisionIndex index = MustOpenImage(image);
+  uint32_t owner = 0;
+  while (index.RunLength(owner) == 0) ++owner;
+
+  // Each table that names a record or cluster is checked on open.
+  const std::pair<IndexSection, size_t> tables[] = {
+      {kIdSorted, 0}, {kClusterMembers, 0}, {kClusterOf, 0},
+      {kAdjBase, owner}};
+  for (const auto& [section, entry] : tables) {
+    SCOPED_TRACE(section);
+    std::string corrupt = image;
+    Put32(&corrupt, EntryAt(header, section, entry), 0x7FFFFFF0u);
+    EXPECT_EQ(DecisionIndex::FromImage(corrupt, SkipDigest()).status().code(),
+              StatusCode::kParseError);
+  }
+  // A neighbor delta is per pair: it opens, and RunEntry refuses it.
+  uint64_t run_start = 0;
+  std::memcpy(&run_start,
+              image.data() + kIndexHeaderBytes +
+                  header.section_offsets[kAdjByteOffsets] + 8 * owner,
+              sizeof(run_start));
+  std::string corrupt = image;
+  corrupt[kIndexHeaderBytes + header.section_offsets[kAdjData] + run_start] =
+      static_cast<char>(0xFF);
+  Result<DecisionIndex> opened =
+      DecisionIndex::FromImage(corrupt, SkipDigest());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  uint32_t neighbor = 0;
+  IndexedDecision decision;
+  EXPECT_FALSE(opened->RunEntry(owner, 0, &neighbor, &decision));
+  EXPECT_EQ(FirstOutOfRangeAnswer(*opened), "");
+}
+
+TEST(DecisionIndexTest, DigestSkippingOpenSurvivesSeededMutations) {
+  GeneratedData data = SeededPersons(30, 7);
+  Result<DetectionResult> result = RunShape(data.relation, "serial");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string image = MustBuild(data.relation, *result);
+  const IndexHeader header = *DecodeIndexHeader(image.data(), image.size());
+  const uint32_t n = static_cast<uint32_t>(header.record_count);
+  // Values just past every bound a table entry has, and far past.
+  const uint32_t out_of_range[] = {
+      n,           n + 1,       static_cast<uint32_t>(header.cluster_count),
+      0x7FFFFFF0u, 0x80000000u, 0xFFFFFFFFu};
+  // Region k < kIndexSectionCount is section k (with its padding);
+  // region kIndexSectionCount is the header.
+  auto region = [&](uint32_t k) -> std::pair<size_t, size_t> {
+    if (k == kIndexSectionCount) return {0, kIndexHeaderBytes};
+    const uint64_t end = k + 1 < kIndexSectionCount
+                             ? header.section_offsets[k + 1]
+                             : header.payload_bytes;
+    return {kIndexHeaderBytes + header.section_offsets[k],
+            kIndexHeaderBytes + end};
+  };
+
+  constexpr size_t kMutants = 12000;
+  Rng rng(20240424);
+  size_t opened = 0;
+  for (size_t m = 0; m < kMutants; ++m) {
+    std::string mutant = image;
+    std::string what;
+    const uint32_t k = static_cast<uint32_t>((m / 3) % (kIndexSectionCount + 1));
+    const auto [begin, end] = region(k);
+    switch (m % 3) {
+      case 0:  // byte flip
+        if (begin < end) {
+          const size_t at = begin + rng.Index(end - begin);
+          mutant[at] = static_cast<char>(mutant[at] ^ (1 + rng.Index(255)));
+          what = "flip at " + std::to_string(at);
+        }
+        break;
+      case 1:  // out-of-range 4-byte overwrite
+        if (end - begin >= 4) {
+          const size_t at = begin + 4 * rng.Index((end - begin) / 4);
+          Put32(&mutant, at, out_of_range[rng.Index(std::size(out_of_range))]);
+          what = "overwrite at " + std::to_string(at);
+        }
+        break;
+      default:  // truncation
+        mutant.resize(rng.Index(image.size()));
+        what = "truncation to " + std::to_string(mutant.size());
+        break;
+    }
+    Result<DecisionIndex> index =
+        DecisionIndex::FromImage(std::move(mutant), SkipDigest());
+    if (!index.ok()) {
+      EXPECT_EQ(index.status().code(), StatusCode::kParseError) << what;
+      continue;
+    }
+    ++opened;
+    EXPECT_EQ(FirstOutOfRangeAnswer(*index), "") << what;
+  }
+  // Both outcomes occur: the harness exercises the checks and the
+  // queries.
+  EXPECT_GT(opened, 0u);
+  EXPECT_LT(opened, kMutants);
 }
 
 }  // namespace

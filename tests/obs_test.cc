@@ -470,6 +470,29 @@ TEST(RunTelemetryTest, HandAssembledResultsBridgeThroughTelemetryFromResult) {
   EXPECT_EQ(t.metrics.counters().count(kMetricCacheLookups), 0u);
 }
 
+// pddserve's live drain and its Finish() each time their stages; the
+// sum replaces Finish()'s values through the setter the executor's
+// telemetry uses, gauges and stage spans alike.
+TEST(RunTelemetryTest, StageTimingsFoldIntoTheSameGaugesAndSpans) {
+  DetectionResult finish;
+  finish.stage_timings_collected = true;
+  finish.stage_timings.match_seconds = 0.5;
+  RunTelemetry t = TelemetryFromResult(finish);
+  StageTimings live;
+  live.match_seconds = 1.5;
+  live.cache_lookup_seconds = 0.25;
+  live += finish.stage_timings;
+  SetStageTimings(live, &t);
+  EXPECT_EQ(t.metrics.gauge(kGaugeMatchSeconds), 2.0);
+  EXPECT_EQ(t.metrics.gauge(kGaugeCacheLookupSeconds), 0.25);
+  ASSERT_EQ(t.root.children.size(), 1u);
+  const TelemetrySpan* drain = t.root.Find("drain");
+  ASSERT_NE(drain, nullptr);
+  EXPECT_EQ(drain->children.size(), 5u);
+  EXPECT_EQ(t.root.Find("drain/stage.match")->seconds, 2.0);
+  EXPECT_NE(RenderExecutionStats(t).find("| match |"), std::string::npos);
+}
+
 // --- stats report rendering ---------------------------------------------
 
 TEST(ExecutionStatsReportTest, DisabledTimingsRenderDisabledNotZeroRows) {

@@ -327,8 +327,9 @@ int main(int argc, char** argv) {
   // The standing drain: decides every crossing pair of every admitted
   // tuple, blocking on the queue between arrivals, until Close. The
   // session keeps the live records for Finish(), so this copy goes as
-  // soon as its cache counters are read.
+  // soon as its cache counters and stage timings are read.
   CacheRunStats live_cache;
+  StageTimings live_timings;
   {
     Result<DetectionResult> live = (*session)->Drain();
     producer.join();
@@ -336,6 +337,7 @@ int main(int argc, char** argv) {
     if (maintenance.joinable()) maintenance.join();
     if (!live.ok()) return Fail(live.status().ToString());
     live_cache = live->cache_stats.value_or(CacheRunStats{});
+    live_timings = live->stage_timings;
   }
 
   // The deterministic final report (byte-identical to a one-shot batch
@@ -364,10 +366,14 @@ int main(int argc, char** argv) {
 
   if (stats || !args->metrics_file.empty()) {
     RunTelemetry telemetry = *final_result->telemetry;
-    // The cache works in the live drain; Finish() adds only the pairs
-    // no drain decided.
+    // The cache and the stages work in the live drain; Finish() adds
+    // only the pairs no drain decided.
     live_cache += final_result->cache_stats.value_or(CacheRunStats{});
     SetCacheRunStats(live_cache, &telemetry.metrics);
+    if (final_result->stage_timings_collected) {
+      live_timings += final_result->stage_timings;
+      SetStageTimings(live_timings, &telemetry);
+    }
     (*session)->AddIngestStats(&telemetry.metrics);
     telemetry.metrics.SetCounter(kMetricIngestCacheSnapshots, snapshot_count);
     telemetry.metrics.SetCounter(kMetricIngestIndexBuilds, index_build_count);
