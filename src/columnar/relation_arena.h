@@ -15,11 +15,11 @@
 //   alt columns         offset(k), length(k)  — span into `bytes`
 //                       prob(k)               — alternative probability
 //                       sig(k)                — QGram2Signature(text)
-//                       digest(k)             — FNV-1a(text)
 //
 //   value columns      per value v = row · arity + attr:
 //                       alt_begin(v), alt_end(v) — range of alt columns
 //                       null_prob(v)             — ⊥ mass of the value
+//                       class(v)                 — value class id
 //
 //   row columns        per alternative tuple r (rows flattened across
 //                       x-tuples): cond_prob(r) = p(t_i)/p(t)
@@ -35,9 +35,21 @@
 // per pair — so the matcher only ever sees literal alternatives and the
 // per-pair expansion cost disappears from the hot path.
 //
+// Value classes: every value is interned by exact content as it is
+// appended. Two values share a class iff they belong to the same
+// attribute and have bit-equal ⊥ masses and the same alternatives in
+// the same order (bit-equal probabilities, byte-equal texts); a hash
+// only finds the candidate class, the content comparison decides. So
+// a value's expected similarity to another (Eq. 5) is a function of
+// the two classes, which is what ColumnarMatcher memoizes. Ids are
+// dense in first-appearance order and never change once issued, so
+// Build and an Append sequence over the same tuples issue the same
+// ids, and every generation keeps its predecessors' ids.
+//
 // Build() returns nullptr when any column index would overflow uint32
-// (relations beyond ~4G alternative bytes); the executor refuses such a
-// run with OutOfRange, like the 32-bit record-index check.
+// (relations beyond ~4G alternative bytes or values); the executor
+// refuses such a run with OutOfRange, like the 32-bit record-index
+// check.
 //
 // Growth: a standing stream appends arrivals through Append(), which
 // writes in place while every column has room and otherwise returns a
@@ -60,9 +72,9 @@ namespace pdd {
 
 class RelationArena {
  public:
-  /// Flattens `rel` (schema taken from the relation), appending tuple
-  /// by tuple. Returns nullptr on uint32 column overflow — never fails
-  /// otherwise.
+  /// Flattens `rel` (schema taken from the relation) into columns sized
+  /// once, appending tuple by tuple as Append does. Returns nullptr on
+  /// uint32 column overflow — never fails otherwise.
   static std::shared_ptr<RelationArena> Build(const XRelation& rel);
 
   /// Appends `tuple` (its patterns expanded against `schema`) as the
@@ -102,6 +114,9 @@ class RelationArena {
   uint32_t value_alt_begin(size_t v) const { return value_alt_begin_[v]; }
   uint32_t value_alt_end(size_t v) const { return value_alt_end_[v]; }
   double value_null_prob(size_t v) const { return value_null_prob_[v]; }
+  /// The value's class: equal iff the contents are equal (see above).
+  /// Always below UINT32_MAX.
+  uint32_t value_class(size_t v) const { return value_class_[v]; }
 
   // --- per value-alternative k --------------------------------------
   std::string_view alt_text(size_t k) const {
@@ -111,13 +126,11 @@ class RelationArena {
   /// Padded-2-gram bitset signature of the alternative text (zero AND
   /// proves empty gram intersection — see sim/columnar_kernels.h).
   uint64_t alt_sig(size_t k) const { return alt_sig_[k]; }
-  /// FNV-1a digest of the alternative text; unequal digests prove
-  /// unequal texts (equality pre-screens without a byte compare).
-  uint64_t alt_digest(size_t k) const { return alt_digest_[k]; }
 
  private:
-  /// Column demand of one x-tuple.
+  /// Column demand of x-tuples.
   struct Shape {
+    size_t tuples = 0;
     size_t rows = 0;
     size_t alternatives = 0;
     size_t bytes = 0;
@@ -126,11 +139,21 @@ class RelationArena {
   RelationArena() = default;
 
   /// Calls f(&RelationArena::column, n) for every column, where `n` is
-  /// the number of entries a tuple of shape `add` puts into it.
+  /// the number of entries tuples of shape `add` put into it.
   template <typename F>
   static void ForEachColumn(size_t arity, const Shape& add, F&& f);
+  /// The demand of `tuple`, its patterns expanded as AppendTuple will
+  /// store them.
+  Shape ShapeOf(const XTuple& tuple, const Schema& schema) const;
+  /// Whether `add` more keeps every column index within uint32.
+  bool Fits(const Shape& add) const;
   /// Appends one tuple; Append checked the uint32 limits and the room.
   void AppendTuple(const XTuple& tuple, const Schema& schema);
+  /// The class of the just-appended value `v`, whose content hashes to
+  /// `hash`: an existing class with equal content, else a new one.
+  uint32_t Intern(size_t v, uint64_t hash);
+  /// Whether values `u` and `v` have equal content (the class rule).
+  bool SameContent(size_t u, size_t v) const;
 
   size_t arity_ = 0;
   std::string bytes_;
@@ -138,10 +161,16 @@ class RelationArena {
   std::vector<uint32_t> alt_length_;
   std::vector<double> alt_prob_;
   std::vector<uint64_t> alt_sig_;
-  std::vector<uint64_t> alt_digest_;
   std::vector<uint32_t> value_alt_begin_;
   std::vector<uint32_t> value_alt_end_;
   std::vector<double> value_null_prob_;
+  std::vector<uint32_t> value_class_;
+  // The interner, read by appends only: per class its first value and
+  // content hash, and an open-addressing table of class ids (at most
+  // half full, UINT32_MAX marks a free slot).
+  std::vector<uint32_t> class_value_;
+  std::vector<uint64_t> class_hash_;
+  std::vector<uint32_t> class_slots_;
   std::vector<double> row_cond_prob_;
   std::vector<uint32_t> tuple_row_begin_;
   std::vector<uint32_t> tuple_row_end_;

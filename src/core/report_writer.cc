@@ -63,10 +63,27 @@ std::string DetectionReport(const DetectionResult& result,
   }
   out += "- pairs examined: " + std::to_string(result.candidate_count) +
          " of " + std::to_string(result.total_pairs) + "\n";
-  const DetectionResult::ClassCounts counts = result.CountClasses();
-  out += "- matches (M): " + std::to_string(counts.matches) + "\n";
-  out += "- possible matches (P): " + std::to_string(counts.possibles) + "\n";
-  out += "- non-matches (U): " + std::to_string(counts.unmatches) + "\n";
+  // One scan counts the classes and collects the clerical review queue
+  // (the possible matches).
+  size_t matches = 0;
+  size_t unmatches = 0;
+  std::vector<const PairDecisionRecord*> review;
+  for (const PairDecisionRecord& rec : result.decisions) {
+    switch (rec.match_class) {
+      case MatchClass::kMatch:
+        ++matches;
+        break;
+      case MatchClass::kPossible:
+        review.push_back(&rec);
+        break;
+      case MatchClass::kUnmatch:
+        ++unmatches;
+        break;
+    }
+  }
+  out += "- matches (M): " + std::to_string(matches) + "\n";
+  out += "- possible matches (P): " + std::to_string(review.size()) + "\n";
+  out += "- non-matches (U): " + std::to_string(unmatches) + "\n";
   if (gold != nullptr) {
     EffectivenessMetrics strict = Evaluate(result, *gold);
     EffectivenessMetrics lenient = Evaluate(result, *gold,
@@ -78,11 +95,6 @@ std::string DetectionReport(const DetectionResult& result,
     out += "- reduction: " + reduction.ToString() + "\n";
   }
   // Clerical review queue: highest-similarity possible matches first.
-  std::vector<const PairDecisionRecord*> review;
-  review.reserve(counts.possibles);
-  for (const PairDecisionRecord& rec : result.decisions) {
-    if (rec.match_class == MatchClass::kPossible) review.push_back(&rec);
-  }
   std::sort(review.begin(), review.end(),
             [](const PairDecisionRecord* a, const PairDecisionRecord* b) {
               return a->similarity > b->similarity;

@@ -15,8 +15,9 @@ namespace pdd {
 /// both tuples (the paper's Fig. 7 example yields 7/15 for (t32, t42)).
 /// The paper notes this derivation suits knowledge-based (normalized φ)
 /// techniques; with unnormalized φ the expectation can become
-/// unrepresentative.
-class ExpectedSimilarityDerivation : public DerivationFunction {
+/// unrepresentative. Final: ColumnarMatcher recognizes it by type and
+/// sums it inside its match loop.
+class ExpectedSimilarityDerivation final : public DerivationFunction {
  public:
   double Derive(const AlternativePairScores& scores) const override;
   std::string name() const override { return "expected_similarity"; }

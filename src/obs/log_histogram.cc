@@ -6,12 +6,7 @@
 namespace pdd {
 
 size_t LogHistogram::BucketIndex(uint64_t value) {
-  size_t width = 0;
-  while (value != 0) {
-    value >>= 1;
-    ++width;
-  }
-  return width;
+  return value == 0 ? 0 : 64 - static_cast<size_t>(__builtin_clzll(value));
 }
 
 uint64_t LogHistogram::BucketUpperBound(size_t index) {

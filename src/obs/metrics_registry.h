@@ -1,7 +1,8 @@
 // MetricsRegistry: the one queryable telemetry surface of a detection
 // run. TelemetryFromResult fills it once from the run's stat fields
-// and the tools add their own families (exec.ingest.*, exec.index.*,
-// exec.cache.lifetime.*); the renderers and exporters only read it.
+// and decision tally, and the tools add their own families
+// (exec.ingest.*, exec.index.*, exec.cache.lifetime.*); the renderers
+// and exporters only read it.
 // Four metric kinds, all stored in sorted (std::map) order so every
 // export path iterates deterministically:
 //

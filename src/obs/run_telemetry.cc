@@ -52,7 +52,38 @@ uint64_t SimilarityMicros(double similarity) {
 
 }  // namespace
 
+void DecisionTally::Add(const std::vector<PairDecisionRecord>& records) {
+  for (const PairDecisionRecord& rec : records) {
+    switch (rec.match_class) {
+      case MatchClass::kMatch:
+        ++matches;
+        break;
+      case MatchClass::kPossible:
+        ++possibles;
+        break;
+      case MatchClass::kUnmatch:
+        ++unmatches;
+        break;
+    }
+    similarity_micros.Record(SimilarityMicros(rec.similarity));
+  }
+}
+
+void DecisionTally::Merge(const DecisionTally& other) {
+  matches += other.matches;
+  possibles += other.possibles;
+  unmatches += other.unmatches;
+  similarity_micros.Merge(other.similarity_micros);
+}
+
 RunTelemetry TelemetryFromResult(const DetectionResult& result) {
+  DecisionTally tally;
+  tally.Add(result.decisions);
+  return TelemetryFromResult(result, tally);
+}
+
+RunTelemetry TelemetryFromResult(const DetectionResult& result,
+                                 const DecisionTally& tally) {
   RunTelemetry telemetry;
   MetricsRegistry& m = telemetry.metrics;
 
@@ -60,14 +91,10 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result) {
   m.SetCounter(kMetricCandidatePairs, result.candidate_count);
   m.SetCounter(kMetricTotalPairs, result.total_pairs);
   m.SetCounter(kMetricDecisions, result.decisions.size());
-  const DetectionResult::ClassCounts counts = result.CountClasses();
-  m.SetCounter(kMetricMatches, counts.matches);
-  m.SetCounter(kMetricPossibles, counts.possibles);
-  m.SetCounter(kMetricUnmatches, counts.unmatches);
-  LogHistogram* similarity = m.MutableHistogram(kMetricSimilarityMicros);
-  for (const PairDecisionRecord& rec : result.decisions) {
-    similarity->Record(SimilarityMicros(rec.similarity));
-  }
+  m.SetCounter(kMetricMatches, tally.matches);
+  m.SetCounter(kMetricPossibles, tally.possibles);
+  m.SetCounter(kMetricUnmatches, tally.unmatches);
+  *m.MutableHistogram(kMetricSimilarityMicros) = tally.similarity_micros;
   if (result.plan_fingerprint != 0) {
     m.SetInfo(kInfoPlanFingerprint, FingerprintHex(result.plan_fingerprint));
   }

@@ -3,12 +3,13 @@
 // span records (generate → drain → match/derive/classify/cache, with
 // per-worker child spans). Telemetry flows one way: the StageExecutor
 // sums each stat into DetectionResult's fields (StageTimings,
-// CacheRunStats, StreamRunStats) once, TelemetryFromResult builds the
-// registry from those fields once, and the executor attaches the
-// result to DetectionResult::telemetry. Every consumer —
-// ExecutionStatsReport, `pddcli --metrics`, the stderr diagnostics,
-// the bench sidecars — renders from the registry and never writes
-// back into the fields.
+// CacheRunStats, StreamRunStats) once and its workers tally the
+// identity metrics of the records they decide (DecisionTally);
+// TelemetryFromResult builds the registry from those once, and the
+// executor attaches the result to DetectionResult::telemetry. Every
+// consumer — ExecutionStatsReport, `pddcli --metrics`, the stderr
+// diagnostics, the bench sidecars — renders from the registry and
+// never writes back into the fields.
 //
 // Span seconds and every `time.*` metric are wall-clock-derived and
 // therefore nondeterministic; span COUNT fields on worker spans vary
@@ -33,6 +34,7 @@ namespace pdd {
 struct CacheRunStats;
 struct DetectionResult;
 struct DecisionCacheStats;
+struct PairDecisionRecord;
 struct StageTimings;
 
 // Registry metric names (the stable schema surface; see README
@@ -143,10 +145,31 @@ struct RunTelemetry {
   TelemetrySpan root{"run"};
 };
 
+/// The identity metrics a run's records determine: decisions per class
+/// and the similarity_micros histogram. Executor workers tally each
+/// batch they decide; counts add and histogram buckets merge
+/// order-insensitively, so the merged tally of any run shape equals one
+/// pass over the records.
+struct DecisionTally {
+  uint64_t matches = 0;
+  uint64_t possibles = 0;
+  uint64_t unmatches = 0;
+  /// round(similarity · 1e6) of every record.
+  LogHistogram similarity_micros;
+
+  void Add(const std::vector<PairDecisionRecord>& records);
+  void Merge(const DecisionTally& other);
+};
+
 /// Builds the registry + drain span from a DetectionResult's stat
-/// fields. The executor calls it once per run and adds the generate
-/// and worker spans; ExecutionStatsReport calls it for hand-assembled
-/// results, which carry no telemetry.
+/// fields and `tally`, the tally of its records. The executor calls it
+/// once per run with its workers' merged tally and adds the generate
+/// and worker spans.
+RunTelemetry TelemetryFromResult(const DetectionResult& result,
+                                 const DecisionTally& tally);
+
+/// The same for a hand-assembled result, which carries no telemetry
+/// (ExecutionStatsReport): tallies result.decisions first.
 RunTelemetry TelemetryFromResult(const DetectionResult& result);
 
 /// Sets the exec.cache.* run counters (and exec.cache.attached) from

@@ -78,24 +78,6 @@ uint64_t DetectionResult::ContentDigest() const {
   return hash;
 }
 
-DetectionResult::ClassCounts DetectionResult::CountClasses() const {
-  ClassCounts counts;
-  for (const PairDecisionRecord& rec : decisions) {
-    switch (rec.match_class) {
-      case MatchClass::kMatch:
-        ++counts.matches;
-        break;
-      case MatchClass::kPossible:
-        ++counts.possibles;
-        break;
-      case MatchClass::kUnmatch:
-        ++counts.unmatches;
-        break;
-    }
-  }
-  return counts;
-}
-
 std::vector<const PairDecisionRecord*> DetectionResult::RecordsOfClass(
     MatchClass match_class) const {
   std::vector<const PairDecisionRecord*> out;

@@ -148,13 +148,6 @@ struct DetectionResult {
   /// TelemetryFromResult.
   std::shared_ptr<RunTelemetry> telemetry;
 
-  /// Decisions per class.
-  struct ClassCounts {
-    size_t matches = 0;
-    size_t possibles = 0;
-    size_t unmatches = 0;
-  };
-
   /// Id of tuple `index` of the run's relation (requires `ids`).
   const std::string& id(uint32_t index) const { return (*ids)[index]; }
 
@@ -169,9 +162,6 @@ struct DetectionResult {
   /// and the stage/cache/stream stats, which legitimately vary across
   /// execution shapes.
   uint64_t ContentDigest() const;
-
-  /// Counts every class in one pass over `decisions`.
-  ClassCounts CountClasses() const;
 
   /// Pointers into `decisions` for the records classified `match_class`,
   /// in candidate order. Invalidated when `decisions` mutates.

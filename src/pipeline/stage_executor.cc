@@ -30,9 +30,10 @@ inline uint64_t MicrosFromSeconds(double seconds) {
 
 /// Per-drain-thread span accounting. Each thread owns one slot, so the
 /// hot loop mutates it lock-free; the slots fold into the telemetry's
-/// generate span, worker.N spans and decide-latency histogram after
-/// the drain. Batch/candidate counts per worker vary with thread
-/// timing — they live on spans, which the identity gates never diff.
+/// generate span, worker.N spans, decide-latency histogram and
+/// identity metrics after the drain. Batch/candidate counts per worker
+/// vary with thread timing — they live on spans, which the identity
+/// gates never diff; the tallies merge to the same sum for any split.
 struct WorkerStats {
   size_t batches = 0;
   size_t candidates = 0;
@@ -42,6 +43,8 @@ struct WorkerStats {
   double decide_seconds = 0.0;
   /// Per-batch decide latency in microseconds.
   LogHistogram decide_micros;
+  /// Identity metrics of the records this thread decided.
+  DecisionTally tally;
 };
 
 /// The decision records of the drain, kept in pull order while
@@ -95,9 +98,10 @@ class OrderedRecords {
 /// standing stream's grows as tuples are admitted; finite streams
 /// report the same value) and copies the relation's ids into the
 /// result's own table. Then builds the run's unified telemetry once:
-/// the registry from the stat fields Execute summed, the generate/
-/// drain/worker spans from the per-thread slots. Nothing is written
-/// back into the fields.
+/// the registry from the stat fields Execute summed and the merge of
+/// the workers' decision tallies (no pass over the records), the
+/// generate/drain/worker spans from the per-thread slots. Nothing is
+/// written back into the fields.
 void FinishResult(const StageExecutorOptions& options,
                   const CandidateStream& stream,
                   std::vector<WorkerStats> workers, DetectionResult* result) {
@@ -109,8 +113,10 @@ void FinishResult(const StageExecutorOptions& options,
   }
   result->ids = std::move(ids);
 
+  DecisionTally tally;
+  for (const WorkerStats& w : workers) tally.Merge(w.tally);
   auto telemetry =
-      std::make_shared<RunTelemetry>(TelemetryFromResult(*result));
+      std::make_shared<RunTelemetry>(TelemetryFromResult(*result, tally));
   MetricsRegistry& m = telemetry->metrics;
   m.SetCounter("exec.config.workers", options.workers);
   m.SetCounter("exec.config.batch_size", options.batch_size);
@@ -356,6 +362,7 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
         ws.decide_seconds += decide;
         ws.decide_micros.Record(MicrosFromSeconds(decide));
       }
+      ws.tally.Add(decided);
       if (options_.decision_sink) {
         std::lock_guard<std::mutex> lock(sink_mu);
         for (const PairDecisionRecord& rec : decided) {

@@ -12,7 +12,10 @@
 // parallelism is purely a throughput knob. The drain streams: live
 // candidates are bounded by the in-flight batches plus whatever the
 // stream buffers (nothing for native-streaming reductions), and the
-// drain accounting lands in DetectionResult::stream_stats.
+// drain accounting lands in DetectionResult::stream_stats. Each worker
+// tallies the class counts and similarity histogram of every batch it
+// decides before committing it, and the telemetry merges the tallies,
+// so no pass over the records follows the drain.
 //
 // With a ShardedDecisionCache attached, each pair is first looked up by
 // (plan decision fingerprint, pair content digest); hits skip the

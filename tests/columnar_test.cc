@@ -1,14 +1,19 @@
 // Tests for the columnar decide path: RelationArena round-trips the
 // prepared relation field for field (built at once or grown tuple by
-// tuple through generations), every columnar kernel is bit-identical to
-// its registry comparator, and the executor's records equal the
+// tuple through generations) and interns values into exact-content
+// classes, every columnar kernel is bit-identical to its registry
+// comparator, and the executor's records equal the
 // DetectionPlan::DecidePair oracle bit for bit for every comparator —
-// kernel-backed, kernel-less and custom — across batch sizes, worker
-// counts and the decision cache.
+// kernel-backed, kernel-less and custom — and every φ/ϑ, across batch
+// sizes, worker counts and the decision cache, over relations whose
+// values repeat heavily and over one whose value pairs overflow the
+// matcher's value memo.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "pipeline/detection_plan.h"
 #include "pipeline/stage_executor.h"
 #include "plan/plan_builder.h"
+#include "plan/registry.h"
 #include "sim/columnar_kernels.h"
 #include "sim/registry.h"
 #include "sim/sim_scratch.h"
@@ -46,6 +52,70 @@ DetectorConfig PersonConfig() {
   config.key = {{"name", 3}, {"job", 2}};
   config.weights = {0.5, 0.3, 0.2};
   return config;
+}
+
+/// A relation whose values repeat heavily across tuples: each comes
+/// from a pool of five per attribute, among them multi-alternative
+/// values with unequal probabilities (the same texts in the same order
+/// with other probabilities, and in another order), ⊥, and on job the
+/// patterns 'me*' and 'ma*'. Tuples hold one to three alternatives,
+/// some of them maybe-tuples.
+XRelation RepeatingRelation() {
+  Schema schema({
+      {"name", ValueType::kString, {}},
+      {"job",
+       ValueType::kString,
+       {"machinist", "mechanic", "mechanist", "baker", "pilot"}},
+      {"city", ValueType::kString, {}},
+  });
+  const std::vector<std::vector<Value>> pools = {
+      {Value::Certain("john"),
+       Value::Dist({{"john", 0.55}, {"johan", 0.3}, {"jon", 0.1}}),
+       Value::Dist({{"john", 0.3}, {"johan", 0.55}, {"jon", 0.1}}),
+       Value::Dist({{"jon", 0.15}, {"john", 0.25}, {"johan", 0.55}}),
+       Value::Null()},
+      {Value::Certain("mechanic"), Value::Pattern("me", 0.9),
+       Value::Pattern("ma"), Value::Dist({{"baker", 0.7}, {"pilot", 0.2}}),
+       Value::Dist({{"pilot", 0.35}, {"mechanic", 0.45}, {"baker", 0.15}})},
+      {Value::Certain("berlin"), Value::Certain("bern"),
+       Value::Dist({{"berlin", 0.6}, {"bern", 0.25}, {"ulm", 0.1}}),
+       Value::Dist({{"ulm", 0.2}, {"berlin", 0.7}}),
+       Value::Dist({{"ulm", 0.7}, {"berlin", 0.2}})},
+  };
+  const std::vector<std::vector<double>> tuple_probs = {
+      {1.0}, {0.6, 0.4}, {0.5, 0.3, 0.15}, {0.7}};
+  XRelation rel("repeating", schema);
+  for (size_t t = 0; t < 36; ++t) {
+    const std::vector<double>& probs = tuple_probs[t % tuple_probs.size()];
+    std::vector<AltTuple> alternatives;
+    for (size_t i = 0; i < probs.size(); ++i) {
+      std::vector<Value> values;
+      for (size_t attr = 0; attr < pools.size(); ++attr) {
+        const std::vector<Value>& pool = pools[attr];
+        values.push_back(pool[(t * (attr + 2) + i * 3 + attr) % pool.size()]);
+      }
+      alternatives.push_back({std::move(values), probs[i]});
+    }
+    rel.AppendUnchecked(
+        XTuple("r" + std::to_string(t), std::move(alternatives)));
+  }
+  return rel;
+}
+
+/// The values of `rel` in arena order (row-major over the flattened
+/// alternative tuples, patterns expanded).
+std::vector<Value> FlattenedValues(const XRelation& rel) {
+  const Schema& schema = rel.schema();
+  std::vector<Value> values;
+  for (const XTuple& tuple : rel.xtuples()) {
+    for (const AltTuple& alt : tuple.alternatives()) {
+      for (size_t attr = 0; attr < schema.arity(); ++attr) {
+        values.push_back(
+            alt.values[attr].Expanded(schema.attribute(attr).vocabulary));
+      }
+    }
+  }
+  return values;
 }
 
 // --- arena round-trip ---------------------------------------------------
@@ -178,18 +248,49 @@ void ExpectSameArena(const RelationArena& a, const RelationArena& b) {
       EXPECT_EQ(a.value_alt_begin(v), b.value_alt_begin(v));
       EXPECT_EQ(a.value_alt_end(v), b.value_alt_end(v));
       EXPECT_EQ(a.value_null_prob(v), b.value_null_prob(v));
+      EXPECT_EQ(a.value_class(v), b.value_class(v));
     }
   }
   for (size_t k = 0; k < a.alternative_count(); ++k) {
     EXPECT_EQ(a.alt_text(k), b.alt_text(k));
     EXPECT_EQ(a.alt_prob(k), b.alt_prob(k));
     EXPECT_EQ(a.alt_sig(k), b.alt_sig(k));
-    EXPECT_EQ(a.alt_digest(k), b.alt_digest(k));
+  }
+}
+
+TEST(RelationArenaTest, ValueClassesAreExactContentWithinAnAttribute) {
+  for (const XRelation& rel :
+       {RepeatingRelation(), BuildR34(), UncertainPersons(40).relation}) {
+    std::shared_ptr<const RelationArena> arena = RelationArena::Build(rel);
+    ASSERT_NE(arena, nullptr);
+    const size_t arity = arena->arity();
+    const std::vector<Value> values = FlattenedValues(rel);
+    ASSERT_EQ(values.size(), arena->row_count() * arity);
+    size_t shared = 0;
+    uint32_t next_class = 0;
+    for (size_t v = 0; v < values.size(); ++v) {
+      // Ids are dense, issued in first-appearance order.
+      const uint32_t c = arena->value_class(v);
+      ASSERT_LE(c, next_class) << rel.name() << " value " << v;
+      if (c == next_class) ++next_class;
+      for (size_t w = 0; w < v; ++w) {
+        // Equal class <=> same attribute and equal content; no class
+        // spans two attributes.
+        const bool same_content =
+            v % arity == w % arity && values[v] == values[w];
+        EXPECT_EQ(arena->value_class(w) == c, same_content)
+            << rel.name() << " values " << w << ", " << v << ": "
+            << values[w].ToString() << " / " << values[v].ToString();
+        shared += same_content ? 1 : 0;
+      }
+    }
+    EXPECT_GT(shared, 0u) << rel.name() << " repeats no value";
   }
 }
 
 TEST(RelationArenaTest, AppendGrowsByGenerationsAndMatchesBuild) {
-  for (const XRelation& rel : {UncertainPersons(40).relation, BuildR34()}) {
+  for (const XRelation& rel :
+       {UncertainPersons(40).relation, BuildR34(), RepeatingRelation()}) {
     XRelation empty(rel.name(), rel.schema());
     std::shared_ptr<RelationArena> arena = RelationArena::Build(empty);
     ASSERT_NE(arena, nullptr);
@@ -211,6 +312,10 @@ TEST(RelationArenaTest, AppendGrowsByGenerationsAndMatchesBuild) {
         EXPECT_EQ(arena->tuple_count(), held);
         if (!first_text.empty()) {
           EXPECT_EQ(arena->alt_text(0), first_text);
+        }
+        // And its class ids stay valid in the new generation.
+        for (size_t v = 0; v < arena->row_count() * arena->arity(); ++v) {
+          EXPECT_EQ(next->value_class(v), arena->value_class(v));
         }
       }
       arena = std::move(next);
@@ -374,6 +479,88 @@ TEST(ColumnarOracleTest, MixedAndCustomComparatorsMatchDecidePair) {
   with_custom.comparators = {"jaro_winkler", "default", "default"};
   with_custom.custom_comparators = {nullptr, &custom, nullptr};
   ExpectOracleIdentity(with_custom, data.relation, "custom");
+}
+
+TEST(ColumnarOracleTest, RepeatedValuesMatchDecidePair) {
+  // Most value pairs recur, so the matcher's memo answers most of them:
+  // across tuple pairs in both orientations, with multi-alternative
+  // values on either side and pattern values.
+  const XRelation rel = RepeatingRelation();
+  for (const std::string& name : ComparatorNames()) {
+    DetectorConfig config = PersonConfig();
+    config.comparators = {name, name, name};
+    ExpectOracleIdentity(config, rel, "repeating " + name);
+  }
+  DetectorConfig mixed = PersonConfig();
+  mixed.comparators = {"soundex", "monge_elkan", "hamming"};
+  ExpectOracleIdentity(mixed, rel, "repeating soundex,monge_elkan,hamming");
+
+  FirstLetterComparator custom;
+  DetectorConfig with_custom = PersonConfig();
+  with_custom.comparators = {"jaro_winkler", "default", "default"};
+  with_custom.custom_comparators = {nullptr, &custom, nullptr};
+  ExpectOracleIdentity(with_custom, rel, "repeating custom");
+}
+
+TEST(ColumnarOracleTest, EveryCombinationAndDerivationMatchesDecidePair) {
+  // Only a weighted-sum φ with the expected-similarity ϑ is summed
+  // inside the match loop; every other pairing derives from the score
+  // grid.
+  const XRelation rel = RepeatingRelation();
+  for (CombinationKind combination :
+       {CombinationKind::kWeightedSum, CombinationKind::kFellegiSunter}) {
+    for (DerivationKind derivation :
+         {DerivationKind::kExpectedSimilarity, DerivationKind::kMatchingWeight,
+          DerivationKind::kExpectedMatching, DerivationKind::kMaxSimilarity,
+          DerivationKind::kMinSimilarity, DerivationKind::kModeSimilarity}) {
+      DetectorConfig config = PersonConfig();
+      config.comparators = {"jaro_winkler", "hamming", "monge_elkan"};
+      config.combination = combination;
+      config.derivation = derivation;
+      if (combination == CombinationKind::kFellegiSunter) {
+        config.fs_attributes = {
+            {0.9, 0.1, 0.8}, {0.85, 0.15, 0.6}, {0.8, 0.2, 0.5}};
+        config.final_thresholds = {0.5, 5.0};
+      } else if (derivation == DerivationKind::kMatchingWeight) {
+        config.final_thresholds = {0.5, 1.0};
+      }
+      ExpectOracleIdentity(config, rel,
+                           std::string(CombinationKindName(combination)) +
+                               "/" + DerivationKindName(derivation));
+    }
+  }
+}
+
+TEST(ColumnarOracleTest, MemoCollisionsNeverServeAnotherValuePair) {
+  // Far more distinct value pairs than the matcher's 2^14 memo slots:
+  // slots are evicted constantly, and an evicted or colliding slot must
+  // never answer for another class pair.
+  GeneratedData data = UncertainPersons(200);
+  std::shared_ptr<const RelationArena> arena =
+      RelationArena::Build(data.relation);
+  ASSERT_NE(arena, nullptr);
+  const size_t arity = arena->arity();
+  std::set<uint64_t> class_pairs;
+  for (size_t t1 = 0; t1 < arena->tuple_count(); ++t1) {
+    for (size_t t2 = t1 + 1; t2 < arena->tuple_count(); ++t2) {
+      for (size_t r1 = arena->tuple_row_begin(t1);
+           r1 < arena->tuple_row_end(t1); ++r1) {
+        for (size_t r2 = arena->tuple_row_begin(t2);
+             r2 < arena->tuple_row_end(t2); ++r2) {
+          for (size_t attr = 0; attr < arity; ++attr) {
+            const uint64_t c1 = arena->value_class(r1 * arity + attr);
+            const uint64_t c2 = arena->value_class(r2 * arity + attr);
+            class_pairs.insert(std::min(c1, c2) << 32 | std::max(c1, c2));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(class_pairs.size(), size_t{4} << 14);
+  ExpectOracleIdentity(PersonConfig(), data.relation, "many pairs default");
+  DetectorConfig mixed = PersonConfig();
+  mixed.comparators = {"soundex", "jaro", "numeric"};
+  ExpectOracleIdentity(mixed, data.relation, "many pairs soundex,jaro,numeric");
 }
 
 TEST(ColumnarOracleTest, PatternRelationMatchesDecidePair) {

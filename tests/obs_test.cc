@@ -2,7 +2,8 @@
 // bucket math and merge associativity, registry determinism across
 // worker/batch/cache run shapes, JSON and Prometheus export goldens,
 // the atomic sidecar writer, span nesting, the registry's agreement
-// with the result's stat fields, and the "(disabled)" stage-timing
+// with the result's stat fields and of the workers' tallies with a
+// recount of the records, and the "(disabled)" stage-timing
 // rendering.
 
 #include <gtest/gtest.h>
@@ -23,7 +24,9 @@
 #include "obs/export.h"
 #include "obs/log_histogram.h"
 #include "obs/metrics_registry.h"
+#include "ingest/standing_session.h"
 #include "obs/run_telemetry.h"
+#include "pipeline/detection_plan.h"
 #include "pipeline/detection_result.h"
 
 namespace pdd {
@@ -42,6 +45,13 @@ TEST(LogHistogramTest, BucketIndexIsBitWidth) {
   EXPECT_EQ(LogHistogram::BucketIndex(1023), 10u);
   EXPECT_EQ(LogHistogram::BucketIndex(1024), 11u);
   EXPECT_EQ(LogHistogram::BucketIndex(UINT64_MAX), 64u);
+  // Both sides of every power of two: 2^k - 1 has width k, 2^k has
+  // width k + 1.
+  for (size_t k = 1; k <= 63; ++k) {
+    const uint64_t power = uint64_t{1} << k;
+    EXPECT_EQ(LogHistogram::BucketIndex(power - 1), k) << "2^" << k << " - 1";
+    EXPECT_EQ(LogHistogram::BucketIndex(power), k + 1) << "2^" << k;
+  }
 }
 
 TEST(LogHistogramTest, BucketUpperBoundsInvertBucketIndex) {
@@ -452,6 +462,85 @@ TEST(RunTelemetryTest, RegistryIsBuiltOnceFromTheResultFields) {
   EXPECT_EQ(t.root.children[0].name, "generate");
   EXPECT_EQ(t.root.children[1].name, "drain");
   EXPECT_NE(t.root.Find("drain/worker.0"), nullptr);
+}
+
+/// Holds the identity metrics the executor tallied in its workers to a
+/// recount of the same records through a hand-assembled result.
+void ExpectTallyEqualsRecount(const DetectionResult& result,
+                              const std::string& label) {
+  ASSERT_NE(result.telemetry, nullptr) << label;
+  ASSERT_FALSE(result.decisions.empty()) << label;
+  DetectionResult recount;
+  recount.decisions = result.decisions;
+  recount.candidate_count = result.candidate_count;
+  recount.total_pairs = result.total_pairs;
+  recount.plan_fingerprint = result.plan_fingerprint;
+  EXPECT_EQ(IdentityMetricsJson(*result.telemetry),
+            IdentityMetricsJson(TelemetryFromResult(recount)))
+      << label;
+  const MetricsRegistry& m = result.telemetry->metrics;
+  EXPECT_EQ(m.counter(kMetricMatches) + m.counter(kMetricPossibles) +
+                m.counter(kMetricUnmatches),
+            result.decisions.size())
+      << label;
+  const LogHistogram* similarity = m.histogram(kMetricSimilarityMicros);
+  ASSERT_NE(similarity, nullptr) << label;
+  EXPECT_EQ(similarity->count(), result.decisions.size()) << label;
+}
+
+TEST(RunTelemetryTest, TalliedIdentityMetricsEqualARecount) {
+  GeneratedData data = UncertainPersons();
+  auto cache = std::make_shared<ShardedDecisionCache>();
+  const RunShape shapes[] = {
+      {"serial"},
+      {"4 workers x batch 2", /*workers=*/4, /*batch_size=*/2},
+      {"cold cached", /*workers=*/2, /*batch_size=*/7, /*cached=*/true},
+      {"warm cached", /*workers=*/2, /*batch_size=*/7, /*cached=*/true},
+  };
+  for (const RunShape& shape : shapes) {
+    DetectorConfig config = PersonConfig();
+    config.workers = shape.workers;
+    config.batch_size = shape.batch_size;
+    auto detector = DuplicateDetector::Make(config, PersonSchema());
+    ASSERT_TRUE(detector.ok()) << shape.label;
+    if (shape.cached) detector->set_cache(cache);
+    auto result = detector->Run(data.relation);
+    ASSERT_TRUE(result.ok()) << shape.label;
+    ExpectTallyEqualsRecount(*result, shape.label);
+    EXPECT_GT(result->telemetry->metrics.counter(kMetricMatches), 0u)
+        << shape.label;
+    if (std::string(shape.label) == "warm cached") {
+      ASSERT_TRUE(result->cache_stats.has_value());
+      EXPECT_EQ(result->cache_stats->hits, result->candidate_count);
+    }
+  }
+
+  // Standing: a seed relation, then live arrivals. The live drain
+  // decides seed x arrival and arrival x arrival pairs; Finish() takes
+  // those from the live records and decides the seed x seed pairs.
+  auto plan = DetectionPlan::Compile(PersonConfig(), PersonSchema());
+  ASSERT_TRUE(plan.ok());
+  const size_t seed_size = data.relation.size() / 3;
+  XRelation seed(data.relation.name(), data.relation.schema());
+  for (size_t i = 0; i < seed_size; ++i) {
+    seed.AppendUnchecked(data.relation.xtuple(i));
+  }
+  StandingSession::Options options;
+  options.workers = 2;
+  options.batch_size = 5;
+  auto session = StandingSession::Make(*plan, &seed, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (size_t i = seed_size; i < data.relation.size(); ++i) {
+    ASSERT_TRUE((*session)->queue().Push(data.relation.xtuple(i)));
+  }
+  (*session)->queue().Close();
+  auto live = (*session)->Drain();
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ExpectTallyEqualsRecount(*live, "standing Drain()");
+  auto finish = (*session)->Finish();
+  ASSERT_TRUE(finish.ok()) << finish.status().ToString();
+  EXPECT_GT(finish->decisions.size(), live->decisions.size());
+  ExpectTallyEqualsRecount(*finish, "Finish() with prior decisions");
 }
 
 TEST(RunTelemetryTest, HandAssembledResultsBridgeThroughTelemetryFromResult) {

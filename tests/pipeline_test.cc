@@ -11,6 +11,7 @@
 #include "core/detector.h"
 #include "core/paper_examples.h"
 #include "datagen/person_generator.h"
+#include "obs/run_telemetry.h"
 #include "pipeline/candidate_stream.h"
 #include "pipeline/detection_plan.h"
 #include "pipeline/detection_result.h"
@@ -461,10 +462,11 @@ TEST(DetectionResultTest, ClassFiltersShareOneHelper) {
       {1, 2, 0.1, MatchClass::kUnmatch},
       {0, 3, 0.8, MatchClass::kMatch},
   };
-  const DetectionResult::ClassCounts counts = result.CountClasses();
-  EXPECT_EQ(counts.matches, 2u);
-  EXPECT_EQ(counts.possibles, 1u);
-  EXPECT_EQ(counts.unmatches, 1u);
+  DecisionTally tally;
+  tally.Add(result.decisions);
+  EXPECT_EQ(tally.matches, 2u);
+  EXPECT_EQ(tally.possibles, 1u);
+  EXPECT_EQ(tally.unmatches, 1u);
   EXPECT_EQ(result.Matches(),
             (std::vector<IdPair>{MakeIdPair("a", "b"), MakeIdPair("a", "d")}));
   EXPECT_EQ(result.PossibleMatches(),
