@@ -21,6 +21,7 @@
 #include "decision/classifier.h"
 #include "decision/combination.h"
 #include "match/tuple_matcher.h"
+#include "obs/run_telemetry.h"
 #include "pipeline/candidate_stream.h"
 #include "pipeline/stage_executor.h"
 #include "sim/edit_distance.h"
@@ -103,6 +104,13 @@ double MeasureReferencePairsPerSec(const pdd::DuplicateDetector& detector,
                      : 0.0;
 }
 
+/// Seconds of the executor span `name` (generate, drain or commit) of
+/// `result`'s run; every run clocks each batch into these.
+double SpanSeconds(const pdd::DetectionResult& result, const char* name) {
+  const pdd::TelemetrySpan* span = result.telemetry->root.FindChild(name);
+  return span == nullptr ? 0.0 : span->seconds;
+}
+
 bool SameDecisions(const pdd::DetectionResult& a,
                    const pdd::DetectionResult& b) {
   if (a.decisions.size() != b.decisions.size()) return false;
@@ -167,50 +175,25 @@ bool BenchStagedExecutor() {
             << std::thread::hardware_concurrency()
             << " hardware thread(s) available\n";
 
-  // Executor instrumentation: where the serial run's time went, per
-  // pipeline stage (the profile perf work should target). A dedicated
-  // timed run — the throughput rows above stay clock-read-free.
-  StageExecutorOptions timed_options;
-  timed_options.stage_timings = true;
-  auto timed_stream = MakeFullStream(detector->plan(), data.relation);
-  if (!timed_stream.ok()) return false;
-  auto timed_result = StageExecutor(detector->shared_plan(), timed_options)
-                          .Execute(**timed_stream);
-  if (!timed_result.ok()) return false;
-  all_identical = all_identical && SameDecisions(serial, *timed_result);
-  const StageTimings& timings = timed_result->stage_timings;
-  double total = timings.TotalSeconds();
+  // Where the serial run's time went, from its own telemetry: every
+  // run clocks each batch's pull, decide and commit.
+  const double total = serial.telemetry->root.seconds;
   if (total > 0.0) {
-    std::cout << "\nper-stage wall time of the serial run:\n";
-    TablePrinter stage_table({"stage", "ms", "share"});
+    std::cout << "\nper-batch wall time of the serial run:\n";
+    TablePrinter phase_table({"phase", "ms", "share"});
     const std::pair<const char*, double> rows[] = {
-        {"match", timings.match_seconds},
-        {"combine", timings.combine_seconds},
-        {"derive", timings.derive_seconds},
-        {"classify", timings.classify_seconds},
+        {"pull", SpanSeconds(serial, "generate")},
+        {"decide", SpanSeconds(serial, "drain")},
+        {"commit", SpanSeconds(serial, "commit")},
     };
     for (const auto& [name, seconds] : rows) {
-      stage_table.AddRow({name, Fmt(seconds * 1000.0, 2),
+      phase_table.AddRow({name, Fmt(seconds * 1000.0, 2),
                           Fmt(100.0 * seconds / total, 1) + "%"});
     }
-    stage_table.AddRow({"total", Fmt(total * 1000.0, 2), "100.0%"});
-    stage_table.Print(std::cout);
+    phase_table.AddRow({"total", Fmt(total * 1000.0, 2), "100.0%"});
+    phase_table.Print(std::cout);
   }
   return all_identical;
-}
-
-/// One stage-timed serial run; false on any pipeline error.
-bool TimedStageSeconds(const pdd::DuplicateDetector& detector,
-                       const pdd::XRelation& rel, pdd::StageTimings* out) {
-  pdd::StageExecutorOptions options;
-  options.stage_timings = true;
-  auto stream = pdd::MakeFullStream(detector.plan(), rel);
-  if (!stream.ok()) return false;
-  auto result =
-      pdd::StageExecutor(detector.shared_plan(), options).Execute(**stream);
-  if (!result.ok()) return false;
-  *out = result->stage_timings;
-  return true;
 }
 
 /// The executor's columnar decide path against the scalar reference
@@ -274,11 +257,6 @@ bool BenchKernelComparison() {
               << "x is below the 1.5x target\n";
   }
 
-  StageTimings columnar_timed;
-  if (!TimedStageSeconds(*detector, data.relation, &columnar_timed)) {
-    return false;
-  }
-
   pdd_bench::BenchJsonWriter json("fig03");
   json.Set("bench", "fig03_kernel_comparison");
   json.Set("records", static_cast<double>(data.relation.size()));
@@ -288,11 +266,10 @@ bool BenchKernelComparison() {
   json.Set("columnar_pairs_per_sec", columnar_rate);
   json.Set("columnar_speedup", speedup);
   json.Set("reports_identical", identical);
-  // Fused on the columnar path: φ is computed inside the match stage,
-  // so its cost lands in match_seconds and combine stays 0.
-  json.Set("columnar_match_seconds", columnar_timed.match_seconds);
-  json.Set("columnar_derive_seconds", columnar_timed.derive_seconds);
-  json.Set("columnar_classify_seconds", columnar_timed.classify_seconds);
+  // The last measured columnar run's own batch clocks.
+  json.Set("columnar_pull_seconds", SpanSeconds(columnar_result, "generate"));
+  json.Set("columnar_decide_seconds", SpanSeconds(columnar_result, "drain"));
+  json.Set("columnar_commit_seconds", SpanSeconds(columnar_result, "commit"));
   json.Write();
 
   // Hard gates: identity always; never slower than the path it

@@ -49,8 +49,7 @@ std::shared_ptr<const DetectionPlan> CompilePlan(size_t window) {
 }
 
 /// Runs `plan` over `rel` through `cache` (null = uncached) and returns
-/// pairs/sec, with the result in `*out`. Stage timing is disabled so
-/// the clock reads don't bill the hit path.
+/// pairs/sec, with the result in `*out`.
 double MeasureRate(const std::shared_ptr<const DetectionPlan>& plan,
                    const XRelation& rel,
                    const std::shared_ptr<ShardedDecisionCache>& cache,
@@ -67,7 +66,6 @@ double MeasureRate(const std::shared_ptr<const DetectionPlan>& plan,
   // before the clock starts.
   (*stream)->set_arena(RelationArena::Build((*stream)->relation()));
   StageExecutorOptions options;
-  options.stage_timings = false;
   options.cache = cache;
   StageExecutor executor(plan, options);
   BenchClock::time_point start = BenchClock::now();

@@ -65,7 +65,6 @@ StageExecutor DuplicateDetector::MakeExecutor() const {
   options.batch_size = plan_->config().batch_size;
   options.workers = plan_->config().workers;
   options.cache = cache_;
-  options.stage_timings = collect_stage_timings_;
   return StageExecutor(plan_, options);
 }
 

@@ -94,13 +94,9 @@ class DuplicateDetector {
   }
   const std::shared_ptr<ShardedDecisionCache>& cache() const { return cache_; }
 
-  /// Opt into per-stage wall-time accumulation on subsequent Run*
-  /// results (DetectionResult::stage_timings; rendered by
-  /// ExecutionStatsReport). Off by default — the per-pair clock reads
-  /// cost throughput.
-  void set_collect_stage_timings(bool collect) {
-    collect_stage_timings_ = collect;
-  }
+  /// A no-op, deleted by the next benchmark change (the repository
+  /// benchmark still calls it): every run clocks its batches.
+  void set_collect_stage_timings(bool /*collect*/) {}
 
   /// Resolved pipeline components (for explanations and diagnostics).
   const TupleMatcher& matcher() const { return plan_->matcher(); }
@@ -120,7 +116,6 @@ class DuplicateDetector {
 
   std::shared_ptr<const DetectionPlan> plan_;
   std::shared_ptr<ShardedDecisionCache> cache_;
-  bool collect_stage_timings_ = false;
 };
 
 }  // namespace pdd

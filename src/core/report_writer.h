@@ -28,10 +28,10 @@ std::string DetectionReport(const DetectionResult& result,
                             size_t max_review_rows = 10);
 
 /// Markdown rendering of a run's execution statistics: the executor's
-/// per-stage wall-time breakdown (match/combine/derive/classify +
-/// cache lookup) and, when a cache was attached, the run's hit/miss/
-/// insert counts. Kept separate from DetectionReport because these
-/// numbers vary between otherwise identical runs.
+/// per-batch wall-time breakdown (pull / decide / commit, with the
+/// batch decide p50 and p99) and, when a cache was attached, the run's
+/// hit/miss/insert counts. Kept separate from DetectionReport because
+/// these numbers vary between otherwise identical runs.
 std::string ExecutionStatsReport(const DetectionResult& result);
 
 }  // namespace pdd

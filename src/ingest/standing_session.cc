@@ -25,7 +25,6 @@ StageExecutorOptions StandingSession::ExecutorOptions(bool live) const {
   StageExecutorOptions exec;
   exec.batch_size = options_.batch_size;
   exec.workers = options_.workers;
-  exec.stage_timings = options_.stage_timings;
   exec.cache = options_.cache;
   // The sink streams LIVE decisions only; finish runs are ordinary
   // batch drains whose order the result itself carries.

@@ -50,6 +50,8 @@ class StandingSession {
     /// batch_size/workers).
     size_t batch_size = 256;
     size_t workers = 0;
+    /// Ignored, deleted by the next benchmark change (the repository
+    /// benchmark still sets it): every run clocks its batches.
     bool stage_timings = false;
     /// Shared decision store: what makes crash-restart warm-up
     /// possible (a restarted drain re-serves replayed arrivals from

@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <chrono>
 #include <new>
 
 #include "decision/combination.h"
@@ -11,16 +10,6 @@
 #include "match/comparison_vector.h"
 
 namespace pdd {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-inline double Elapsed(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
 
 ColumnarMatcher::MemoSlot* ColumnarMatcher::MapMemo() {
   void* pages = ::mmap(nullptr, kMemoBytes, PROT_READ | PROT_WRITE,
@@ -165,32 +154,6 @@ XPairDecision ColumnarMatcher::Decide(size_t t1, size_t t2) {
         break;
       case PipelineStage::kClassify:
         decision.match_class = plan_.RunClassifyStage(decision.similarity);
-        break;
-    }
-  }
-  return decision;
-}
-
-XPairDecision ColumnarMatcher::DecideTimed(size_t t1, size_t t2,
-                                           StageTimings* timings) {
-  XPairDecision decision;
-  for (PipelineStage stage : plan_.stages()) {
-    Clock::time_point start = Clock::now();
-    switch (stage) {
-      case PipelineStage::kMatch:
-        FillScores(t1, t2);
-        timings->match_seconds += Elapsed(start);
-        break;
-      case PipelineStage::kCombine:
-        // Fused into kMatch: the clock read would only measure itself.
-        break;
-      case PipelineStage::kDerive:
-        decision.similarity = plan_.RunDeriveStage(scores_);
-        timings->derive_seconds += Elapsed(start);
-        break;
-      case PipelineStage::kClassify:
-        decision.match_class = plan_.RunClassifyStage(decision.similarity);
-        timings->classify_seconds += Elapsed(start);
         break;
     }
   }

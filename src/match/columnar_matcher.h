@@ -42,12 +42,12 @@
 //     default plan), Decide adds (p1·p2)·φ of each alternative pair in
 //     row-major order as it goes — ExpectedSimilarityDerivation's sum,
 //     term for term — and classifies it, without the score grid.
-//     Every other ϑ derives from the grid.
+//     Every other ϑ walks the plan's stage graph and derives from the
+//     grid, with φ computed inside the match stage (fusing match +
+//     combine).
 //
-// DecideTimed walks the plan's stage graph with a clock read around
-// each stage, but the match stage computes φ inline while the
-// comparison values are hot (fusing match + combine), so the fused
-// cost is billed to match_seconds and combine_seconds stays 0.
+// Decide is the only decide path and reads no clock: the executor
+// times whole batches around it.
 
 #ifndef PDD_MATCH_COLUMNAR_MATCHER_H_
 #define PDD_MATCH_COLUMNAR_MATCHER_H_
@@ -59,7 +59,6 @@
 #include "columnar/relation_arena.h"
 #include "derive/xtuple_decision_model.h"
 #include "pipeline/detection_plan.h"
-#include "pipeline/detection_result.h"
 #include "sim/columnar_kernels.h"
 #include "sim/sim_scratch.h"
 
@@ -74,10 +73,6 @@ class ColumnarMatcher {
   /// Decides the pair of arena tuples (t1, t2); bit-identical to
   /// plan.DecidePair on the corresponding x-tuples.
   XPairDecision Decide(size_t t1, size_t t2);
-
-  /// Decide with per-stage wall times accumulated into `timings`
-  /// (match_seconds carries the fused match+combine cost).
-  XPairDecision DecideTimed(size_t t1, size_t t2, StageTimings* timings);
 
   /// The arena this matcher decides over (precomputed tuple digests
   /// for the executor's cache path live here).

@@ -189,32 +189,34 @@ Status WriteTelemetrySidecar(const RunTelemetry& telemetry,
 
 std::string RenderExecutionStats(const RunTelemetry& telemetry) {
   const MetricsRegistry& m = telemetry.metrics;
-  std::string out = "# Execution statistics\n\n";
-  const std::pair<const char*, double> rows[] = {
-      {"match", m.gauge(kGaugeMatchSeconds)},
-      {"derive", m.gauge(kGaugeDeriveSeconds)},
-      {"classify", m.gauge(kGaugeClassifySeconds)},
-      {"cache lookup", m.gauge(kGaugeCacheLookupSeconds)},
-      {"cache insert", m.gauge(kGaugeCacheInsertSeconds)},
-  };
-  double total = 0.0;
-  for (const auto& [name, seconds] : rows) total += seconds;
-  out += "## Stage timings\n\n";
-  if (total > 0.0) {
-    out += "| stage | seconds | share |\n|---|---|---|\n";
+  std::string out = "# Execution statistics\n\n## Batch timings\n\n";
+  const LogHistogram* decide = m.histogram(kMetricBatchDecideMicros);
+  if (decide == nullptr) {
+    // A hand-assembled result: no executor drained it.
+    out += "(no executor timings)\n";
+  } else {
+    auto span_seconds = [&](std::string_view name) {
+      const TelemetrySpan* span = telemetry.root.FindChild(name);
+      return span == nullptr ? 0.0 : span->seconds;
+    };
+    const std::pair<const char*, double> rows[] = {
+        {"pull", span_seconds("generate")},
+        {"decide", span_seconds("drain")},
+        {"commit", span_seconds("commit")},
+    };
+    double total = 0.0;
+    for (const auto& [name, seconds] : rows) total += seconds;
+    out += "| phase | seconds | share |\n|---|---|---|\n";
     for (const auto& [name, seconds] : rows) {
+      const double share = total > 0.0 ? 100.0 * seconds / total : 0.0;
       out += std::string("| ") + name + " | " + FormatDouble(seconds, 6) +
-             " | " + FormatDouble(100.0 * seconds / total, 1) + "% |\n";
+             " | " + FormatDouble(share, 1) + "% |\n";
     }
     out += "| total | " + FormatDouble(total, 6) + " | 100.0% |\n";
-  } else if (m.info(kInfoTimings) == "collected") {
-    // Collected but every stage stayed below clock resolution: a real
-    // (tiny) run, not a disabled one.
-    out += "(all stages below clock resolution)\n";
-  } else {
-    // Timing collection was off: 0.000000-second rows would read as
-    // "instant stages", so say what actually happened.
-    out += "(disabled)\n";
+    out += "\n- batch decide latency (us): p50 " +
+           std::to_string(decide->Quantile(0.50)) + ", p99 " +
+           std::to_string(decide->Quantile(0.99)) + " over " +
+           std::to_string(decide->count()) + " batches\n";
   }
   if (m.counter(kMetricCacheAttached) != 0) {
     const uint64_t lookups = m.counter(kMetricCacheLookups);

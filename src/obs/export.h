@@ -58,10 +58,12 @@ Status WriteTelemetrySidecar(const RunTelemetry& telemetry,
                              const std::string& path,
                              std::string_view format);
 
-/// The Markdown execution-statistics report: stage timing table
-/// ("(disabled)" when the run collected no timings), decision-cache
-/// run and lifetime counters, candidate-stream drain accounting. Reads
-/// the metric names of run_telemetry.h.
+/// The Markdown execution-statistics report: the batch timing table
+/// (pull / decide / commit seconds from the generate / drain / commit
+/// spans, and the batch decide p50 and p99; "(no executor timings)"
+/// for a hand-assembled result), decision-cache run and lifetime
+/// counters, candidate-stream drain accounting. Reads the metric names
+/// of run_telemetry.h.
 std::string RenderExecutionStats(const RunTelemetry& telemetry);
 
 /// The candidate-streaming stderr diagnostics (reduction name, native

@@ -50,6 +50,17 @@ uint64_t SimilarityMicros(double similarity) {
   return static_cast<uint64_t>(std::llround(similarity * 1e6));
 }
 
+/// Adds `from`'s seconds and counts into `into`, child by child name.
+void AddSpan(const TelemetrySpan& from, TelemetrySpan* into) {
+  into->seconds += from.seconds;
+  for (const auto& [name, count] : from.counts) into->counts[name] += count;
+  for (const TelemetrySpan& child : from.children) {
+    TelemetrySpan* same = into->FindChild(child.name);
+    if (same == nullptr) same = into->AddChild(child.name);
+    AddSpan(child, same);
+  }
+}
+
 }  // namespace
 
 void DecisionTally::Add(const std::vector<PairDecisionRecord>& records) {
@@ -106,38 +117,15 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result,
   if (result.cache_stats.has_value()) {
     SetCacheRunStats(*result.cache_stats, &m);
   }
-  m.SetInfo(kInfoTimings,
-            result.stage_timings_collected ? "collected" : "disabled");
-
-  // Timing metrics + stage spans, only for runs that collected them.
-  telemetry.root.AddChild("drain");
-  if (result.stage_timings_collected) {
-    SetStageTimings(result.stage_timings, &telemetry);
-  }
   return telemetry;
 }
 
-void SetStageTimings(const StageTimings& timings, RunTelemetry* telemetry) {
-  const struct {
-    const char* gauge;
-    const char* span;
-    double seconds;
-  } stages[] = {
-      {kGaugeMatchSeconds, "stage.match", timings.match_seconds},
-      {kGaugeDeriveSeconds, "stage.derive", timings.derive_seconds},
-      {kGaugeClassifySeconds, "stage.classify", timings.classify_seconds},
-      {kGaugeCacheLookupSeconds, "stage.cache_lookup",
-       timings.cache_lookup_seconds},
-      {kGaugeCacheInsertSeconds, "stage.cache_insert",
-       timings.cache_insert_seconds},
-  };
-  TelemetrySpan* drain = telemetry->root.FindChild("drain");
-  if (drain == nullptr) drain = telemetry->root.AddChild("drain");
-  for (const auto& stage : stages) {
-    telemetry->metrics.SetGauge(stage.gauge, stage.seconds);
-    TelemetrySpan* span = drain->FindChild(stage.span);
-    if (span == nullptr) span = drain->AddChild(stage.span);
-    span->seconds = stage.seconds;
+void AddRunTimings(const RunTelemetry& from, RunTelemetry* into) {
+  AddSpan(from.root, &into->root);
+  if (const LogHistogram* decide =
+          from.metrics.histogram(kMetricBatchDecideMicros);
+      decide != nullptr) {
+    into->metrics.MutableHistogram(kMetricBatchDecideMicros)->Merge(*decide);
   }
 }
 

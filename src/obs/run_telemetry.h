@@ -1,12 +1,16 @@
 // RunTelemetry: the unified telemetry of one detection run — a
-// MetricsRegistry (the queryable metric surface) plus a tree of stage/
-// span records (generate → drain → match/derive/classify/cache, with
-// per-worker child spans). Telemetry flows one way: the StageExecutor
-// sums each stat into DetectionResult's fields (StageTimings,
-// CacheRunStats, StreamRunStats) once and its workers tally the
-// identity metrics of the records they decide (DecisionTally);
-// TelemetryFromResult builds the registry from those once, and the
-// executor attaches the result to DetectionResult::telemetry. Every
+// MetricsRegistry (the queryable metric surface) plus a tree of span
+// records. Every executor run clocks each batch, never a pair: the
+// pull (NextBatch), the decide (DecideBatch and the tally) and the
+// commit (the decision sink and the in-order merge), into the spans
+// generate, drain (with one worker.N child per drain thread) and
+// commit, and the decide latency into time.batch_decide_micros.
+// Telemetry flows one way: the StageExecutor sums each stat into
+// DetectionResult's fields (CacheRunStats, StreamRunStats) once and
+// its workers tally the identity metrics of the records they decide
+// (DecisionTally); TelemetryFromResult builds the registry from those
+// once, and the executor adds the spans and attaches the result to
+// DetectionResult::telemetry. Every
 // consumer — ExecutionStatsReport, `pddcli --metrics`, the stderr
 // diagnostics, the bench sidecars — renders from the registry and
 // never writes back into the fields.
@@ -35,7 +39,6 @@ struct CacheRunStats;
 struct DetectionResult;
 struct DecisionCacheStats;
 struct PairDecisionRecord;
-struct StageTimings;
 
 // Registry metric names (the stable schema surface; see README
 // "Observability" for the full table).
@@ -63,8 +66,6 @@ inline constexpr char kMetricCacheLookups[] = "exec.cache.lookups";
 inline constexpr char kMetricCacheHits[] = "exec.cache.hits";
 inline constexpr char kMetricCacheMisses[] = "exec.cache.misses";
 inline constexpr char kMetricCacheInserts[] = "exec.cache.inserts";
-/// "collected" or "disabled" — whether the run accumulated wall times.
-inline constexpr char kInfoTimings[] = "exec.timings";
 // Standing-ingest family (recorded by StandingSession / pddserve; see
 // README "Standing ingest"). Queue shape and drop accounting are
 // execution-shape metrics; the namespace contract keeps the invariant
@@ -92,18 +93,8 @@ inline constexpr char kMetricIngestCacheSnapshots[] =
 inline constexpr char kMetricIngestIndexBuilds[] =
     "exec.ingest.index_builds";
 // Timing namespace — nondeterministic by nature:
-/// ColumnarMatcher fuses the combination into the match stage, so
-/// there is no combine gauge or span.
-inline constexpr char kGaugeMatchSeconds[] = "time.stage.match_seconds";
-inline constexpr char kGaugeDeriveSeconds[] = "time.stage.derive_seconds";
-inline constexpr char kGaugeClassifySeconds[] =
-    "time.stage.classify_seconds";
-inline constexpr char kGaugeCacheLookupSeconds[] =
-    "time.stage.cache_lookup_seconds";
-inline constexpr char kGaugeCacheInsertSeconds[] =
-    "time.stage.cache_insert_seconds";
-/// Per-batch decide latency histogram (microseconds), recorded only
-/// when stage timings are on.
+/// Per-batch decide latency histogram (microseconds): one sample per
+/// batch of every executor run, so its count is exec.stream.batches.
 inline constexpr char kMetricBatchDecideMicros[] =
     "time.batch_decide_micros";
 /// Admission-to-decision latency histogram (microseconds): for each
@@ -112,9 +103,9 @@ inline constexpr char kMetricBatchDecideMicros[] =
 inline constexpr char kMetricIngestAdmitToDecideMicros[] =
     "time.ingest.admit_to_decide_micros";
 
-/// One node of the span tree. `seconds` is 0 when the run had timing
-/// collection off; `counts` carries span-local counters (batches,
-/// candidates, live_high_water).
+/// One node of the span tree. `seconds` sums the per-batch clocks of
+/// every drain thread, so with a pool it is CPU-time-like; `counts`
+/// carries span-local counters (batches, candidates).
 struct TelemetrySpan {
   std::string name;
   double seconds = 0.0;
@@ -161,10 +152,10 @@ struct DecisionTally {
   void Merge(const DecisionTally& other);
 };
 
-/// Builds the registry + drain span from a DetectionResult's stat
-/// fields and `tally`, the tally of its records. The executor calls it
-/// once per run with its workers' merged tally and adds the generate
-/// and worker spans.
+/// Builds the registry from a DetectionResult's stat fields and
+/// `tally`, the tally of its records. The executor calls it once per
+/// run with its workers' merged tally and adds the spans and the
+/// batch-decide histogram.
 RunTelemetry TelemetryFromResult(const DetectionResult& result,
                                  const DecisionTally& tally);
 
@@ -176,9 +167,11 @@ RunTelemetry TelemetryFromResult(const DetectionResult& result);
 /// `stats`.
 void SetCacheRunStats(const CacheRunStats& stats, MetricsRegistry* metrics);
 
-/// Sets the time.stage.* gauges and the drain span's stage.* children
-/// from `timings`, replacing earlier values.
-void SetStageTimings(const StageTimings& timings, RunTelemetry* telemetry);
+/// Folds the timings of `from` into `into`: span seconds and counts add
+/// by path (a span only `from` has is appended) and the
+/// time.batch_decide_micros histograms merge. pddserve adds its live
+/// drain's timings to Finish()'s this way.
+void AddRunTimings(const RunTelemetry& from, RunTelemetry* into);
 
 /// Folds a cache's lifetime counters (ShardedDecisionCache::Stats()) into the
 /// registry under exec.cache.lifetime.*.

@@ -19,32 +19,23 @@ namespace pdd {
 
 struct RunTelemetry;
 
-/// Accumulated wall time per pipeline stage over one run. With a
-/// thread pool the per-worker accumulations are summed, so the numbers
-/// are CPU-time-like: they compare stages against each other (which
-/// stage is hottest), not against the run's elapsed wall clock.
+/// A shim the repository benchmark (perfbench/) reads, deleted by its
+/// next change: every executor run writes its summed per-batch decide
+/// seconds (the `drain` span) into match_seconds; the other fields
+/// read 0.
 struct StageTimings {
   double match_seconds = 0.0;
-  /// Always 0: ColumnarMatcher fuses φ into the match stage.
   double combine_seconds = 0.0;
   double derive_seconds = 0.0;
   double classify_seconds = 0.0;
-  /// Digest read + cache lookup on cached runs.
   double cache_lookup_seconds = 0.0;
-  /// Storing decided pairs (and any eviction) on cached runs.
-  double cache_insert_seconds = 0.0;
 
-  double TotalSeconds() const {
-    return match_seconds + combine_seconds + derive_seconds +
-           classify_seconds + cache_lookup_seconds + cache_insert_seconds;
-  }
   StageTimings& operator+=(const StageTimings& other) {
     match_seconds += other.match_seconds;
     combine_seconds += other.combine_seconds;
     derive_seconds += other.derive_seconds;
     classify_seconds += other.classify_seconds;
     cache_lookup_seconds += other.cache_lookup_seconds;
-    cache_insert_seconds += other.cache_insert_seconds;
     return *this;
   }
 };
@@ -127,14 +118,8 @@ struct DetectionResult {
   /// plan the decisions belong to — the merge key for repeated and
   /// incremental runs.
   uint64_t plan_fingerprint = 0;
-  /// Accumulated per-stage wall times (executor instrumentation; all
-  /// zero when the executor ran with stage_timings off).
+  /// The benchmark's shim (see StageTimings): the run's decide seconds.
   StageTimings stage_timings;
-  /// Whether the run collected stage timings at all. An all-zero
-  /// `stage_timings` is ambiguous — a tiny timed run can finish below
-  /// clock resolution — so reports need this flag to distinguish
-  /// "(disabled)" from genuinely instant stages.
-  bool stage_timings_collected = false;
   /// Decision-cache activity of this run; nullopt when the run had no
   /// cache attached.
   std::optional<CacheRunStats> cache_stats;

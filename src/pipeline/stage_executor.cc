@@ -28,21 +28,25 @@ inline uint64_t MicrosFromSeconds(double seconds) {
   return static_cast<uint64_t>(std::llround(seconds * 1e6));
 }
 
-/// Per-drain-thread span accounting. Each thread owns one slot, so the
-/// hot loop mutates it lock-free; the slots fold into the telemetry's
-/// generate span, worker.N spans, decide-latency histogram and
-/// identity metrics after the drain. Batch/candidate counts per worker
-/// vary with thread timing — they live on spans, which the identity
-/// gates never diff; the tallies merge to the same sum for any split.
+/// Per-drain-thread accounting. Each thread owns one slot, so the hot
+/// loop mutates it lock-free; the slots fold into the telemetry's
+/// spans, decide-latency histogram, cache counters and identity
+/// metrics after the drain. Batch/candidate counts per worker vary
+/// with thread timing — they live on spans, which the identity gates
+/// never diff; the tallies merge to the same sum for any split.
 struct WorkerStats {
   size_t batches = 0;
   size_t candidates = 0;
   /// Time inside the stream's NextBatch pulls (candidate generation).
   double pull_seconds = 0.0;
-  /// Time inside DecideBatch.
+  /// Time inside DecideBatch and the tally.
   double decide_seconds = 0.0;
+  /// Time in the decision sink and OrderedRecords::Commit.
+  double commit_seconds = 0.0;
   /// Per-batch decide latency in microseconds.
   LogHistogram decide_micros;
+  /// Cache activity of this thread's batches.
+  CacheRunStats cache;
   /// Identity metrics of the records this thread decided.
   DecisionTally tally;
 };
@@ -100,11 +104,13 @@ class OrderedRecords {
 /// result's own table. Then builds the run's unified telemetry once:
 /// the registry from the stat fields Execute summed and the merge of
 /// the workers' decision tallies (no pass over the records), the
-/// generate/drain/worker spans from the per-thread slots. Nothing is
-/// written back into the fields.
+/// generate, drain/worker.N and commit spans and the batch-decide
+/// histogram from the per-thread slots. Nothing is written back into
+/// the fields.
 void FinishResult(const StageExecutorOptions& options,
                   const CandidateStream& stream,
-                  std::vector<WorkerStats> workers, DetectionResult* result) {
+                  const std::vector<WorkerStats>& workers,
+                  DetectionResult* result) {
   result->total_pairs = stream.total_pairs();
   auto ids = std::make_shared<std::vector<std::string>>();
   ids->reserve(stream.relation().size());
@@ -122,37 +128,25 @@ void FinishResult(const StageExecutorOptions& options,
   m.SetCounter("exec.config.batch_size", options.batch_size);
 
   TelemetrySpan generate("generate");
-  LogHistogram decide_micros;
-  double pull_total = 0.0;
-  double decide_total = 0.0;
-  uint64_t pulled_batches = 0;
-  uint64_t pulled_candidates = 0;
-  for (const WorkerStats& w : workers) {
-    pull_total += w.pull_seconds;
-    decide_total += w.decide_seconds;
-    pulled_batches += w.batches;
-    pulled_candidates += w.candidates;
-    decide_micros.Merge(w.decide_micros);
-  }
-  generate.seconds = pull_total;
-  generate.counts["batches"] = pulled_batches;
-  generate.counts["candidates"] = pulled_candidates;
-  // Generate precedes drain in the span tree (insert before grabbing
-  // the drain pointer — insertion shifts the children).
-  telemetry->root.children.insert(telemetry->root.children.begin(),
-                                  std::move(generate));
-  TelemetrySpan* drain = telemetry->root.FindChild("drain");
-  drain->seconds = decide_total;
+  TelemetrySpan drain("drain");
+  TelemetrySpan commit("commit");
+  LogHistogram* decide_micros = m.MutableHistogram(kMetricBatchDecideMicros);
   for (size_t i = 0; i < workers.size(); ++i) {
-    TelemetrySpan* span = drain->AddChild("worker." + std::to_string(i));
-    span->seconds = workers[i].decide_seconds;
-    span->counts["batches"] = workers[i].batches;
-    span->counts["candidates"] = workers[i].candidates;
+    const WorkerStats& w = workers[i];
+    generate.seconds += w.pull_seconds;
+    generate.counts["batches"] += w.batches;
+    generate.counts["candidates"] += w.candidates;
+    drain.seconds += w.decide_seconds;
+    commit.seconds += w.commit_seconds;
+    decide_micros->Merge(w.decide_micros);
+    TelemetrySpan* span = drain.AddChild("worker." + std::to_string(i));
+    span->seconds = w.decide_seconds;
+    span->counts["batches"] = w.batches;
+    span->counts["candidates"] = w.candidates;
   }
-  telemetry->root.seconds = pull_total + decide_total;
-  if (options.stage_timings) {
-    m.MutableHistogram(kMetricBatchDecideMicros)->Merge(decide_micros);
-  }
+  telemetry->root.seconds = generate.seconds + drain.seconds + commit.seconds;
+  telemetry->root.children = {std::move(generate), std::move(drain),
+                              std::move(commit)};
   result->telemetry = std::move(telemetry);
 }
 
@@ -165,9 +159,8 @@ StageExecutor::StageExecutor(std::shared_ptr<const DetectionPlan> plan,
 void StageExecutor::DecideBatch(const std::vector<CandidatePair>& batch,
                                 ColumnarMatcher* matcher,
                                 std::vector<PairDecisionRecord>* out,
-                                BatchCounters* counters) const {
+                                CacheRunStats* cache_counts) const {
   out->reserve(batch.size());
-  const bool timed = options_.stage_timings;
   // A cache-ineligible plan (custom comparators: decision fingerprint
   // 0) runs uncached rather than risking cross-instance collisions.
   const bool use_cache =
@@ -188,25 +181,20 @@ void StageExecutor::DecideBatch(const std::vector<CandidatePair>& batch,
         continue;
       }
     }
-    // The clock reads themselves are gated on `timed`: an untimed
-    // warm run's per-pair cost stays digest + lookup, nothing else.
-    Clock::time_point start;
-    if (timed && use_cache) start = Clock::now();
     const uint64_t d1 = arena.tuple_digest(pair.first);
     const uint64_t d2 = arena.tuple_digest(pair.second);
     if (use_cache) {
       key.pair_digest = CombineTupleDigests(d1, d2);
       std::optional<CachedPairDecision> cached = cache->Lookup(key);
-      if (timed) counters->timings.cache_lookup_seconds += Elapsed(start);
-      ++counters->cache.lookups;
+      ++cache_counts->lookups;
       if (cached.has_value()) {
-        ++counters->cache.hits;
+        ++cache_counts->hits;
         out->push_back({static_cast<uint32_t>(pair.first),
                         static_cast<uint32_t>(pair.second),
                         cached->similarity, cached->match_class});
         continue;
       }
-      ++counters->cache.misses;
+      ++cache_counts->misses;
     }
     // Canonical decide orientation. The cache key is an UNORDERED pair
     // digest, but floating-point similarity is not bit-symmetric in
@@ -219,17 +207,10 @@ void StageExecutor::DecideBatch(const std::vector<CandidatePair>& batch,
     const bool flip = d2 < d1;
     const size_t i1 = flip ? pair.second : pair.first;
     const size_t i2 = flip ? pair.first : pair.second;
-    const XPairDecision decision =
-        timed ? matcher->DecideTimed(i1, i2, &counters->timings)
-              : matcher->Decide(i1, i2);
+    const XPairDecision decision = matcher->Decide(i1, i2);
     if (use_cache) {
-      Clock::time_point insert_start;
-      if (timed) insert_start = Clock::now();
       cache->Insert(key, {decision.similarity, decision.match_class});
-      if (timed) {
-        counters->timings.cache_insert_seconds += Elapsed(insert_start);
-      }
-      ++counters->cache.inserts;
+      ++cache_counts->inserts;
     }
     out->push_back({static_cast<uint32_t>(pair.first),
                     static_cast<uint32_t>(pair.second), decision.similarity,
@@ -282,7 +263,6 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   DetectionResult result;
   result.total_pairs = stream.total_pairs();
   result.plan_fingerprint = plan_->fingerprint();
-  result.stage_timings_collected = options_.stage_timings;
   if (options_.cache != nullptr) result.cache_stats = CacheRunStats{};
 
   // Pulls are serialized under one mutex and batches indexed in pull
@@ -303,10 +283,8 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   // order — an execution-shape-dependent order by design (see
   // StageExecutorOptions::decision_sink).
   std::mutex sink_mu;
-  const bool timed = options_.stage_timings;
   const size_t threads = std::max<size_t>(options_.workers, 1);
   std::vector<WorkerStats> workers(threads);
-  std::vector<BatchCounters> counters(threads);
   auto drain = [&](size_t thread) {
     WorkerStats& ws = workers[thread];
     // The arena generation this worker decides over, and its matcher
@@ -323,10 +301,9 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
       {
         std::lock_guard<std::mutex> lock(drain_mu);
         if (exhausted) return;
-        Clock::time_point pull_start;
-        if (timed) pull_start = Clock::now();
+        const Clock::time_point pull_start = Clock::now();
         size_t pulled = stream.NextBatch(options_.batch_size, &batch);
-        if (timed) ws.pull_seconds += Elapsed(pull_start);
+        ws.pull_seconds += Elapsed(pull_start);
         if (pulled == 0) {
           // Exhausted vs idle-but-open: a standing stream blocks in
           // AwaitMore until tuples arrive (resume pulling) or its feed
@@ -354,15 +331,14 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
       ++ws.batches;
       ws.candidates += batch.size();
       if (!matcher.has_value()) matcher.emplace(*plan_, *arena);
-      Clock::time_point decide_start;
-      if (timed) decide_start = Clock::now();
-      DecideBatch(batch, &*matcher, &decided, &counters[thread]);
-      if (timed) {
-        double decide = Elapsed(decide_start);
-        ws.decide_seconds += decide;
-        ws.decide_micros.Record(MicrosFromSeconds(decide));
-      }
+      const Clock::time_point decide_start = Clock::now();
+      DecideBatch(batch, &*matcher, &decided, &ws.cache);
       ws.tally.Add(decided);
+      const Clock::time_point commit_start = Clock::now();
+      const double decide =
+          std::chrono::duration<double>(commit_start - decide_start).count();
+      ws.decide_seconds += decide;
+      ws.decide_micros.Record(MicrosFromSeconds(decide));
       if (options_.decision_sink) {
         std::lock_guard<std::mutex> lock(sink_mu);
         for (const PairDecisionRecord& rec : decided) {
@@ -370,6 +346,7 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
         }
       }
       committed.Commit(index, &decided);
+      ws.commit_seconds += Elapsed(commit_start);
       {
         std::lock_guard<std::mutex> lock(drain_mu);
         in_flight_candidates -= batch.size();
@@ -391,13 +368,12 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   result.stream_stats.batches = batches;
   result.stream_stats.live_candidate_high_water = high_water;
   result.decisions = committed.Take();
-  for (const BatchCounters& worker_counters : counters) {
-    result.stage_timings += worker_counters.timings;
-    if (result.cache_stats.has_value()) {
-      *result.cache_stats += worker_counters.cache;
-    }
+  for (const WorkerStats& ws : workers) {
+    // The StageTimings shim perfbench/ reads: the decide seconds.
+    result.stage_timings.match_seconds += ws.decide_seconds;
+    if (result.cache_stats.has_value()) *result.cache_stats += ws.cache;
   }
-  FinishResult(options_, stream, std::move(workers), &result);
+  FinishResult(options_, stream, workers, &result);
   return result;
 }
 

@@ -17,6 +17,12 @@
 // decides before committing it, and the telemetry merges the tallies,
 // so no pass over the records follows the drain.
 //
+// Every run clocks each batch three ways — its pull, its decide (the
+// decide and the tally) and its commit (the decision sink and the
+// in-order merge) — into the telemetry's generate, drain/worker.N and
+// commit spans and the time.batch_decide_micros histogram. No clock is
+// read per pair, so the timed run is the production run.
+//
 // With a ShardedDecisionCache attached, each pair is first looked up by
 // (plan decision fingerprint, pair content digest); hits skip the
 // stage graph entirely and misses insert the freshly decided outcome,
@@ -26,10 +32,6 @@
 // parallel output. A caller that already holds decisions for some
 // candidates (a standing session's live records) hands them in as
 // prior_decision, which answers before the cache is consulted.
-// Per-stage wall times (plus the cache-lookup path) are accumulated
-// into DetectionResult::stage_timings unless stage_timings is
-// disabled; the matcher fuses φ into the match stage, so
-// combine_seconds always reads 0.
 
 #ifndef PDD_PIPELINE_STAGE_EXECUTOR_H_
 #define PDD_PIPELINE_STAGE_EXECUTOR_H_
@@ -53,12 +55,6 @@ struct StageExecutorOptions {
   /// Worker threads; 0 or 1 executes serially on the calling thread.
   /// At most kMaxWorkers.
   size_t workers = 0;
-  /// Accumulate per-stage wall times into the result. Off by default:
-  /// the clock reads cost real time in the innermost decide loop
-  /// (~20% on cheap-comparator workloads). Enabled by consumers that
-  /// render the breakdown (`pddcli --cache-stats`, bench_fig03's stage
-  /// table, ExecutionStatsReport users).
-  bool stage_timings = false;
   /// Decision memoization store shared across runs/plans/threads;
   /// null runs uncached. Ignored (with stats reporting zero lookups)
   /// when the plan is cache-ineligible (decision_fingerprint() == 0).
@@ -110,19 +106,14 @@ class StageExecutor {
   const StageExecutorOptions& options() const { return options_; }
 
  private:
-  /// Per-worker accumulators merged into the result after the drain.
-  struct BatchCounters {
-    StageTimings timings;
-    CacheRunStats cache;
-  };
-
   /// Decides one batch through this worker's matcher, appending to
-  /// `*out` (the worker-local buffer). Tuple digests (the cache key and
-  /// the decide orientation) come from the matcher's arena.
+  /// `*out` (the worker-local buffer) and counting cache activity into
+  /// `*cache_counts`. Tuple digests (the cache key and the decide
+  /// orientation) come from the matcher's arena.
   void DecideBatch(const std::vector<CandidatePair>& batch,
                    ColumnarMatcher* matcher,
                    std::vector<PairDecisionRecord>* out,
-                   BatchCounters* counters) const;
+                   CacheRunStats* cache_counts) const;
 
   std::shared_ptr<const DetectionPlan> plan_;
   StageExecutorOptions options_;

@@ -124,6 +124,25 @@ class BenchCompareTest(unittest.TestCase):
         result = run(self.run_dir, self.baselines)
         self.assertEqual(result.returncode, 0, result.stderr)
 
+    def test_columnar_speedup_alone_is_gated_as_a_ratio(self):
+        # columnar_speedup gets the 25% ratio tolerance (floor 3.6375 of
+        # 4.85); every other speedup keeps the throughput class's 60%.
+        def speedups(columnar, serving):
+            doc = sidecar(1000.0)
+            doc["gauges"].update({"columnar_speedup": columnar,
+                                  "serving_speedup": serving})
+            return doc
+        self.write(self.baselines, "BENCH_x.json", speedups(4.85, 224.0))
+        self.write(self.run_dir, "BENCH_x.json", speedups(3.5, 164.0))
+        result = run(self.run_dir, self.baselines)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("BENCH_x.json:columnar_speedup", result.stderr)
+        self.assertIn("tolerance 25%", result.stderr)
+        self.assertNotIn("serving_speedup", result.stderr)
+        self.write(self.run_dir, "BENCH_x.json", speedups(3.7, 164.0))
+        result = run(self.run_dir, self.baselines)
+        self.assertEqual(result.returncode, 0, result.stderr)
+
     def test_empty_run_dir_is_a_usage_error(self):
         result = run(self.run_dir, self.baselines)
         self.assertEqual(result.returncode, 2, result.stdout)

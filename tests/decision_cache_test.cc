@@ -22,7 +22,6 @@
 #include "core/detector.h"
 #include "core/explain.h"
 #include "datagen/person_generator.h"
-#include "obs/export.h"
 #include "obs/run_telemetry.h"
 #include "pipeline/candidate_stream.h"
 #include "pipeline/detection_plan.h"
@@ -971,49 +970,6 @@ TEST(CachedExecutionTest, CachedColdWarmAndParallelAreBitIdentical) {
   ASSERT_TRUE(parallel.ok());
   ExpectIdenticalDecisions(*uncached, *parallel);
   EXPECT_GT(parallel->cache_stats->HitRate(), 0.95);
-}
-
-TEST(CachedExecutionTest, StageTimingsAccumulateWhenOptedIn) {
-  GeneratedData data = SeededPersons(30);
-  Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(PersonConfig(), PersonSchema());
-  ASSERT_TRUE(detector.ok());
-  // Off by default: the hot path pays no clock reads unasked.
-  Result<DetectionResult> untimed = detector->Run(data.relation);
-  ASSERT_TRUE(untimed.ok());
-  EXPECT_EQ(untimed->stage_timings.TotalSeconds(), 0.0);
-
-  detector->set_collect_stage_timings(true);
-  Result<DetectionResult> timed = detector->Run(data.relation);
-  ASSERT_TRUE(timed.ok());
-  EXPECT_GT(timed->stage_timings.TotalSeconds(), 0.0);
-  EXPECT_GT(timed->stage_timings.match_seconds, 0.0);
-  // The timed walk executes the same stage graph bit for bit.
-  ExpectIdenticalDecisions(*untimed, *timed);
-
-  // Cache inserts are timed too: a cold run inserts, a warm all-hit
-  // run inserts nothing, and an untimed run reads no clock.
-  detector->set_cache(std::make_shared<ShardedDecisionCache>());
-  Result<DetectionResult> cold = detector->Run(data.relation);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_GT(cold->stage_timings.cache_insert_seconds, 0.0);
-  ASSERT_NE(cold->telemetry, nullptr);
-  const TelemetrySpan* insert_span =
-      cold->telemetry->root.Find("drain/stage.cache_insert");
-  ASSERT_NE(insert_span, nullptr);
-  EXPECT_EQ(insert_span->seconds, cold->stage_timings.cache_insert_seconds);
-  EXPECT_NE(RenderExecutionStats(*cold->telemetry).find("| cache insert |"),
-            std::string::npos);
-  Result<DetectionResult> warm = detector->Run(data.relation);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->cache_stats->inserts, 0u);
-  EXPECT_EQ(warm->stage_timings.cache_insert_seconds, 0.0);
-  detector->set_collect_stage_timings(false);
-  detector->set_cache(std::make_shared<ShardedDecisionCache>());
-  Result<DetectionResult> untimed_cold = detector->Run(data.relation);
-  ASSERT_TRUE(untimed_cold.ok());
-  EXPECT_GT(untimed_cold->cache_stats->inserts, 0u);
-  EXPECT_EQ(untimed_cold->stage_timings.cache_insert_seconds, 0.0);
 }
 
 TEST(CachedExecutionTest, ReductionSweepReusesDecisionsAcrossPlans) {

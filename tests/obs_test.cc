@@ -3,8 +3,8 @@
 // worker/batch/cache run shapes, JSON and Prometheus export goldens,
 // the atomic sidecar writer, span nesting, the registry's agreement
 // with the result's stat fields and of the workers' tallies with a
-// recount of the records, and the "(disabled)" stage-timing
-// rendering.
+// recount of the records, the batch clocks every run keeps, and the
+// live-into-finish timing fold.
 
 #include <gtest/gtest.h>
 
@@ -122,7 +122,7 @@ TEST(MetricsRegistryTest, NamespaceClassification) {
   EXPECT_TRUE(IsIdentityMetricName("pairs.candidates"));
   EXPECT_TRUE(IsIdentityMetricName("decisions.similarity_micros"));
   EXPECT_FALSE(IsIdentityMetricName("exec.stream.batches"));
-  EXPECT_FALSE(IsIdentityMetricName("time.stage.match_seconds"));
+  EXPECT_FALSE(IsIdentityMetricName("time.batch_decide_micros"));
 }
 
 TEST(MetricsRegistryTest, AbsentReadsHaveDefaultsAndNoSideEffects) {
@@ -142,7 +142,7 @@ TEST(MetricsRegistryTest, AbsentReadsHaveDefaultsAndNoSideEffects) {
 RunTelemetry GoldenTelemetry() {
   RunTelemetry t;
   t.metrics.SetCounter("pairs.candidates", 3);
-  t.metrics.SetGauge("time.stage.match_seconds", 0.5);
+  t.metrics.SetGauge("time.index.build_seconds", 0.5);
   t.metrics.SetInfo("plan.fingerprint", "0xdeadbeef");
   LogHistogram* h = t.metrics.MutableHistogram("decisions.similarity_micros");
   h->Record(0);
@@ -159,7 +159,7 @@ constexpr char kGoldenJson[] = R"({
     "pairs.candidates": 3
   },
   "gauges": {
-    "time.stage.match_seconds": 0.5
+    "time.index.build_seconds": 0.5
   },
   "histograms": {
     "decisions.similarity_micros": {
@@ -233,8 +233,8 @@ TEST(TelemetryExportTest, PrometheusExposition) {
   EXPECT_NE(prom.find("# TYPE pdd_pairs_candidates counter\n"
                       "pdd_pairs_candidates 3\n"),
             std::string::npos);
-  EXPECT_NE(prom.find("# TYPE pdd_time_stage_match_seconds gauge\n"
-                      "pdd_time_stage_match_seconds 0.5\n"),
+  EXPECT_NE(prom.find("# TYPE pdd_time_index_build_seconds gauge\n"
+                      "pdd_time_index_build_seconds 0.5\n"),
             std::string::npos);
   // Histogram buckets are cumulative and close with +Inf == _count.
   EXPECT_NE(prom.find("pdd_decisions_similarity_micros_bucket"
@@ -423,17 +423,12 @@ TEST(RunTelemetryTest, RegistryIsBuiltOnceFromTheResultFields) {
   auto detector = DuplicateDetector::Make(config, PersonSchema());
   ASSERT_TRUE(detector.ok());
   detector->set_cache(std::make_shared<ShardedDecisionCache>());
-  detector->set_collect_stage_timings(true);
   auto result = detector->Run(data.relation);
   ASSERT_TRUE(result.ok());
   ASSERT_NE(result->telemetry, nullptr);
   const RunTelemetry& t = *result->telemetry;
 
   // The registry holds the stat fields the executor summed.
-  EXPECT_EQ(t.metrics.gauge(kGaugeMatchSeconds),
-            result->stage_timings.match_seconds);
-  EXPECT_EQ(t.metrics.gauge(kGaugeCacheLookupSeconds),
-            result->stage_timings.cache_lookup_seconds);
   ASSERT_TRUE(result->cache_stats.has_value());
   EXPECT_EQ(t.metrics.counter(kMetricCacheAttached), 1u);
   EXPECT_EQ(t.metrics.counter(kMetricCacheLookups),
@@ -444,10 +439,6 @@ TEST(RunTelemetryTest, RegistryIsBuiltOnceFromTheResultFields) {
             result->stream_stats.batches);
   EXPECT_EQ(t.metrics.counter(kMetricStreamHighWater),
             result->stream_stats.live_candidate_high_water);
-  // The matcher fuses the combination into match: no combine stage.
-  EXPECT_EQ(t.metrics.gauges().count("time.stage.combine_seconds"), 0u);
-  EXPECT_EQ(t.root.Find("drain/stage.combine"), nullptr);
-  EXPECT_NE(t.root.Find("drain/stage.match"), nullptr);
 
   // And the registry agrees with the result's own counts.
   EXPECT_EQ(t.metrics.counter(kMetricCandidatePairs),
@@ -457,11 +448,91 @@ TEST(RunTelemetryTest, RegistryIsBuiltOnceFromTheResultFields) {
       t.metrics.histogram(kMetricSimilarityMicros);
   ASSERT_NE(sim, nullptr);
   EXPECT_EQ(sim->count(), result->decisions.size());
-  // Span tree: generate before drain, worker children present.
-  ASSERT_GE(t.root.children.size(), 2u);
+  // Span tree: generate, drain with its worker children, commit.
+  ASSERT_EQ(t.root.children.size(), 3u);
   EXPECT_EQ(t.root.children[0].name, "generate");
   EXPECT_EQ(t.root.children[1].name, "drain");
+  EXPECT_EQ(t.root.children[2].name, "commit");
   EXPECT_NE(t.root.Find("drain/worker.0"), nullptr);
+  // The benchmark's StageTimings shim carries the decide seconds.
+  EXPECT_EQ(result->stage_timings.match_seconds,
+            t.root.Find("drain")->seconds);
+}
+
+/// Holds one executor result to the batch clocks every run keeps: the
+/// generate, drain, commit and worker.N spans read time, one decide
+/// latency sample per batch, and the stats report renders the table.
+void ExpectBatchClocks(const DetectionResult& result,
+                       const std::string& label) {
+  ASSERT_NE(result.telemetry, nullptr) << label;
+  const RunTelemetry& t = *result.telemetry;
+  for (const char* span : {"generate", "drain", "commit"}) {
+    ASSERT_NE(t.root.Find(span), nullptr) << label << " " << span;
+    EXPECT_GT(t.root.Find(span)->seconds, 0.0) << label << " " << span;
+  }
+  double worker_seconds = 0.0;
+  for (const TelemetrySpan& worker : t.root.Find("drain")->children) {
+    worker_seconds += worker.seconds;
+    // A pooled worker may find the stream drained before its first
+    // pull; every worker that decided a batch clocked it.
+    if (worker.counts.at("batches") > 0) {
+      EXPECT_GT(worker.seconds, 0.0) << label << " " << worker.name;
+    }
+  }
+  EXPECT_DOUBLE_EQ(worker_seconds, t.root.Find("drain")->seconds) << label;
+  const LogHistogram* decide = t.metrics.histogram(kMetricBatchDecideMicros);
+  ASSERT_NE(decide, nullptr) << label;
+  EXPECT_GT(decide->count(), 0u) << label;
+  EXPECT_EQ(decide->count(), t.metrics.counter(kMetricStreamBatches))
+      << label;
+  const std::string report = RenderExecutionStats(t);
+  EXPECT_NE(report.find("| decide |"), std::string::npos) << label;
+  EXPECT_EQ(report.find("(no executor timings)"), std::string::npos)
+      << label;
+}
+
+// No run asks for timing: the default plan's every run shape clocks its
+// batches anyway.
+TEST(RunTelemetryTest, EveryRunClocksItsBatches) {
+  GeneratedData data = UncertainPersons(25);
+  auto cache = std::make_shared<ShardedDecisionCache>();
+  const RunShape shapes[] = {
+      {"serial"},
+      {"4 workers x batch 2", /*workers=*/4, /*batch_size=*/2},
+      {"cold cached", /*workers=*/0, /*batch_size=*/256, /*cached=*/true},
+      {"warm cached", /*workers=*/0, /*batch_size=*/256, /*cached=*/true},
+  };
+  for (const RunShape& shape : shapes) {
+    DetectorConfig config = PersonConfig();
+    config.workers = shape.workers;
+    config.batch_size = shape.batch_size;
+    auto detector = DuplicateDetector::Make(config, PersonSchema());
+    ASSERT_TRUE(detector.ok()) << shape.label;
+    if (shape.cached) detector->set_cache(cache);
+    auto result = detector->Run(data.relation);
+    ASSERT_TRUE(result.ok()) << shape.label;
+    ExpectBatchClocks(*result, shape.label);
+  }
+
+  auto plan = DetectionPlan::Compile(PersonConfig(), PersonSchema());
+  ASSERT_TRUE(plan.ok());
+  const size_t seed_size = data.relation.size() / 3;
+  XRelation seed(data.relation.name(), data.relation.schema());
+  for (size_t i = 0; i < seed_size; ++i) {
+    seed.AppendUnchecked(data.relation.xtuple(i));
+  }
+  auto session = StandingSession::Make(*plan, &seed, {});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (size_t i = seed_size; i < data.relation.size(); ++i) {
+    ASSERT_TRUE((*session)->queue().Push(data.relation.xtuple(i)));
+  }
+  (*session)->queue().Close();
+  auto live = (*session)->Drain();
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ExpectBatchClocks(*live, "standing Drain()");
+  auto finish = (*session)->Finish();
+  ASSERT_TRUE(finish.ok()) << finish.status().ToString();
+  ExpectBatchClocks(*finish, "standing Finish()");
 }
 
 /// Holds the identity metrics the executor tallied in its workers to a
@@ -553,59 +624,60 @@ TEST(RunTelemetryTest, HandAssembledResultsBridgeThroughTelemetryFromResult) {
   EXPECT_EQ(t.metrics.counter(kMetricCandidatePairs), 2u);
   EXPECT_EQ(t.metrics.counter(kMetricMatches), 1u);
   EXPECT_EQ(t.metrics.counter(kMetricUnmatches), 1u);
-  EXPECT_EQ(t.metrics.info(kInfoTimings), "disabled");
   // No cache attached -> no cache counters.
   EXPECT_EQ(t.metrics.counters().count(kMetricCacheAttached), 0u);
   EXPECT_EQ(t.metrics.counters().count(kMetricCacheLookups), 0u);
+  // No executor drained it, so there are no batch clocks to render.
+  EXPECT_TRUE(t.root.children.empty());
+  const std::string report = ExecutionStatsReport(result);
+  EXPECT_NE(report.find("## Batch timings\n\n(no executor timings)\n\n"),
+            std::string::npos);
+  EXPECT_EQ(report.find("| decide |"), std::string::npos);
 }
 
-// pddserve's live drain and its Finish() each time their stages; the
-// sum replaces Finish()'s values through the setter the executor's
-// telemetry uses, gauges and stage spans alike.
-TEST(RunTelemetryTest, StageTimingsFoldIntoTheSameGaugesAndSpans) {
-  DetectionResult finish;
-  finish.stage_timings_collected = true;
-  finish.stage_timings.match_seconds = 0.5;
-  RunTelemetry t = TelemetryFromResult(finish);
-  StageTimings live;
-  live.match_seconds = 1.5;
-  live.cache_lookup_seconds = 0.25;
-  live += finish.stage_timings;
-  SetStageTimings(live, &t);
-  EXPECT_EQ(t.metrics.gauge(kGaugeMatchSeconds), 2.0);
-  EXPECT_EQ(t.metrics.gauge(kGaugeCacheLookupSeconds), 0.25);
-  ASSERT_EQ(t.root.children.size(), 1u);
-  const TelemetrySpan* drain = t.root.Find("drain");
-  ASSERT_NE(drain, nullptr);
-  EXPECT_EQ(drain->children.size(), 5u);
-  EXPECT_EQ(t.root.Find("drain/stage.match")->seconds, 2.0);
-  EXPECT_NE(RenderExecutionStats(t).find("| match |"), std::string::npos);
+// pddserve adds its live drain's timings to Finish()'s: span seconds
+// and counts add by path, and the batch-decide histograms merge.
+TEST(RunTelemetryTest, AddRunTimingsFoldsTheLiveDrainIntoFinish) {
+  auto timed = [](double generate, double worker0, double commit,
+                  std::vector<uint64_t> decide_micros) {
+    RunTelemetry t;
+    t.root.seconds = generate + worker0 + commit;
+    t.root.AddChild("generate")->seconds = generate;
+    TelemetrySpan* drain = t.root.AddChild("drain");
+    drain->seconds = worker0;
+    TelemetrySpan* worker = drain->AddChild("worker.0");
+    worker->seconds = worker0;
+    worker->counts["batches"] = decide_micros.size();
+    t.root.AddChild("commit")->seconds = commit;
+    LogHistogram* h = t.metrics.MutableHistogram(kMetricBatchDecideMicros);
+    for (uint64_t micros : decide_micros) h->Record(micros);
+    return t;
+  };
+  const RunTelemetry live = timed(0.25, 1.5, 0.125, {3, 900, 70});
+  RunTelemetry finish = timed(0.5, 0.5, 0.25, {12});
+  AddRunTimings(live, &finish);
+  EXPECT_EQ(finish.root.seconds, 3.125);
+  EXPECT_EQ(finish.root.Find("generate")->seconds, 0.75);
+  EXPECT_EQ(finish.root.Find("drain")->seconds, 2.0);
+  EXPECT_EQ(finish.root.Find("drain/worker.0")->seconds, 2.0);
+  EXPECT_EQ(finish.root.Find("drain/worker.0")->counts.at("batches"), 4u);
+  EXPECT_EQ(finish.root.Find("commit")->seconds, 0.375);
+  ASSERT_EQ(finish.root.children.size(), 3u);
+  LogHistogram merged;
+  for (uint64_t micros : {3, 900, 70, 12}) merged.Record(micros);
+  EXPECT_EQ(*finish.metrics.histogram(kMetricBatchDecideMicros), merged);
+
+  // A span only the live drain has (its fourth worker) is appended.
+  RunTelemetry pooled_live = timed(0.0, 0.0, 0.0, {});
+  pooled_live.root.FindChild("drain")->children[0].name = "worker.3";
+  AddRunTimings(pooled_live, &finish);
+  EXPECT_NE(finish.root.Find("drain/worker.3"), nullptr);
+  EXPECT_NE(finish.root.Find("drain/worker.0"), nullptr);
+  EXPECT_NE(RenderExecutionStats(finish).find("| decide | 2 | 64% |"),
+            std::string::npos);
 }
 
 // --- stats report rendering ---------------------------------------------
-
-TEST(ExecutionStatsReportTest, DisabledTimingsRenderDisabledNotZeroRows) {
-  GeneratedData data = UncertainPersons(20);
-  DetectorConfig config = PersonConfig();
-  auto detector = DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(detector.ok());
-  auto untimed = detector->Run(data.relation);
-  ASSERT_TRUE(untimed.ok());
-  std::string report = ExecutionStatsReport(*untimed);
-  // The regression this guards: an untimed run must say so instead of
-  // rendering a table of misleading 0-second stage rows.
-  EXPECT_NE(report.find("## Stage timings\n\n(disabled)\n"),
-            std::string::npos);
-  EXPECT_EQ(report.find("| total |"), std::string::npos);
-
-  detector->set_collect_stage_timings(true);
-  auto timed = detector->Run(data.relation);
-  ASSERT_TRUE(timed.ok());
-  const std::string timed_report = ExecutionStatsReport(*timed);
-  EXPECT_EQ(timed_report.find("(disabled)"), std::string::npos);
-  // The matcher fuses the combination into match: no combine row.
-  EXPECT_EQ(timed_report.find("| combine |"), std::string::npos);
-}
 
 TEST(ExecutionStatsReportTest, StreamDiagnosticsRenderFromRegistry) {
   RunTelemetry t;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Output paths of pddcli, pddquery and pddserve, end to end.
+"""Output paths of pddcli, pddquery, pddserve and pddgen, end to end.
 
 Each tool checks its output paths (--metrics, --cache-file, --index,
 --dump-relation, the image of `pddquery build`) while it parses its
@@ -8,7 +8,8 @@ a missing directory exits 1 before the run, with nothing on stdout and
 nothing created. `pddquery verify --metrics` writes a sidecar that
 tools/telemetry_check.py accepts.
 Outputs are replaced atomically (a new inode each write) and a symbolic
-link is written through.
+link is written through. pddgen refuses an output operand that starts
+with "--" and writes nothing.
 
 Usage: tool_output_paths_test.py TOOL_DIR [unittest args]
 """
@@ -51,6 +52,23 @@ class ToolOutputPathsTest(unittest.TestCase):
     def assertRefused(self, result):
         self.assertEqual(result.returncode, 1, result.stderr)
         self.assertEqual(result.stdout, "")
+
+    def test_pddgen_refuses_an_option_in_place_of_an_output_path(self):
+        # Options follow the output paths; given first, `--entities 20`
+        # would otherwise name the relation and the gold file.
+        for args, operand in (
+                (("person", "--entities", 20, "--seed", 7), "--entities"),
+                (("person", "r.pxr", "--seed", 7), "--seed"),
+                (("astro", "a.pxr", "--objects", 5, "g.csv"), "--objects"),
+                (("biblio", "--publications", 5), "--publications")):
+            with self.subTest(args=args):
+                result = subprocess.run(
+                    [str((TOOLS / "pddgen").resolve()), *map(str, args)],
+                    cwd=self.dir, capture_output=True, text=True, timeout=20)
+                self.assertRefused(result)
+                self.assertEqual(len(result.stderr.splitlines()), 1)
+                self.assertIn(f"'{operand}'", result.stderr)
+                self.assertEqual(list(self.dir.iterdir()), [])
 
     def test_pddcli_refuses_bad_metrics_paths_before_the_run(self):
         fifo = self.dir / "fifo.json"

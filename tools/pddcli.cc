@@ -79,9 +79,11 @@
 //                                  regular file or lies in a missing
 //                                  directory exits 1 before the run)
 //   --cache-stats                  print the execution statistics
-//                                  (per-stage wall times, cache hits,
-//                                  torn cache-file bytes dropped) to
-//                                  stderr after the run
+//                                  (pull / decide / commit seconds and
+//                                  the batch decide p50 and p99, which
+//                                  every run clocks; cache hits, torn
+//                                  cache-file bytes dropped) to stderr
+//                                  after the run
 //   --stream-candidates            print the candidate streaming
 //                                  diagnostics to stderr after the run:
 //                                  whether the plan's reduction streams
@@ -199,8 +201,6 @@ int RunDetect(bool demo, const std::vector<std::string>& argv) {
     cache = *opened;
     detector->set_cache(cache);
   }
-  // The stats report renders the per-stage breakdown, so collect it.
-  if (cache_stats) detector->set_collect_stage_timings(true);
   Result<DetectionResult> result = detector->Run(*rel);
   if (!result.ok()) return Fail(result.status().ToString());
   if (cache != nullptr && !args->cache_file.empty()) {

@@ -16,6 +16,9 @@
 // (the engine addresses tuples by 32-bit index), and a count the
 // machine cannot hold fails with a message, not a crash. An output
 // file that cannot be written in full (a full disk) exits 1 naming it.
+// The output paths come first: an output operand that starts with
+// "--" (an option given before the paths) exits 1 naming it, before
+// anything is written.
 
 #include <cstdint>
 #include <fstream>
@@ -79,7 +82,14 @@ struct Flags {
   bool full_names = false;
 };
 
+/// Parses the options after the output operands argv[2, first).
 int ParseFlags(int argc, char** argv, int first, Flags* flags) {
+  for (int i = 2; i < first; ++i) {
+    if (std::string(argv[i]).rfind("--", 0) == 0) {
+      return Fail("output path '" + std::string(argv[i]) +
+                  "' looks like an option; options follow the output paths");
+    }
+  }
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     auto number = [&](double* slot) -> int {

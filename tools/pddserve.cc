@@ -244,7 +244,6 @@ int main(int argc, char** argv) {
       std::max<size_t>(arrivals->size(), 1);
   session_options.batch_size = (*plan)->config().batch_size;
   session_options.workers = (*plan)->config().workers;
-  session_options.stage_timings = stats;
   session_options.cache = cache;
   session_options.decision_sink = [&sink_state](
                                       const PairDecisionRecord& rec) {
@@ -327,9 +326,9 @@ int main(int argc, char** argv) {
   // The standing drain: decides every crossing pair of every admitted
   // tuple, blocking on the queue between arrivals, until Close. The
   // session keeps the live records for Finish(), so this copy goes as
-  // soon as its cache counters and stage timings are read.
+  // soon as its cache counters and telemetry are read.
   CacheRunStats live_cache;
-  StageTimings live_timings;
+  std::shared_ptr<const RunTelemetry> live_telemetry;
   {
     Result<DetectionResult> live = (*session)->Drain();
     producer.join();
@@ -337,7 +336,7 @@ int main(int argc, char** argv) {
     if (maintenance.joinable()) maintenance.join();
     if (!live.ok()) return Fail(live.status().ToString());
     live_cache = live->cache_stats.value_or(CacheRunStats{});
-    live_timings = live->stage_timings;
+    live_telemetry = live->telemetry;
   }
 
   // The deterministic final report (byte-identical to a one-shot batch
@@ -366,14 +365,11 @@ int main(int argc, char** argv) {
 
   if (stats || !args->metrics_file.empty()) {
     RunTelemetry telemetry = *final_result->telemetry;
-    // The cache and the stages work in the live drain; Finish() adds
-    // only the pairs no drain decided.
+    // The cache and the drain work live; Finish() adds only the pairs
+    // no drain decided.
     live_cache += final_result->cache_stats.value_or(CacheRunStats{});
     SetCacheRunStats(live_cache, &telemetry.metrics);
-    if (final_result->stage_timings_collected) {
-      live_timings += final_result->stage_timings;
-      SetStageTimings(live_timings, &telemetry);
-    }
+    AddRunTimings(*live_telemetry, &telemetry);
     (*session)->AddIngestStats(&telemetry.metrics);
     telemetry.metrics.SetCounter(kMetricIngestCacheSnapshots, snapshot_count);
     telemetry.metrics.SetCounter(kMetricIngestIndexBuilds, index_build_count);
