@@ -34,7 +34,6 @@
 #include <random>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
@@ -67,21 +66,17 @@ uint64_t NowMicros() {
 }
 
 /// Admission-to-decision latency, driven from the live drain's
-/// decision sink (sink calls are serialized by the executor). Tuple j
-/// has exactly j crossing pairs (0,j)..(j-1,j); its latency closes
-/// when the last of them commits.
+/// decision sink, which sees the records in pull order. Tuple j has
+/// exactly j crossing pairs (0,j)..(j-1,j); its latency closes when
+/// the last of them commits.
 struct SinkState {
   const IngestStream* stream = nullptr;
-  std::unordered_map<size_t, size_t> remaining;
   LogHistogram latency;
 };
 
 void OnDecision(SinkState* state, const PairDecisionRecord& rec) {
-  const size_t j = rec.index2;
-  auto [it, inserted] = state->remaining.emplace(j, j);
-  if (--(it->second) > 0) return;
-  state->remaining.erase(it);
-  const uint64_t stamp = state->stream->admitted_stamp(j);
+  if (rec.index1 + 1 != rec.index2) return;
+  const uint64_t stamp = state->stream->admitted_stamp(rec.index2);
   if (stamp != 0) {
     const uint64_t now = NowMicros();
     state->latency.Record(now > stamp ? now - stamp : 0);

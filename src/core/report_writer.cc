@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/export.h"
-#include "obs/run_telemetry.h"
 #include "plan/plan_spec.h"
 #include "util/string_util.h"
 
@@ -12,8 +10,10 @@ namespace pdd {
 
 namespace {
 
-std::string CsvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
+std::string CsvEscape(std::string_view field) {
+  if (field.find_first_of(",\"\n") == std::string_view::npos) {
+    return std::string(field);
+  }
   std::string out = "\"";
   for (char c : field) {
     if (c == '"') out += '"';
@@ -24,6 +24,14 @@ std::string CsvEscape(const std::string& field) {
 
 }  // namespace
 
+std::string DecisionCsvRow(std::string_view id1, std::string_view id2,
+                           std::optional<XPairDecision> decision) {
+  std::string row = CsvEscape(id1) + "," + CsvEscape(id2) + ",";
+  if (!decision.has_value()) return row + ",none";
+  return row + FormatDouble(decision->similarity, 6) + "," +
+         MatchClassName(decision->match_class);
+}
+
 std::string DecisionsToCsv(const DetectionResult& result,
                            const GoldStandard* gold) {
   std::string out = "id1,id2,similarity,decision";
@@ -32,25 +40,14 @@ std::string DecisionsToCsv(const DetectionResult& result,
   for (const PairDecisionRecord& rec : result.decisions) {
     const std::string& id1 = result.id(rec.index1);
     const std::string& id2 = result.id(rec.index2);
-    out += CsvEscape(id1) + "," + CsvEscape(id2) + "," +
-           FormatDouble(rec.similarity, 6) + "," +
-           MatchClassName(rec.match_class);
+    out += DecisionCsvRow(id1, id2, XPairDecision{rec.similarity,
+                                                  rec.match_class});
     if (gold != nullptr) {
       out += gold->IsMatch(id1, id2) ? ",match" : ",non-match";
     }
     out += "\n";
   }
   return out;
-}
-
-std::string ExecutionStatsReport(const DetectionResult& result) {
-  // One rendering path for every consumer: the report is a projection
-  // of the run's telemetry registry (executor-attached when present;
-  // hand-assembled results go through the TelemetryFromResult bridge).
-  if (result.telemetry != nullptr) {
-    return RenderExecutionStats(*result.telemetry);
-  }
-  return RenderExecutionStats(TelemetryFromResult(result));
 }
 
 std::string DetectionReport(const DetectionResult& result,

@@ -6,6 +6,7 @@
 
 #include "core/detector.h"
 #include "core/entity_clusters.h"
+#include "core/report_writer.h"
 #include "core/tool_args.h"
 #include "index/decision_index.h"
 #include "index/index_builder.h"
@@ -38,15 +39,6 @@ void AddIndexShapeMetrics(const DecisionIndex& index,
   AddIndexBuildMetrics(shape, metrics);
 }
 
-/// The report's --csv row format, so indexed answers diff cleanly
-/// against a fresh run's CSV (report_writer.cc's field formatting).
-std::string DecisionCsvRow(std::string_view id1, std::string_view id2,
-                           const IndexedDecision& decision) {
-  return std::string(id1) + "," + std::string(id2) + "," +
-         FormatDouble(decision.similarity, 6) + "," +
-         MatchClassName(decision.match_class);
-}
-
 Result<DecisionIndex> OpenIndex(const std::string& path) {
   return DecisionIndex::Open(path);
 }
@@ -57,13 +49,13 @@ int CmdPair(const DecisionIndex& index, const std::string& id1,
   if (!a.has_value()) return Fail("unknown record id '" + id1 + "'");
   std::optional<uint32_t> b = index.FindRecord(id2);
   if (!b.has_value()) return Fail("unknown record id '" + id2 + "'");
-  std::optional<IndexedDecision> decision = index.Lookup(*a, *b);
-  if (!decision.has_value()) {
-    // Not an error: "the run never examined this pair" is an answer.
-    std::cout << id1 << "," << id2 << ",,none\n";
-    return 0;
+  // The report's --csv row, so answers diff cleanly against a fresh
+  // run's CSV. A pair the run never examined is an answer, not an error.
+  std::optional<XPairDecision> answer;
+  if (std::optional<IndexedDecision> decision = index.Lookup(*a, *b)) {
+    answer = XPairDecision{decision->similarity, decision->match_class};
   }
-  std::cout << DecisionCsvRow(id1, id2, *decision) << "\n";
+  std::cout << DecisionCsvRow(id1, id2, answer) << "\n";
   return 0;
 }
 
@@ -160,8 +152,11 @@ int CmdVerify(const std::vector<std::string>& args) {
     if (!decision.has_value() ||
         decision->match_class != rec.match_class ||
         DecisionCsvRow(index->RecordId(rec.index1),
-                       index->RecordId(rec.index2), *decision) !=
-            DecisionCsvRow(id1, id2, {rec.match_class, rec.similarity})) {
+                       index->RecordId(rec.index2),
+                       XPairDecision{decision->similarity,
+                                     decision->match_class}) !=
+            DecisionCsvRow(id1, id2,
+                           XPairDecision{rec.similarity, rec.match_class})) {
       return Fail("indexed answer diverges for pair (" + id1 + ", " + id2 +
                   ")");
     }

@@ -58,9 +58,10 @@ class StandingSession {
     /// hits). Finish() consults it only for pairs no drain decided.
     /// Null runs uncached — same bytes.
     std::shared_ptr<ShardedDecisionCache> cache;
-    /// Receives each live decision as it commits (see
-    /// StageExecutorOptions::decision_sink for the ordering contract).
-    std::function<void(const PairDecisionRecord&)> decision_sink;
+    /// Receives each live decision as it commits, in pull order: for
+    /// each admitted tuple j in turn, (0, j) … (j − 1, j), so (j − 1, j)
+    /// is the last (StageExecutorOptions::decision_sink).
+    DecisionSink decision_sink;
   };
 
   static Result<std::unique_ptr<StandingSession>> Make(

@@ -142,21 +142,9 @@ XPairDecision ColumnarMatcher::Decide(size_t t1, size_t t2) {
     decision.match_class = plan_.RunClassifyStage(decision.similarity);
     return decision;
   }
-  for (PipelineStage stage : plan_.stages()) {
-    switch (stage) {
-      case PipelineStage::kMatch:
-        FillScores(t1, t2);
-        break;
-      case PipelineStage::kCombine:
-        break;  // fused into kMatch (see header)
-      case PipelineStage::kDerive:
-        decision.similarity = plan_.RunDeriveStage(scores_);
-        break;
-      case PipelineStage::kClassify:
-        decision.match_class = plan_.RunClassifyStage(decision.similarity);
-        break;
-    }
-  }
+  FillScores(t1, t2);  // match and combine, fused (see header)
+  decision.similarity = plan_.RunDeriveStage(scores_);
+  decision.match_class = plan_.RunClassifyStage(decision.similarity);
   return decision;
 }
 

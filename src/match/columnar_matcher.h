@@ -42,9 +42,9 @@
 //     default plan), Decide adds (p1·p2)·φ of each alternative pair in
 //     row-major order as it goes — ExpectedSimilarityDerivation's sum,
 //     term for term — and classifies it, without the score grid.
-//     Every other ϑ walks the plan's stage graph and derives from the
-//     grid, with φ computed inside the match stage (fusing match +
-//     combine).
+//     Every other ϑ fills the score grid, with φ computed inside the
+//     match stage (fusing match + combine), then derives from the grid
+//     and classifies.
 //
 // Decide is the only decide path and reads no clock: the executor
 // times whole batches around it.

@@ -239,8 +239,13 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
       out += "- cache lifetime: " + lifetime.ToString() + "\n";
     }
   }
-  out += "\n## Candidate stream\n\n";
-  out += "- stream: " + std::to_string(m.counter(kMetricCandidatePairs)) +
+  out += "\n## Candidate stream\n\n- stream:";
+  if (std::string reduction = m.info("exec.reduction"); !reduction.empty()) {
+    out += " reduction " + reduction +
+           (m.info("exec.streaming") == "native" ? " (native streaming),"
+                                                 : " (materializing adapter),");
+  }
+  out += " " + std::to_string(m.counter(kMetricCandidatePairs)) +
          " candidates in " + std::to_string(m.counter(kMetricStreamBatches)) +
          " batches, live high-water " +
          std::to_string(m.counter(kMetricStreamHighWater)) + " candidates\n";
@@ -284,22 +289,6 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
              std::to_string(lat->count()) + " tuples\n";
     }
   }
-  return out;
-}
-
-std::string RenderStreamDiagnostics(const RunTelemetry& telemetry) {
-  const MetricsRegistry& m = telemetry.metrics;
-  std::string out = "candidate stream:";
-  if (std::string reduction = m.info("exec.reduction"); !reduction.empty()) {
-    out += " reduction " + reduction;
-    out += m.info("exec.streaming") == "native" ? " (native streaming)"
-                                                : " (materializing adapter)";
-    out += ",";
-  }
-  out += " " + std::to_string(m.counter(kMetricCandidatePairs)) +
-         " candidates in " + std::to_string(m.counter(kMetricStreamBatches)) +
-         " batches, live high-water " +
-         std::to_string(m.counter(kMetricStreamHighWater)) + " candidates\n";
   return out;
 }
 

@@ -17,8 +17,7 @@
 //   WriteTelemetrySidecar   one of the two above, replacing a file
 //                           atomically (`--metrics FILE`)
 //   RenderExecutionStats    the Markdown execution-statistics report
-//                           (ExecutionStatsReport renders through it)
-//   RenderStreamDiagnostics the `--stream-candidates` stderr block
+//                           (`--stats` on stderr)
 
 #ifndef PDD_OBS_EXPORT_H_
 #define PDD_OBS_EXPORT_H_
@@ -62,14 +61,11 @@ Status WriteTelemetrySidecar(const RunTelemetry& telemetry,
 /// (pull / decide / commit seconds from the generate / drain / commit
 /// spans, and the batch decide p50 and p99; "(no executor timings)"
 /// for a hand-assembled result), decision-cache run and lifetime
-/// counters, candidate-stream drain accounting. Reads the metric names
-/// of run_telemetry.h.
+/// counters when a cache was attached, and the candidate-stream drain
+/// accounting, whose line names the reduction and whether it streams
+/// natively when the exec.reduction / exec.streaming infos are set.
+/// Reads the metric names of run_telemetry.h.
 std::string RenderExecutionStats(const RunTelemetry& telemetry);
-
-/// The candidate-streaming stderr diagnostics (reduction name, native
-/// vs adapter, batches, live high-water). Reads the
-/// exec.reduction / exec.streaming infos when present.
-std::string RenderStreamDiagnostics(const RunTelemetry& telemetry);
 
 /// The decision-index diagnostics block (`pddquery` / `pddcli
 /// index-build` stderr): records/pairs/clusters/bytes from the

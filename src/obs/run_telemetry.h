@@ -11,9 +11,9 @@
 // (DecisionTally); TelemetryFromResult builds the registry from those
 // once, and the executor adds the spans and attaches the result to
 // DetectionResult::telemetry. Every
-// consumer — ExecutionStatsReport, `pddcli --metrics`, the stderr
-// diagnostics, the bench sidecars — renders from the registry and
-// never writes back into the fields.
+// consumer — `--stats` (RenderExecutionStats), `--metrics`, the bench
+// sidecars — renders from the registry and never writes back into the
+// fields.
 //
 // Span seconds and every `time.*` metric are wall-clock-derived and
 // therefore nondeterministic; span COUNT fields on worker spans vary
@@ -159,8 +159,9 @@ struct DecisionTally {
 RunTelemetry TelemetryFromResult(const DetectionResult& result,
                                  const DecisionTally& tally);
 
-/// The same for a hand-assembled result, which carries no telemetry
-/// (ExecutionStatsReport): tallies result.decisions first.
+/// The same for a hand-assembled result, which carries no telemetry:
+/// tallies result.decisions first (the recount the executor's tally is
+/// tested against).
 RunTelemetry TelemetryFromResult(const DetectionResult& result);
 
 /// Sets the exec.cache.* run counters (and exec.cache.attached) from

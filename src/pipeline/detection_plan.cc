@@ -39,20 +39,6 @@ uint64_t DecisionFingerprint(const PlanSpec& spec) {
 
 }  // namespace
 
-const char* PipelineStageName(PipelineStage stage) {
-  switch (stage) {
-    case PipelineStage::kMatch:
-      return "match";
-    case PipelineStage::kCombine:
-      return "combine";
-    case PipelineStage::kDerive:
-      return "derive";
-    case PipelineStage::kClassify:
-      return "classify";
-  }
-  return "unknown";
-}
-
 Result<std::shared_ptr<const DetectionPlan>> DetectionPlan::Compile(
     const PlanSpec& spec, Schema schema) {
   PDD_ASSIGN_OR_RETURN(DetectorConfig config, DetectorConfig::FromSpec(spec));
@@ -130,8 +116,6 @@ Result<std::shared_ptr<const DetectionPlan>> DetectionPlan::Compile(
   plan->model_ = std::make_unique<XTupleDecisionModel>(
       plan->matcher_.get(), plan->combination_.get(),
       plan->derivation_.get(), config.final_thresholds);
-  plan->stages_ = {PipelineStage::kMatch, PipelineStage::kCombine,
-                   PipelineStage::kDerive, PipelineStage::kClassify};
   plan->spec_ = config.ToSpec();
   plan->fingerprint_ = plan->spec_.Fingerprint();
   // Custom comparator instances decide pairs through code the spec
@@ -184,27 +168,10 @@ MatchClass DetectionPlan::RunClassifyStage(double similarity) const {
 
 XPairDecision DetectionPlan::DecidePair(const XTuple& t1,
                                         const XTuple& t2) const {
-  // Walks the compiled stage graph, so stages() is the actual execution
-  // order, not descriptive metadata.
-  ComparisonMatrix matrix;
-  AlternativePairScores scores;
   XPairDecision decision;
-  for (PipelineStage stage : stages_) {
-    switch (stage) {
-      case PipelineStage::kMatch:
-        matrix = RunMatchStage(t1, t2);
-        break;
-      case PipelineStage::kCombine:
-        scores = RunCombineStage(t1, t2, matrix);
-        break;
-      case PipelineStage::kDerive:
-        decision.similarity = RunDeriveStage(scores);
-        break;
-      case PipelineStage::kClassify:
-        decision.match_class = RunClassifyStage(decision.similarity);
-        break;
-    }
-  }
+  decision.similarity =
+      RunDeriveStage(RunCombineStage(t1, t2, RunMatchStage(t1, t2)));
+  decision.match_class = RunClassifyStage(decision.similarity);
   return decision;
 }
 

@@ -5,11 +5,11 @@
 // const and safe to call from multiple threads concurrently, which is
 // what lets the StageExecutor fan candidate batches out to a pool.
 //
-// The plan also names the stage graph the executor walks per candidate
-// (Fig. 6): attribute value matching (Section IV-A) → combination φ →
-// derivation ϑ (Section IV-B) → final classification (Fig. 2). Each
-// stage is independently executable through the Run*Stage entry points
-// (explanations and diagnostics use them piecemeal).
+// A candidate pair decides in four stages (Fig. 6): attribute value
+// matching (Section IV-A) → combination φ → derivation ϑ (Section
+// IV-B) → final classification (Fig. 2). Each stage is independently
+// executable through the Run*Stage entry points (explanations and
+// diagnostics use them piecemeal); DecidePair runs them in that order.
 
 #ifndef PDD_PIPELINE_DETECTION_PLAN_H_
 #define PDD_PIPELINE_DETECTION_PLAN_H_
@@ -29,17 +29,6 @@
 #include "util/status.h"
 
 namespace pdd {
-
-/// The per-candidate pipeline stages, in execution order.
-enum class PipelineStage {
-  kMatch = 0,     // comparison matrix of the alternative pairs (§IV-A)
-  kCombine = 1,   // φ on every comparison vector + conditioned probs
-  kDerive = 2,    // derivation function ϑ (§IV-B)
-  kClassify = 3,  // final threshold classification (Fig. 2)
-};
-
-/// Stable stage name for reports ("match", "combine", ...).
-const char* PipelineStageName(PipelineStage stage);
 
 /// True for spec keys that cannot change what DecidePair returns for a
 /// given pair content (key/reduction/prepare/prune choose WHICH pairs
@@ -90,9 +79,6 @@ class DetectionPlan {
   const DerivationFunction& derivation() const { return *derivation_; }
   const XTupleDecisionModel& model() const { return *model_; }
 
-  /// The stage graph in execution order.
-  const std::vector<PipelineStage>& stages() const { return stages_; }
-
   /// The resolved comparator of every schema attribute (registry
   /// comparators or custom instances), in attribute order.
   const std::vector<const Comparator*>& comparators() const {
@@ -113,18 +99,18 @@ class DetectionPlan {
 
   // --- independently executable stage entry points ------------------
 
-  /// Stage kMatch: the k×l comparison matrix of an x-tuple pair.
+  /// Match: the k×l comparison matrix of an x-tuple pair.
   ComparisonMatrix RunMatchStage(const XTuple& t1, const XTuple& t2) const;
 
-  /// Stage kCombine: φ over a comparison matrix plus the conditioned
+  /// Combine: φ over a comparison matrix plus the conditioned
   /// alternative probabilities of the pair.
   AlternativePairScores RunCombineStage(const XTuple& t1, const XTuple& t2,
                                         const ComparisonMatrix& matrix) const;
 
-  /// Stage kDerive: sim(t1, t2) from the alternative pair scores.
+  /// Derive: sim(t1, t2) from the alternative pair scores.
   double RunDeriveStage(const AlternativePairScores& scores) const;
 
-  /// Stage kClassify: η(t1, t2) from the derived similarity.
+  /// Classify: η(t1, t2) from the derived similarity.
   MatchClass RunClassifyStage(double similarity) const;
 
   /// All four stages on one candidate pair, over the x-tuple object
@@ -144,7 +130,6 @@ class DetectionPlan {
   uint64_t decision_fingerprint_ = 0;
   Schema schema_;
   KeySpec key_spec_;
-  std::vector<PipelineStage> stages_;
   std::vector<ColumnarKernelFn> columnar_kernels_;
   std::unique_ptr<TupleMatcher> matcher_;
   std::unique_ptr<CombinationFunction> combination_;

@@ -63,8 +63,8 @@ struct CacheRunStats {
 };
 
 /// Candidate-stream accounting of one run (drain-loop
-/// instrumentation). Rendered by ExecutionStatsReport and `pddcli
-/// --stream-candidates`, never by the detection report itself, because
+/// instrumentation). Rendered by `--stats` (RenderExecutionStats),
+/// never by the detection report itself, because
 /// the pooled high-water depends on worker timing while reports must
 /// stay byte-identical across worker counts.
 struct StreamRunStats {
@@ -129,8 +129,7 @@ struct DetectionResult {
   /// Unified telemetry of the run: the metrics registry plus the span
   /// tree (see obs/run_telemetry.h). Every executor result carries one,
   /// built once from the stat fields above; null for hand-assembled
-  /// results, which ExecutionStatsReport bridges through
-  /// TelemetryFromResult.
+  /// results, which TelemetryFromResult bridges.
   std::shared_ptr<RunTelemetry> telemetry;
 
   /// Id of tuple `index` of the run's relation (requires `ids`).

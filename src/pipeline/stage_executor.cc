@@ -41,7 +41,7 @@ struct WorkerStats {
   double pull_seconds = 0.0;
   /// Time inside DecideBatch and the tally.
   double decide_seconds = 0.0;
-  /// Time in the decision sink and OrderedRecords::Commit.
+  /// Time in OrderedRecords::Commit (the decision sink included).
   double commit_seconds = 0.0;
   /// Per-batch decide latency in microseconds.
   LogHistogram decide_micros;
@@ -55,9 +55,13 @@ struct WorkerStats {
 /// workers finish batches in any order. A batch decided ahead of an
 /// earlier one parks until the gap closes, so only out-of-order batches
 /// are ever buffered (their buffers are recycled) and the records end
-/// exactly as a one-worker drain would have appended them.
+/// exactly as a one-worker drain would have appended them. The
+/// decision sink sees each record as it is appended, so in that order
+/// too.
 class OrderedRecords {
  public:
+  explicit OrderedRecords(const DecisionSink& sink) : sink_(sink) {}
+
   /// Single-threaded, before any Commit.
   void Reserve(size_t count) { records_.reserve(count); }
 
@@ -75,12 +79,12 @@ class OrderedRecords {
       }
       return;
     }
-    records_.insert(records_.end(), batch->begin(), batch->end());
+    Append(*batch);
     batch->clear();
     ++next_;
     auto it = pending_.begin();
     for (; it != pending_.end() && it->first == next_; ++it, ++next_) {
-      records_.insert(records_.end(), it->second.begin(), it->second.end());
+      Append(it->second);
       it->second.clear();
       spare_.push_back(std::move(it->second));
     }
@@ -91,6 +95,14 @@ class OrderedRecords {
   std::vector<PairDecisionRecord> Take() { return std::move(records_); }
 
  private:
+  void Append(const std::vector<PairDecisionRecord>& batch) {
+    if (sink_) {
+      for (const PairDecisionRecord& rec : batch) sink_(rec);
+    }
+    records_.insert(records_.end(), batch.begin(), batch.end());
+  }
+
+  const DecisionSink& sink_;
   std::mutex mu_;
   size_t next_ = 0;
   std::vector<PairDecisionRecord> records_;
@@ -271,7 +283,7 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   // DecideBatch) is the one structure every worker shares.
   std::mutex drain_mu;
   bool exhausted = false;
-  OrderedRecords committed;
+  OrderedRecords committed(options_.decision_sink);
   size_t batches = 0;
   size_t candidate_count = 0;
   size_t in_flight_candidates = 0;
@@ -279,10 +291,6 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   if (std::optional<size_t> hint = stream.candidate_count_hint()) {
     committed.Reserve(*hint);
   }
-  // Sink calls are serialized but interleave across workers in commit
-  // order — an execution-shape-dependent order by design (see
-  // StageExecutorOptions::decision_sink).
-  std::mutex sink_mu;
   const size_t threads = std::max<size_t>(options_.workers, 1);
   std::vector<WorkerStats> workers(threads);
   auto drain = [&](size_t thread) {
@@ -339,12 +347,6 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
           std::chrono::duration<double>(commit_start - decide_start).count();
       ws.decide_seconds += decide;
       ws.decide_micros.Record(MicrosFromSeconds(decide));
-      if (options_.decision_sink) {
-        std::lock_guard<std::mutex> lock(sink_mu);
-        for (const PairDecisionRecord& rec : decided) {
-          options_.decision_sink(rec);
-        }
-      }
       committed.Commit(index, &decided);
       ws.commit_seconds += Elapsed(commit_start);
       {

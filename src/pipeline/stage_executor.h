@@ -1,12 +1,13 @@
 // StageExecutor: drains a CandidateStream in fixed-size batches and
-// runs every candidate through the plan's stage graph (match → combine
+// decides every candidate through the plan's stages (match → combine
 // → derive → classify). There is one decide path: every pair decides
 // through a ColumnarMatcher over the stream's RelationArena, which
 // Execute builds when the stream carries none (DetectionPlan::DecidePair
 // is the reference the tests hold it to, bit for bit). There is one
 // drain loop. The stream is pulled under one mutex; its batches are
 // indexed in pull order, decided into a worker-local buffer and
-// committed in index order. The worker count only decides how many
+// committed in index order, the order a decision sink sees the records
+// in too. The worker count only decides how many
 // threads run that loop: workers <= 1 runs it on the calling thread.
 // So the result is byte-identical for any worker count, and
 // parallelism is purely a throughput knob. The drain streams: live
@@ -25,7 +26,7 @@
 //
 // With a ShardedDecisionCache attached, each pair is first looked up by
 // (plan decision fingerprint, pair content digest); hits skip the
-// stage graph entirely and misses insert the freshly decided outcome,
+// stages entirely and misses insert the freshly decided outcome,
 // so repeated, incremental and swept runs only pay for pairs no
 // equivalent plan has decided before. Cached values are the bit
 // patterns the stages produced, so cached ≡ uncached ≡ serial ≡
@@ -49,6 +50,9 @@
 
 namespace pdd {
 
+/// Receives committed decision records (StageExecutorOptions).
+using DecisionSink = std::function<void(const PairDecisionRecord&)>;
+
 struct StageExecutorOptions {
   /// Candidates per batch handed to the stage pipeline.
   size_t batch_size = 256;
@@ -68,14 +72,12 @@ struct StageExecutorOptions {
   std::function<std::optional<CachedPairDecision>(size_t first,
                                                   size_t second)>
       prior_decision;
-  /// Called once per committed decision record, as batches complete.
-  /// The executor serializes calls (one sink invocation at a time), but
-  /// the EMISSION ORDER is execution-shape-dependent once more than one
-  /// worker drains: only the DetectionResult carries the deterministic
-  /// order. A standing consumer (pddserve) streams
-  /// decisions out of the drain through this; batch callers leave it
-  /// null for zero overhead.
-  std::function<void(const PairDecisionRecord&)> decision_sink;
+  /// Called once per decision record as it is committed, in pull
+  /// order: the records' order in the DetectionResult, for any worker
+  /// count and batch size. Calls are serialized under the commit lock.
+  /// A standing consumer (pddserve) streams decisions out of the drain
+  /// through this; batch callers leave it null.
+  DecisionSink decision_sink;
 };
 
 class ColumnarMatcher;

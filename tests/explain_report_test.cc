@@ -9,10 +9,13 @@
 #include "core/explain.h"
 #include "core/paper_examples.h"
 #include "core/report_writer.h"
+#include "core/tool_args.h"
 #include "datagen/person_generator.h"
 #include "index/format.h"
 #include "index/index_builder.h"
 #include "index/index_cli.h"
+#include "pdb/text_format.h"
+#include "util/file_util.h"
 
 namespace pdd {
 namespace {
@@ -168,6 +171,60 @@ TEST(ReportTest, CsvEscapesStructuralCharacters) {
   std::string csv = DecisionsToCsv(result);
   EXPECT_NE(csv.find("\"id,with,commas\""), std::string::npos);
   EXPECT_NE(csv.find("\"id\"\"quoted\"\"\""), std::string::npos);
+}
+
+// `pddquery pair` prints the --csv row of the pair, ids escaped the
+// same way, `none` for a pair the run never examined, and `verify`
+// compares those rows.
+TEST(ReportTest, IndexQueriesPrintTheCsvRow) {
+  const std::string relation_path = "explain_report_test_csv.pxr";
+  const std::string index_path = "explain_report_test_csv.pddindex";
+  // Blocking on the key keeps c out of a's and b's block.
+  const std::vector<std::string> plan = {"--set",
+                                         "reduction=blocking_certain_keys"};
+  ASSERT_TRUE(WriteFileAtomically(relation_path,
+                                  "relation quoted\n"
+                                  "schema name:string, job:string\n"
+                                  "tuple a,1\nalt 1 | anna ; baker\n"
+                                  "tuple b\"2\nalt 1 | anna ; baker\n"
+                                  "tuple c\nalt 1 | zora ; miner\n")
+                  .ok());
+  std::vector<std::string> build = {relation_path, index_path};
+  build.insert(build.end(), plan.begin(), plan.end());
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(RunIndexBuild(build), 0);
+  ::testing::internal::GetCapturedStdout();
+
+  Result<XRelation> rel = LoadXRelation(relation_path);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  Result<ToolArgs> args = ParseToolArgs(plan, kPlanFlags);
+  ASSERT_TRUE(args.ok());
+  Result<DetectorConfig> config = ResolveConfig(*args, rel->schema());
+  ASSERT_TRUE(config.ok());
+  Result<DuplicateDetector> detector =
+      DuplicateDetector::Make(*config, rel->schema());
+  ASSERT_TRUE(detector.ok());
+  Result<DetectionResult> result = detector->Run(*rel);
+  ASSERT_TRUE(result.ok());
+  const std::string csv = DecisionsToCsv(*result);
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2) << csv;
+  const std::string row = csv.substr(csv.find('\n') + 1);
+  EXPECT_EQ(row.rfind("\"a,1\",\"b\"\"2\",", 0), 0u) << row;
+
+  auto query = [](const std::vector<std::string>& command) {
+    ::testing::internal::CaptureStdout();
+    const int rc =
+        RunIndexQuery(command[0], {command.begin() + 1, command.end()});
+    return std::to_string(rc) + ":" +
+           ::testing::internal::GetCapturedStdout();
+  };
+  EXPECT_EQ(query({"pair", index_path, "a,1", "b\"2"}), "0:" + row);
+  EXPECT_EQ(query({"pair", index_path, "a,1", "c"}), "0:\"a,1\",c,,none\n");
+  std::vector<std::string> verify = {"verify", index_path, relation_path};
+  verify.insert(verify.end(), plan.begin(), plan.end());
+  EXPECT_EQ(query(verify).rfind("0:index verify: OK", 0), 0u);
+  std::remove(relation_path.c_str());
+  std::remove(index_path.c_str());
 }
 
 TEST(ReportTest, MarkdownReportSections) {

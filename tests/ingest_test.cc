@@ -327,19 +327,38 @@ TEST(StandingSessionTest, FinishIsByteIdenticalForAnyArrivalOrder) {
 TEST(StandingSessionTest, DecisionSinkSeesEveryLiveDecisionOnce) {
   GeneratedData data = SeededPersons(15);
   const size_t n = data.relation.size();
-  std::atomic<size_t> sink_calls{0};
-  StandingSession::Options options = SessionOptions();
-  options.decision_sink = [&sink_calls](const PairDecisionRecord&) {
-    sink_calls.fetch_add(1);
-  };
-  Result<std::unique_ptr<StandingSession>> session =
-      StandingSession::Make(PersonPlan(), nullptr, options);
-  ASSERT_TRUE(session.ok());
-  Result<DetectionResult> live =
-      DrainWithProducer(session->get(), data.relation, Iota(n));
-  ASSERT_TRUE(live.ok());
-  EXPECT_EQ(sink_calls.load(), live->decisions.size());
-  EXPECT_EQ(live->decisions.size(), TriangularPairCount(n));
+  const StandingSession::Options configured = SessionOptions();
+  // The configured drain, and pooled drains across batch edges: the
+  // sink sees the live records in their order whatever the shape.
+  for (const auto& [workers, batch_size] :
+       {std::pair{configured.workers, configured.batch_size},
+        std::pair{size_t{4}, size_t{2}}, std::pair{size_t{3}, size_t{7}}}) {
+    std::vector<PairDecisionRecord> sunk;
+    StandingSession::Options options = configured;
+    options.workers = workers;
+    options.batch_size = batch_size;
+    options.decision_sink = [&sunk](const PairDecisionRecord& rec) {
+      sunk.push_back(rec);
+    };
+    Result<std::unique_ptr<StandingSession>> session =
+        StandingSession::Make(PersonPlan(), nullptr, options);
+    ASSERT_TRUE(session.ok());
+    Result<DetectionResult> live =
+        DrainWithProducer(session->get(), data.relation, Iota(n));
+    ASSERT_TRUE(live.ok());
+    EXPECT_EQ(live->decisions.size(), TriangularPairCount(n));
+    ASSERT_EQ(sunk.size(), live->decisions.size())
+        << "workers=" << workers << " batch=" << batch_size;
+    for (size_t i = 0; i < sunk.size(); ++i) {
+      const PairDecisionRecord& want = live->decisions[i];
+      EXPECT_TRUE(sunk[i].index1 == want.index1 &&
+                  sunk[i].index2 == want.index2 &&
+                  sunk[i].similarity == want.similarity &&
+                  sunk[i].match_class == want.match_class)
+          << "workers=" << workers << " batch=" << batch_size << " record "
+          << i;
+    }
+  }
 }
 
 TEST(StandingSessionTest, PooledLiveDrainDecidesOverGrowingArena) {

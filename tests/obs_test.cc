@@ -19,7 +19,6 @@
 
 #include "cache/decision_cache.h"
 #include "core/detector.h"
-#include "core/report_writer.h"
 #include "datagen/person_generator.h"
 #include "obs/export.h"
 #include "obs/log_histogram.h"
@@ -629,7 +628,7 @@ TEST(RunTelemetryTest, HandAssembledResultsBridgeThroughTelemetryFromResult) {
   EXPECT_EQ(t.metrics.counters().count(kMetricCacheLookups), 0u);
   // No executor drained it, so there are no batch clocks to render.
   EXPECT_TRUE(t.root.children.empty());
-  const std::string report = ExecutionStatsReport(result);
+  const std::string report = RenderExecutionStats(TelemetryFromResult(result));
   EXPECT_NE(report.find("## Batch timings\n\n(no executor timings)\n\n"),
             std::string::npos);
   EXPECT_EQ(report.find("| decide |"), std::string::npos);
@@ -679,17 +678,31 @@ TEST(RunTelemetryTest, AddRunTimingsFoldsTheLiveDrainIntoFinish) {
 
 // --- stats report rendering ---------------------------------------------
 
-TEST(ExecutionStatsReportTest, StreamDiagnosticsRenderFromRegistry) {
+TEST(RenderExecutionStatsTest, StreamDiagnosticsRenderFromRegistry) {
   RunTelemetry t;
   t.metrics.SetCounter(kMetricCandidatePairs, 732);
   t.metrics.SetCounter(kMetricStreamBatches, 3);
   t.metrics.SetCounter(kMetricStreamHighWater, 260);
+  // Without the reduction infos (pddserve) the line counts only.
+  EXPECT_NE(RenderExecutionStats(t).find(
+                "\n## Candidate stream\n\n- stream: 732 candidates in 3 "
+                "batches, live high-water 260 candidates\n"),
+            std::string::npos);
   t.metrics.SetInfo("exec.reduction", "snm_certain_keys");
   t.metrics.SetInfo("exec.streaming", "native");
-  EXPECT_EQ(RenderStreamDiagnostics(t),
-            "candidate stream: reduction snm_certain_keys "
-            "(native streaming), 732 candidates in 3 batches, "
-            "live high-water 260 candidates\n");
+  EXPECT_NE(RenderExecutionStats(t).find(
+                "\n- stream: reduction snm_certain_keys (native streaming), "
+                "732 candidates in 3 batches, live high-water 260 "
+                "candidates\n"),
+            std::string::npos);
+  t.metrics.SetInfo("exec.reduction", "canopy");
+  t.metrics.SetInfo("exec.streaming", "adapter");
+  EXPECT_NE(RenderExecutionStats(t).find(
+                "\n- stream: reduction canopy (materializing adapter), 732 "),
+            std::string::npos);
+  // No cache was attached, so there is no cache section.
+  EXPECT_EQ(RenderExecutionStats(t).find("## Decision cache"),
+            std::string::npos);
 }
 
 }  // namespace

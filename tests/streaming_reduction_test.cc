@@ -192,7 +192,7 @@ TEST(StreamingReductionTest, NativeStreamingBoundsLiveCandidates) {
 // Regression (stats carry-over seam): a partially-drained stream that
 // is Reset and re-executed must report exactly one drain's stream
 // accounting — batches and the live-candidate high-water must not
-// carry over across re-opens (ExecutionStatsReport would double-count).
+// carry over across re-opens (`--stats` would double-count).
 TEST(StreamingReductionTest, ResetMidDrainDoesNotCarryDrainAccounting) {
   GeneratedData data = StreamTestPersons(50);
   DetectorConfig config = ReductionConfig(ReductionMethod::kSnmCertainKeys);

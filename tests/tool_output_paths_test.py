@@ -8,8 +8,9 @@ a missing directory exits 1 before the run, with nothing on stdout and
 nothing created. `pddquery verify --metrics` writes a sidecar that
 tools/telemetry_check.py accepts.
 Outputs are replaced atomically (a new inode each write) and a symbolic
-link is written through. pddgen refuses an output operand that starts
-with "--" and writes nothing.
+link is written through. pddgen checks every output operand the same
+way before it generates anything, and its options may stand anywhere
+among the operands.
 
 Usage: tool_output_paths_test.py TOOL_DIR [unittest args]
 """
@@ -53,22 +54,88 @@ class ToolOutputPathsTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stderr)
         self.assertEqual(result.stdout, "")
 
-    def test_pddgen_refuses_an_option_in_place_of_an_output_path(self):
-        # Options follow the output paths; given first, `--entities 20`
-        # would otherwise name the relation and the gold file.
-        for args, operand in (
-                (("person", "--entities", 20, "--seed", 7), "--entities"),
-                (("person", "r.pxr", "--seed", 7), "--seed"),
-                (("astro", "a.pxr", "--objects", 5, "g.csv"), "--objects"),
-                (("biblio", "--publications", 5), "--publications")):
+    def pddgen(self, *args):
+        """pddgen run in this test's directory."""
+        return subprocess.run(
+            [str((TOOLS / "pddgen").resolve()), *map(str, args)],
+            cwd=self.dir, capture_output=True, text=True, timeout=20)
+
+    def test_pddgen_options_may_stand_anywhere_among_the_outputs(self):
+        for kind, outputs, options in (
+                ("person", ("r.pxr", "g.csv"),
+                 ("--entities", 12, "--seed", 3, "--full-names")),
+                ("astro", ("a.pxr", "b.pxr", "g.csv"),
+                 ("--objects", 6, "--seed", 3)),
+                ("biblio", ("r.pxr", "g.csv"),
+                 ("--publications", 6, "--seed", 3))):
+            placements = {
+                "after": (*outputs, *options),
+                "before": (*options, *outputs),
+                "between": (outputs[0], *options[:2], *outputs[1:],
+                            *options[2:]),
+            }
+            written = {}
+            for place, args in placements.items():
+                with self.subTest(kind=kind, place=place):
+                    for name in outputs:
+                        (self.dir / name).unlink(missing_ok=True)
+                    result = self.pddgen(kind, *args)
+                    self.assertEqual(result.returncode, 0, result.stderr)
+                    self.assertTrue(result.stdout.startswith("wrote "))
+                    written[place] = [(self.dir / name).read_bytes()
+                                      for name in outputs]
+            self.assertEqual(written["before"], written["after"], kind)
+            self.assertEqual(written["between"], written["after"], kind)
+
+    def test_pddgen_refuses_missing_outputs_and_writes_nothing(self):
+        for args in (("person", "--entities", 20, "--seed", 7),
+                     ("person", "r.pxr", "--seed", 7),
+                     ("astro", "a.pxr", "--objects", 5, "g.csv"),
+                     ("biblio", "--publications", 5)):
             with self.subTest(args=args):
-                result = subprocess.run(
-                    [str((TOOLS / "pddgen").resolve()), *map(str, args)],
-                    cwd=self.dir, capture_output=True, text=True, timeout=20)
+                result = self.pddgen(*args)
                 self.assertRefused(result)
                 self.assertEqual(len(result.stderr.splitlines()), 1)
-                self.assertIn(f"'{operand}'", result.stderr)
+                self.assertIn("needs <", result.stderr)
                 self.assertEqual(list(self.dir.iterdir()), [])
+
+    def test_pddgen_refuses_bad_outputs_before_generating(self):
+        fifo = self.dir / "fifo.pxr"
+        os.mkfifo(fifo)
+        (self.dir / "sub").mkdir()
+        # Captured, stdout is a pipe: /dev/stdout names no regular file.
+        for bad in (self.dir / "sub", fifo, "/dev/stdout",
+                    self.dir / "missing" / "g.csv"):
+            for args in ((bad, "g.csv"), ("r.pxr", bad)):
+                with self.subTest(args=args):
+                    self.assertRefused(
+                        self.pddgen("person", *args, "--entities", 20))
+                    # The good output was not written either.
+                    self.assertEqual(sorted(p.name for p in
+                                            self.dir.iterdir()),
+                                     ["fifo.pxr", "sub"])
+        self.assertEqual(list((self.dir / "sub").iterdir()), [])
+
+    def test_pddgen_writes_a_linked_output_through_the_link(self):
+        link = self.dir / "link.pxr"
+        link.symlink_to("target.pxr")
+        inodes = []
+        for _ in range(2):
+            result = self.pddgen("person", link, "g.csv", "--entities", 20)
+            self.assertEqual(result.returncode, 0, result.stderr)
+            self.assertTrue(link.is_symlink())
+            inodes.append((self.dir / "target.pxr").stat().st_ino)
+            os.link(self.dir / "target.pxr",
+                    self.dir / f"kept{len(inodes)}.pxr")
+        self.assertNotEqual(inodes[0], inodes[1])
+        plain = self.pddgen("person", "plain.pxr", "g.csv", "--entities", 20)
+        self.assertEqual(plain.returncode, 0, plain.stderr)
+        self.assertEqual((self.dir / "target.pxr").read_bytes(),
+                         (self.dir / "plain.pxr").read_bytes())
+        self.assertEqual(
+            sorted(p.name for p in self.dir.iterdir()),
+            ["g.csv", "kept1.pxr", "kept2.pxr", "link.pxr", "plain.pxr",
+             "target.pxr"])
 
     def test_pddcli_refuses_bad_metrics_paths_before_the_run(self):
         fifo = self.dir / "fifo.json"

@@ -8,7 +8,9 @@ spelling, its plan key, so the old decision flags (--key, --reduction,
 --window, --t-lambda, --t-mu, --derivation, --prepare) are unknown
 options. The relation is read once, so a build from a pipe writes the
 image a build from the file writes, and explain decides the pair the
-way detect does.
+way detect does. `pddcli detect --stats` only renders: it attaches no
+cache, and the old --cache-stats and --stream-candidates are unknown
+options.
 
 Usage: tool_plan_args_test.py TOOL_DIR [unittest args]
 """
@@ -146,6 +148,32 @@ class ToolPlanArgsTest(unittest.TestCase):
                          "a,b,1,match")
         self.assertEqual(self.explained(relation, "a", "b", *prepare),
                          "a,b,1,match")
+
+    def test_stats_renders_the_run_without_changing_it(self):
+        plain = tool("pddcli", "detect", self.relation, "--plan", self.plan)
+        self.assertOk(plain)
+        metrics = self.dir / "stats.json"
+        stats = tool("pddcli", "detect", self.relation, "--plan", self.plan,
+                     "--stats", "--metrics", metrics)
+        self.assertOk(stats)
+        self.assertEqual(stats.stdout, plain.stdout)
+        self.assertIn("| decide |", stats.stderr)
+        self.assertIn("reduction snm_certain_keys (native streaming)",
+                      stats.stderr)
+        self.assertNotIn("## Decision cache", stats.stderr)
+        self.assertNotIn("exec.cache.attached", metrics.read_text())
+        # A cache flag attaches the cache, and --stats then renders it.
+        cached = tool("pddcli", "detect", self.relation, "--plan", self.plan,
+                      "--stats", "--cache-capacity", 64)
+        self.assertOk(cached)
+        self.assertEqual(cached.stdout, plain.stdout)
+        self.assertIn("## Decision cache", cached.stderr)
+        for flag in ("--cache-stats", "--stream-candidates"):
+            with self.subTest(flag=flag):
+                result = tool("pddcli", "detect", self.relation, flag)
+                self.assertEqual(result.returncode, 1)
+                self.assertIn(f"unknown option '{flag}'", result.stderr)
+                self.assertEqual(result.stdout, "")
 
     def test_explain_refuses_an_unknown_flag(self):
         result = tool("pddcli", "explain", self.relation, "r0", "r1",

@@ -67,8 +67,8 @@
 //                                  comment) and exit without running
 //   --cache-capacity N             enable the in-memory decision cache
 //                                  bounded to N entries (CLOCK eviction;
-//                                  default capacity 1048576 when another
-//                                  cache flag enables caching)
+//                                  default capacity 1048576 when only
+//                                  --cache-file enables caching)
 //   --cache-file PATH              warm-start from PATH when it exists
 //                                  and atomically replace it with the
 //                                  resident cache afterwards (at most
@@ -78,19 +78,19 @@
 //                                  line is dropped; a PATH that is no
 //                                  regular file or lies in a missing
 //                                  directory exits 1 before the run)
-//   --cache-stats                  print the execution statistics
-//                                  (pull / decide / commit seconds and
-//                                  the batch decide p50 and p99, which
-//                                  every run clocks; cache hits, torn
-//                                  cache-file bytes dropped) to stderr
-//                                  after the run
-//   --stream-candidates            print the candidate streaming
-//                                  diagnostics to stderr after the run:
-//                                  whether the plan's reduction streams
-//                                  natively (bounded live pairs) or
+//   --stats                        print the execution statistics to
+//                                  stderr after the run: pull / decide /
+//                                  commit seconds and the batch decide
+//                                  p50 and p99 (every run clocks them),
+//                                  the candidate stream (the reduction,
+//                                  whether it streams natively or
 //                                  through the materializing adapter,
-//                                  batches pulled, and the live-candidate
-//                                  high-water mark of the drain
+//                                  batches, live high-water) and, when a
+//                                  cache flag attached the cache, its
+//                                  hits and torn cache-file bytes
+//                                  dropped. It only renders: the run and
+//                                  stdout are those of the same command
+//                                  without it
 //   --metrics FILE                 write the run's telemetry sidecar
 //                                  (schema pdd.telemetry.v1: counters,
 //                                  gauges, histograms, info, span tree)
@@ -151,15 +151,12 @@ int RunDetect(bool demo, const std::vector<std::string>& argv) {
   bool csv = false;
   bool histogram = false;
   bool print_plan = false;
-  bool cache_stats = false;
-  bool stream_candidates = false;
+  bool stats = false;
   std::string gold_file;
   Result<ToolArgs> args = ParseToolArgs(
       argv, kPlanFlags | kSidecarFlags | kCacheFlags,
       {SwitchFlag("--print-plan", &print_plan), SwitchFlag("--csv", &csv),
-       SwitchFlag("--histogram", &histogram),
-       SwitchFlag("--cache-stats", &cache_stats),
-       SwitchFlag("--stream-candidates", &stream_candidates),
+       SwitchFlag("--histogram", &histogram), SwitchFlag("--stats", &stats),
        TextFlag("--gold", &gold_file)});
   if (!args.ok()) return Fail(args.status().ToString());
   if (args->positional.size() != (demo ? 0 : 1)) {
@@ -191,12 +188,12 @@ int RunDetect(bool demo, const std::vector<std::string>& argv) {
   Result<DuplicateDetector> detector =
       DuplicateDetector::Make(*config, rel->schema());
   if (!detector.ok()) return Fail(detector.status().ToString());
-  // Any cache flag enables the decision cache; --cache-file also
+  // A cache flag enables the decision cache; --cache-file also
   // warm-starts from earlier invocations.
   std::shared_ptr<ShardedDecisionCache> cache;
-  if (args->cache_capacity > 0 || !args->cache_file.empty() || cache_stats) {
+  if (args->cache_capacity > 0 || !args->cache_file.empty()) {
     Result<std::shared_ptr<ShardedDecisionCache>> opened =
-        OpenCache(*args, cache_stats ? &std::cerr : nullptr);
+        OpenCache(*args, stats ? &std::cerr : nullptr);
     if (!opened.ok()) return Fail(opened.status().ToString());
     cache = *opened;
     detector->set_cache(cache);
@@ -207,9 +204,9 @@ int RunDetect(bool demo, const std::vector<std::string>& argv) {
     Status saved = cache->SaveSnapshot(args->cache_file);
     if (!saved.ok()) return Fail(saved.ToString());
   }
-  if (cache_stats || stream_candidates || !args->metrics_file.empty()) {
+  if (stats || !args->metrics_file.empty()) {
     // One telemetry, one exporter code path for every diagnostic: the
-    // stderr blocks and the sidecar are all renderings of this
+    // stderr block and the sidecar are both renderings of this
     // registry. Stderr only (stdout stays byte-identical across warm/
     // cold, streamed/materialized and serial/pooled runs).
     RunTelemetry telemetry = *result->telemetry;
@@ -222,8 +219,7 @@ int RunDetect(bool demo, const std::vector<std::string>& argv) {
     telemetry.metrics.SetInfo(
         "exec.streaming",
         generator->native_streaming() ? "native" : "adapter");
-    if (cache_stats) std::cerr << RenderExecutionStats(telemetry);
-    if (stream_candidates) std::cerr << RenderStreamDiagnostics(telemetry);
+    if (stats) std::cerr << RenderExecutionStats(telemetry);
     Status written = WriteSidecar(*args, telemetry);
     if (!written.ok()) return Fail(written.ToString());
   }

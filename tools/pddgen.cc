@@ -8,30 +8,37 @@
 //                   [--seed N]
 //   pddgen biblio   <out.pxr> <gold.csv> [--publications N] [--seed N]
 //
+// Options may come before, between or after the output paths, and
+// every generator accepts every option (ignoring the others' own).
+//
 // Relations are written in the text format of pdb/text_format.h, with
 // empty-text alternatives dropped into ⊥ (datagen/text_safe.h); pddgen
 // parses each written text back and fails unless it re-serializes to
 // the same bytes. Gold standards are "id1,id2" lines (verify/gold_io.h).
-// Entity, object and publication counts above 2^32 - 1 are flag errors
-// (the engine addresses tuples by 32-bit index), and a count the
-// machine cannot hold fails with a message, not a crash. An output
-// file that cannot be written in full (a full disk) exits 1 naming it.
-// The output paths come first: an output operand that starts with
-// "--" (an option given before the paths) exits 1 naming it, before
-// anything is written.
+// Counts and seeds are integers of 0 and up; entity, object and
+// publication counts above 2^32 - 1 are flag errors (the engine
+// addresses tuples by 32-bit index), and a count the machine cannot
+// hold fails with a message, not a crash. Every output path is checked
+// before anything is generated: one that is no regular file (a
+// directory, a FIFO, /dev/full), is where stdout or stderr goes
+// (/dev/stdout) or lies in a missing directory exits 1 and nothing is
+// written. Each output is replaced atomically (a link is written
+// through), and one that cannot be written in full (a full disk) exits
+// 1 naming it.
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <new>
 #include <stdexcept>
 
+#include "core/tool_args.h"
 #include "datagen/astronomy_generator.h"
 #include "datagen/bibliography_generator.h"
 #include "datagen/person_generator.h"
 #include "datagen/text_safe.h"
 #include "pdb/text_format.h"
+#include "util/file_util.h"
 #include "util/string_util.h"
 #include "verify/gold_io.h"
 
@@ -42,15 +49,6 @@ using namespace pdd;
 int Fail(const std::string& message) {
   std::cerr << "pddgen: " << message << "\n";
   return 1;
-}
-
-/// False, after a message naming `path`, unless all of `content` got there.
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  out << content;
-  out.close();  // flushes, so a full disk fails here
-  if (!out) Fail("cannot write '" + path + "'");
-  return static_cast<bool>(out);
 }
 
 /// The text form of `rel` that the parser reads back byte for byte, or
@@ -70,8 +68,39 @@ Result<std::string> SerializeRoundTrip(const XRelation& rel) {
   return text;
 }
 
-// Shared numeric flag scanning.
-struct Flags {
+/// A number as written (strtod's syntax).
+ToolFlag NumberFlag(std::string name, double* value) {
+  const std::string error = name + " needs a number";
+  return {std::move(name), true, [value, error](const std::string& text) {
+            return ParseDouble(text, value) ? Status::OK()
+                                            : Status::InvalidArgument(error);
+          }};
+}
+
+/// An integer of 0 and up, at most `max`.
+ToolFlag IntegerFlag(std::string name, size_t* value,
+                     size_t max = std::numeric_limits<size_t>::max()) {
+  return {name, true, [name, value, max](const std::string& text) {
+            if (!ParseSize(text, value)) {
+              return Status::InvalidArgument(name +
+                                             " needs a non-negative integer");
+            }
+            if (*value > max) {
+              return Status::InvalidArgument(name + " must be at most " +
+                                             std::to_string(max));
+            }
+            return Status::OK();
+          }};
+}
+
+int Run(const std::vector<std::string>& argv) {
+  if (argv.empty()) {
+    return Fail("usage: pddgen <person|astro|biblio> <outputs...> [options]");
+  }
+  const std::string& kind = argv[0];
+  if (kind != "person" && kind != "astro" && kind != "biblio") {
+    return Fail("unknown generator '" + kind + "'");
+  }
   size_t entities = 100;
   double dup_rate = 0.6;
   double error_rate = 0.04;
@@ -80,110 +109,63 @@ struct Flags {
   size_t publications = 100;
   size_t seed = 42;
   bool full_names = false;
-};
-
-/// Parses the options after the output operands argv[2, first).
-int ParseFlags(int argc, char** argv, int first, Flags* flags) {
-  for (int i = 2; i < first; ++i) {
-    if (std::string(argv[i]).rfind("--", 0) == 0) {
-      return Fail("output path '" + std::string(argv[i]) +
-                  "' looks like an option; options follow the output paths");
+  // Generated tuples are addressed by the engine's 32-bit index.
+  const size_t max_tuples = std::numeric_limits<uint32_t>::max();
+  Result<ToolArgs> args = ParseToolArgs(
+      {argv.begin() + 1, argv.end()}, 0,
+      {IntegerFlag("--entities", &entities, max_tuples),
+       NumberFlag("--dup-rate", &dup_rate),
+       NumberFlag("--error-rate", &error_rate),
+       NumberFlag("--uncertainty", &uncertainty),
+       IntegerFlag("--objects", &objects, max_tuples),
+       IntegerFlag("--publications", &publications, max_tuples),
+       IntegerFlag("--seed", &seed), SwitchFlag("--full-names", &full_names)});
+  if (!args.ok()) return Fail(args.status().ToString());
+  const std::vector<std::string>& outputs = args->positional;
+  if (outputs.size() != (kind == "astro" ? 3u : 2u)) {
+    return Fail(kind + (kind == "astro" ? " needs <out1.pxr> <out2.pxr> "
+                                          "<gold.csv>"
+                                        : " needs <out.pxr> <gold.csv>"));
+  }
+  for (const std::string& path : outputs) {
+    Status usable = CheckOutputPath(path);
+    if (!usable.ok()) return Fail(usable.ToString());
+  }
+  // Replaces each output with its generated text, in operand order.
+  auto write = [&outputs](const std::vector<std::string>& texts) {
+    for (size_t i = 0; i < texts.size(); ++i) {
+      Status written = WriteFileAtomically(outputs[i], texts[i]);
+      if (!written.ok()) return Fail(written.ToString());
     }
-  }
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto number = [&](double* slot) -> int {
-      if (i + 1 >= argc) return Fail(arg + " needs a value");
-      double v = 0.0;
-      if (!ParseDouble(argv[++i], &v)) return Fail(arg + " needs a number");
-      *slot = v;
-      return 0;
-    };
-    auto count = [&](size_t* slot) -> int {
-      if (i + 1 >= argc) return Fail(arg + " needs a value");
-      if (!ParseSize(argv[++i], slot)) {
-        return Fail(arg + " needs a non-negative integer");
-      }
-      return 0;
-    };
-    // Generated tuples are addressed by the engine's 32-bit index.
-    auto tuple_count = [&](size_t* slot) -> int {
-      int rc = count(slot);
-      if (rc == 0 && *slot > std::numeric_limits<uint32_t>::max()) {
-        return Fail(arg + " must be at most " +
-                    std::to_string(std::numeric_limits<uint32_t>::max()));
-      }
-      return rc;
-    };
-    int rc = 0;
-    if (arg == "--entities") {
-      rc = tuple_count(&flags->entities);
-    } else if (arg == "--dup-rate") {
-      rc = number(&flags->dup_rate);
-    } else if (arg == "--error-rate") {
-      rc = number(&flags->error_rate);
-    } else if (arg == "--uncertainty") {
-      rc = number(&flags->uncertainty);
-    } else if (arg == "--objects") {
-      rc = tuple_count(&flags->objects);
-    } else if (arg == "--publications") {
-      rc = tuple_count(&flags->publications);
-    } else if (arg == "--seed") {
-      rc = count(&flags->seed);
-    } else if (arg == "--full-names") {
-      flags->full_names = true;
-    } else {
-      return Fail("unknown option '" + arg + "'");
-    }
-    if (rc != 0) return rc;
-  }
-  return 0;
-}
-
-int Run(int argc, char** argv) {
-  if (argc < 2) {
-    return Fail("usage: pddgen <person|astro|biblio> <outputs...> [options]");
-  }
-  std::string kind = argv[1];
+    return 0;
+  };
   if (kind == "person") {
-    if (argc < 4) return Fail("person needs <out.pxr> <gold.csv>");
-    Flags flags;
-    int rc = ParseFlags(argc, argv, 4, &flags);
-    if (rc != 0) return rc;
     PersonGenOptions options;
-    options.num_entities = flags.entities;
-    options.duplicate_rate = flags.dup_rate;
-    options.errors.char_error_rate = flags.error_rate;
-    options.uncertainty.value_uncertainty_prob = flags.uncertainty;
-    options.uncertainty.xtuple_alternative_prob = flags.uncertainty / 2;
-    options.seed = flags.seed;
-    options.full_names = flags.full_names;
+    options.num_entities = entities;
+    options.duplicate_rate = dup_rate;
+    options.errors.char_error_rate = error_rate;
+    options.uncertainty.value_uncertainty_prob = uncertainty;
+    options.uncertainty.xtuple_alternative_prob = uncertainty / 2;
+    options.seed = seed;
+    options.full_names = full_names;
     GeneratedData data = GeneratePersons(options);
     Result<std::string> text = SerializeRoundTrip(data.relation);
     if (!text.ok()) return Fail(text.status().ToString());
-    if (!WriteFile(argv[2], *text) ||
-        !WriteFile(argv[3], SerializeGoldStandard(data.gold))) {
-      return 1;
-    }
+    if (write({*text, SerializeGoldStandard(data.gold)}) != 0) return 1;
     std::cout << "wrote " << data.relation.size() << " records, "
               << data.gold.size() << " gold pairs\n";
     return 0;
   }
   if (kind == "astro") {
-    if (argc < 5) return Fail("astro needs <out1.pxr> <out2.pxr> <gold.csv>");
-    Flags flags;
-    int rc = ParseFlags(argc, argv, 5, &flags);
-    if (rc != 0) return rc;
     AstroGenOptions options;
-    options.num_objects = flags.objects;
-    options.seed = flags.seed;
+    options.num_objects = objects;
+    options.seed = seed;
     GeneratedSources sources = GenerateTelescopeSources(options);
     Result<std::string> text1 = SerializeRoundTrip(sources.source1);
     if (!text1.ok()) return Fail(text1.status().ToString());
     Result<std::string> text2 = SerializeRoundTrip(sources.source2);
     if (!text2.ok()) return Fail(text2.status().ToString());
-    if (!WriteFile(argv[2], *text1) || !WriteFile(argv[3], *text2) ||
-        !WriteFile(argv[4], SerializeGoldStandard(sources.gold))) {
+    if (write({*text1, *text2, SerializeGoldStandard(sources.gold)}) != 0) {
       return 1;
     }
     std::cout << "wrote " << sources.source1.size() << " + "
@@ -191,33 +173,23 @@ int Run(int argc, char** argv) {
               << sources.gold.size() << " gold pairs\n";
     return 0;
   }
-  if (kind == "biblio") {
-    if (argc < 4) return Fail("biblio needs <out.pxr> <gold.csv>");
-    Flags flags;
-    int rc = ParseFlags(argc, argv, 4, &flags);
-    if (rc != 0) return rc;
-    BiblioGenOptions options;
-    options.num_publications = flags.publications;
-    options.seed = flags.seed;
-    GeneratedData data = GenerateBibliography(options);
-    Result<std::string> text = SerializeRoundTrip(data.relation);
-    if (!text.ok()) return Fail(text.status().ToString());
-    if (!WriteFile(argv[2], *text) ||
-        !WriteFile(argv[3], SerializeGoldStandard(data.gold))) {
-      return 1;
-    }
-    std::cout << "wrote " << data.relation.size() << " citations, "
-              << data.gold.size() << " gold pairs\n";
-    return 0;
-  }
-  return Fail("unknown generator '" + kind + "'");
+  BiblioGenOptions options;
+  options.num_publications = publications;
+  options.seed = seed;
+  GeneratedData data = GenerateBibliography(options);
+  Result<std::string> text = SerializeRoundTrip(data.relation);
+  if (!text.ok()) return Fail(text.status().ToString());
+  if (write({*text, SerializeGoldStandard(data.gold)}) != 0) return 1;
+  std::cout << "wrote " << data.relation.size() << " citations, "
+            << data.gold.size() << " gold pairs\n";
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    return Run(argc, argv);
+    return Run({argv + 1, argv + argc});
   } catch (const std::bad_alloc&) {
     return Fail("out of memory: the requested count is too large");
   } catch (const std::length_error&) {

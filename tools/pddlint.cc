@@ -9,50 +9,44 @@
 //                     directory)
 //   --allowlist FILE  audited-site allowlist (default:
 //                     ROOT/tools/pddlint_allowlist.txt when present)
-//   --no-spec-closure skip the registry/spec closure check (source
-//                     rules only)
 //   --list-rules      print the rules and exit
 //
-// Output is compiler-style `file:line: [rule] message` per finding;
-// exit status is nonzero when any finding survives the allowlist. CI
-// runs this on every commit, next to the build.
+// Output is compiler-style `file:line: [rule] message` per finding,
+// then the registry/spec closure check's findings; exit status is 1
+// when any finding survives the allowlist, and 2 on a usage error (an
+// unknown option, a missing value, an operand) or when the tree or the
+// allowlist cannot be read. CI runs this on every commit, next to the
+// build.
 
 #include <filesystem>
 #include <iostream>
 
 #include "analysis/lint.h"
 #include "analysis/spec_closure.h"
+#include "core/tool_args.h"
 
 int main(int argc, char** argv) {
   using namespace pdd;
   std::string root;
   std::string allowlist_path;
-  bool spec_closure = true;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--root") {
-      if (i + 1 >= argc) {
-        std::cerr << "pddlint: --root needs a directory\n";
-        return 2;
-      }
-      root = argv[++i];
-    } else if (arg == "--allowlist") {
-      if (i + 1 >= argc) {
-        std::cerr << "pddlint: --allowlist needs a file\n";
-        return 2;
-      }
-      allowlist_path = argv[++i];
-    } else if (arg == "--no-spec-closure") {
-      spec_closure = false;
-    } else if (arg == "--list-rules") {
-      for (const LintRuleInfo& rule : LintRules()) {
-        std::cout << rule.name << "\n    " << rule.summary << "\n";
-      }
-      return 0;
-    } else {
-      std::cerr << "pddlint: unknown option '" << arg << "'\n";
-      return 2;
+  bool list_rules = false;
+  Result<ToolArgs> args = ParseToolArgs(
+      {argv + 1, argv + argc}, 0,
+      {TextFlag("--root", &root), TextFlag("--allowlist", &allowlist_path),
+       SwitchFlag("--list-rules", &list_rules)});
+  if (!args.ok() || !args->positional.empty()) {
+    std::cerr << "pddlint: "
+              << (args.ok() ? "unexpected operand '" +
+                                  args->positional[0] + "'"
+                            : args.status().ToString())
+              << "\n";
+    return 2;
+  }
+  if (list_rules) {
+    for (const LintRuleInfo& rule : LintRules()) {
+      std::cout << rule.name << "\n    " << rule.summary << "\n";
     }
+    return 0;
   }
   if (root.empty()) {
     root = DefaultSourceRoot();
@@ -85,20 +79,18 @@ int main(int argc, char** argv) {
     std::cout << finding.ToString() << "\n";
   }
 
-  if (spec_closure) {
-    Result<SpecClosureReport> closure = CheckSpecClosure(root);
-    if (!closure.ok()) {
-      std::cerr << "pddlint: " << closure.status().ToString() << "\n";
-      return 2;
-    }
-    total += closure->findings.size();
-    for (const LintFinding& finding : closure->findings) {
-      std::cout << finding.ToString() << "\n";
-    }
-    std::cerr << "pddlint: spec closure over " << closure->read_keys.size()
-              << " read keys / " << closure->printed_keys.size()
-              << " printed keys\n";
+  Result<SpecClosureReport> closure = CheckSpecClosure(root);
+  if (!closure.ok()) {
+    std::cerr << "pddlint: " << closure.status().ToString() << "\n";
+    return 2;
   }
+  total += closure->findings.size();
+  for (const LintFinding& finding : closure->findings) {
+    std::cout << finding.ToString() << "\n";
+  }
+  std::cerr << "pddlint: spec closure over " << closure->read_keys.size()
+            << " read keys / " << closure->printed_keys.size()
+            << " printed keys\n";
 
   if (total > 0) {
     std::cerr << "pddlint: " << total << " finding"

@@ -72,7 +72,6 @@
 #include <optional>
 #include <random>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/decision_cache.h"
@@ -110,11 +109,7 @@ uint64_t NowMicros() {
 struct SinkState {
   const IngestStream* stream = nullptr;
   bool stream_decisions = false;
-  /// index2 -> crossing pairs still undecided for that tuple. Tuple j
-  /// has exactly j crossing pairs (0,j)..(j-1,j).
-  std::unordered_map<size_t, size_t> remaining;
   LogHistogram latency;
-  uint64_t decided_tuples = 0;
 };
 
 void OnDecision(SinkState* state, const PairDecisionRecord& rec) {
@@ -127,12 +122,10 @@ void OnDecision(SinkState* state, const PairDecisionRecord& rec) {
               << MatchClassCode(rec.match_class) << " "
               << FormatDouble(rec.similarity, 6) << "\n";
   }
-  const size_t j = rec.index2;
-  auto [it, inserted] = state->remaining.emplace(j, j);
-  if (--(it->second) > 0) return;
-  state->remaining.erase(it);
-  ++state->decided_tuples;
-  const uint64_t stamp = state->stream->admitted_stamp(j);
+  // Records arrive in pull order, so tuple j is decided once its last
+  // crossing pair, (j - 1, j), commits.
+  if (rec.index1 + 1 != rec.index2) return;
+  const uint64_t stamp = state->stream->admitted_stamp(rec.index2);
   if (stamp != 0) {
     const uint64_t now = NowMicros();
     state->latency.Record(now > stamp ? now - stamp : 0);
