@@ -2,22 +2,15 @@
 
 #include <cstring>
 
+#include "util/fnv.h"
+
 namespace pdd {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-inline void HashBytes(uint64_t* hash, const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    *hash ^= bytes[i];
-    *hash *= kFnvPrime;
-  }
+inline void HashU64(uint64_t* hash, uint64_t v) {
+  *hash = FnvBytes(*hash, &v, 8);
 }
-
-inline void HashU64(uint64_t* hash, uint64_t v) { HashBytes(hash, &v, 8); }
 
 inline void HashDouble(uint64_t* hash, double v) {
   uint64_t bits = 0;
@@ -28,7 +21,7 @@ inline void HashDouble(uint64_t* hash, double v) {
 /// Length-prefixed so field boundaries can't alias across strings.
 inline void HashString(uint64_t* hash, const std::string& s) {
   HashU64(hash, s.size());
-  HashBytes(hash, s.data(), s.size());
+  *hash = FnvBytes(*hash, s.data(), s.size());
 }
 
 }  // namespace
@@ -44,8 +37,7 @@ uint64_t TupleContentDigest(const XTuple& tuple) {
       for (const Alternative& va : value.alternatives()) {
         HashString(&hash, va.text);
         HashDouble(&hash, va.prob);
-        unsigned char pattern = va.is_pattern ? 1 : 0;
-        HashBytes(&hash, &pattern, 1);
+        hash = FnvByte(hash, va.is_pattern ? 1 : 0);
       }
     }
   }

@@ -10,10 +10,10 @@
 //
 // The pair digest is order-invariant: PairContentDigest(t1, t2) ==
 // PairContentDigest(t2, t1), matching the symmetry of the duplicate
-// relation. Hashing reuses the FNV-1a 64-bit idiom of
-// PlanSpec::Fingerprint, with length prefixes between fields so
-// adjacent strings cannot alias ("ab","c" vs "a","bc") and doubles
-// hashed by bit pattern (bit-identical round trips, no formatting).
+// relation. Hashing is FNV-1a 64-bit (util/fnv.h), with length
+// prefixes between fields so adjacent strings cannot alias ("ab","c"
+// vs "a","bc") and doubles hashed by bit pattern (bit-identical round
+// trips, no formatting).
 
 #ifndef PDD_CACHE_PAIR_DIGEST_H_
 #define PDD_CACHE_PAIR_DIGEST_H_

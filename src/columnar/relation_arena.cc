@@ -6,33 +6,18 @@
 
 #include "cache/pair_digest.h"
 #include "sim/columnar_kernels.h"
+#include "util/fnv.h"
 
 namespace pdd {
 
 namespace {
 
-// FNV-1a 64-bit, the repo-wide digest idiom (cache/pair_digest.cc,
-// PlanSpec::Fingerprint), over a value's content for the interner.
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 constexpr uint32_t kFreeSlot = std::numeric_limits<uint32_t>::max();
 
 uint64_t Bits(double x) {
   uint64_t bits = 0;
   std::memcpy(&bits, &x, sizeof(bits));
   return bits;
-}
-
-/// One FNV-1a round per 64-bit word; the fold keeps a high-bit
-/// difference from cancelling against the next word's.
-uint64_t HashWord(uint64_t h, uint64_t word) {
-  h = (h ^ word) * kFnvPrime;
-  return h ^ (h >> 32);
-}
-
-uint64_t HashText(uint64_t h, std::string_view s) {
-  for (char c : s) h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  return h;
 }
 
 /// Spreads FNV's weak low bits over the whole word (murmur3's fmix64),
@@ -137,16 +122,17 @@ void RelationArena::AppendTuple(const XTuple& tuple, const Schema& schema) {
       const Value& value =
           Flattened(alt_tuple.values[attr], schema, attr, &expanded);
       value_alt_begin_.push_back(static_cast<uint32_t>(alt_offset_.size()));
-      uint64_t hash = HashWord(HashWord(kFnvOffset, attr),
-                               Bits(value.null_probability()));
+      // FNV-1a (util/fnv.h) over the value's content for the interner.
+      uint64_t hash = FnvWord(FnvWord(kFnvOffset, attr),
+                              Bits(value.null_probability()));
       for (const Alternative& da : value.alternatives()) {
         alt_offset_.push_back(static_cast<uint32_t>(bytes_.size()));
         alt_length_.push_back(static_cast<uint32_t>(da.text.size()));
         bytes_.append(da.text);
         alt_prob_.push_back(da.prob);
         alt_sig_.push_back(QGram2Signature(da.text));
-        hash = HashWord(HashWord(hash, Bits(da.prob)), da.text.size());
-        hash = HashText(hash, da.text);
+        hash = FnvWord(FnvWord(hash, Bits(da.prob)), da.text.size());
+        hash = FnvBytes(hash, da.text.data(), da.text.size());
       }
       value_alt_end_.push_back(static_cast<uint32_t>(alt_offset_.size()));
       value_null_prob_.push_back(value.null_probability());

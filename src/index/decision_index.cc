@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "plan/plan_spec.h"
+#include "util/fnv.h"
 
 namespace pdd {
 
@@ -46,8 +47,8 @@ Status DecisionIndex::Attach(const OpenOptions& options) {
   header_ = *header;
   const IndexHeader& h = header_;
   if (options.verify_digest) {
-    uint64_t digest = IndexHashBytes(kIndexFnvOffset, data + kIndexHeaderBytes,
-                                     h.payload_bytes);
+    uint64_t digest =
+        FnvBytes(kFnvOffset, data + kIndexHeaderBytes, h.payload_bytes);
     if (digest != h.payload_digest) {
       return Corrupt("payload digest mismatch");
     }

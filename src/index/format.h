@@ -94,28 +94,12 @@ struct IndexHeader {
   /// Bytes after the header. File size must equal
   /// kIndexHeaderBytes + payload_bytes exactly.
   uint64_t payload_bytes = 0;
-  /// FNV-1a 64 over the payload bytes.
+  /// FNV-1a 64 (util/fnv.h) over the payload bytes.
   uint64_t payload_digest = 0;
   /// Section start offsets relative to the payload start, each 8-byte
   /// aligned, ascending in enum order.
   uint64_t section_offsets[kIndexSectionCount] = {};
 };
-
-// --- hashing ---------------------------------------------------------
-
-/// FNV-1a 64-bit over a byte range, continuing from `hash`. Seed new
-/// digests with kIndexFnvOffset.
-inline constexpr uint64_t kIndexFnvOffset = 14695981039346656037ull;
-inline constexpr uint64_t kIndexFnvPrime = 1099511628211ull;
-
-inline uint64_t IndexHashBytes(uint64_t hash, const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kIndexFnvPrime;
-  }
-  return hash;
-}
 
 /// Bytes a fixed-layout section needs given the header counts; 0 for
 /// the variable sections (kIdArena, kAdjData), whose extents the

@@ -9,6 +9,7 @@
 #include "index/format.h"
 #include "obs/metrics_registry.h"
 #include "util/file_util.h"
+#include "util/fnv.h"
 #include "util/union_find.h"
 
 namespace pdd {
@@ -247,8 +248,8 @@ Result<std::string> BuildDecisionIndexImage(
   cluster_offsets[0] = 0;
 
   header.payload_digest =
-      IndexHashBytes(kIndexFnvOffset, image.data() + kIndexHeaderBytes,
-                     header.payload_bytes);
+      FnvBytes(kFnvOffset, image.data() + kIndexHeaderBytes,
+               header.payload_bytes);
   EncodeIndexHeader(header, image.data());
   if (stats != nullptr) {
     stats->record_count = n;

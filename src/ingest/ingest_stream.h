@@ -85,9 +85,6 @@ class IngestStream : public CandidateStream {
   // CandidateStream:
   const XRelation& relation() const override { return standing_; }
   size_t NextBatch(size_t max_batch, std::vector<CandidatePair>* out) override;
-  /// Standing streams drain once; Reset is a no-op (a re-Execute would
-  /// simply continue from the live cursor).
-  void Reset() override {}
   bool AwaitMore() override { return queue_.AwaitNonEmpty(); }
   size_t tuple_capacity() const override { return base_ + max_admitted_; }
   /// Pairs are generated lazily from the cursor: nothing buffered.

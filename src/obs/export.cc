@@ -241,9 +241,7 @@ std::string RenderExecutionStats(const RunTelemetry& telemetry) {
   }
   out += "\n## Candidate stream\n\n- stream:";
   if (std::string reduction = m.info("exec.reduction"); !reduction.empty()) {
-    out += " reduction " + reduction +
-           (m.info("exec.streaming") == "native" ? " (native streaming),"
-                                                 : " (materializing adapter),");
+    out += " reduction " + reduction + ",";
   }
   out += " " + std::to_string(m.counter(kMetricCandidatePairs)) +
          " candidates in " + std::to_string(m.counter(kMetricStreamBatches)) +

@@ -62,8 +62,8 @@ Status WriteTelemetrySidecar(const RunTelemetry& telemetry,
 /// spans, and the batch decide p50 and p99; "(no executor timings)"
 /// for a hand-assembled result), decision-cache run and lifetime
 /// counters when a cache was attached, and the candidate-stream drain
-/// accounting, whose line names the reduction and whether it streams
-/// natively when the exec.reduction / exec.streaming infos are set.
+/// accounting, whose line names the reduction when the exec.reduction
+/// info is set.
 /// Reads the metric names of run_telemetry.h.
 std::string RenderExecutionStats(const RunTelemetry& telemetry);
 

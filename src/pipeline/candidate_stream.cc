@@ -46,29 +46,12 @@ size_t MaterializedCandidateStream::NextBatch(
 GeneratorCandidateStream::GeneratorCandidateStream(
     std::string name, std::optional<XRelation> owned,
     const XRelation* borrowed, std::unique_ptr<PairGenerator> generator,
-    size_t total_pairs, size_t min_second)
+    size_t total_pairs)
     : name_(std::move(name)),
       owned_(std::move(owned)),
       rel_(owned_.has_value() ? &*owned_ : borrowed),
       generator_(std::move(generator)),
-      total_pairs_(total_pairs),
-      min_second_(min_second) {}
-
-Status GeneratorCandidateStream::Open() {
-  PDD_ASSIGN_OR_RETURN(std::unique_ptr<PairBatchSource> source,
-                       generator_->Stream(*rel_));
-  if (min_second_ > 0) {
-    // Candidates are canonicalized with first < second, so a pair
-    // crosses into the additions iff its second endpoint does.
-    size_t min_second = min_second_;
-    source = std::make_unique<FilteringPairSource>(
-        std::move(source), [min_second](const CandidatePair& pair) {
-          return pair.second >= min_second;
-        });
-  }
-  source_ = std::move(source);
-  return Status::OK();
-}
+      total_pairs_(total_pairs) {}
 
 Result<std::unique_ptr<CandidateStream>> GeneratorCandidateStream::Make(
     std::string name, std::optional<XRelation> owned,
@@ -77,34 +60,18 @@ Result<std::unique_ptr<CandidateStream>> GeneratorCandidateStream::Make(
   std::unique_ptr<GeneratorCandidateStream> stream(
       new GeneratorCandidateStream(std::move(name), std::move(owned),
                                    borrowed, std::move(generator),
-                                   total_pairs, min_second));
-  PDD_RETURN_IF_ERROR(stream->Open());
-  return std::unique_ptr<CandidateStream>(std::move(stream));
-}
-
-size_t GeneratorCandidateStream::NextBatch(size_t max_batch,
-                                           std::vector<CandidatePair>* out) {
-  if (source_ == nullptr) {
-    out->clear();
-    return 0;
+                                   total_pairs));
+  PDD_ASSIGN_OR_RETURN(stream->source_,
+                       stream->generator_->Stream(*stream->rel_));
+  if (min_second > 0) {
+    // Candidates are canonicalized with first < second, so a pair
+    // crosses into the additions iff its second endpoint does.
+    stream->source_ = std::make_unique<FilteringPairSource>(
+        std::move(stream->source_), [min_second](const CandidatePair& pair) {
+          return pair.second >= min_second;
+        });
   }
-  return source_->NextBatch(max_batch, out);
-}
-
-void GeneratorCandidateStream::Reset() {
-  // Make() opened the identical source once successfully, so a re-open
-  // failure is a generator bug; fail closed (exhausted stream) rather
-  // than serving a half-open source.
-  if (!Open().ok()) source_ = nullptr;
-}
-
-std::optional<size_t> GeneratorCandidateStream::candidate_count_hint() const {
-  if (source_ == nullptr) return std::nullopt;
-  return source_->exact_count_hint();
-}
-
-size_t GeneratorCandidateStream::buffered_candidates() const {
-  return source_ == nullptr ? 0 : source_->buffered_candidates();
+  return std::unique_ptr<CandidateStream>(std::move(stream));
 }
 
 Result<std::unique_ptr<CandidateStream>> MakeFullStream(

@@ -7,16 +7,12 @@
 // so the StageExecutor can drain it serially or feed a thread pool
 // without knowing which scenario produced the pairs.
 //
-// Since the streaming refactor the default streams PULL from the
-// reduction method's PairBatchSource instead of swallowing a
-// materialized vector: a native-streaming reduction (full pairs, the
-// SNM family, the blocking family) keeps only O(window)/O(block) live
-// candidate pairs end to end, while adapter-backed reductions keep the
-// legacy materialized cost behind the same interface. The batch-order
-// contract is unchanged: the concatenation of all batches is the
-// reduction's canonical candidate order, independent of batch size, so
-// serial, pooled, cached and uncached runs stay bit-identical with the
-// materialized path.
+// The default streams PULL from the reduction method's PairBatchSource
+// instead of swallowing a materialized vector: every reduction keeps
+// only O(window)/O(block) live candidate pairs end to end. The
+// concatenation of all batches is the reduction's canonical candidate
+// order, independent of batch size, so serial, pooled, cached and
+// uncached runs stay bit-identical with the materialized path.
 
 #ifndef PDD_PIPELINE_CANDIDATE_STREAM_H_
 #define PDD_PIPELINE_CANDIDATE_STREAM_H_
@@ -40,8 +36,8 @@ class CandidateStream {
 
   /// The RelationArena every pair of this stream decides over, shared
   /// by every executor worker. The executor builds it over relation()
-  /// on the first Execute when the stream has none and leaves it
-  /// attached, so a Reset() re-run reuses it. A standing stream
+  /// when the stream has none and leaves it attached; set_arena hands
+  /// it to another stream over the same relation. A standing stream
   /// publishes a new generation as it grows; the executor reads this
   /// under the drain mutex right after each pull.
   const std::shared_ptr<const RelationArena>& arena() const { return arena_; }
@@ -58,14 +54,10 @@ class CandidateStream {
   /// Appends up to `max_batch` candidates to `*out` (which is cleared
   /// first) and returns the number appended; 0 means exhausted. The
   /// concatenation of all batches is the stream's deterministic
-  /// candidate order, independent of `max_batch`.
+  /// candidate order, independent of `max_batch`. A stream drains
+  /// once; a re-run opens a new stream.
   virtual size_t NextBatch(size_t max_batch,
                            std::vector<CandidatePair>* out) = 0;
-
-  /// Rewinds the stream to its first candidate. Pull-based streams
-  /// re-open their underlying source, so a drained stream replays the
-  /// identical candidate sequence (cache-warm re-runs depend on this).
-  virtual void Reset() = 0;
 
   /// Called by the executor when NextBatch returned 0: distinguishes a
   /// source that is *exhausted* (return false — the drain ends, as for
@@ -82,15 +74,16 @@ class CandidateStream {
   virtual size_t tuple_capacity() const { return relation().size(); }
 
   /// Exact candidate count when known without draining (materialized
-  /// streams); nullopt for pull-based streams, whose count is only
-  /// known once drained. A reservation hint, never control flow.
+  /// streams, the full reduction); nullopt for the other pull-based
+  /// streams, whose count is only known once drained. A reservation
+  /// hint, never control flow.
   virtual std::optional<size_t> candidate_count_hint() const {
     return std::nullopt;
   }
 
   /// Candidate pairs currently materialized inside the stream (the
   /// caller's batch vector excluded). A materialized stream reports its
-  /// full vector — the O(candidates) buffer the streaming path deletes;
+  /// full vector — the O(candidates) buffer the streaming path avoids;
   /// pull-based streams report the source's small live buffer. Feeds
   /// the executor's live-candidate high-water accounting.
   virtual size_t buffered_candidates() const { return 0; }
@@ -135,16 +128,12 @@ class MaterializedCandidateStream : public CandidateStream {
   const XRelation& relation() const override { return *rel_; }
   size_t NextBatch(size_t max_batch,
                    std::vector<CandidatePair>* out) override;
-  void Reset() override { next_ = 0; }
   std::optional<size_t> candidate_count_hint() const override {
     return candidates_.size();
   }
   size_t buffered_candidates() const override { return candidates_.size(); }
   size_t total_pairs() const override { return total_pairs_; }
   std::string name() const override { return name_; }
-
-  /// Total candidates this stream serves (known because materialized).
-  size_t candidate_count() const { return candidates_.size(); }
 
  private:
   std::string name_;
@@ -177,35 +166,31 @@ class GeneratorCandidateStream : public CandidateStream {
 
   const XRelation& relation() const override { return *rel_; }
   size_t NextBatch(size_t max_batch,
-                   std::vector<CandidatePair>* out) override;
-  /// Re-opens the underlying source, replaying the identical sequence.
-  void Reset() override;
-  /// Forwards the source's exact count when it knows one (adapter-backed
-  /// reductions), preserving the executor's decisions reserve.
-  std::optional<size_t> candidate_count_hint() const override;
-  size_t buffered_candidates() const override;
+                   std::vector<CandidatePair>* out) override {
+    return source_->NextBatch(max_batch, out);
+  }
+  /// Forwards the source's exact count when it knows one (the full
+  /// reduction), preserving the executor's decisions reserve.
+  std::optional<size_t> candidate_count_hint() const override {
+    return source_->exact_count_hint();
+  }
+  size_t buffered_candidates() const override {
+    return source_->buffered_candidates();
+  }
   size_t total_pairs() const override { return total_pairs_; }
   std::string name() const override { return name_; }
-
-  /// Whether the owning generator streams natively (bounded memory)
-  /// rather than through the materializing adapter.
-  bool native_streaming() const { return generator_->native_streaming(); }
 
  private:
   GeneratorCandidateStream(std::string name, std::optional<XRelation> owned,
                            const XRelation* borrowed,
                            std::unique_ptr<PairGenerator> generator,
-                           size_t total_pairs, size_t min_second);
-
-  /// (Re-)opens source_ from the generator.
-  Status Open();
+                           size_t total_pairs);
 
   std::string name_;
   std::optional<XRelation> owned_;
   const XRelation* rel_;
   std::unique_ptr<PairGenerator> generator_;
   size_t total_pairs_ = 0;
-  size_t min_second_ = 0;
   // Last member: the source borrows rel_ and generator_, so it must be
   // destroyed first.
   std::unique_ptr<PairBatchSource> source_;

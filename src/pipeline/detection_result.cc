@@ -2,40 +2,22 @@
 
 #include <cstring>
 
+#include "util/fnv.h"
+
 namespace pdd {
 
 namespace {
 
-// FNV-1a 64 (the PlanSpec::Fingerprint / pair_digest idiom), with
-// length prefixes between strings so adjacent fields cannot alias and
-// doubles hashed by bit pattern (bit-identical round trips).
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void HashBytes(uint64_t* hash, const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    *hash ^= bytes[i];
-    *hash *= kFnvPrime;
-  }
-}
-
+// FNV-1a 64 (util/fnv.h), with length prefixes between strings so
+// adjacent fields cannot alias and doubles hashed by bit pattern
+// (bit-identical round trips); each record takes the word step.
 void HashU64(uint64_t* hash, uint64_t value) {
-  HashBytes(hash, &value, sizeof(value));
+  *hash = FnvBytes(*hash, &value, sizeof(value));
 }
 
 void HashString(uint64_t* hash, const std::string& s) {
   HashU64(hash, s.size());
-  HashBytes(hash, s.data(), s.size());
-}
-
-// The per-record step: one FNV-1a round per 64-bit word instead of per
-// byte. The multiply carries a difference only toward higher bits, so
-// the high half is folded back down after it; otherwise flips of the
-// same high bit in two words would cancel.
-void HashWord(uint64_t* hash, uint64_t word) {
-  *hash = (*hash ^ word) * kFnvPrime;
-  *hash ^= *hash >> 32;
+  *hash = FnvBytes(*hash, s.data(), s.size());
 }
 
 // The one shared filtering walk.
@@ -71,9 +53,9 @@ uint64_t DetectionResult::ContentDigest() const {
   for (const PairDecisionRecord& rec : decisions) {
     uint64_t sim_bits = 0;
     std::memcpy(&sim_bits, &rec.similarity, sizeof(sim_bits));
-    HashWord(&hash, uint64_t{rec.index1} | uint64_t{rec.index2} << 32);
-    HashWord(&hash, sim_bits);
-    HashWord(&hash, static_cast<uint64_t>(rec.match_class));
+    hash = FnvWord(hash, uint64_t{rec.index1} | uint64_t{rec.index2} << 32);
+    hash = FnvWord(hash, sim_bits);
+    hash = FnvWord(hash, static_cast<uint64_t>(rec.match_class));
   }
   return hash;
 }

@@ -256,9 +256,8 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
         "stream relation schema incompatible with plan schema");
   }
   // Every pair decides over the stream's arena. A stream without one
-  // (custom RunStream streams, a materialized stream, a factory stream
-  // on its first run) gets it here, before any worker starts; it stays
-  // attached for Reset() re-runs.
+  // (custom RunStream streams, a materialized stream, a fresh factory
+  // stream) gets it here, before any worker starts, and keeps it.
   if (stream.arena() == nullptr) {
     std::shared_ptr<const RelationArena> built = RelationArena::Build(rel);
     if (built == nullptr) {

@@ -90,11 +90,10 @@ class StageExecutor {
                 StageExecutorOptions options = {});
 
   /// Drains `stream` and returns the detection result. The stream is
-  /// left exhausted (callers reuse one via CandidateStream::Reset) with
-  /// its arena attached. Fails with OutOfRange when the relation
-  /// overflows the arena's (or the records') 32-bit indices, and with
-  /// InvalidArgument when an attached arena's tuple count differs from
-  /// the stream relation's.
+  /// left exhausted with its arena attached. Fails with OutOfRange
+  /// when the relation overflows the arena's (or the records') 32-bit
+  /// indices, and with InvalidArgument when an attached arena's tuple
+  /// count differs from the stream relation's.
   /// A 0-candidate pull does not end the drain by itself: the stream's
   /// AwaitMore() decides between *exhausted* (finite batch sources) and
   /// *idle but open* (a standing ingest source blocks there until more

@@ -1,5 +1,6 @@
 #include "plan/plan_spec.h"
 
+#include "util/fnv.h"
 #include "util/string_util.h"
 
 namespace pdd {
@@ -123,13 +124,8 @@ std::string PlanSpec::ToText() const {
 }
 
 uint64_t PlanSpec::Fingerprint() const {
-  // FNV-1a 64-bit over the canonical text.
-  uint64_t hash = 14695981039346656037ull;
-  for (char c : ToText()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  const std::string text = ToText();
+  return FnvBytes(kFnvOffset, text.data(), text.size());
 }
 
 std::string FingerprintHex(uint64_t fingerprint) {

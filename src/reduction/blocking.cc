@@ -1,25 +1,40 @@
 #include "reduction/blocking.h"
 
+#include <algorithm>
 #include <iterator>
 
 namespace pdd {
 
 BlockPairSource::BlockPairSource(std::vector<std::vector<size_t>> blocks,
-                                 size_t tuple_count)
+                                 size_t tuple_count, size_t min_shared)
     : PerFirstPairSource(tuple_count),
       blocks_(std::move(blocks)),
-      memberships_(tuple_count) {
+      memberships_(tuple_count),
+      min_shared_(min_shared) {
   for (size_t b = 0; b < blocks_.size(); ++b) {
     for (size_t member : blocks_[b]) memberships_[member].push_back(b);
   }
 }
 
 void BlockPairSource::AppendPartners(size_t first, std::vector<size_t>* out) {
+  const size_t begin = out->size();
   for (size_t b : memberships_[first]) {
     for (size_t u : blocks_[b]) {
-      if (u != first) out->push_back(u);
+      if (u > first) out->push_back(u);
     }
   }
+  if (min_shared_ == 1) return;
+  // A partner is appended once per block it shares with `first`: keep
+  // one copy of each partner appended at least min_shared_ times.
+  std::sort(out->begin() + begin, out->end());
+  size_t kept = begin;
+  for (size_t run = begin; run < out->size();) {
+    size_t next = run + 1;
+    while (next < out->size() && (*out)[next] == (*out)[run]) ++next;
+    if (next - run >= min_shared_) (*out)[kept++] = (*out)[run];
+    run = next;
+  }
+  out->resize(kept);
 }
 
 std::vector<std::vector<size_t>> BlockGroups(const BlockMap& blocks) {
@@ -61,7 +76,7 @@ Result<std::vector<CandidatePair>> BlockingCertainKeys::Generate(
 Result<std::unique_ptr<PairBatchSource>> BlockingCertainKeys::Stream(
     const XRelation& rel) const {
   return std::unique_ptr<PairBatchSource>(std::make_unique<BlockPairSource>(
-      BlockGroups(Blocks(rel)), rel.size()));
+      BlockGroups(Blocks(rel)), rel.size(), /*min_shared=*/1));
 }
 
 Result<std::vector<CandidatePair>> BlockingMultipassWorlds::Generate(
@@ -105,7 +120,8 @@ Result<std::unique_ptr<PairBatchSource>> BlockingMultipassWorlds::Stream(
                   std::make_move_iterator(world_groups.end()));
   }
   return std::unique_ptr<PairBatchSource>(
-      std::make_unique<BlockPairSource>(std::move(groups), rel.size()));
+      std::make_unique<BlockPairSource>(std::move(groups), rel.size(),
+                                        /*min_shared=*/1));
 }
 
 }  // namespace pdd

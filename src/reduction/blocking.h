@@ -22,16 +22,19 @@ using BlockMap = std::map<std::string, std::vector<size_t>>;
 /// performs), deduplicated.
 std::vector<CandidatePair> PairsFromBlocks(const BlockMap& blocks);
 
-/// The streaming source every blocking adaptation shares: within-block
-/// pairs of a block partition (tuples may belong to several blocks —
-/// one per pass/world/alternative), emitted per ascending first index
-/// with per-first dedup. Memory is the partition itself, O(total
-/// memberships), never the O(Σ blocksize²) pair set.
+/// The streaming source every block-shaped reduction shares: pairs of
+/// tuples that share at least `min_shared` blocks (tuples may belong to
+/// several blocks — one per pass/world/alternative, overlapping
+/// canopies, q-gram posting lists), emitted per ascending first index
+/// with per-first dedup. The blocking family passes 1. Memory is the
+/// blocks themselves, O(total memberships), never the O(Σ blocksize²)
+/// pair set.
 class BlockPairSource : public PerFirstPairSource {
  public:
-  /// `blocks` are tuple-index groups; `tuple_count` bounds the indices.
+  /// `blocks` are tuple-index groups, each holding a tuple at most
+  /// once; `tuple_count` bounds the indices; `min_shared` >= 1.
   BlockPairSource(std::vector<std::vector<size_t>> blocks,
-                  size_t tuple_count);
+                  size_t tuple_count, size_t min_shared);
 
  protected:
   void AppendPartners(size_t first, std::vector<size_t>* out) override;
@@ -40,6 +43,7 @@ class BlockPairSource : public PerFirstPairSource {
   std::vector<std::vector<size_t>> blocks_;
   /// Per tuple: the blocks containing it.
   std::vector<std::vector<size_t>> memberships_;
+  size_t min_shared_;
 };
 
 /// Flattens a BlockMap into the block groups BlockPairSource takes.
@@ -59,7 +63,6 @@ class BlockingCertainKeys : public PairGenerator {
   /// candidates bounded by one tuple's block).
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "blocking_certain_keys"; }
 
   /// The block partition (exposed for inspection and tests).
@@ -85,7 +88,6 @@ class BlockingMultipassWorlds : public PairGenerator {
   /// per-first dedup replaces the materialized union.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "blocking_multipass_worlds"; }
 
  private:

@@ -43,7 +43,7 @@ Result<std::vector<CandidatePair>> BlockingAlternatives::Generate(
 Result<std::unique_ptr<PairBatchSource>> BlockingAlternatives::Stream(
     const XRelation& rel) const {
   return std::unique_ptr<PairBatchSource>(std::make_unique<BlockPairSource>(
-      BlockGroups(Blocks(rel)), rel.size()));
+      BlockGroups(Blocks(rel)), rel.size(), /*min_shared=*/1));
 }
 
 }  // namespace pdd

@@ -23,7 +23,6 @@ class BlockingAlternatives : public PairGenerator {
   /// per-first dedup replaces the executed-matching matrix.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "blocking_alternatives"; }
 
   /// The block assignment after within-block duplicate removal

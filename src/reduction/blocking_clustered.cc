@@ -38,7 +38,7 @@ Result<std::vector<CandidatePair>> BlockingClustered::Generate(
 Result<std::unique_ptr<PairBatchSource>> BlockingClustered::Stream(
     const XRelation& rel) const {
   return std::unique_ptr<PairBatchSource>(std::make_unique<BlockPairSource>(
-      Clusters(rel), rel.size()));
+      Clusters(rel), rel.size(), /*min_shared=*/1));
 }
 
 }  // namespace pdd

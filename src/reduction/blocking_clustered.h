@@ -42,7 +42,6 @@ class BlockingClustered : public PairGenerator {
   /// candidates are bounded by one tuple's cluster.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "blocking_clustered"; }
 
   /// The clusters as tuple-index blocks.

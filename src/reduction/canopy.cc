@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "reduction/blocking.h"
+
 namespace pdd {
 
 std::vector<std::vector<size_t>> CanopyReduction::Canopies(
@@ -61,6 +63,15 @@ Result<std::vector<CandidatePair>> CanopyReduction::Generate(
   }
   SortAndDedupPairs(&pairs);
   return pairs;
+}
+
+Result<std::unique_ptr<PairBatchSource>> CanopyReduction::Stream(
+    const XRelation& rel) const {
+  if (options_.tight > options_.loose) {
+    return Status::InvalidArgument("canopy tight threshold exceeds loose");
+  }
+  return std::unique_ptr<PairBatchSource>(std::make_unique<BlockPairSource>(
+      Canopies(rel), rel.size(), /*min_shared=*/1));
 }
 
 }  // namespace pdd

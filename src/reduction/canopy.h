@@ -39,6 +39,10 @@ class CanopyReduction : public PairGenerator {
 
   Result<std::vector<CandidatePair>> Generate(
       const XRelation& rel) const override;
+  /// The canopies are the blocks of a BlockPairSource: live candidates
+  /// are bounded by the canopies of one tuple.
+  Result<std::unique_ptr<PairBatchSource>> Stream(
+      const XRelation& rel) const override;
   std::string name() const override { return "canopy"; }
 
   /// The overlapping canopies (tuple indices; first member is the

@@ -17,7 +17,6 @@ class FullPairs : public PairGenerator {
       const XRelation& rel) const override;
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "full"; }
 };
 

@@ -6,16 +6,6 @@
 
 namespace pdd {
 
-size_t MaterializedPairSource::NextBatch(size_t max_batch,
-                                         std::vector<CandidatePair>* out) {
-  out->clear();
-  size_t count = std::min(max_batch, candidates_.size() - next_);
-  out->insert(out->end(), candidates_.begin() + next_,
-              candidates_.begin() + next_ + count);
-  next_ += count;
-  return count;
-}
-
 size_t PerFirstPairSource::NextBatch(size_t max_batch,
                                      std::vector<CandidatePair>* out) {
   out->clear();

@@ -3,10 +3,9 @@
 // candidate pairs in bounded batches whose concatenation is EXACTLY the
 // vector PairGenerator::Generate() returns — same canonical sorted
 // order, same deduplication, same count — so the two paths are
-// interchangeable bit-for-bit. Native sources hold O(relation) index
-// structures but only O(window/block) live candidate pairs; the
-// materializing adapter holds the full vector (legacy behavior behind
-// the streaming interface).
+// interchangeable bit-for-bit. Every reduction streams natively: its
+// source holds O(relation) index structures but only O(window/block)
+// live candidate pairs.
 //
 // All sources emit in the canonical pair order (ascending (first,
 // second)). The shared way to get there with bounded live pairs is
@@ -39,38 +38,17 @@ class PairBatchSource {
                            std::vector<CandidatePair>* out) = 0;
 
   /// Candidate pairs currently materialized inside the source (its
-  /// internal buffers, excluding the caller's batch vector). The
-  /// adapter reports the full generated vector; native sources report
-  /// their small live buffer. Feeds the drain loop's live-candidate
-  /// high-water accounting.
+  /// internal buffers, excluding the caller's batch vector): a small
+  /// live buffer. Feeds the drain loop's live-candidate high-water
+  /// accounting.
   virtual size_t buffered_candidates() const { return 0; }
 
   /// Exact total this source will yield, when known without draining
-  /// (the materializing adapter knows; native and filtering sources
-  /// don't). A reservation hint only.
+  /// (the full reduction's n(n-1)/2; block and filtering sources don't
+  /// know). A reservation hint only.
   virtual std::optional<size_t> exact_count_hint() const {
     return std::nullopt;
   }
-};
-
-/// Adapter serving a pre-generated candidate vector in slices. This is
-/// the default PairGenerator::Stream() implementation: every reduction
-/// streams on day one, at the legacy O(candidates) memory cost until it
-/// grows a native source.
-class MaterializedPairSource : public PairBatchSource {
- public:
-  explicit MaterializedPairSource(std::vector<CandidatePair> candidates)
-      : candidates_(std::move(candidates)) {}
-
-  size_t NextBatch(size_t max_batch, std::vector<CandidatePair>* out) override;
-  size_t buffered_candidates() const override { return candidates_.size(); }
-  std::optional<size_t> exact_count_hint() const override {
-    return candidates_.size();
-  }
-
- private:
-  std::vector<CandidatePair> candidates_;
-  size_t next_ = 0;
 };
 
 /// Base of the native sources: emits pairs grouped by ascending first

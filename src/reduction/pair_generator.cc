@@ -20,11 +20,4 @@ bool ContainsPair(const std::vector<CandidatePair>& sorted_pairs,
   return std::binary_search(sorted_pairs.begin(), sorted_pairs.end(), pair);
 }
 
-Result<std::unique_ptr<PairBatchSource>> PairGenerator::Stream(
-    const XRelation& rel) const {
-  PDD_ASSIGN_OR_RETURN(std::vector<CandidatePair> candidates, Generate(rel));
-  return std::unique_ptr<PairBatchSource>(
-      std::make_unique<MaterializedPairSource>(std::move(candidates)));
-}
-
 }  // namespace pdd

@@ -1,7 +1,8 @@
 // Search space reduction interface (Section V): a PairGenerator maps an
 // x-relation to the set of candidate tuple pairs the decision model will
-// examine — either materialized at once (Generate) or pulled in bounded
-// batches (Stream).
+// examine. Detection pulls them in bounded batches (Stream); Generate
+// materializes the same pairs at once and is the reference every
+// Stream is tested against.
 
 #ifndef PDD_REDUCTION_PAIR_GENERATOR_H_
 #define PDD_REDUCTION_PAIR_GENERATOR_H_
@@ -52,18 +53,12 @@ class PairGenerator {
       const XRelation& rel) const = 0;
 
   /// Streaming candidate production: a pull source whose concatenated
-  /// batches equal Generate(rel) exactly (order, dedup, count). The
-  /// returned source may reference `rel` and the generator; both must
-  /// outlive it. The default adapter materializes Generate() behind the
-  /// interface; native overrides (full pairs, the SNM family, the
-  /// blocking family) keep only O(window) / O(block) candidate pairs
-  /// live. Re-streaming a candidate sequence = calling Stream() again.
+  /// batches equal Generate(rel) exactly (order, dedup, count), keeping
+  /// only O(window) / O(block) candidate pairs live. The returned
+  /// source may reference `rel` and the generator; both must outlive
+  /// it. Re-streaming a candidate sequence = calling Stream() again.
   virtual Result<std::unique_ptr<PairBatchSource>> Stream(
-      const XRelation& rel) const;
-
-  /// True when Stream() is a native bounded-memory implementation
-  /// rather than the materializing adapter.
-  virtual bool native_streaming() const { return false; }
+      const XRelation& rel) const = 0;
 
   /// Stable method name for reports.
   virtual std::string name() const = 0;

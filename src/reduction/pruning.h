@@ -60,9 +60,6 @@ class PruningFilter : public PairGenerator {
   /// pruning keeps whatever memory bound the inner generator has.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override {
-    return inner_->native_streaming();
-  }
   std::string name() const override {
     return "pruned(" + inner_->name() + ")";
   }

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 
+#include "reduction/blocking.h"
 #include "util/string_util.h"
 
 namespace pdd {
 
-Result<std::vector<CandidatePair>> QGramIndexReduction::Generate(
+Result<std::vector<std::vector<size_t>>> QGramIndexReduction::Postings(
     const XRelation& rel) const {
   if (options_.q == 0) {
     return Status::InvalidArgument("q must be at least 1");
@@ -36,27 +36,48 @@ Result<std::vector<CandidatePair>> QGramIndexReduction::Generate(
       static_cast<size_t>(options_.max_posting_fraction *
                           static_cast<double>(rel.size())));
   if (max_posting == 0) max_posting = 1;
-  // Count shared grams per pair over the (filtered) posting lists.
-  std::unordered_map<uint64_t, size_t> shared;
-  for (const auto& [gram, tuples] : postings) {
-    if (tuples.size() > max_posting) continue;  // stop-gram
+  std::vector<std::vector<size_t>> kept;
+  for (auto& [gram, tuples] : postings) {
+    if (tuples.size() <= max_posting) kept.push_back(std::move(tuples));
+  }
+  return kept;
+}
+
+Result<std::vector<CandidatePair>> QGramIndexReduction::Generate(
+    const XRelation& rel) const {
+  PDD_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> postings,
+                       Postings(rel));
+  // One code per (pair, shared gram); sorted, a pair's codes form one
+  // run as long as its shared-gram count, in canonical pair order.
+  std::vector<uint64_t> codes;
+  for (const std::vector<size_t>& tuples : postings) {
     for (size_t a = 0; a < tuples.size(); ++a) {
       for (size_t b = a + 1; b < tuples.size(); ++b) {
-        uint64_t code = (static_cast<uint64_t>(tuples[a]) << 32) |
-                        static_cast<uint64_t>(tuples[b]);
-        ++shared[code];
+        codes.push_back((static_cast<uint64_t>(tuples[a]) << 32) |
+                        static_cast<uint64_t>(tuples[b]));
       }
     }
   }
+  std::sort(codes.begin(), codes.end());
   std::vector<CandidatePair> pairs;
-  for (const auto& [code, count] : shared) {
-    if (count >= options_.min_shared_grams) {
-      pairs.push_back({static_cast<size_t>(code >> 32),
-                       static_cast<size_t>(code & 0xffffffffu)});
+  for (size_t run = 0; run < codes.size();) {
+    size_t next = run + 1;
+    while (next < codes.size() && codes[next] == codes[run]) ++next;
+    if (next - run >= options_.min_shared_grams) {
+      pairs.push_back({static_cast<size_t>(codes[run] >> 32),
+                       static_cast<size_t>(codes[run] & 0xffffffffu)});
     }
+    run = next;
   }
-  SortAndDedupPairs(&pairs);
   return pairs;
+}
+
+Result<std::unique_ptr<PairBatchSource>> QGramIndexReduction::Stream(
+    const XRelation& rel) const {
+  PDD_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> postings,
+                       Postings(rel));
+  return std::unique_ptr<PairBatchSource>(std::make_unique<BlockPairSource>(
+      std::move(postings), rel.size(), options_.min_shared_grams));
 }
 
 }  // namespace pdd

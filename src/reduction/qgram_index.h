@@ -41,9 +41,19 @@ class QGramIndexReduction : public PairGenerator {
 
   Result<std::vector<CandidatePair>> Generate(
       const XRelation& rel) const override;
+  /// The posting lists are the blocks of a BlockPairSource that keeps
+  /// pairs sharing min_shared_grams of them: live candidates are
+  /// bounded by one tuple's posting-list neighbours.
+  Result<std::unique_ptr<PairBatchSource>> Stream(
+      const XRelation& rel) const override;
   std::string name() const override { return "qgram_index"; }
 
  private:
+  /// The posting list (ascending tuple indices) of every gram that is
+  /// not a stop-gram; each tuple posts a gram at most once.
+  Result<std::vector<std::vector<size_t>>> Postings(
+      const XRelation& rel) const;
+
   KeySpec spec_;
   QGramIndexOptions options_;
 };

@@ -43,7 +43,6 @@ class SnmAdaptive : public PairGenerator {
   /// unbroken similar links within max_window — O(max_window) live.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "snm_adaptive"; }
 
  private:

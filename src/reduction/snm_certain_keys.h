@@ -34,7 +34,6 @@ class SnmCertainKeys : public PairGenerator {
   /// neighborhood (≤ 2(window-1)) instead of the full pair set.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "snm_certain_keys"; }
 
   /// The key-sorted entry list (exposed for Fig. 10).

@@ -38,7 +38,6 @@ class SnmMultipassWorlds : public PairGenerator {
   /// O(worlds · window) per tuple instead of the unioned pair set.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "snm_multipass_worlds"; }
 
   /// The key-sorted entry list of one world (exposed for Fig. 9).

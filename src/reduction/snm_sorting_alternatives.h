@@ -31,7 +31,6 @@ class SnmSortingAlternatives : public PairGenerator {
   /// partners are bounded by its alternative count times the window.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "snm_sorting_alternatives"; }
 
   /// The sorted entry list BEFORE the same-tuple omission (exposed for

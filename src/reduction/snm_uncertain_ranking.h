@@ -43,7 +43,6 @@ class SnmUncertainRanking : public PairGenerator {
   /// is a single entry pass of the shared windowed index.
   Result<std::unique_ptr<PairBatchSource>> Stream(
       const XRelation& rel) const override;
-  bool native_streaming() const override { return true; }
   std::string name() const override { return "snm_uncertain_ranking"; }
 
   /// The ranked tuple order (exposed for Fig. 13).

@@ -7,20 +7,15 @@
 
 #include "sim/edit_distance.h"
 #include "sim/jaro.h"
+#include "util/fnv.h"
 #include "util/string_util.h"
 
 namespace pdd {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
 inline uint64_t GramBit(unsigned char c0, unsigned char c1) {
-  uint64_t h = kFnvOffset;
-  h = (h ^ c0) * kFnvPrime;
-  h = (h ^ c1) * kFnvPrime;
-  return uint64_t{1} << (h & 63);
+  return uint64_t{1} << (FnvByte(FnvByte(kFnvOffset, c0), c1) & 63);
 }
 
 inline double NormalizeByMaxLength(size_t distance, std::string_view a,

@@ -604,12 +604,14 @@ TEST(ColumnarExecutorTest, MaterializedStreamDecidesOverAnArenaExecuteBuilds) {
   ExpectRecordsEqual(first->decisions,
                      OracleRecords(**plan, data.relation, first->decisions),
                      "materialized");
-  // A Reset() re-run reuses the attached arena.
-  const RelationArena* attached = stream.arena().get();
-  stream.Reset();
-  auto second = StageExecutor(*plan).Execute(stream);
+  // A fresh stream given the first stream's arena decides over it.
+  MaterializedCandidateStream rerun("materialized", std::nullopt,
+                                    &data.relation, candidates,
+                                    candidates.size());
+  rerun.set_arena(stream.arena());
+  auto second = StageExecutor(*plan).Execute(rerun);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(stream.arena().get(), attached);
+  EXPECT_EQ(rerun.arena(), stream.arena());
   ExpectRecordsEqual(second->decisions, first->decisions, "re-run");
 }
 

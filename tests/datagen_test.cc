@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cctype>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "datagen/astronomy_generator.h"
 #include "datagen/error_injector.h"
@@ -298,36 +300,61 @@ TEST(PersonGeneratorTest, FullNamesOption) {
   EXPECT_EQ(SplitWhitespace(name.MostProbableText()).size(), 2u);
 }
 
-// pddgen's person settings (tools/pddgen.cc defaults) at 3,000 entities:
-// the error channel empties a one-character text for about half of the
-// seeds 1-30. With DropEmptyAlternatives every seed's text parses back
-// and re-serializes to the same bytes, and a relation without empty
-// texts is written unchanged.
+/// pddgen's person settings (tools/pddgen.cc defaults).
+PersonGenOptions PddgenPersonOptions(size_t entities, uint64_t seed) {
+  PersonGenOptions options;
+  options.num_entities = entities;
+  options.duplicate_rate = 0.6;
+  options.errors.char_error_rate = 0.04;
+  options.uncertainty.value_uncertainty_prob = 0.3;
+  options.uncertainty.xtuple_alternative_prob = 0.15;
+  options.seed = seed;
+  return options;
+}
+
+/// Whether `text` parses back and re-serializes to itself.
+bool RoundTrips(const std::string& text) {
+  Result<XRelation> parsed = ParseXRelation(text);
+  return parsed.ok() && SerializeXRelation(*parsed) == text;
+}
+
+// At 3,000 entities the error channel empties a one-character text for
+// about half of the seeds 1-30. With --full-names (400 entities, seed 7
+// at duplicate rate 0.5 and seed 11 at 0.6) a corrupted name keeps a
+// trailing space, alone or next to the same name without it. With
+// TextSafeRelation every relation's text parses back and re-serializes
+// to the same bytes; a relation the mapping leaves alone is written
+// unchanged, and one it changes would not round-trip raw.
 TEST(TextSafeTest, PersonRelationsRoundTripThroughTheTextFormat) {
-  size_t changed_seeds = 0;
+  std::vector<PersonGenOptions> runs;
   for (uint64_t seed = 1; seed <= 30; ++seed) {
-    PersonGenOptions options;
-    options.num_entities = 3000;
-    options.duplicate_rate = 0.6;
-    options.errors.char_error_rate = 0.04;
-    options.uncertainty.value_uncertainty_prob = 0.3;
-    options.uncertainty.xtuple_alternative_prob = 0.15;
-    options.seed = seed;
+    runs.push_back(PddgenPersonOptions(3000, seed));
+  }
+  for (auto [seed, duplicate_rate] : {std::pair{7, 0.5}, std::pair{11, 0.6}}) {
+    PersonGenOptions options = PddgenPersonOptions(400, seed);
+    options.duplicate_rate = duplicate_rate;
+    options.full_names = true;
+    runs.push_back(options);
+  }
+  size_t changed_runs = 0;
+  for (const PersonGenOptions& options : runs) {
+    const std::string run = "seed " + std::to_string(options.seed) +
+                            (options.full_names ? " full names" : "");
     GeneratedData data = GeneratePersons(options);
     const std::string raw = SerializeXRelation(data.relation);
     const std::string text =
-        SerializeXRelation(DropEmptyAlternatives(data.relation));
-    if (text != raw) ++changed_seeds;
+        SerializeXRelation(TextSafeRelation(data.relation));
+    if (text != raw) ++changed_runs;
     Result<XRelation> parsed = ParseXRelation(text);
-    ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": "
-                             << parsed.status().ToString();
-    EXPECT_EQ(parsed->size(), data.relation.size()) << "seed " << seed;
-    EXPECT_EQ(SerializeXRelation(*parsed), text) << "seed " << seed;
-    // Where nothing was dropped the raw text already parses.
-    if (text == raw) continue;
-    EXPECT_FALSE(ParseXRelation(raw).ok()) << "seed " << seed;
+    ASSERT_TRUE(parsed.ok()) << run << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->size(), data.relation.size()) << run;
+    EXPECT_EQ(SerializeXRelation(*parsed), text) << run;
+    EXPECT_EQ(RoundTrips(raw), text == raw) << run;
+    if (options.full_names) {
+      EXPECT_NE(text, raw) << run;
+    }
   }
-  EXPECT_GT(changed_seeds, 0u);
+  EXPECT_GT(changed_runs, 2u);
 }
 
 TEST(TextSafeTest, EmptyAlternativesBecomeNullMass) {
@@ -336,13 +363,41 @@ TEST(TextSafeTest, EmptyAlternativesBecomeNullMass) {
   rel.AppendUnchecked(XTuple(
       "t1", {AltTuple{{Value::Unchecked({{"", 0.4}, {"ann", 0.5}})}, 1.0}}));
   rel.AppendUnchecked(XTuple("t2", {AltTuple{{Value::Certain("")}, 1.0}}));
-  XRelation safe = DropEmptyAlternatives(rel);
+  XRelation safe = TextSafeRelation(rel);
   ASSERT_EQ(safe.size(), 2u);
   const Value& partial = safe.xtuple(0).alternative(0).values[0];
   ASSERT_EQ(partial.size(), 1u);
   EXPECT_EQ(partial.alternatives()[0].text, "ann");
   EXPECT_NEAR(partial.null_probability(), 0.5, 1e-12);
   EXPECT_TRUE(safe.xtuple(1).alternative(0).values[0].is_null());
+}
+
+TEST(TextSafeTest, TextsAreTrimmedAndAlternativesThatThenMatchMerge) {
+  Schema schema({{"name", ValueType::kString, {}}});
+  XRelation rel("r", schema);
+  rel.AppendUnchecked(
+      XTuple("t1", {AltTuple{{Value::Certain("Adrian ")}, 1.0}}));
+  rel.AppendUnchecked(XTuple(
+      "t2", {AltTuple{{Value::Unchecked(
+                          {{"Tara ", 0.25}, {"Ann", 0.25}, {"Tara", 0.5}})},
+                      1.0}}));
+  // The raw text has a trailing space the parser trims, and two
+  // alternatives the parser reads as one duplicate.
+  EXPECT_FALSE(RoundTrips(SerializeXRelation(rel)));
+  XRelation safe = TextSafeRelation(rel);
+  const Value& trimmed = safe.xtuple(0).alternative(0).values[0];
+  ASSERT_EQ(trimmed.size(), 1u);
+  EXPECT_EQ(trimmed.alternatives()[0].text, "Adrian");
+  const Value& merged = safe.xtuple(1).alternative(0).values[0];
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged.alternatives()[0].text, "Tara");
+  EXPECT_DOUBLE_EQ(merged.alternatives()[0].prob, 0.75);
+  EXPECT_EQ(merged.alternatives()[1].text, "Ann");
+  EXPECT_DOUBLE_EQ(merged.alternatives()[1].prob, 0.25);
+  EXPECT_TRUE(RoundTrips(SerializeXRelation(safe)));
+  // Texts already trimmed and distinct are written unchanged.
+  XRelation clean = TextSafeRelation(safe);
+  EXPECT_EQ(SerializeXRelation(clean), SerializeXRelation(safe));
 }
 
 // --------------------------------------------------------------- telescope

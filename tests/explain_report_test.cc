@@ -16,6 +16,7 @@
 #include "index/index_cli.h"
 #include "pdb/text_format.h"
 #include "util/file_util.h"
+#include "util/fnv.h"
 
 namespace pdd {
 namespace {
@@ -301,7 +302,7 @@ GoldenRun SeededPersonRun() {
 }
 
 uint64_t Fnv1a(const std::string& bytes) {
-  return IndexHashBytes(kIndexFnvOffset, bytes.data(), bytes.size());
+  return FnvBytes(kFnvOffset, bytes.data(), bytes.size());
 }
 
 TEST(GoldenRenderingTest, ReportWithGoldIsPinned) {

@@ -689,16 +689,9 @@ TEST(RenderExecutionStatsTest, StreamDiagnosticsRenderFromRegistry) {
                 "batches, live high-water 260 candidates\n"),
             std::string::npos);
   t.metrics.SetInfo("exec.reduction", "snm_certain_keys");
-  t.metrics.SetInfo("exec.streaming", "native");
   EXPECT_NE(RenderExecutionStats(t).find(
-                "\n- stream: reduction snm_certain_keys (native streaming), "
-                "732 candidates in 3 batches, live high-water 260 "
-                "candidates\n"),
-            std::string::npos);
-  t.metrics.SetInfo("exec.reduction", "canopy");
-  t.metrics.SetInfo("exec.streaming", "adapter");
-  EXPECT_NE(RenderExecutionStats(t).find(
-                "\n- stream: reduction canopy (materializing adapter), 732 "),
+                "\n- stream: reduction snm_certain_keys, 732 candidates in 3 "
+                "batches, live high-water 260 candidates\n"),
             std::string::npos);
   // No cache was attached, so there is no cache section.
   EXPECT_EQ(RenderExecutionStats(t).find("## Decision cache"),

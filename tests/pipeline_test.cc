@@ -201,7 +201,6 @@ class OversizedStream : public CandidateStream {
     out->clear();
     return 0;
   }
-  void Reset() override {}
   size_t tuple_capacity() const override { return size_t{1} << 32; }
   size_t total_pairs() const override { return 0; }
   std::string name() const override { return "oversized"; }
@@ -225,29 +224,6 @@ TEST(StageExecutorTest, RejectsStreamsBeyondThe32BitIndexSpace) {
   EXPECT_EQ(stream.pulls(), 0u);
 }
 
-// Executor re-run over a Reset stream: stream_stats must equal the
-// first run's, not accumulate.
-TEST(StageExecutorTest, ExecutorRerunAfterResetDoesNotDoubleCount) {
-  GeneratedData data = SeededPersons(40);
-  DetectorConfig config = PersonConfig();
-  config.reduction = ReductionMethod::kBlockingCertainKeys;
-  Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(detector.ok());
-  Result<std::unique_ptr<CandidateStream>> stream =
-      MakeFullStream(detector->plan(), data.relation);
-  ASSERT_TRUE(stream.ok());
-  Result<DetectionResult> first = detector->RunStream(**stream);
-  ASSERT_TRUE(first.ok());
-  ASSERT_GT(first->decisions.size(), 0u);
-  ASSERT_GT(first->stream_stats.batches, 0u);
-  (*stream)->Reset();
-  Result<DetectionResult> second = detector->RunStream(**stream);
-  ASSERT_TRUE(second.ok());
-  ExpectIdenticalResults(*first, *second);
-  EXPECT_EQ(second->stream_stats.batches, first->stream_stats.batches);
-}
-
 /// A stream that refuses to hint its candidate count — the shape every
 /// hint consumer must tolerate.
 class HintlessStream : public CandidateStream {
@@ -264,7 +240,6 @@ class HintlessStream : public CandidateStream {
     }
     return out->size();
   }
-  void Reset() override { next_ = 0; }
   // candidate_count_hint() stays the base-class nullopt.
   size_t total_pairs() const override {
     return TriangularPairCount(rel_->size());
@@ -311,51 +286,20 @@ TEST(CandidateStreamTest, BatchOrderIsIndependentOfBatchSize) {
   Result<DuplicateDetector> detector =
       DuplicateDetector::Make(PersonConfig(), PersonSchema());
   ASSERT_TRUE(detector.ok());
-  Result<std::unique_ptr<CandidateStream>> stream =
-      MakeFullStream(detector->plan(), data.relation);
-  ASSERT_TRUE(stream.ok());
-  std::vector<CandidatePair> all;
-  std::vector<CandidatePair> batch;
-  while ((*stream)->NextBatch(17, &batch) > 0) {
-    all.insert(all.end(), batch.begin(), batch.end());
-  }
+  auto drain = [&](size_t batch_size) {
+    Result<std::unique_ptr<CandidateStream>> stream =
+        MakeFullStream(detector->plan(), data.relation);
+    EXPECT_TRUE(stream.ok());
+    std::vector<CandidatePair> all;
+    std::vector<CandidatePair> batch;
+    while (stream.ok() && (*stream)->NextBatch(batch_size, &batch) > 0) {
+      all.insert(all.end(), batch.begin(), batch.end());
+    }
+    return all;
+  };
+  std::vector<CandidatePair> all = drain(17);
   EXPECT_GT(all.size(), 0u);
-  (*stream)->Reset();
-  std::vector<CandidatePair> again;
-  while ((*stream)->NextBatch(97, &batch) > 0) {
-    again.insert(again.end(), batch.begin(), batch.end());
-  }
-  EXPECT_EQ(all, again);
-}
-
-// Regression: GeneratorCandidateStream::Reset() must re-open the
-// underlying PairBatchSource — a drained pull-based stream would
-// otherwise stay empty, breaking cache-warm re-runs and pddcli-style
-// double drains.
-TEST(CandidateStreamTest, ResetReopensThePullSource) {
-  GeneratedData data = SeededPersons(25);
-  DetectorConfig config = PersonConfig();
-  config.reduction = ReductionMethod::kSnmCertainKeys;  // native streaming
-  config.window = 4;
-  Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(detector.ok());
-  Result<std::unique_ptr<CandidateStream>> stream =
-      MakeFullStream(detector->plan(), data.relation);
-  ASSERT_TRUE(stream.ok());
-  StageExecutorOptions batch32;
-  batch32.batch_size = 32;
-  StageExecutor executor(detector->shared_plan(), batch32);
-  Result<DetectionResult> first = executor.Execute(**stream);
-  ASSERT_TRUE(first.ok());
-  EXPECT_GT(first->decisions.size(), 0u);
-  // Drained: without Reset the stream serves nothing.
-  std::vector<CandidatePair> batch;
-  EXPECT_EQ((*stream)->NextBatch(8, &batch), 0u);
-  (*stream)->Reset();
-  Result<DetectionResult> second = executor.Execute(**stream);
-  ASSERT_TRUE(second.ok());
-  ExpectIdenticalResults(*first, *second);
+  EXPECT_EQ(all, drain(97));
 }
 
 TEST(CandidateStreamTest, IncrementalExaminesExactlyCrossingPairs) {

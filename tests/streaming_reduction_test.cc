@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/decision_cache.h"
@@ -20,6 +22,7 @@
 #include "pipeline/detection_plan.h"
 #include "pipeline/stage_executor.h"
 #include "plan/registry.h"
+#include "reduction/blocking.h"
 #include "reduction/full_pairs.h"
 #include "reduction/pair_generator.h"
 #include "reduction/pruning.h"
@@ -92,7 +95,6 @@ TEST(StreamingReductionTest, PruningFilterStreamsItsGenerateOutput) {
   PruningOptions options;
   options.threshold = 0.5;
   PruningFilter pruned(std::make_unique<FullPairs>(), options);
-  EXPECT_TRUE(pruned.native_streaming());  // full streams natively
   Result<std::vector<CandidatePair>> generated = pruned.Generate(data.relation);
   ASSERT_TRUE(generated.ok());
   ASSERT_GT(generated->size(), 0u);
@@ -171,55 +173,52 @@ TEST(StreamingReductionTest, StreamedRunsAreBitIdenticalSerialPoolCached) {
 
 TEST(StreamingReductionTest, NativeStreamingBoundsLiveCandidates) {
   GeneratedData data = StreamTestPersons(300);
-  DetectorConfig config = ReductionConfig(ReductionMethod::kSnmCertainKeys);
-  config.window = 6;
-  config.batch_size = 64;
-  Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(detector.ok());
-  Result<DetectionResult> result = detector->Run(data.relation);
-  ASSERT_TRUE(result.ok());
-  ASSERT_GT(result->candidate_count, 0u);
-  // Live candidates on the streamed path: one batch plus one tuple's
-  // window partners — nowhere near the materialized candidate vector.
-  EXPECT_LE(result->stream_stats.live_candidate_high_water,
-            config.batch_size + 2 * config.window);
-  EXPECT_LT(result->stream_stats.live_candidate_high_water,
-            result->candidate_count / 2);
-  EXPECT_GT(result->stream_stats.batches, 1u);
+  for (ReductionMethod method :
+       {ReductionMethod::kSnmCertainKeys, ReductionMethod::kCanopy,
+        ReductionMethod::kQGramIndex}) {
+    DetectorConfig config = ReductionConfig(method);
+    config.window = 6;
+    config.batch_size = 64;
+    Result<DuplicateDetector> detector =
+        DuplicateDetector::Make(config, PersonSchema());
+    ASSERT_TRUE(detector.ok());
+    Result<DetectionResult> result = detector->Run(data.relation);
+    ASSERT_TRUE(result.ok());
+    const std::string name = ReductionMethodName(method);
+    ASSERT_GT(result->candidate_count, 0u) << name;
+    // Live candidates on the streamed path: one batch plus one tuple's
+    // partners — nowhere near the materialized candidate vector. SNM's
+    // partners are its window neighbours.
+    if (method == ReductionMethod::kSnmCertainKeys) {
+      EXPECT_LE(result->stream_stats.live_candidate_high_water,
+                config.batch_size + 2 * config.window);
+    }
+    EXPECT_LT(result->stream_stats.live_candidate_high_water,
+              result->candidate_count / 2)
+        << name;
+    EXPECT_GT(result->stream_stats.batches, 1u) << name;
+  }
 }
 
-// Regression (stats carry-over seam): a partially-drained stream that
-// is Reset and re-executed must report exactly one drain's stream
-// accounting — batches and the live-candidate high-water must not
-// carry over across re-opens (`--stats` would double-count).
-TEST(StreamingReductionTest, ResetMidDrainDoesNotCarryDrainAccounting) {
-  GeneratedData data = StreamTestPersons(50);
-  DetectorConfig config = ReductionConfig(ReductionMethod::kSnmCertainKeys);
-  config.batch_size = 16;
-  Result<DuplicateDetector> detector =
-      DuplicateDetector::Make(config, PersonSchema());
-  ASSERT_TRUE(detector.ok());
-  Result<std::unique_ptr<CandidateStream>> stream =
-      MakeFullStream(detector->plan(), data.relation);
-  ASSERT_TRUE(stream.ok());
-  // Reference: a clean full drain.
-  Result<DetectionResult> reference = detector->RunStream(**stream);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_GT(reference->stream_stats.batches, 1u);
-  // Partially drain after a Reset, Reset again mid-drain, re-execute:
-  // the accounting must equal the clean drain's, not accumulate.
-  (*stream)->Reset();
-  std::vector<CandidatePair> batch;
-  ASSERT_GT((*stream)->NextBatch(8, &batch), 0u);
-  ASSERT_GT((*stream)->NextBatch(8, &batch), 0u);
-  (*stream)->Reset();
-  Result<DetectionResult> second = detector->RunStream(**stream);
-  ASSERT_TRUE(second.ok());
-  ExpectIdentical(*reference, *second);
-  EXPECT_EQ(second->stream_stats.batches, reference->stream_stats.batches);
-  EXPECT_EQ(second->stream_stats.live_candidate_high_water,
-            reference->stream_stats.live_candidate_high_water);
+// Overlapping blocks with a minimum of two shared blocks (the q-gram
+// shape): only pairs sharing at least two blocks come out, once each,
+// in canonical order, at every batch size.
+TEST(StreamingReductionTest, BlockPairSourceKeepsPairsSharingEnoughBlocks) {
+  const std::vector<std::vector<size_t>> blocks = {
+      {0, 1, 2, 3}, {1, 3, 4}, {0, 2, 5}, {3, 4, 5}, {1, 4}, {1, 3}};
+  // (1,3) shares three blocks; (0,2), (1,4) and (3,4) two; the other
+  // eight pairs one.
+  const std::vector<CandidatePair> expected = {
+      {0, 2}, {1, 3}, {1, 4}, {3, 4}};
+  for (size_t batch_size : {size_t{1}, size_t{3}, size_t{4096}}) {
+    BlockPairSource source(blocks, /*tuple_count=*/6, /*min_shared=*/2);
+    EXPECT_EQ(Drain(source, batch_size), expected) << batch_size;
+  }
+  // A minimum of one is the union of the blocks' pairs.
+  BlockPairSource any(blocks, /*tuple_count=*/6, /*min_shared=*/1);
+  std::vector<CandidatePair> all = Drain(any, 4096);
+  EXPECT_EQ(all.size(), 12u);
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
 }
 
 // The candidate-count hint is a reservation aid only: a pull-based

@@ -158,8 +158,7 @@ class ToolPlanArgsTest(unittest.TestCase):
         self.assertOk(stats)
         self.assertEqual(stats.stdout, plain.stdout)
         self.assertIn("| decide |", stats.stderr)
-        self.assertIn("reduction snm_certain_keys (native streaming)",
-                      stats.stderr)
+        self.assertIn("reduction snm_certain_keys,", stats.stderr)
         self.assertNotIn("## Decision cache", stats.stderr)
         self.assertNotIn("exec.cache.attached", metrics.read_text())
         # A cache flag attaches the cache, and --stats then renders it.

@@ -83,8 +83,6 @@
 //                                  commit seconds and the batch decide
 //                                  p50 and p99 (every run clocks them),
 //                                  the candidate stream (the reduction,
-//                                  whether it streams natively or
-//                                  through the materializing adapter,
 //                                  batches, live high-water) and, when a
 //                                  cache flag attached the cache, its
 //                                  hits and torn cache-file bytes
@@ -213,12 +211,8 @@ int RunDetect(bool demo, const std::vector<std::string>& argv) {
     if (cache != nullptr) {
       AddCacheLifetimeStats(cache->Stats(), &telemetry.metrics);
     }
-    std::unique_ptr<PairGenerator> generator =
-        detector->plan().MakePairGenerator();
-    telemetry.metrics.SetInfo("exec.reduction", generator->name());
-    telemetry.metrics.SetInfo(
-        "exec.streaming",
-        generator->native_streaming() ? "native" : "adapter");
+    telemetry.metrics.SetInfo("exec.reduction",
+                              detector->plan().MakePairGenerator()->name());
     if (stats) std::cerr << RenderExecutionStats(telemetry);
     Status written = WriteSidecar(*args, telemetry);
     if (!written.ok()) return Fail(written.ToString());

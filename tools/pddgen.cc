@@ -12,9 +12,11 @@
 // every generator accepts every option (ignoring the others' own).
 //
 // Relations are written in the text format of pdb/text_format.h, with
-// empty-text alternatives dropped into ⊥ (datagen/text_safe.h); pddgen
-// parses each written text back and fails unless it re-serializes to
-// the same bytes. Gold standards are "id1,id2" lines (verify/gold_io.h).
+// every text trimmed as the parser trims it, alternatives that then
+// match merged and empty ones dropped into ⊥ (datagen/text_safe.h);
+// pddgen parses each written text back and fails unless it
+// re-serializes to the same bytes. Gold standards are "id1,id2" lines
+// (verify/gold_io.h).
 // Counts and seeds are integers of 0 and up; entity, object and
 // publication counts above 2^32 - 1 are flag errors (the engine
 // addresses tuples by 32-bit index), and a count the machine cannot
@@ -54,7 +56,7 @@ int Fail(const std::string& message) {
 /// The text form of `rel` that the parser reads back byte for byte, or
 /// an error naming what does not round-trip.
 Result<std::string> SerializeRoundTrip(const XRelation& rel) {
-  std::string text = SerializeXRelation(DropEmptyAlternatives(rel));
+  std::string text = SerializeXRelation(TextSafeRelation(rel));
   Result<XRelation> parsed = ParseXRelation(text);
   if (!parsed.ok()) {
     return Status::Internal("relation '" + rel.name() +
