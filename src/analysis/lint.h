@@ -37,7 +37,10 @@
 //   spec-closure          Registry/spec closure (see spec_closure.h):
 //                         every key FromSpec reads is either printed
 //                         by ToSpec (fingerprint-relevant) or on the
-//                         documented fingerprint-irrelevant list.
+//                         documented fingerprint-irrelevant list. The
+//                         read keys are listed from the plan's key
+//                         declarations (plan/params.h), not scanned
+//                         from source text.
 //
 // Suppression: a `// pddlint: allow(rule)` comment suppresses `rule`
 // on its own line and the next (so a comment-only marker line covers

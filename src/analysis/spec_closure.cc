@@ -1,14 +1,11 @@
 #include "analysis/spec_closure.h"
 
-#include <filesystem>
-
 #include "core/config.h"
-#include "plan/param_map.h"
 #include "plan/plan_spec.h"
 #include "plan/registry.h"
 #include "plan/translate.h"
 #include "prep/standardizer.h"
-#include "util/file_util.h"
+#include "sim/registry.h"
 
 namespace pdd {
 
@@ -42,6 +39,10 @@ std::set<std::string> CollectPrintedSpecKeys() {
   for (const std::string& name : registry.ReductionNames()) {
     DetectorConfig config;
     config.reduction = (*registry.FindReduction(name))->method;
+    // Key-distance comparators print only when set.
+    config.clustering.comparator = *GetComparator("jaro");
+    config.canopy.comparator = *GetComparator("jaro");
+    config.adaptive.comparator = *GetComparator("jaro");
     CollectKeys(config, &keys);
   }
   for (const std::string& name : registry.CombinationNames()) {
@@ -57,32 +58,24 @@ std::set<std::string> CollectPrintedSpecKeys() {
   return keys;
 }
 
-/// Scans `content` for spec-key string literals consumed by ParamMap
-/// getters: Get{String,Double,Size,Bool}("key"... and Has("key"...
-/// (whitespace-tolerant across line wraps).
-void ScanReadKeys(std::string_view content, std::set<std::string>* keys) {
-  static constexpr std::string_view kGetters[] = {
-      "GetString(", "GetDouble(", "GetSize(", "GetBool(", "Has(",
-  };
-  for (std::string_view getter : kGetters) {
-    size_t pos = content.find(getter);
-    while (pos != std::string_view::npos) {
-      size_t cursor = pos + getter.size();
-      while (cursor < content.size() &&
-             (content[cursor] == ' ' || content[cursor] == '\n' ||
-              content[cursor] == '\t')) {
-        ++cursor;
-      }
-      if (cursor < content.size() && content[cursor] == '"') {
-        size_t end = content.find('"', cursor + 1);
-        if (end != std::string_view::npos) {
-          keys->insert(std::string(content.substr(cursor + 1,
-                                                  end - cursor - 1)));
-        }
-      }
-      pos = content.find(getter, pos + 1);
-    }
+/// Every declared key: the base plan's and each registered
+/// component's.
+std::set<std::string> CollectReadSpecKeys() {
+  std::set<std::string> keys;
+  ParamVisitor lister = ParamVisitor::Listing(&keys);
+  DetectorConfig config;
+  VisitPlanParams(lister, config);
+  const ComponentRegistry& registry = ComponentRegistry::Global();
+  for (const std::string& name : registry.ReductionNames()) {
+    (*registry.FindReduction(name))->params(lister, config);
   }
+  for (const std::string& name : registry.CombinationNames()) {
+    (*registry.FindCombination(name))->params(lister, config);
+  }
+  for (const std::string& name : registry.DerivationNames()) {
+    (*registry.FindDerivation(name))->params(lister, config);
+  }
+  return keys;
 }
 
 }  // namespace
@@ -97,24 +90,9 @@ const std::set<std::string>& FingerprintIrrelevantSpecKeys() {
   return kKeys;
 }
 
-Result<SpecClosureReport> CheckSpecClosure(const std::string& source_root) {
-  namespace fs = std::filesystem;
+SpecClosureReport CheckSpecClosure() {
   SpecClosureReport report;
-  static constexpr std::string_view kReaderFiles[] = {
-      "src/plan/translate.cc",
-      "src/plan/registry.cc",
-  };
-  for (std::string_view rel : kReaderFiles) {
-    PDD_ASSIGN_OR_RETURN(
-        std::string text,
-        ReadFileToString((fs::path(source_root) / rel).string()));
-    ScanReadKeys(text, &report.read_keys);
-  }
-  if (report.read_keys.empty()) {
-    return Status::Internal(
-        "spec-closure: no ParamMap reads found under '" + source_root +
-        "/src/plan' — wrong source root?");
-  }
+  report.read_keys = CollectReadSpecKeys();
   report.printed_keys = CollectPrintedSpecKeys();
 
   const std::set<std::string>& irrelevant = FingerprintIrrelevantSpecKeys();
@@ -148,7 +126,7 @@ Result<SpecClosureReport> CheckSpecClosure(const std::string& source_root) {
     if (report.read_keys.count(key) == 0) {
       add(key,
           "is printed by ToSpec but never read by FromSpec — canonical "
-          "plan output would fail to reparse (unconsumed-key rejection)");
+          "plan output would fail to reparse (undeclared-key rejection)");
     }
   }
   return report;

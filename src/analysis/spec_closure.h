@@ -12,11 +12,13 @@
 //
 // The check cross-references three sets:
 //
-//   read keys     string literals consumed by FromSpec and the
-//                 ComponentRegistry configure functions, scanned from
-//                 src/plan/translate.cc and src/plan/registry.cc;
+//   read keys     the declared keys FromSpec accepts: the base plan's
+//                 declaration (VisitPlanParams) and every registered
+//                 reduction/combination/derivation's, listed by a
+//                 ParamVisitor (plan/params.h);
 //   printed keys  runtime enumeration: ToSpec over every registered
-//                 reduction/combination/derivation plus the
+//                 reduction/combination/derivation, with the three
+//                 key-distance comparators set, plus the
 //                 conditionally-printed base keys (prune,
 //                 comparators, preparation);
 //   irrelevant    FingerprintIrrelevantSpecKeys(), the documented
@@ -26,16 +28,16 @@
 // (fingerprint escape); a key both printed and documented irrelevant
 // (contradiction); a documented key no longer read (stale entry); a
 // key printed but never read (ToSpec output would fail to reparse —
-// ExpectFullyConsumed rejects unconsumed keys).
+// FromSpec rejects undeclared keys).
 
 #ifndef PDD_ANALYSIS_SPEC_CLOSURE_H_
 #define PDD_ANALYSIS_SPEC_CLOSURE_H_
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "analysis/lint.h"
-#include "util/status.h"
 
 namespace pdd {
 
@@ -50,9 +52,8 @@ struct SpecClosureReport {
   std::vector<LintFinding> findings;
 };
 
-/// Runs the closure check. `source_root` locates src/plan/ for the
-/// read-key scan; the printed-key set comes from the live registry.
-Result<SpecClosureReport> CheckSpecClosure(const std::string& source_root);
+/// Runs the closure check over the live declarations and registry.
+SpecClosureReport CheckSpecClosure();
 
 }  // namespace pdd
 

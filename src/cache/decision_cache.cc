@@ -277,16 +277,6 @@ DecisionCacheStats ShardedDecisionCache::Stats() const {
   return stats;
 }
 
-void ShardedDecisionCache::Clear() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    // Swap with empties: clear() would keep the arrays' memory.
-    std::vector<Entry>().swap(shard->entries);
-    std::vector<Slot>().swap(shard->slots);
-    shard->hand = 0;
-  }
-}
-
 size_t ShardedDecisionCache::size() const {
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {

@@ -135,9 +135,6 @@ class ShardedDecisionCache {
   /// Aggregated lifetime counters.
   DecisionCacheStats Stats() const;
 
-  /// Drops every entry (counters are kept).
-  void Clear();
-
   /// Entries currently resident (sums shard sizes). Always <=
   /// TotalCapacity().
   size_t size() const;

@@ -6,54 +6,6 @@
 
 namespace pdd {
 
-const char* ReductionMethodName(ReductionMethod method) {
-  switch (method) {
-    case ReductionMethod::kFull:
-      return "full";
-    case ReductionMethod::kSnmMultipassWorlds:
-      return "snm_multipass_worlds";
-    case ReductionMethod::kSnmCertainKeys:
-      return "snm_certain_keys";
-    case ReductionMethod::kSnmSortingAlternatives:
-      return "snm_sorting_alternatives";
-    case ReductionMethod::kSnmUncertainRanking:
-      return "snm_uncertain_ranking";
-    case ReductionMethod::kBlockingCertainKeys:
-      return "blocking_certain_keys";
-    case ReductionMethod::kBlockingAlternatives:
-      return "blocking_alternatives";
-    case ReductionMethod::kBlockingMultipassWorlds:
-      return "blocking_multipass_worlds";
-    case ReductionMethod::kBlockingClustered:
-      return "blocking_clustered";
-    case ReductionMethod::kCanopy:
-      return "canopy";
-    case ReductionMethod::kSnmAdaptive:
-      return "snm_adaptive";
-    case ReductionMethod::kQGramIndex:
-      return "qgram_index";
-  }
-  return "unknown";
-}
-
-const char* DerivationKindName(DerivationKind kind) {
-  switch (kind) {
-    case DerivationKind::kExpectedSimilarity:
-      return "expected_similarity";
-    case DerivationKind::kMatchingWeight:
-      return "matching_weight";
-    case DerivationKind::kExpectedMatching:
-      return "expected_matching";
-    case DerivationKind::kMaxSimilarity:
-      return "max_similarity";
-    case DerivationKind::kMinSimilarity:
-      return "min_similarity";
-    case DerivationKind::kModeSimilarity:
-      return "mode_similarity";
-  }
-  return "unknown";
-}
-
 Status DetectorConfig::Validate() const {
   if (key.empty()) {
     return Status::InvalidArgument("config needs at least one key component");
@@ -90,6 +42,13 @@ Status DetectorConfig::Validate() const {
   }
   if (prune_threshold < 0.0 || prune_threshold > 1.0) {
     return Status::InvalidArgument("prune_threshold must be in [0, 1]");
+  }
+  if (prune && combination != CombinationKind::kWeightedSum) {
+    // The filter's bound is Σ w_i · bound_i over the weighted-sum
+    // weights; it bounds no other φ.
+    return Status::InvalidArgument(
+        std::string("prune requires the weighted_sum combination; '") +
+        CombinationKindName(combination) + "' is not");
   }
   if (prune) {
     // The length-bound filter is only sound for comparators normalized

@@ -39,7 +39,8 @@ enum class ReductionMethod {
   kQGramIndex = 11,
 };
 
-/// Stable name of a reduction method.
+/// Stable name of a reduction method. The name tables of the plan's
+/// enums live in plan/registry.cc.
 const char* ReductionMethodName(ReductionMethod method);
 
 /// How comparison vectors collapse into a similarity degree (Step 1 of
@@ -53,6 +54,10 @@ enum class CombinationKind {
   /// combined certainty factor of the firing rules from `rules_text`.
   kRules = 2,
 };
+
+/// Stable name of a combination kind ("weighted_sum", "fellegi_sunter",
+/// "rules").
+const char* CombinationKindName(CombinationKind kind);
 
 /// Which derivation function ϑ aggregates alternative pair scores
 /// (Step 2 of Fig. 6).
@@ -107,7 +112,8 @@ struct DetectorConfig {
   std::optional<DataPreparation> preparation;
   /// Wrap the reduction method in the length-bound pruning filter
   /// (Section III-B's third heuristic). Sound only for
-  /// max-length-normalized comparators (hamming/levenshtein/damerau/lcs).
+  /// max-length-normalized comparators (hamming/levenshtein/damerau/lcs)
+  /// under the weighted-sum φ, whose weights the bound uses.
   bool prune = false;
   /// Pruning threshold; pairs whose upper-bound combined similarity is
   /// below it are discarded. Use the pipeline's Tλ.
@@ -155,8 +161,9 @@ struct DetectorConfig {
   /// Basic sanity validation (window, thresholds, weight count, a
   /// canopy plan's tight threshold at most its loose one, a positive
   /// batch size, at most kMaxWorkers workers, pruning soundness:
-  /// `prune_threshold` must lie in [0, 1] and `prune` requires every
-  /// named comparator to be max-length-normalized).
+  /// `prune_threshold` must lie in [0, 1] and `prune` requires the
+  /// weighted-sum combination and every named comparator to be
+  /// max-length-normalized).
   Status Validate() const;
 
   // --- declarative form (src/plan/) ---------------------------------

@@ -95,7 +95,7 @@ Result<DetectionResult> DuplicateDetector::RunStream(
 
 double DuplicateDetector::PairSimilarity(const XTuple& t1,
                                          const XTuple& t2) const {
-  return plan_->model().Similarity(t1, t2);
+  return plan_->DecidePair(t1, t2).similarity;
 }
 
 }  // namespace pdd

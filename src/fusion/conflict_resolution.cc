@@ -4,32 +4,6 @@
 
 namespace pdd {
 
-Result<ConflictStrategy> ParseConflictStrategy(std::string_view name) {
-  if (name == "most_probable") return ConflictStrategy::kMostProbable;
-  if (name == "first") return ConflictStrategy::kFirst;
-  if (name == "longest") return ConflictStrategy::kLongest;
-  if (name == "shortest") return ConflictStrategy::kShortest;
-  if (name == "lex_min") return ConflictStrategy::kLexicographicMin;
-  return Status::NotFound("no conflict strategy named '" + std::string(name) +
-                          "'");
-}
-
-const char* ConflictStrategyName(ConflictStrategy strategy) {
-  switch (strategy) {
-    case ConflictStrategy::kMostProbable:
-      return "most_probable";
-    case ConflictStrategy::kFirst:
-      return "first";
-    case ConflictStrategy::kLongest:
-      return "longest";
-    case ConflictStrategy::kShortest:
-      return "shortest";
-    case ConflictStrategy::kLexicographicMin:
-      return "lex_min";
-  }
-  return "unknown";
-}
-
 std::string ResolveValue(const Value& value, ConflictStrategy strategy) {
   if (value.is_null()) return "";
   const auto& alts = value.alternatives();

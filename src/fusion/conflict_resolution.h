@@ -28,13 +28,6 @@ enum class ConflictStrategy {
   kLexicographicMin = 4,
 };
 
-/// Parses a strategy name ("most_probable", "first", "longest",
-/// "shortest", "lex_min").
-Result<ConflictStrategy> ParseConflictStrategy(std::string_view name);
-
-/// Stable name of a strategy.
-const char* ConflictStrategyName(ConflictStrategy strategy);
-
 /// Collapses a probabilistic value to one certain text; empty string
 /// denotes ⊥. Pattern alternatives contribute their literal prefix.
 /// For kMostProbable, a dominant ⊥ mass resolves to ⊥.

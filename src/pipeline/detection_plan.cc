@@ -25,10 +25,6 @@ bool IsDecisionIrrelevantSpecKey(const std::string& key) {
   return false;
 }
 
-namespace {
-
-/// The decide-stage subset of a plan spec, fingerprinted as the plan
-/// half of the decision-cache key.
 uint64_t DecisionFingerprint(const PlanSpec& spec) {
   PlanSpec subset;
   for (const auto& [key, value] : spec.params().entries()) {
@@ -36,8 +32,6 @@ uint64_t DecisionFingerprint(const PlanSpec& spec) {
   }
   return subset.Fingerprint();
 }
-
-}  // namespace
 
 Result<std::shared_ptr<const DetectionPlan>> DetectionPlan::Compile(
     const PlanSpec& spec, Schema schema) {
@@ -113,9 +107,6 @@ Result<std::shared_ptr<const DetectionPlan>> DetectionPlan::Compile(
   // compile time rather than at the first run.
   PDD_RETURN_IF_ERROR(
       registry.FindReduction(ReductionMethodName(config.reduction)).status());
-  plan->model_ = std::make_unique<XTupleDecisionModel>(
-      plan->matcher_.get(), plan->combination_.get(),
-      plan->derivation_.get(), config.final_thresholds);
   plan->spec_ = config.ToSpec();
   plan->fingerprint_ = plan->spec_.Fingerprint();
   // Custom comparator instances decide pairs through code the spec

@@ -38,6 +38,10 @@ namespace pdd {
 /// (`pddcli lint-plan`) and the spec-closure lint.
 bool IsDecisionIrrelevantSpecKey(const std::string& key);
 
+/// Fingerprint of the decide-stage subset of `spec` (every key that is
+/// not decision-irrelevant): the plan half of the decision-cache key.
+uint64_t DecisionFingerprint(const PlanSpec& spec);
+
 class DetectionPlan {
  public:
   /// Primary path: compiles a declarative plan spec against the schema.
@@ -77,7 +81,6 @@ class DetectionPlan {
   const TupleMatcher& matcher() const { return *matcher_; }
   const CombinationFunction& combination() const { return *combination_; }
   const DerivationFunction& derivation() const { return *derivation_; }
-  const XTupleDecisionModel& model() const { return *model_; }
 
   /// The resolved comparator of every schema attribute (registry
   /// comparators or custom instances), in attribute order.
@@ -134,7 +137,6 @@ class DetectionPlan {
   std::unique_ptr<TupleMatcher> matcher_;
   std::unique_ptr<CombinationFunction> combination_;
   std::unique_ptr<DerivationFunction> derivation_;
-  std::unique_ptr<XTupleDecisionModel> model_;
 };
 
 }  // namespace pdd

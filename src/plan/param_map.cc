@@ -48,9 +48,7 @@ bool ParamMap::Has(std::string_view key) const {
 
 const std::string* ParamMap::Find(std::string_view key) const {
   auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  consumed_.insert(it->first);
-  return &it->second;
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 std::string ParamMap::GetString(std::string_view key,
@@ -92,25 +90,6 @@ Result<bool> ParamMap::GetBool(std::string_view key,
   if (*value == "false" || *value == "0" || *value == "no") return false;
   return Status::InvalidArgument("parameter '" + std::string(key) +
                                  "' is not a boolean: '" + *value + "'");
-}
-
-void ParamMap::ResetConsumption() const { consumed_.clear(); }
-
-std::vector<std::string> ParamMap::UnconsumedKeys() const {
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : entries_) {
-    if (consumed_.find(key) == consumed_.end()) keys.push_back(key);
-  }
-  return keys;
-}
-
-Status ParamMap::ExpectFullyConsumed(std::string_view context) const {
-  std::vector<std::string> keys = UnconsumedKeys();
-  if (keys.empty()) return Status::OK();
-  return Status::InvalidArgument("unknown parameter" +
-                                 std::string(keys.size() > 1 ? "s" : "") +
-                                 " in " + std::string(context) + ": " +
-                                 Join(keys, ", "));
 }
 
 }  // namespace pdd

@@ -2,20 +2,17 @@
 //
 // Values are stored as canonical strings (the plan text format is the
 // source of truth); typed getters parse on access and report malformed
-// values as InvalidArgument. Every getter marks its key as consumed, so
-// after a component has read its parameters the caller can reject
-// unknown keys with ExpectFullyConsumed() — a typo like
-// "reduction.windwo = 5" fails loudly instead of silently using the
-// default.
+// values as InvalidArgument. Reading is const and leaves the map as it
+// is, so threads may read one map concurrently. Which keys a plan may
+// name is declared by its components (plan/params.h), not recorded
+// here.
 
 #ifndef PDD_PLAN_PARAM_MAP_H_
 #define PDD_PLAN_PARAM_MAP_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -43,7 +40,7 @@ class ParamMap {
   /// Removes `key`; returns whether it was present.
   bool Erase(std::string_view key);
 
-  // --- defaulted, consuming getters ---------------------------------
+  // --- defaulted getters --------------------------------------------
 
   bool Has(std::string_view key) const;
 
@@ -57,16 +54,6 @@ class ParamMap {
   Result<size_t> GetSize(std::string_view key, size_t default_value) const;
   /// Parses `key` as a boolean ("true"/"false"/"1"/"0"/"yes"/"no").
   Result<bool> GetBool(std::string_view key, bool default_value) const;
-
-  // --- unknown-key rejection ----------------------------------------
-
-  /// Clears the consumed-key record (call before a fresh read pass).
-  void ResetConsumption() const;
-  /// Keys never touched by a getter since the last reset, sorted.
-  std::vector<std::string> UnconsumedKeys() const;
-  /// InvalidArgument listing the unconsumed keys, or OK when all keys
-  /// were read. `context` names the reader ("plan spec").
-  Status ExpectFullyConsumed(std::string_view context) const;
 
   // --- inspection ---------------------------------------------------
 
@@ -83,12 +70,10 @@ class ParamMap {
   bool operator!=(const ParamMap& other) const { return !(*this == other); }
 
  private:
-  /// Looks up `key` and marks it consumed; nullptr when absent.
+  /// The value of `key`; nullptr when absent.
   const std::string* Find(std::string_view key) const;
 
   std::map<std::string, std::string, std::less<>> entries_;
-  /// Keys read by getters — mutable because reading is logically const.
-  mutable std::set<std::string, std::less<>> consumed_;
 };
 
 }  // namespace pdd

@@ -1,6 +1,6 @@
 #include "plan/plan_builder.h"
 
-#include "plan/translate.h"
+#include "plan/params.h"
 #include "util/string_util.h"
 
 namespace pdd {

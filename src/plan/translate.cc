@@ -1,25 +1,30 @@
 // DetectorConfig ↔ PlanSpec translation. DetectorConfig stays the
 // C++-native struct form; PlanSpec is the declarative string-keyed
-// form. ToSpec prints the *selected* components' parameters only (a
-// canopy plan carries no SNM window), so the fingerprint of a plan is
-// invariant to config fields the plan never reads. FromSpec resolves
-// component names through the ComponentRegistry and rejects unknown
-// parameter keys.
+// form. Every plain key is declared once (VisitPlanParams and the
+// registry's component declarations, see plan/params.h), and that one
+// declaration is read by FromSpec, printed by ToSpec and listed as the
+// keys a spec may name. ToSpec prints the *selected* components' keys
+// only (a canopy plan carries no SNM window), so the fingerprint of a
+// plan is invariant to config fields the plan never reads. FromSpec
+// resolves component names through their name tables and rejects
+// every key that neither the base plan nor a selected component
+// declares.
 //
 // Two config features are not representable in text: custom comparator
 // instances (ToSpec marks them "custom"; FromSpec refuses to resolve
 // the marker) and token-map standardizers ("prepare = custom",
-// likewise refused). Executor tuning (`executor.batch`,
-// `executor.workers`) is accepted by FromSpec as a convenience but
-// never printed by ToSpec: it does not change decisions, so it is kept
-// out of the fingerprint (and reports stay byte-identical across batch
-// sizes and worker counts).
+// likewise refused); `comparators`, `prepare` and `prepare.attributes`
+// are read and printed by hand below. Executor tuning
+// (`executor.batch`, `executor.workers`) is accepted by FromSpec as a
+// convenience but never printed by ToSpec: it does not change
+// decisions, so it is kept out of the fingerprint (and reports stay
+// byte-identical across batch sizes and worker counts).
 
 #include "plan/translate.h"
 
 #include <algorithm>
+#include <set>
 
-#include "core/config.h"
 #include "plan/plan_spec.h"
 #include "plan/registry.h"
 #include "prep/standardizer.h"
@@ -28,76 +33,50 @@
 
 namespace pdd {
 
-namespace {
-
-/// Parses the `key` value "attr:len[,attr:len...]" into
-/// DetectorConfig::key components.
-Result<std::vector<std::pair<std::string, size_t>>> ParseKeyComponents(
-    std::string_view text) {
-  std::vector<std::pair<std::string, size_t>> key;
-  for (const std::string& piece : Split(text, ',')) {
-    std::vector<std::string> parts = Split(piece, ':');
-    if (parts.size() != 2) {
-      return Status::InvalidArgument("key component '" + piece +
-                                     "' is not attr:len");
-    }
-    double len = 0.0;
-    if (!ParseDouble(Trim(parts[1]), &len) || len < 0 ||
-        len != static_cast<double>(static_cast<size_t>(len))) {
-      return Status::InvalidArgument("bad prefix length in '" + piece + "'");
-    }
-    key.emplace_back(std::string(Trim(parts[0])), static_cast<size_t>(len));
+void VisitPlanParams(ParamVisitor& v, DetectorConfig& c) {
+  const ComponentRegistry& registry = ComponentRegistry::Global();
+  v("key", c.key);
+  v("reduction", c.reduction, ReductionMethods());
+  if (auto entry = registry.FindReduction(ReductionMethodName(c.reduction));
+      entry.ok()) {
+    (*entry)->params(v, c);
   }
-  if (key.empty()) {
-    return Status::InvalidArgument("empty key spec");
+  v("combination", c.combination, CombinationKinds());
+  if (auto entry =
+          registry.FindCombination(CombinationKindName(c.combination));
+      entry.ok()) {
+    (*entry)->params(v, c);
   }
-  return key;
-}
-
-}  // namespace
-
-std::string FormatKeyComponents(
-    const std::vector<std::pair<std::string, size_t>>& key) {
-  std::vector<std::string> pieces;
-  pieces.reserve(key.size());
-  for (const auto& [attribute, prefix] : key) {
-    pieces.push_back(attribute + ":" + std::to_string(prefix));
+  v("derivation", c.derivation, DerivationKinds());
+  if (auto entry = registry.FindDerivation(DerivationKindName(c.derivation));
+      entry.ok()) {
+    (*entry)->params(v, c);
   }
-  return Join(pieces, ",");
+  v("classify.t_lambda", c.final_thresholds.t_lambda);
+  v("classify.t_mu", c.final_thresholds.t_mu);
+  // Unpruned plans print no prune keys, so their fingerprints do not
+  // depend on prune_threshold.
+  if (c.prune || !v.printing()) {
+    v("prune", c.prune);
+    v("prune.threshold", c.prune_threshold);
+  }
+  v.Accept("comparators");
+  v.Accept("prepare");
+  v.Accept("prepare.attributes");
+  // Executor tuning changes no decision: read, never printed.
+  if (!v.printing()) {
+    v("executor.batch", c.batch_size);
+    v("executor.workers", c.workers);
+  }
 }
 
 PlanSpec DetectorConfig::ToSpec() const {
   PlanSpec spec;
   ParamMap& params = spec.params();
-  const ComponentRegistry& registry = ComponentRegistry::Global();
-
-  params.Set("key", FormatKeyComponents(key));
-
-  const char* reduction_name = ReductionMethodName(reduction);
-  params.Set("reduction", reduction_name);
-  if (auto entry = registry.FindReduction(reduction_name); entry.ok()) {
-    (*entry)->print(*this, &params);
-  }
-
-  const char* combination_name = CombinationKindName(combination);
-  params.Set("combination", combination_name);
-  if (auto entry = registry.FindCombination(combination_name); entry.ok()) {
-    (*entry)->print(*this, &params);
-  }
-
-  const char* derivation_name = DerivationKindName(derivation);
-  params.Set("derivation", derivation_name);
-  if (auto entry = registry.FindDerivation(derivation_name); entry.ok()) {
-    (*entry)->print(*this, &params);
-  }
-
-  params.SetDouble("classify.t_lambda", final_thresholds.t_lambda);
-  params.SetDouble("classify.t_mu", final_thresholds.t_mu);
-
-  if (prune) {
-    params.SetBool("prune", true);
-    params.SetDouble("prune.threshold", prune_threshold);
-  }
+  // The declaration takes a mutable config; printing only reads it.
+  DetectorConfig config = *this;
+  ParamVisitor printer = ParamVisitor::Printing(&params);
+  VisitPlanParams(printer, config);
 
   size_t comparator_count =
       std::max(comparators.size(), custom_comparators.size());
@@ -151,54 +130,13 @@ Result<DetectorConfig> DetectorConfig::FromSpec(const PlanSpec& spec) {
 
 Result<DetectorConfig> DetectorConfig::FromSpec(const PlanSpec& spec,
                                                 DetectorConfig base) {
-  // Read from a private copy: getters record key consumption in the
-  // map itself, so reading the caller's (possibly shared) spec would
-  // race when two threads translate the same spec concurrently.
-  const ParamMap params = spec.params();
-  params.ResetConsumption();
+  const ParamMap& params = spec.params();
   DetectorConfig config = std::move(base);
-  const ComponentRegistry& registry = ComponentRegistry::Global();
-
-  std::string key_text = params.GetString("key", "");
-  if (!key_text.empty()) {
-    PDD_ASSIGN_OR_RETURN(config.key, ParseKeyComponents(key_text));
-  }
-
-  // Component configure() always runs — for the named component when
-  // the spec selects one, else for the base config's component — so
-  // bare parameter overrides ("--set reduction.window=5") apply.
-  std::string reduction_name =
-      params.GetString("reduction", ReductionMethodName(config.reduction));
-  PDD_ASSIGN_OR_RETURN(const ComponentRegistry::ReductionEntry* reduction,
-                       registry.FindReduction(reduction_name));
-  config.reduction = reduction->method;
-  PDD_RETURN_IF_ERROR(reduction->configure(params, &config));
-
-  std::string combination_name =
-      params.GetString("combination", CombinationKindName(config.combination));
-  PDD_ASSIGN_OR_RETURN(const ComponentRegistry::CombinationEntry* combination,
-                       registry.FindCombination(combination_name));
-  config.combination = combination->kind;
-  PDD_RETURN_IF_ERROR(combination->configure(params, &config));
-
-  std::string derivation_name =
-      params.GetString("derivation", DerivationKindName(config.derivation));
-  PDD_ASSIGN_OR_RETURN(const ComponentRegistry::DerivationEntry* derivation,
-                       registry.FindDerivation(derivation_name));
-  config.derivation = derivation->kind;
-  PDD_RETURN_IF_ERROR(derivation->configure(params, &config));
-
-  PDD_ASSIGN_OR_RETURN(config.final_thresholds.t_lambda,
-                       params.GetDouble("classify.t_lambda",
-                                        config.final_thresholds.t_lambda));
-  PDD_ASSIGN_OR_RETURN(
-      config.final_thresholds.t_mu,
-      params.GetDouble("classify.t_mu", config.final_thresholds.t_mu));
-
-  PDD_ASSIGN_OR_RETURN(config.prune, params.GetBool("prune", config.prune));
-  PDD_ASSIGN_OR_RETURN(
-      config.prune_threshold,
-      params.GetDouble("prune.threshold", config.prune_threshold));
+  // Absent keys keep the base value, so bare parameter overrides
+  // ("--set reduction.window=5") apply to the base config's components.
+  ParamVisitor reader = ParamVisitor::Reading(params);
+  VisitPlanParams(reader, config);
+  PDD_RETURN_IF_ERROR(reader.status());
 
   if (params.Has("comparators")) {
     std::string text = params.GetString("comparators", "");
@@ -246,14 +184,23 @@ Result<DetectorConfig> DetectorConfig::FromSpec(const PlanSpec& spec,
     }
   }
 
-  PDD_ASSIGN_OR_RETURN(config.batch_size,
-                       params.GetSize("executor.batch", config.batch_size));
-  PDD_ASSIGN_OR_RETURN(config.workers,
-                       params.GetSize("executor.workers", config.workers));
-
-  PDD_RETURN_IF_ERROR(params.ExpectFullyConsumed(
-      "plan spec (for reduction '" + reduction_name + "', combination '" +
-      combination_name + "', derivation '" + derivation_name + "')"));
+  std::set<std::string> declared;
+  ParamVisitor lister = ParamVisitor::Listing(&declared);
+  VisitPlanParams(lister, config);
+  // A step count qualifies a prepare step; alone it is unknown.
+  if (!params.Has("prepare")) declared.erase("prepare.attributes");
+  std::vector<std::string> unknown;
+  for (const auto& [key, value] : params.entries()) {
+    if (declared.count(key) == 0) unknown.push_back(key);
+  }
+  if (!unknown.empty()) {
+    return Status::InvalidArgument(
+        "unknown parameter" + std::string(unknown.size() > 1 ? "s" : "") +
+        " in plan spec (for reduction '" +
+        ReductionMethodName(config.reduction) + "', combination '" +
+        CombinationKindName(config.combination) + "', derivation '" +
+        DerivationKindName(config.derivation) + "'): " + Join(unknown, ", "));
+  }
   return config;
 }
 

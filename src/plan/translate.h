@@ -1,21 +1,19 @@
-// Helpers shared by the DetectorConfig ↔ PlanSpec translation (the
-// member functions DetectorConfig::ToSpec / DetectorConfig::FromSpec
-// are implemented in translate.cc).
+// The plan's key declaration, shared by the DetectorConfig ↔ PlanSpec
+// translation (DetectorConfig::ToSpec / DetectorConfig::FromSpec are
+// implemented in translate.cc) and the spec-closure lint.
 
 #ifndef PDD_PLAN_TRANSLATE_H_
 #define PDD_PLAN_TRANSLATE_H_
 
-#include <string>
-#include <utility>
-#include <vector>
+#include "core/config.h"
+#include "plan/params.h"
 
 namespace pdd {
 
-/// The plan-spec form of DetectorConfig::key components,
-/// "attr:len[,attr:len...]" (prefix length 0 = whole value), as in
-/// "name:3,job:2". DetectorConfig::FromSpec parses it back.
-std::string FormatKeyComponents(
-    const std::vector<std::pair<std::string, size_t>>& key);
+/// Walks the base plan's keys and, right after the key that selects
+/// each, the keys of the reduction, combination and derivation
+/// `config` selects.
+void VisitPlanParams(ParamVisitor& v, DetectorConfig& config);
 
 }  // namespace pdd
 

@@ -10,10 +10,10 @@ size_t PerFirstPairSource::NextBatch(size_t max_batch,
                                      std::vector<CandidatePair>* out) {
   out->clear();
   while (out->size() < max_batch) {
-    if (consumed_ == partners_.size()) {
+    if (emitted_ == partners_.size()) {
       // Refill: expand tuples until one has partners (or none are left).
       partners_.clear();
-      consumed_ = 0;
+      emitted_ = 0;
       while (partners_.empty() && next_first_ < tuple_count_) {
         current_first_ = next_first_++;
         AppendPartners(current_first_, &partners_);
@@ -31,8 +31,8 @@ size_t PerFirstPairSource::NextBatch(size_t max_batch,
       }
       if (partners_.empty()) break;  // exhausted
     }
-    while (consumed_ < partners_.size() && out->size() < max_batch) {
-      out->push_back({current_first_, partners_[consumed_++]});
+    while (emitted_ < partners_.size() && out->size() < max_batch) {
+      out->push_back({current_first_, partners_[emitted_++]});
     }
   }
   return out->size();

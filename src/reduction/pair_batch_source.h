@@ -63,7 +63,7 @@ class PerFirstPairSource : public PairBatchSource {
 
   size_t NextBatch(size_t max_batch, std::vector<CandidatePair>* out) final;
   size_t buffered_candidates() const final {
-    return partners_.size() - consumed_;
+    return partners_.size() - emitted_;
   }
 
  protected:
@@ -76,7 +76,7 @@ class PerFirstPairSource : public PairBatchSource {
   size_t next_first_ = 0;    // next tuple index to expand
   size_t current_first_ = 0; // tuple the buffered partners belong to
   std::vector<size_t> partners_;
-  size_t consumed_ = 0;
+  size_t emitted_ = 0;       // buffered partners already emitted
 };
 
 /// Wraps another source, keeping only pairs the predicate accepts.

@@ -36,7 +36,22 @@ double ValueLengthBound(const Value& a, const Value& b) {
   return bound;
 }
 
-double PruningFilter::PairBound(const XTuple& a, const XTuple& b) const {
+namespace {
+
+/// Bounds `value` as the matcher compares it: a pattern by its
+/// expansions. Pattern-free values (the common case) are not copied.
+const Value& Comparable(const Value& value,
+                        const std::vector<std::string>& vocabulary,
+                        Value* expanded) {
+  if (!value.has_pattern()) return value;
+  *expanded = value.Expanded(vocabulary);
+  return *expanded;
+}
+
+}  // namespace
+
+double PruningFilter::PairBound(const XTuple& a, const XTuple& b,
+                                const Schema& schema) const {
   // Weighted-sum bound over the attributes: every world's combined
   // similarity is at most Σ w_i · bound_i.
   size_t arity = std::min(a.arity(), b.arity());
@@ -45,11 +60,17 @@ double PruningFilter::PairBound(const XTuple& a, const XTuple& b) const {
   for (size_t i = 0; i < arity; ++i) {
     double w = i < options_.weights.size() ? options_.weights[i] : 1.0;
     total_weight += w;
+    const std::vector<std::string>& vocabulary =
+        schema.attribute(i).vocabulary;
     double attr_bound = 0.0;
+    Value expanded_a;
+    Value expanded_b;
     for (const AltTuple& alt_a : a.alternatives()) {
+      const Value& va = Comparable(alt_a.values[i], vocabulary, &expanded_a);
       for (const AltTuple& alt_b : b.alternatives()) {
-        attr_bound = std::max(
-            attr_bound, ValueLengthBound(alt_a.values[i], alt_b.values[i]));
+        const Value& vb =
+            Comparable(alt_b.values[i], vocabulary, &expanded_b);
+        attr_bound = std::max(attr_bound, ValueLengthBound(va, vb));
         if (attr_bound >= 1.0) break;
       }
       if (attr_bound >= 1.0) break;
@@ -69,8 +90,8 @@ Result<std::vector<CandidatePair>> PruningFilter::Generate(
   std::vector<CandidatePair> kept;
   kept.reserve(candidates.size());
   for (const CandidatePair& pair : candidates) {
-    if (PairBound(rel.xtuple(pair.first), rel.xtuple(pair.second)) >=
-        options_.threshold) {
+    if (PairBound(rel.xtuple(pair.first), rel.xtuple(pair.second),
+                  rel.schema()) >= options_.threshold) {
       kept.push_back(pair);
     }
   }
@@ -86,8 +107,8 @@ Result<std::unique_ptr<PairBatchSource>> PruningFilter::Stream(
   return std::unique_ptr<PairBatchSource>(
       std::make_unique<FilteringPairSource>(
           std::move(inner), [this, &rel](const CandidatePair& pair) {
-            return PairBound(rel.xtuple(pair.first),
-                             rel.xtuple(pair.second)) >= options_.threshold;
+            return PairBound(rel.xtuple(pair.first), rel.xtuple(pair.second),
+                             rel.schema()) >= options_.threshold;
           }));
 }
 

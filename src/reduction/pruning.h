@@ -9,7 +9,9 @@
 // LCS): sim(a, b) <= 1 - |len(a)-len(b)| / max(len(a), len(b)).
 // For probabilistic values the bound is the maximum over the
 // alternatives' length bounds (an upper bound over every world), and a
-// pair's bound is the weighted-sum bound over key attributes.
+// pair's bound is the weighted-sum bound over key attributes. A value
+// that carries a pattern ("mu*") is bounded by its vocabulary
+// expansions, the texts the matcher compares.
 
 #ifndef PDD_REDUCTION_PRUNING_H_
 #define PDD_REDUCTION_PRUNING_H_
@@ -64,8 +66,10 @@ class PruningFilter : public PairGenerator {
     return "pruned(" + inner_->name() + ")";
   }
 
-  /// Upper bound of one x-tuple pair under the options.
-  double PairBound(const XTuple& a, const XTuple& b) const;
+  /// Upper bound of one x-tuple pair of a relation with `schema` under
+  /// the options.
+  double PairBound(const XTuple& a, const XTuple& b,
+                   const Schema& schema) const;
 
  private:
   std::unique_ptr<PairGenerator> inner_;

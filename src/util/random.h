@@ -55,11 +55,6 @@ class Rng {
   /// Returns 0 when all weights are zero.
   size_t Discrete(const std::vector<double>& weights);
 
-  /// Geometric number of trials until first success (>= 0 failures).
-  int Geometric(double p) {
-    return std::geometric_distribution<int>(p)(engine_);
-  }
-
   /// Poisson-distributed count with the given mean; 0 when the mean is
   /// not positive. std::poisson_distribution requires mean > 0. Given
   /// mean 0, libstdc++'s small-mean loop returns 0 after exactly one

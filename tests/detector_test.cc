@@ -6,6 +6,7 @@
 #include "core/paper_examples.h"
 #include "datagen/astronomy_generator.h"
 #include "datagen/person_generator.h"
+#include "pdb/text_format.h"
 
 namespace pdd {
 namespace {
@@ -301,6 +302,34 @@ TEST(DetectorTest, PruningPreservesDecisionsAboveThreshold) {
   EXPECT_EQ(plain_matches, pruned_matches);
   EXPECT_EQ(plain_result->PossibleMatches(),
             pruned_result->PossibleMatches());
+}
+
+TEST(DetectorTest, PruningBoundsPatternsByTheirExpansions) {
+  // b's job "mu*" expands to musician, a's job. Bounded by its stored
+  // prefix "mu", the pair would read 0.5·3/7 + 0.5·2/8 < Tλ and drop.
+  Result<XRelation> rel = ParseXRelation(
+      "relation R\n"
+      "schema name:string, job:string\n"
+      "vocab job machinist, mechanic, musician\n"
+      "tuple a\nalt 1 | Timothy ; musician\n"
+      "tuple b\nalt 1 | Tim ; mu*\n"
+      "tuple c\nalt 1 | Tom ; machinist\n");
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  DetectorConfig config;
+  config.weights = {0.5, 0.5};
+  std::vector<IdPair> matches;
+  for (bool prune : {false, true}) {
+    config.prune = prune;
+    Result<DuplicateDetector> detector =
+        DuplicateDetector::Make(config, rel->schema());
+    ASSERT_TRUE(detector.ok()) << detector.status().ToString();
+    Result<DetectionResult> result = detector->Run(*rel);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (!prune) matches = result->Matches();
+    EXPECT_EQ(result->Matches(), matches) << "prune " << prune;
+  }
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0], IdPair("a", "b"));
 }
 
 TEST(DetectorTest, EndToEndOnSyntheticPersons) {

@@ -7,6 +7,7 @@
 #include "fusion/conflict_resolution.h"
 #include "keys/key_builder.h"
 #include "keys/key_spec.h"
+#include "plan/registry.h"
 
 namespace pdd {
 namespace {
@@ -60,12 +61,13 @@ TEST(ConflictResolutionTest, ResolveAlternativeTextStrategies) {
 }
 
 TEST(ConflictResolutionTest, ParseAndName) {
-  EXPECT_EQ(*ParseConflictStrategy("most_probable"),
+  EXPECT_EQ(*ConflictStrategies().Find("most_probable"),
             ConflictStrategy::kMostProbable);
-  EXPECT_EQ(*ParseConflictStrategy("lex_min"),
+  EXPECT_EQ(*ConflictStrategies().Find("lex_min"),
             ConflictStrategy::kLexicographicMin);
-  EXPECT_FALSE(ParseConflictStrategy("bogus").ok());
-  EXPECT_STREQ(ConflictStrategyName(ConflictStrategy::kLongest), "longest");
+  EXPECT_FALSE(ConflictStrategies().Find("bogus").ok());
+  EXPECT_STREQ(ConflictStrategies().Name(ConflictStrategy::kLongest),
+               "longest");
 }
 
 // ---------------------------------------------------------------- KeySpec

@@ -79,14 +79,16 @@ TEST(DetectionPlanTest, StagedDecisionMatchesModel) {
   Result<std::shared_ptr<const DetectionPlan>> plan =
       DetectionPlan::Compile(PersonConfig(), PersonSchema());
   ASSERT_TRUE(plan.ok());
+  XTupleDecisionModel model(&(*plan)->matcher(), &(*plan)->combination(),
+                            &(*plan)->derivation(),
+                            (*plan)->config().final_thresholds);
   GeneratedData data = SeededPersons(10);
   for (size_t i = 1; i < data.relation.size(); ++i) {
     const XTuple& t1 = data.relation.xtuple(0);
     const XTuple& t2 = data.relation.xtuple(i);
     XPairDecision staged = (*plan)->DecidePair(t1, t2);
-    EXPECT_EQ(staged.similarity, (*plan)->model().Similarity(t1, t2));
-    EXPECT_EQ(staged.match_class,
-              (*plan)->model().Decide(t1, t2).match_class);
+    EXPECT_EQ(staged.similarity, model.Similarity(t1, t2));
+    EXPECT_EQ(staged.match_class, model.Decide(t1, t2).match_class);
   }
 }
 

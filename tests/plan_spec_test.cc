@@ -1,13 +1,17 @@
-// Tests of the declarative plan layer (src/plan/): ParamMap typing and
-// unknown-key rejection, PlanSpec parse/print round-trips, fingerprint
-// stability, the ComponentRegistry (full name coverage, nearest-match
-// errors), DetectorConfig ↔ PlanSpec translation, spec-compiled plans
-// matching config-compiled plans, and the Validate() pruning-soundness
-// checks.
+// Tests of the declarative plan layer (src/plan/): ParamMap typing,
+// PlanSpec parse/print round-trips, fingerprint stability, the
+// ComponentRegistry and name tables (full name coverage, nearest-match
+// errors), DetectorConfig ↔ PlanSpec translation (pinned fingerprints
+// and FromSpec outcomes, unknown-key rejection, concurrent reads of one
+// spec), spec-compiled plans matching config-compiled plans, and the
+// Validate() pruning-soundness checks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,18 +68,6 @@ TEST(ParamMapTest, GetSizeRejectsNonCountsBeforeCasting) {
     ASSERT_TRUE(parsed.ok()) << text;
     EXPECT_EQ(*parsed, expected) << text;
   }
-}
-
-TEST(ParamMapTest, UnknownKeyRejection) {
-  ParamMap params;
-  params.Set("reduction.window", "5");
-  params.Set("reduction.windwo", "5");
-  params.ResetConsumption();
-  (void)params.GetSize("reduction.window", 3);
-  Status status = params.ExpectFullyConsumed("test spec");
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("reduction.windwo"), std::string::npos);
-  EXPECT_EQ(status.message().find("reduction.window,"), std::string::npos);
 }
 
 // ----------------------------------------------------------- PlanSpec
@@ -204,11 +196,10 @@ TEST(RegistryTest, UnknownNameSuggestsNearestMatch) {
 }
 
 TEST(RegistryTest, ConflictAndRankingVocabularies) {
-  EXPECT_TRUE(
-      ComponentRegistry::Global().FindConflictStrategy("longest").ok());
-  EXPECT_TRUE(
-      ComponentRegistry::Global().FindRankingMethod("expected_rank").ok());
-  EXPECT_FALSE(ComponentRegistry::Global().FindRankingMethod("positionl").ok());
+  EXPECT_EQ(*ConflictStrategies().Find("longest"), ConflictStrategy::kLongest);
+  EXPECT_EQ(*RankingMethods().Find("expected_rank"),
+            RankingMethod::kExpectedRank);
+  EXPECT_FALSE(RankingMethods().Find("positionl").ok());
 }
 
 // ------------------------------------- DetectorConfig ↔ PlanSpec
@@ -388,6 +379,294 @@ TEST(TranslateTest, CustomDistanceComparatorPrintsAsCustom) {
   EXPECT_EQ(back->canopy.comparator, *GetComparator("jaro"));
 }
 
+// ------------------------------------------ pinned translation output
+
+/// The configs whose ToSpec fingerprints are pinned: the defaults, each
+/// registered component at its defaults and with every parameter off
+/// its default, and one config that prints every conditional base key.
+std::vector<std::pair<std::string, DetectorConfig>> GoldenConfigs() {
+  const ComponentRegistry& registry = ComponentRegistry::Global();
+  std::vector<std::pair<std::string, DetectorConfig>> configs;
+  configs.emplace_back("defaults", DetectorConfig());
+  for (const std::string& name : registry.ReductionNames()) {
+    DetectorConfig config;
+    config.reduction = (*registry.FindReduction(name))->method;
+    configs.emplace_back(name, config);
+    config.window = 5;
+    config.conflict_strategy = ConflictStrategy::kLongest;
+    config.world_selection.strategy = WorldSelectionStrategy::kDiverse;
+    config.world_selection.count = 4;
+    config.world_selection.lambda = 0.25;
+    config.world_selection.candidate_pool = 16;
+    config.world_selection.all_present_only = false;
+    config.ranking_method = RankingMethod::kExpectedRank;
+    config.clustering.algorithm =
+        ClusteredBlockingOptions::Algorithm::kKMedoids;
+    config.clustering.comparator = *GetComparator("jaro");
+    config.clustering.leader_threshold = 0.35;
+    config.clustering.kmedoids = {5, 7, 99};
+    config.clustering.conditioned = true;
+    config.canopy = {0.8, 0.3, *GetComparator("levenshtein"), true};
+    config.adaptive = {0.75, 12, *GetComparator("jaro_winkler"),
+                       ConflictStrategy::kShortest};
+    config.qgram = {3, 1, 0.25, 4};
+    configs.emplace_back(name + " off-default", config);
+  }
+  for (const std::string& name : registry.CombinationNames()) {
+    DetectorConfig config;
+    config.combination = (*registry.FindCombination(name))->kind;
+    configs.emplace_back(name, config);
+    config.weights = {0.6, 0.4};
+    config.fs_attributes = {{0.9, 0.1, 0.8}, {0.85, 0.05, 0.75}};
+    config.fs_interpolated = true;
+    config.rules_text = "IF name > 0.8 THEN DUPLICATES\n";
+    configs.emplace_back(name + " off-default", config);
+  }
+  for (const std::string& name : registry.DerivationNames()) {
+    DetectorConfig config;
+    config.derivation = (*registry.FindDerivation(name))->kind;
+    configs.emplace_back(name, config);
+    config.intermediate = {0.3, 0.6};
+    configs.emplace_back(name + " off-default", config);
+  }
+  DetectorConfig conditional;
+  conditional.prune = true;
+  conditional.prune_threshold = 0.35;
+  conditional.comparators = {"levenshtein", "default"};
+  Standardizer standardizer;
+  standardizer.LowerCase().TrimWhitespace();
+  conditional.preparation = DataPreparation::Uniform(standardizer, 2);
+  configs.emplace_back("every conditional key", conditional);
+  return configs;
+}
+
+TEST(TranslateTest, FingerprintsArePinned) {
+  // A plan's fingerprint is its identity in reports, caches and
+  // indexes: any change to a printed key, default or value format
+  // shows here.
+  const std::map<std::string, std::string> kExpected = {
+      {"defaults", "a6ecba38588334cd"},
+      {"blocking_alternatives", "81f9f7698373269e"},
+      {"blocking_alternatives off-default", "81f9f7698373269e"},
+      {"blocking_certain_keys", "727d1f4c26e764fa"},
+      {"blocking_certain_keys off-default", "b612bd9b992590c5"},
+      {"blocking_clustered", "cf8de43003325dba"},
+      {"blocking_clustered off-default", "a26ef792cc845d74"},
+      {"blocking_multipass_worlds", "a7ca7885144213d9"},
+      {"blocking_multipass_worlds off-default", "f36eff9fe0d096aa"},
+      {"canopy", "a6dcea6735e6c9cc"},
+      {"canopy off-default", "507d933c2bd4d079"},
+      {"full", "a6ecba38588334cd"},
+      {"full off-default", "a6ecba38588334cd"},
+      {"qgram_index", "443e3d9d7b172408"},
+      {"qgram_index off-default", "9cf35ce04ed038a7"},
+      {"snm_adaptive", "3ecd36fc3d5d755b"},
+      {"snm_adaptive off-default", "3bbe7802596b5001"},
+      {"snm_certain_keys", "a9523a4a373eb456"},
+      {"snm_certain_keys off-default", "2f0ca0c6e1c5e885"},
+      {"snm_multipass_worlds", "feae9ba89c0ac85e"},
+      {"snm_multipass_worlds off-default", "99f166dc8b65e5d8"},
+      {"snm_sorting_alternatives", "c3fea908863cb271"},
+      {"snm_sorting_alternatives off-default", "c4057108864271f7"},
+      {"snm_uncertain_ranking", "a66e9337b1b955d4"},
+      {"snm_uncertain_ranking off-default", "b4492845ec3f3a79"},
+      {"fellegi_sunter", "04c4c7413dc27f3c"},
+      {"fellegi_sunter off-default", "a3b6a094a6143aaf"},
+      {"rules", "822cf07fc396eb27"},
+      {"rules off-default", "abd6e979eb54e50a"},
+      {"weighted_sum", "a6ecba38588334cd"},
+      {"weighted_sum off-default", "1d7a609c7f4240d5"},
+      {"expected_matching", "f29a4ce6882cd1b9"},
+      {"expected_matching off-default", "b8e2404dfe6a7ddf"},
+      {"expected_similarity", "a6ecba38588334cd"},
+      {"expected_similarity off-default", "a6ecba38588334cd"},
+      {"matching_weight", "e6f4719ddc1eff2b"},
+      {"matching_weight off-default", "d852bba29f29a10d"},
+      {"max_similarity", "8b28065de4ebd8dd"},
+      {"max_similarity off-default", "8b28065de4ebd8dd"},
+      {"min_similarity", "d2c21e90f40cc85f"},
+      {"min_similarity off-default", "d2c21e90f40cc85f"},
+      {"mode_similarity", "b822962fa864ae22"},
+      {"mode_similarity off-default", "b822962fa864ae22"},
+      {"every conditional key", "6a0244a496aa875e"},
+  };
+  std::vector<std::pair<std::string, DetectorConfig>> configs =
+      GoldenConfigs();
+  ASSERT_EQ(configs.size(), 44u);
+  for (const auto& [name, config] : configs) {
+    PlanSpec spec = config.ToSpec();
+    auto expected = kExpected.find(name);
+    ASSERT_NE(expected, kExpected.end()) << name;
+    EXPECT_EQ(FingerprintHex(spec.Fingerprint()), expected->second)
+        << name << "\n"
+        << spec.ToText();
+    Result<DetectorConfig> back = DetectorConfig::FromSpec(spec);
+    ASSERT_TRUE(back.ok()) << name << ": " << back.status().ToString();
+    EXPECT_EQ(back->ToSpec(), spec) << name;
+  }
+}
+
+TEST(TranslateTest, FromSpecOutcomesArePinned) {
+  DetectorConfig adaptive_base;
+  adaptive_base.reduction = ReductionMethod::kSnmAdaptive;
+  adaptive_base.adaptive.strategy = ConflictStrategy::kFirst;
+  struct Case {
+    const char* spec;
+    std::string outcome;
+    DetectorConfig base = DetectorConfig();
+  };
+  // "ok <fingerprint of the resolved ToSpec>" or the Status text.
+  const Case kCases[] = {
+      {"reduction = canopy\nreduction.window = 4\n",
+       "InvalidArgument: unknown parameter in plan spec (for reduction "
+       "'canopy', combination 'weighted_sum', derivation "
+       "'expected_similarity'): reduction.window"},
+      {"reduction = snm_certain_keys\nreduction.windwo = 4\n",
+       "InvalidArgument: unknown parameter in plan spec (for reduction "
+       "'snm_certain_keys', combination 'weighted_sum', derivation "
+       "'expected_similarity'): reduction.windwo"},
+      {"reduction.windwo = 4\n",
+       "InvalidArgument: unknown parameter in plan spec (for reduction "
+       "'full', combination 'weighted_sum', derivation "
+       "'expected_similarity'): reduction.windwo"},
+      {"reduction = snm_certain_keys\nreduction.window = 2.5\n",
+       "InvalidArgument: parameter 'reduction.window' is not a "
+       "non-negative integer: '2.5'"},
+      {"reduction = snm_certain_keys\nreduction.window = -1\n",
+       "InvalidArgument: parameter 'reduction.window' is not a "
+       "non-negative integer: '-1'"},
+      {"classify.t_lambda = high\n",
+       "InvalidArgument: parameter 'classify.t_lambda' is not a number: "
+       "'high'"},
+      {"reduction = canopy\nreduction.loose = 0.8x\n",
+       "InvalidArgument: parameter 'reduction.loose' is not a number: "
+       "'0.8x'"},
+      {"prune = maybe\n",
+       "InvalidArgument: parameter 'prune' is not a boolean: 'maybe'"},
+      {"reduction = canopy\nreduction.conditioned = 2\n",
+       "InvalidArgument: parameter 'reduction.conditioned' is not a "
+       "boolean: '2'"},
+      {"combination.weights = 0.8,x\n",
+       "InvalidArgument: bad weight 'x' in combination.weights"},
+      {"combination.weights =\n", "ok 60f98264a5d18a11"},
+      {"combination = fellegi_sunter\ncombination.fs = 0.9:0.1\n",
+       "InvalidArgument: bad Fellegi-Sunter attribute '0.9:0.1' in "
+       "combination.fs (want m:u:agreement_threshold)"},
+      {"combination = fellegi_sunter\ncombination.fs = "
+       "0.9:0.1:0.8,0.8:0.2:0.7\ncombination.interpolated = true\n",
+       "ok 775d7318da5d4702"},
+      {"key = name\n", "InvalidArgument: key component 'name' is not attr:len"},
+      {"key = name:x\n", "InvalidArgument: bad prefix length in 'name:x'"},
+      {"key = name:4,job:0\n", "ok 05aa3b310e437d76"},
+      {"reduction = snm_certan_keys\n",
+       "InvalidArgument: unknown reduction 'snm_certan_keys'; did you "
+       "mean 'snm_certain_keys'? registered: blocking_alternatives, "
+       "blocking_certain_keys, blocking_clustered, "
+       "blocking_multipass_worlds, canopy, full, qgram_index, "
+       "snm_adaptive, snm_certain_keys, snm_multipass_worlds, "
+       "snm_sorting_alternatives, snm_uncertain_ranking"},
+      {"combination = weighted_summ\n",
+       "InvalidArgument: unknown combination 'weighted_summ'; did you "
+       "mean 'weighted_sum'? registered: fellegi_sunter, rules, "
+       "weighted_sum"},
+      {"derivation = max_similarty\n",
+       "InvalidArgument: unknown derivation 'max_similarty'; did you mean "
+       "'max_similarity'? registered: expected_matching, "
+       "expected_similarity, matching_weight, max_similarity, "
+       "min_similarity, mode_similarity"},
+      {"reduction = snm_certain_keys\nreduction.conflict = longst\n",
+       "InvalidArgument: unknown conflict strategy 'longst'; did you mean "
+       "'longest'? registered: first, lex_min, longest, most_probable, "
+       "shortest"},
+      {"reduction = snm_uncertain_ranking\nreduction.ranking = positionl\n",
+       "InvalidArgument: unknown ranking method 'positionl'; did you mean "
+       "'positional'? registered: expected_rank, positional"},
+      {"reduction = snm_multipass_worlds\nreduction.world_strategy = "
+       "divers\n",
+       "InvalidArgument: unknown world-selection strategy 'divers'; did "
+       "you mean 'diverse'? registered: diverse, top_probable"},
+      {"reduction = blocking_clustered\nreduction.algorithm = kmedoid\n",
+       "InvalidArgument: unknown clustering algorithm 'kmedoid'; did you "
+       "mean 'kmedoids'? registered: kmedoids, leader"},
+      {"comparators = custom,hamming\n",
+       "InvalidArgument: plan specs cannot resolve 'custom' comparators — "
+       "set DetectorConfig::custom_comparators programmatically"},
+      {"comparators = jaro,hammin\n", "NotFound: no comparator named 'hammin'"},
+      {"reduction = canopy\nreduction.distance = custom\n",
+       "InvalidArgument: plan specs cannot resolve a 'custom' "
+       "reduction.distance comparator — set the option struct's "
+       "comparator programmatically"},
+      {"reduction = snm_adaptive\nreduction.key_comparator = jarro\n",
+       "NotFound: no comparator named 'jarro'"},
+      {"prepare = custom\n",
+       "InvalidArgument: plan specs cannot resolve 'custom' preparation — "
+       "set DetectorConfig::preparation programmatically"},
+      {"reduction = canopy\nreduction.distance = overlap\n",
+       "ok a6dcea6735e6c9cc"},
+      {"reduction = blocking_clustered\nreduction.distance = jaro\n",
+       "ok c561af8ddebe8ee1"},
+      {"prepare.attributes = 2\n",
+       "InvalidArgument: unknown parameter in plan spec (for reduction "
+       "'full', combination 'weighted_sum', derivation "
+       "'expected_similarity'): prepare.attributes"},
+      {"prepare = lower,trim\nprepare.attributes = 2\n", "ok 92ce188412741623"},
+      {"prune.threshold = 0.3\n", "ok a6ecba38588334cd"},
+      {"shard.count = 2\n",
+       "InvalidArgument: unknown parameter in plan spec (for reduction "
+       "'full', combination 'weighted_sum', derivation "
+       "'expected_similarity'): shard.count"},
+      {"shard.count = 2\nreduction.windwo = 4\nexecutor.thread = 2\n",
+       "InvalidArgument: unknown parameters in plan spec (for reduction "
+       "'full', combination 'weighted_sum', derivation "
+       "'expected_similarity'): executor.thread, reduction.windwo, "
+       "shard.count"},
+      {"executor.workers = 4\nexecutor.batch = 64\n", "ok a6ecba38588334cd"},
+      {"derivation = matching_weight\nderivation.t_mu = 0.8\n",
+       "ok af3b63d732904dec"},
+      {"derivation.t_mu = 0.8\n",
+       "InvalidArgument: unknown parameter in plan spec (for reduction "
+       "'full', combination 'weighted_sum', derivation "
+       "'expected_similarity'): derivation.t_mu"},
+      {"reduction.max_window = 20\n",
+       "ok 21d302689bb94dcb",
+       adaptive_base},
+  };
+  for (const Case& c : kCases) {
+    Result<PlanSpec> spec = PlanSpec::Parse(c.spec);
+    ASSERT_TRUE(spec.ok()) << c.spec;
+    Result<DetectorConfig> config = DetectorConfig::FromSpec(*spec, c.base);
+    std::string outcome =
+        config.ok() ? "ok " + FingerprintHex(config->ToSpec().Fingerprint())
+                    : config.status().ToString();
+    EXPECT_EQ(outcome, c.outcome) << c.spec;
+  }
+}
+
+// FromSpec only reads the spec, so threads may share one.
+TEST(TranslateTest, ConcurrentReadsOfOneSpecAgree) {
+  PlanSpec spec = PlanBuilder()
+                      .Reduction("canopy")
+                      .Set("reduction.loose", 0.75)
+                      .Set("executor.workers", 2)
+                      .Build();
+  Result<DetectorConfig> expected = DetectorConfig::FromSpec(spec);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const std::string text = expected->ToSpec().ToText();
+  std::vector<std::string> results(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&spec, &results, t] {
+      for (int i = 0; i < 50; ++i) {
+        Result<DetectorConfig> config = DetectorConfig::FromSpec(spec);
+        results[t] = config.ok() ? config->ToSpec().ToText()
+                                 : config.status().ToString();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& result : results) EXPECT_EQ(result, text);
+}
+
 // -------------------------------------------------- compiled equivalence
 
 TEST(CompileTest, EveryReductionCompilesFromItsRegistryName) {
@@ -485,6 +764,23 @@ TEST(ValidateTest, PruneRequiresMaxLengthNormalizedComparators) {
   ExactComparator exact;
   config.custom_comparators = {&exact, nullptr};
   EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(ValidateTest, PruneRequiresTheWeightedSumCombination) {
+  // The bound is a weighted-sum bound: under Fellegi-Sunter it pruned
+  // pairs whose matching weight reaches the threshold.
+  DetectorConfig config;
+  config.prune = true;
+  config.combination = CombinationKind::kFellegiSunter;
+  config.fs_attributes = {{0.9, 0.1, 0.2}, {0.9, 0.1, 0.2}};
+  Status status = config.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("fellegi_sunter"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(DetectionPlan::Compile(config, PaperSchema()).ok());
+  config.prune = false;
+  EXPECT_TRUE(DetectionPlan::Compile(config, PaperSchema()).ok());
 }
 
 TEST(ValidateTest, PruneRejectsNumericDefaultAtCompileTime) {

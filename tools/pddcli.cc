@@ -283,16 +283,10 @@ int RunLintPlan(const std::string& path) {
     return Fail("lint-plan: " + valid.ToString());
   }
   PlanSpec resolved = config->ToSpec();
-  PlanSpec decision_subset;
-  for (const auto& [key, value] : resolved.params().entries()) {
-    if (!IsDecisionIrrelevantSpecKey(key)) {
-      decision_subset.params().Set(key, value);
-    }
-  }
   std::cout << "plan lint: " << path << ": " << spec->params().size()
             << " keys, fingerprint " << FingerprintHex(resolved.Fingerprint())
             << ", decision fingerprint "
-            << FingerprintHex(decision_subset.Fingerprint()) << "\n";
+            << FingerprintHex(DecisionFingerprint(resolved)) << "\n";
   // Per-key classification of what the author actually wrote (the
   // resolved spec adds defaulted keys; those are not interesting here).
   for (const auto& [key, value] : spec->params().entries()) {

@@ -79,17 +79,13 @@ int main(int argc, char** argv) {
     std::cout << finding.ToString() << "\n";
   }
 
-  Result<SpecClosureReport> closure = CheckSpecClosure(root);
-  if (!closure.ok()) {
-    std::cerr << "pddlint: " << closure.status().ToString() << "\n";
-    return 2;
-  }
-  total += closure->findings.size();
-  for (const LintFinding& finding : closure->findings) {
+  SpecClosureReport closure = CheckSpecClosure();
+  total += closure.findings.size();
+  for (const LintFinding& finding : closure.findings) {
     std::cout << finding.ToString() << "\n";
   }
-  std::cerr << "pddlint: spec closure over " << closure->read_keys.size()
-            << " read keys / " << closure->printed_keys.size()
+  std::cerr << "pddlint: spec closure over " << closure.read_keys.size()
+            << " read keys / " << closure.printed_keys.size()
             << " printed keys\n";
 
   if (total > 0) {
